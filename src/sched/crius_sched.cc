@@ -4,6 +4,7 @@
 #include <array>
 #include <chrono>
 #include <limits>
+#include <optional>
 
 #include "src/util/check.h"
 #include "src/util/counters.h"
@@ -52,21 +53,6 @@ bool CandidateSizesDiffer(int requested, int cap_a, int cap_b) {
   return false;
 }
 
-using FreeMap = std::array<int, kNumGpuTypes>;
-
-bool Fits(const Cell& cell, const FreeMap& free) {
-  return free[static_cast<int>(cell.gpu_type)] >= cell.ngpus;
-}
-
-void Take(const Cell& cell, FreeMap& free) {
-  free[static_cast<int>(cell.gpu_type)] -= cell.ngpus;
-  CRIUS_CHECK(free[static_cast<int>(cell.gpu_type)] >= 0);
-}
-
-void Give(const Cell& cell, FreeMap& free) {
-  free[static_cast<int>(cell.gpu_type)] += cell.ngpus;
-}
-
 }  // namespace
 
 CriusScheduler::CriusScheduler(PerformanceOracle* oracle, CriusConfig config)
@@ -93,8 +79,7 @@ std::string CriusScheduler::name() const {
   return "Crius";
 }
 
-CriusScheduler::JobCells CriusScheduler::ComputeCells(const TrainingJob& job,
-                                                      const Cluster& cluster) {
+JobCells CriusScheduler::ComputeCells(const TrainingJob& job, const Cluster& cluster) {
   CRIUS_TRACE_SPAN("sched.cells_for");
   JobCells jc;
   // Per-thread candidate + batch-result buffers: warm-up fan-outs run
@@ -151,12 +136,13 @@ CriusScheduler::JobCells CriusScheduler::ComputeCells(const TrainingJob& job,
   }
   std::stable_sort(jc.choices.begin(), jc.choices.end(),
                    [](const CellChoice& a, const CellChoice& b) { return a.score > b.score; });
+  jc.fit.Build(jc.choices);
+  jc.moves.Build(jc.choices);
   CRIUS_HISTOGRAM_RECORD("sched.cells_per_job", static_cast<double>(jc.choices.size()));
   return jc;
 }
 
-const CriusScheduler::JobCells& CriusScheduler::CellsFor(const TrainingJob& job,
-                                                         const Cluster& cluster) {
+const JobCells& CriusScheduler::CellsFor(const TrainingJob& job, const Cluster& cluster) {
   const MemoStamp stamp{cluster.identity(), cluster.health_epoch()};
   const uint64_t hash = JobHash(job.id);
   if (const JobCells* hit = cells_memo_.Find(job.id, hash, stamp)) {
@@ -410,6 +396,7 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
   // so no two live passes share a thread.
   static thread_local std::vector<VirtualJob> vjobs;
   static thread_local std::vector<size_t> queued_order;
+  static thread_local std::vector<FitIndex> deadline_fits;
   vjobs.clear();
   queued_order.clear();
   for (size_t ji = 0; ji < jobs.size(); ++ji) {
@@ -419,6 +406,7 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
     vj.cells = (ji < cells_snapshot_.size() && cells_snapshot_[ji].first == js->job.id)
                    ? cells_snapshot_[ji].second
                    : &CellsFor(js->job, cluster);
+    vj.fit = &vj.cells->fit;
     if (js->phase == JobPhase::kRunning) {
       Cell cell{js->gpu_type, js->ngpus, js->nstages};
       double score = 0.0;
@@ -500,17 +488,16 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
     return rank;
   };
 
-  // Best feasible Cell for a job under `free`; highest estimated score first,
-  // or the best composite rank under a non-default weight vector (ties keep
-  // the earlier = higher-throughput choice, so selection stays deterministic).
+  // Best feasible Cell for a queued job under `free`: the first fit in score
+  // order, read off the job's FitIndex (which in deadline-aware mode covers
+  // only its deadline-feasible choices); or the best composite rank under a
+  // non-default weight vector, which depends on the free map the Cell leaves
+  // and so scans every choice (ties keep the earlier = higher-throughput
+  // choice, so selection stays deterministic).
   auto best_fitting = [&](const VirtualJob& vj, const FreeMap& f) -> const CellChoice* {
     if (!multi) {
-      for (const CellChoice& c : vj.cells->choices) {
-        if (Fits(c.cell, f) && meets_deadline(vj, c)) {
-          return &c;
-        }
-      }
-      return nullptr;
+      const int i = vj.fit->FirstFit(vj.cells->choices, f);
+      return i < 0 ? nullptr : &vj.cells->choices[i];
     }
     const CellChoice* best = nullptr;
     double best_rank = -std::numeric_limits<double>::infinity();
@@ -536,38 +523,37 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
   };
 
   // --- Deadline admission (§8.5): early-drop hopeless jobs ------------------
+  // Each queued job with a deadline gets a FitIndex over the choices that
+  // meet it, built once per pass; an empty one means the job is hopeless.
   if (config_.deadline_aware) {
+    deadline_fits.resize(vjobs.size());
     for (size_t qi : queued_order) {
       VirtualJob& vj = vjobs[qi];
       if (!vj.state->job.deadline.has_value()) {
         continue;
       }
-      bool possible = false;
-      for (const CellChoice& c : vj.cells->choices) {
-        if (meets_deadline(vj, c)) {
-          possible = true;
-          break;
-        }
-      }
-      if (!possible) {
+      const std::vector<CellChoice>& choices = vj.cells->choices;
+      deadline_fits[qi].Build(choices, [&](size_t i) { return meets_deadline(vj, choices[i]); });
+      vj.fit = &deadline_fits[qi];
+      if (vj.fit->first() < 0) {
+        vj.dropped = true;
         decision.dropped.push_back(vj.state->job.id);
       }
     }
   }
-  auto is_dropped = [&](int64_t id) {
-    return std::find(decision.dropped.begin(), decision.dropped.end(), id) !=
-           decision.dropped.end();
-  };
 
   // --- Place queued jobs (FIFO), scaling running jobs when short (lines
   // 14-20 of Algorithm 1) ----------------------------------------------------
   int searched_jobs = 0;
   bool some_job_pending = false;
+  // Scaling-search work, added to the counters once per pass.
+  int64_t moves_evaluated = 0;
+  int64_t searches_placed = 0;
   {
     CRIUS_TRACE_SPAN("sched.place");
     for (size_t qi : queued_order) {
       VirtualJob& vj = vjobs[qi];
-      if (is_dropped(vj.state->job.id)) {
+      if (vj.dropped) {
         continue;
       }
 
@@ -589,75 +575,35 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
       if (searched_jobs < config_.max_search_jobs && config_.search_depth > 0) {
         ++searched_jobs;
         FreeMap trial_free = free;
-        std::vector<std::pair<size_t, std::optional<Cell>>> saved;  // victim -> old cell
+        struct SavedVictim {
+          size_t vi;
+          std::optional<Cell> cell;
+          double score;
+        };
+        std::vector<SavedVictim> saved;
         double cumulative_delta = 0.0;
         // The best score vj could realize if capacity were freed; bounds the
         // deficit any intermediate move is allowed to dig.
-        double vj_potential = 0.0;
-        for (const CellChoice& c : vj.cells->choices) {
-          if (meets_deadline(vj, c)) {
-            vj_potential = std::max(vj_potential, c.score);
-          }
-        }
+        const int top = vj.fit->first();
+        const double vj_potential =
+            top < 0 ? 0.0 : std::max(0.0, vj.cells->choices[top].score);
+        auto mine_after = [&](const FreeMap& f) { return best_fitting(vj, f); };
 
         for (int depth = 0; depth < config_.search_depth && !placed; ++depth) {
-          double best_delta = -std::numeric_limits<double>::infinity();
-          size_t best_victim = 0;
-          const CellChoice* best_new_cell = nullptr;
-          bool enables_placement = false;
-
-          for (size_t vi = 0; vi < vjobs.size(); ++vi) {
-            VirtualJob& victim = vjobs[vi];
-            if (vi == qi || !victim.cell.has_value()) {
-              continue;
-            }
-            for (const CellChoice& alt : victim.cells->choices) {
-              if (alt.cell == *victim.cell) {
-                continue;
-              }
-              // The move must shrink usage of some type (downscale or exchange).
-              const bool frees_capacity =
-                  alt.cell.gpu_type != victim.cell->gpu_type || alt.cell.ngpus < victim.cell->ngpus;
-              if (!frees_capacity) {
-                continue;
-              }
-              FreeMap f2 = trial_free;
-              Give(*victim.cell, f2);
-              if (!Fits(alt.cell, f2) || !meets_deadline(victim, alt)) {
-                continue;
-              }
-              Take(alt.cell, f2);
-              const CellChoice* mine = best_fitting(vj, f2);
-              const bool enables = mine != nullptr;
-              const double delta = alt.score - victim.score + (enables ? mine->score : 0.0);
-              // Prefer placement-enabling moves strictly; among progress moves
-              // take the least-damaging, but never dig deeper than the placed
-              // job could pay back.
-              if (!enables &&
-                  cumulative_delta + delta + vj_potential <= 0.0) {
-                continue;
-              }
-              if ((enables && !enables_placement) ||
-                  ((enables == enables_placement) && delta > best_delta)) {
-                best_delta = delta;
-                best_victim = vi;
-                best_new_cell = &alt;
-                enables_placement = enables;
-              }
-            }
-          }
-
-          if (best_new_cell == nullptr ||
-              (enables_placement && cumulative_delta + best_delta <= 0.0)) {
+          const ScalingMove move =
+              BestScalingMove(vjobs, qi, trial_free, cumulative_delta, vj_potential,
+                              meets_deadline, mine_after, &moves_evaluated);
+          if (move.choice < 0 || (move.enables && cumulative_delta + move.delta <= 0.0)) {
             break;  // no move, or completing the chain would lower throughput
           }
-          VirtualJob& victim = vjobs[best_victim];
-          saved.emplace_back(best_victim, victim.cell);
+          VirtualJob& victim = vjobs[move.victim];
+          const CellChoice& new_cell = victim.cells->choices[move.choice];
+          saved.push_back(SavedVictim{move.victim, victim.cell, victim.score});
           Give(*victim.cell, trial_free);
-          Take(best_new_cell->cell, trial_free);
-          cumulative_delta += best_new_cell->score - victim.score;
-          victim.cell = best_new_cell->cell;
-          victim.score = best_new_cell->score;
+          Take(new_cell.cell, trial_free);
+          cumulative_delta += new_cell.score - victim.score;
+          victim.cell = new_cell.cell;
+          victim.score = new_cell.score;
 
           if (const CellChoice* mine = best_fitting(vj, trial_free)) {
             if (cumulative_delta + mine->score > 0.0) {
@@ -671,19 +617,13 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
         }
 
         if (placed) {
+          ++searches_placed;
           free = trial_free;
         } else {
           // Roll back all speculative moves.
           for (auto it = saved.rbegin(); it != saved.rend(); ++it) {
-            VirtualJob& victim = vjobs[it->first];
-            victim.cell = it->second;
-            victim.score = 0.0;
-            for (const CellChoice& c : victim.cells->choices) {
-              if (victim.cell.has_value() && c.cell == *victim.cell) {
-                victim.score = c.score;
-                break;
-              }
-            }
+            vjobs[it->vi].cell = it->cell;
+            vjobs[it->vi].score = it->score;
           }
         }
       }
@@ -696,13 +636,22 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
       }
     }
   }
+  if (searched_jobs > 0) {
+    static Counter& placed_searches = CounterRegistry::Global().GetCounter(
+        "sched.searches", MetricLabels{{"outcome", "placed"}});
+    static Counter& failed_searches = CounterRegistry::Global().GetCounter(
+        "sched.searches", MetricLabels{{"outcome", "failed"}});
+    placed_searches.Add(searches_placed);
+    failed_searches.Add(searched_jobs - searches_placed);
+    CRIUS_COUNTER_ADD("sched.search_moves_evaluated", moves_evaluated);
+  }
 
   // --- Pending-job preemption of opportunistic jobs (§6.1) ------------------
   if (config_.opportunistic && some_job_pending) {
     CRIUS_TRACE_SPAN("sched.preempt_opportunistic");
     for (size_t qi : queued_order) {
       VirtualJob& vj = vjobs[qi];
-      if (vj.cell.has_value() || is_dropped(vj.state->job.id)) {
+      if (vj.cell.has_value() || vj.dropped) {
         continue;
       }
       // Would evicting all opportunistic jobs make room?
@@ -846,7 +795,6 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
                   config_.multi.fragmentation * StrandingScore(free) +
                   config_.multi.fairness * JainIndex(placed_scores);
   }
-  (void)now;
   return {std::move(decision), total_score};
 }
 

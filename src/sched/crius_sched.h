@@ -21,12 +21,12 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "src/core/cell.h"
 #include "src/power/power.h"
+#include "src/sched/placement_index.h"
 #include "src/sched/scheduler.h"
 #include "src/util/gen_memo.h"
 
@@ -105,27 +105,6 @@ class CriusScheduler : public Scheduler {
   const CriusConfig& config() const { return config_; }
 
  private:
-  struct CellChoice {
-    Cell cell;
-    double score = 0.0;  // estimated normalized throughput
-  };
-  struct JobCells {
-    std::vector<CellChoice> choices;  // sorted by score, descending
-    double ref_throughput = 0.0;      // estimate at the requested shape
-  };
-  // Virtual placement of one job during a scheduling pass. `cells` caches the
-  // job's memoized ranking, resolved exactly once per pass, so the placement
-  // loops (including the density sort comparator) never re-enter the memo's
-  // shard locks mid-pass.
-  struct VirtualJob {
-    const JobState* state = nullptr;
-    const JobCells* cells = nullptr;
-    double density = 0.0;  // best score per requested GPU (kScoreDensity order)
-    std::optional<Cell> cell;
-    double score = 0.0;
-    bool opportunistic = false;
-  };
-
   // Pure computation of the scored Cell candidates for `job` under the
   // ablation flags. Touches no scheduler state besides the (thread-safe)
   // oracle, so pool workers may run it concurrently during cache warm-up.

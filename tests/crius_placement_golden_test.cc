@@ -1,0 +1,158 @@
+// Golden decision test for the Crius placement pass.
+//
+// Runs one saturated simulated-cluster scenario under every Crius variant at
+// --threads 1 and 4 and compares FNV-1a hashes of the jobs and events CSVs
+// against goldens recorded from the linear-scan placement pass, before the
+// Algorithm-1 scaling search was indexed. Any change to a placement, scaling
+// move, preemption or upscale decision moves a hash.
+//
+// The same runs pin the scaling-search work counters: the scenario must run
+// at least 500 searches with both outcomes (so the goldens cannot pass on an
+// unsaturated trace), and the counters must read the same at every thread
+// count.
+//
+// To regenerate after an intended decision change, run the test and copy the
+// "actual" hashes it prints into kVariants.
+
+#include <gtest/gtest.h>
+
+#include <cinttypes>
+#include <cstdio>
+#include <optional>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "src/hw/cluster.h"
+#include "src/sched/factory.h"
+#include "src/sim/simulator.h"
+#include "src/sim/trace.h"
+#include "src/sim/trace_io.h"
+#include "src/util/counters.h"
+#include "src/util/rng.h"
+#include "src/util/threadpool.h"
+
+namespace crius {
+namespace {
+
+struct Variant {
+  const char* label;
+  const char* scheduler;
+  bool deadline_aware;            // also gives half the trace a deadline
+  const char* objective_weights;  // empty = default
+  uint64_t jobs_hash;             // golden FNV-1a of the jobs CSV
+  uint64_t events_hash;           // golden FNV-1a of the events CSV
+};
+
+// Recorded from the linear-scan scheduler; identical at --threads 1 and 4.
+constexpr Variant kVariants[] = {
+    {"crius", "crius", false, "", 0x0ae91316f77a6910ull, 0xc5fcb1760199de6dull},
+    {"crius_na", "crius-na", false, "", 0x44f436751ecba71dull, 0xab452c9e56489766ull},
+    {"crius_nh", "crius-nh", false, "", 0x23b682c79081da57ull, 0x139dd9d10870bd30ull},
+    {"crius_fair", "crius-fair", false, "", 0xcf0c0ed9e33530a0ull, 0x1b451fa68de7fd04ull},
+    {"crius_solver", "crius-solver", false, "", 0xd6bf2030748b14caull, 0x8d8fdf0df209fad7ull},
+    {"crius_ddl", "crius", true, "", 0x02bb75d984954753ull, 0x624f78dea04d02e4ull},
+    {"crius_weights", "crius", false, "1,0.2,0.5,0.3", 0xe80fe7e89c7329faull,
+     0x2278189c38ced763ull},
+};
+
+struct RunResult {
+  uint64_t jobs_hash = 0;
+  uint64_t events_hash = 0;
+  int64_t searches_placed = 0;
+  int64_t searches_failed = 0;
+  int64_t moves_evaluated = 0;
+};
+
+int64_t CounterNow(const std::string& name, const MetricLabels& labels = {}) {
+  return CounterRegistry::Global().CounterValue(CanonicalMetricName(name, labels));
+}
+
+// The scenario: the 1,280-GPU simulated cluster under a compressed heavy
+// Philly trace (600 jobs in two days at offered load 2.0), so queued jobs
+// regularly find no free fit and the scaling search runs.
+RunResult RunVariant(const Variant& variant, int threads) {
+  ThreadPool::SetGlobalThreads(threads);
+  Cluster cluster = MakeNamedCluster("simulated");
+  PerformanceOracle oracle(cluster, 42);
+  TraceConfig trace_config = PhillyWeekHeavyConfig();
+  trace_config.seed = 42;
+  trace_config.num_jobs = 600;
+  trace_config.duration = 2.0 * kDay;
+  trace_config.load = 2.0;
+  if (variant.deadline_aware) {
+    trace_config.deadline_fraction = 0.5;
+  }
+  const std::vector<TrainingJob> trace = GenerateTrace(cluster, oracle, trace_config);
+
+  SchedulerOptions options;
+  options.deadline_aware = variant.deadline_aware;
+  if (variant.objective_weights[0] != '\0') {
+    const std::optional<MultiObjectiveConfig> multi =
+        MultiObjectiveConfig::Parse(variant.objective_weights);
+    EXPECT_TRUE(multi.has_value());
+    options.multi = multi.value_or(MultiObjectiveConfig{});
+  }
+  auto scheduler = MakeNamedScheduler(variant.scheduler, &oracle, options);
+  SimConfig sim_config;
+  sim_config.record_events = true;
+  Simulator sim(cluster, sim_config);
+
+  const int64_t placed0 = CounterNow("sched.searches", {{"outcome", "placed"}});
+  const int64_t failed0 = CounterNow("sched.searches", {{"outcome", "failed"}});
+  const int64_t moves0 = CounterNow("sched.search_moves_evaluated");
+  const SimResult result = sim.Run(*scheduler, oracle, trace);
+
+  RunResult run;
+  std::ostringstream jobs, events;
+  WriteJobRecordsCsv(result, jobs);
+  WriteEventsCsv(result, events);
+  run.jobs_hash = HashString(jobs.str());
+  run.events_hash = HashString(events.str());
+  run.searches_placed = CounterNow("sched.searches", {{"outcome", "placed"}}) - placed0;
+  run.searches_failed = CounterNow("sched.searches", {{"outcome", "failed"}}) - failed0;
+  run.moves_evaluated = CounterNow("sched.search_moves_evaluated") - moves0;
+  return run;
+}
+
+class CriusPlacementGoldenTest : public ::testing::TestWithParam<Variant> {
+ protected:
+  void TearDown() override { ThreadPool::SetGlobalThreads(1); }
+};
+
+TEST_P(CriusPlacementGoldenTest, DecisionsMatchGoldensAtEveryThreadCount) {
+  const Variant& variant = GetParam();
+  std::optional<RunResult> first;
+  for (int threads : {1, 4}) {
+    const RunResult run = RunVariant(variant, threads);
+    std::printf("actual: {\"%s\", 0x%016" PRIx64 "ull, 0x%016" PRIx64
+                "ull}  // --threads %d, searches %" PRId64 " placed / %" PRId64
+                " failed, %" PRId64 " moves\n",
+                variant.label, run.jobs_hash, run.events_hash, threads, run.searches_placed,
+                run.searches_failed, run.moves_evaluated);
+    EXPECT_EQ(run.jobs_hash, variant.jobs_hash) << "jobs CSV at --threads " << threads;
+    EXPECT_EQ(run.events_hash, variant.events_hash) << "events CSV at --threads " << threads;
+
+    // The goldens only mean something if the search actually ran, both ways.
+    EXPECT_GE(run.searches_placed + run.searches_failed, 500) << "--threads " << threads;
+    EXPECT_GT(run.searches_placed, 0) << "--threads " << threads;
+    EXPECT_GT(run.searches_failed, 0) << "--threads " << threads;
+    EXPECT_GT(run.moves_evaluated, 0) << "--threads " << threads;
+    // Work counters are deterministic: the same at every thread count.
+    if (first.has_value()) {
+      EXPECT_EQ(run.searches_placed, first->searches_placed);
+      EXPECT_EQ(run.searches_failed, first->searches_failed);
+      EXPECT_EQ(run.moves_evaluated, first->moves_evaluated);
+    } else {
+      first = run;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllVariants, CriusPlacementGoldenTest, ::testing::ValuesIn(kVariants),
+                         [](const ::testing::TestParamInfo<Variant>& info) {
+                           return std::string(info.param.label);
+                         });
+
+}  // namespace
+}  // namespace crius
