@@ -20,34 +20,48 @@ namespace {
 
 constexpr double kEps = 1e-6;
 
-const char* CounterNameFor(SimEvent::Kind kind) {
+// Bumps the per-kind event counter. Each CRIUS_COUNTER_INC site resolves its
+// registry entry once, on first use, so an event costs one atomic add.
+void CountEvent(SimEvent::Kind kind) {
   switch (kind) {
     case SimEvent::Kind::kStart:
-      return "sim.starts";
+      CRIUS_COUNTER_INC("sim.starts");
+      return;
     case SimEvent::Kind::kRestart:
-      return "sim.restarts";
+      CRIUS_COUNTER_INC("sim.restarts");
+      return;
     case SimEvent::Kind::kMigrate:
-      return "sim.migrations";
+      CRIUS_COUNTER_INC("sim.migrations");
+      return;
     case SimEvent::Kind::kPreempt:
-      return "sim.preempts";
+      CRIUS_COUNTER_INC("sim.preempts");
+      return;
     case SimEvent::Kind::kFinish:
-      return "sim.finishes";
+      CRIUS_COUNTER_INC("sim.finishes");
+      return;
     case SimEvent::Kind::kDrop:
-      return "sim.drops";
+      CRIUS_COUNTER_INC("sim.drops");
+      return;
     case SimEvent::Kind::kCancel:
-      return "sim.cancels";
+      CRIUS_COUNTER_INC("sim.cancels");
+      return;
     case SimEvent::Kind::kFailureKill:
-      return "sim.failure_kills";
+      CRIUS_COUNTER_INC("sim.failure_kills");
+      return;
     case SimEvent::Kind::kNodeFail:
-      return "sim.node_fails";
+      CRIUS_COUNTER_INC("sim.node_fails");
+      return;
     case SimEvent::Kind::kNodeRecover:
-      return "sim.node_recovers";
+      CRIUS_COUNTER_INC("sim.node_recovers");
+      return;
     case SimEvent::Kind::kStragglerStart:
-      return "sim.straggler_starts";
+      CRIUS_COUNTER_INC("sim.straggler_starts");
+      return;
     case SimEvent::Kind::kStragglerEnd:
-      return "sim.straggler_ends";
+      CRIUS_COUNTER_INC("sim.straggler_ends");
+      return;
   }
-  return "sim.events";
+  CRIUS_COUNTER_INC("sim.events");
 }
 
 bool CancelBefore(const JobCancelEvent& a, const JobCancelEvent& b) {
@@ -102,8 +116,9 @@ void SimEngine::AddJob(const TrainingJob& job, double profiling_delay,
   CRIUS_CHECK_MSG(sj.reference_throughput > 0.0,
                   "trace job " << job.id << " infeasible everywhere");
   job_index_[job.id] = jobs_.size();
+  arrivals_.emplace(job.submit_time, jobs_.size());
+  max_submit_ = std::max(max_submit_, job.submit_time);
   jobs_.push_back(std::move(sj));
-  ++live_;
 }
 
 bool SimEngine::TryAddJob(const TrainingJob& job) {
@@ -153,8 +168,8 @@ void SimEngine::InjectCancel(double time, int64_t job_id) {
 
 double SimEngine::NextEventTime() const {
   double next_completion = std::numeric_limits<double>::infinity();
-  for (const SimJob& sj : jobs_) {
-    next_completion = std::min(next_completion, CompletionTime(sj, now_));
+  for (size_t i : active_) {
+    next_completion = std::min(next_completion, CompletionTime(jobs_[i], now_));
   }
   double t_next = std::min(next_round_, next_completion);
   if (next_failure_ < config_.failures.size()) {
@@ -186,7 +201,7 @@ double SimEngine::CompletionTime(const SimJob& sj, double at) const {
 }
 
 void SimEngine::Record(SimJob& sj, double time, SimEvent::Kind kind, std::string placement) {
-  CounterRegistry::Global().GetCounter(CounterNameFor(kind)).Add(1);
+  CountEvent(kind);
   sj.last_event = time;
   if (config_.record_events) {
     result_.events.push_back(SimEvent{time, kind, sj.state.job.id, std::move(placement)});
@@ -196,7 +211,7 @@ void SimEngine::Record(SimJob& sj, double time, SimEvent::Kind kind, std::string
 // Cluster-health events carry the node id in the job_id field.
 void SimEngine::RecordCluster(double time, SimEvent::Kind kind, int node_id,
                               std::string detail) {
-  CounterRegistry::Global().GetCounter(CounterNameFor(kind)).Add(1);
+  CountEvent(kind);
   if (config_.record_events) {
     result_.events.push_back(SimEvent{time, kind, node_id, std::move(detail)});
   }
@@ -265,7 +280,8 @@ void SimEngine::KillJob(SimJob& sj, double at) {
 // Re-derives the realized iteration time of every running job touching
 // `node_id` after its straggler factor changed.
 void SimEngine::RefreshSlowdowns(int node_id) {
-  for (SimJob& sj : jobs_) {
+  for (size_t i : active_) {
+    SimJob& sj = jobs_[i];
     if (sj.state.phase != JobPhase::kRunning) {
       continue;
     }
@@ -300,7 +316,8 @@ bool SimEngine::ApplyFault(const FailureEvent& e, double at) {
       // job id first for determinism.
       while (cluster_.nodes()[e.node_id].free_gpus < want) {
         SimJob* victim = nullptr;
-        for (SimJob& sj : jobs_) {
+        for (size_t i : active_) {
+          SimJob& sj = jobs_[i];
           if (sj.state.phase != JobPhase::kRunning) {
             continue;
           }
@@ -389,6 +406,7 @@ bool SimEngine::ApplyCancel(const JobCancelEvent& e, double at) {
     sj.state.iter_time = 0.0;
   }
   sj.state.phase = JobPhase::kDropped;
+  ++terminal_;
   Record(sj, at, SimEvent::Kind::kCancel);
   if (sj.announced) {
     // The scheduler only hears about jobs it has seen arrive; a job cancelled
@@ -426,6 +444,7 @@ void SimEngine::ApplyDecision(double at, const ScheduleDecision& decision) {
     SimJob& sj = JobById(id);
     if (sj.state.phase == JobPhase::kQueued) {
       sj.state.phase = JobPhase::kDropped;
+      ++terminal_;
       Record(sj, at, SimEvent::Kind::kDrop);
       round_events_.push_back(RoundEvent::JobDrop(sj.state.job.id));
     }
@@ -440,7 +459,7 @@ void SimEngine::ApplyDecision(double at, const ScheduleDecision& decision) {
     const MigrationAction* migration;  // null for plain starts/restarts
   };
   std::vector<StartItem> to_start;
-  for (size_t i = 0; i < jobs_.size(); ++i) {
+  for (size_t i : active_) {
     SimJob& sj = jobs_[i];
     if (sj.state.phase != JobPhase::kRunning && sj.state.phase != JobPhase::kQueued) {
       continue;
@@ -592,16 +611,46 @@ void SimEngine::ApplyDecision(double at, const ScheduleDecision& decision) {
   }
 }
 
+// Moves every job submitted by `at` off the arrival heap, then every job
+// whose profiling window has closed into active_, merged in index order.
+// Visibility never reverts (now_ never decreases and a killed or preempted
+// job stays visible), so this is the only way into active_.
+void SimEngine::PromoteArrivals(double at) {
+  while (!arrivals_.empty() && at + kEps >= arrivals_.top().first) {
+    profiling_.push_back(arrivals_.top().second);
+    arrivals_.pop();
+  }
+  const size_t old_active = active_.size();
+  size_t kept = 0;
+  for (size_t i : profiling_) {
+    const SimJob& sj = jobs_[i];
+    if (sj.state.phase != JobPhase::kQueued) {
+      continue;  // cancelled before it became visible
+    }
+    if (at + kEps >= sj.schedulable_at) {
+      active_.push_back(i);
+    } else {
+      profiling_[kept++] = i;
+    }
+  }
+  profiling_.resize(kept);
+  if (active_.size() > old_active) {
+    const auto mid = active_.begin() + static_cast<ptrdiff_t>(old_active);
+    std::sort(mid, active_.end());
+    std::inplace_merge(active_.begin(), mid, active_.end());
+  }
+}
+
 // Runs one scheduler invocation over the currently visible jobs. The
 // accumulated round_events_ delta is handed over and reset; when no job is
 // visible the delta stays pending for the next real invocation so the
 // scheduler never misses a transition.
 void SimEngine::RunScheduler(double at) {
+  PromoteArrivals(at);
   std::vector<const JobState*> visible;
-  for (SimJob& sj : jobs_) {
-    if ((sj.state.phase == JobPhase::kQueued && at + kEps >= sj.schedulable_at &&
-         at + kEps >= sj.state.job.submit_time) ||
-        sj.state.phase == JobPhase::kRunning) {
+  for (size_t i : active_) {
+    SimJob& sj = jobs_[i];
+    if (sj.state.phase == JobPhase::kQueued || sj.state.phase == JobPhase::kRunning) {
       visible.push_back(&sj.state);
       if (!sj.announced) {
         sj.announced = true;
@@ -625,11 +674,14 @@ void SimEngine::RunScheduler(double at) {
   ApplyDecision(at, decision);
 }
 
+// Runs right after RunScheduler(at), so every job submitted by `at` is
+// already in active_ or profiling_.
 void SimEngine::SampleThroughput(double at) {
   ThroughputSample sample;
   sample.time = at;
   sample.usable_gpus = cluster_.UsableGpus();
-  for (const SimJob& sj : jobs_) {
+  for (size_t i : active_) {
+    const SimJob& sj = jobs_[i];
     if (sj.state.phase == JobPhase::kRunning) {
       ++sample.running_jobs;
       sample.busy_gpus += sj.state.ngpus;
@@ -642,6 +694,13 @@ void SimEngine::SampleThroughput(double at) {
       ++sample.queued_jobs;
     }
   }
+  // Submitted jobs still profiling count as queued too.
+  for (size_t i : profiling_) {
+    const SimJob& sj = jobs_[i];
+    if (sj.state.phase == JobPhase::kQueued && at >= sj.state.job.submit_time) {
+      ++sample.queued_jobs;
+    }
+  }
   if (power_ != nullptr) {
     sample.power_watts = power_->CurrentDrawWatts();
     CRIUS_GAUGE_SET("power.draw_watts", sample.power_watts);
@@ -649,13 +708,12 @@ void SimEngine::SampleThroughput(double at) {
   result_.timeline.push_back(sample);
 }
 
-void SimEngine::RecountLive() {
-  live_ = 0;
-  for (const SimJob& sj : jobs_) {
-    if (sj.state.phase == JobPhase::kQueued || sj.state.phase == JobPhase::kRunning) {
-      ++live_;
-    }
-  }
+// Drops the jobs that ended this step from active_, preserving its order.
+void SimEngine::CompactLiveSet() {
+  std::erase_if(active_, [this](size_t i) {
+    const JobPhase phase = jobs_[i].state.phase;
+    return phase != JobPhase::kQueued && phase != JobPhase::kRunning;
+  });
 }
 
 SimEngine::SimJob& SimEngine::JobById(int64_t id) {
@@ -665,18 +723,18 @@ SimEngine::SimJob& SimEngine::JobById(int64_t id) {
 }
 
 void SimEngine::ProcessNext() {
-  CRIUS_CHECK_MSG(live_ > 0, "ProcessNext with no live jobs");
-  CRIUS_CHECK_MSG(!finished_, "SimEngine stepped after Finish");
   // The pre-step live count, logged at the round boundary below (matches the
   // historical batch loop, which logged the count from the previous
   // iteration's recount).
-  const int live_before = live_;
+  const int live_before = LiveJobs();
+  CRIUS_CHECK_MSG(live_before > 0, "ProcessNext with no live jobs");
+  CRIUS_CHECK_MSG(!finished_, "SimEngine stepped after Finish");
 
   const double t_next = NextEventTime();
   CRIUS_CHECK(t_next < std::numeric_limits<double>::infinity());
 
-  for (SimJob& sj : jobs_) {
-    AdvanceJob(sj, now_, t_next);
+  for (size_t i : active_) {
+    AdvanceJob(jobs_[i], now_, t_next);
   }
   now_ = t_next;
   if (power_ != nullptr) {
@@ -687,7 +745,8 @@ void SimEngine::ProcessNext() {
 
   // Completions (SchedDeparture).
   bool departed = false;
-  for (SimJob& sj : jobs_) {
+  for (size_t i : active_) {
+    SimJob& sj = jobs_[i];
     if (sj.state.phase == JobPhase::kRunning &&
         sj.state.iters_done + kEps >= static_cast<double>(sj.state.job.iterations)) {
       SettleSegment(sj, now_);
@@ -697,6 +756,7 @@ void SimEngine::ProcessNext() {
       }
       sj.alloc = Allocation{};
       sj.state.phase = JobPhase::kFinished;
+      ++terminal_;
       sj.state.finish_time = now_;
       Record(sj, now_, SimEvent::Kind::kFinish);
       round_events_.push_back(RoundEvent::JobDeparture(sj.state.job.id));
@@ -732,18 +792,20 @@ void SimEngine::ProcessNext() {
     next_round_ += config_.schedule_interval;
     // Per-round chatter: kInfo when the caller asked for it, kDebug
     // otherwise so CRIUS_LOG_LEVEL=debug surfaces it without a code change.
-    {
+    // The message is only built when the level lets it through.
+    const LogLevel level = config_.verbose ? LogLevel::kInfo : LogLevel::kDebug;
+    if (level >= GetLogLevel()) {
       std::ostringstream round_msg;
       round_msg << scheduler_.name() << " t=" << now_ << " live=" << live_before;
-      LogMessage(config_.verbose ? LogLevel::kInfo : LogLevel::kDebug, round_msg.str());
+      LogMessage(level, round_msg.str());
     }
   }
 
-  RecountLive();
+  CompactLiveSet();
 }
 
 void SimEngine::AdvanceTo(double t) {
-  while (live_ > 0 && now_ < MaxTime() && NextEventTime() <= t) {
+  while (LiveJobs() > 0 && now_ < MaxTime() && NextEventTime() <= t) {
     ProcessNext();
   }
 }
@@ -751,33 +813,26 @@ void SimEngine::AdvanceTo(double t) {
 void SimEngine::Drain() {
   // The shutdown check makes SIGINT/SIGTERM graceful for every driver: the
   // loop stops at a step boundary and the caller flushes partial results.
-  while (live_ > 0 && now_ < MaxTime() && !ShutdownRequested()) {
+  while (LiveJobs() > 0 && now_ < MaxTime() && !ShutdownRequested()) {
     ProcessNext();
   }
 }
 
 double SimEngine::MaxTime() const {
-  double trace_end = 0.0;
-  for (const SimJob& sj : jobs_) {
-    trace_end = std::max(trace_end, sj.state.job.submit_time);
-  }
-  return std::max(trace_end, 1.0) * config_.max_time_factor + 24.0 * kHour;
+  return std::max(max_submit_, 1.0) * config_.max_time_factor + 24.0 * kHour;
 }
 
+// Running jobs are always visible, so active_ holds all of them.
 int SimEngine::RunningJobs() const {
   int n = 0;
-  for (const SimJob& sj : jobs_) {
-    n += sj.state.phase == JobPhase::kRunning ? 1 : 0;
+  for (size_t i : active_) {
+    n += jobs_[i].state.phase == JobPhase::kRunning ? 1 : 0;
   }
   return n;
 }
 
 int SimEngine::QueuedJobs() const {
-  int n = 0;
-  for (const SimJob& sj : jobs_) {
-    n += sj.state.phase == JobPhase::kQueued ? 1 : 0;
-  }
-  return n;
+  return LiveJobs() - RunningJobs();
 }
 
 const JobState* SimEngine::FindJob(int64_t id) const {

@@ -32,13 +32,24 @@
 // The replay guarantee therefore holds for DRAINED sessions: a live session
 // that ends with Drain() (shutdown waits for the system to empty or hit the
 // time cap) has processed exactly the step sequence the batch run processes.
+//
+// Cost: a step is proportional to the *visible* jobs (queued or running and
+// past their profiling window), not to every job ever added. A live-set index
+// (DESIGN.md "Live-set index") keeps those jobs in ascending jobs_ order, so
+// every per-step walk visits them in the order a scan of all jobs would and
+// the float sums, release order and event order are unchanged; arrivals wait
+// in a submit-time heap and profiling jobs in a short list. AddJob is
+// O(log n), and LiveJobs/MaxTime are O(1); only Finish walks every job.
 
 #ifndef SRC_SIM_ENGINE_H_
 #define SRC_SIM_ENGINE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <queue>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/sim/simulator.h"
@@ -89,8 +100,9 @@ class SimEngine {
   // run and the live shutdown drain.
   void Drain();
 
-  // Jobs still queued or running (future arrivals included).
-  int LiveJobs() const { return live_; }
+  // Jobs still queued or running (future arrivals included);
+  // RunningJobs() + QueuedJobs() == LiveJobs().
+  int LiveJobs() const { return static_cast<int>(jobs_.size()) - terminal_; }
   int RunningJobs() const;
   int QueuedJobs() const;
 
@@ -166,7 +178,8 @@ class SimEngine {
   void ApplyDecision(double at, const ScheduleDecision& decision);
   void RunScheduler(double at);
   void SampleThroughput(double at);
-  void RecountLive();
+  void PromoteArrivals(double at);
+  void CompactLiveSet();
   SimJob& JobById(int64_t id);
 
   Cluster cluster_template_;
@@ -188,11 +201,29 @@ class SimEngine {
   // completeness contract).
   std::vector<RoundEvent> round_events_;
 
+  // --- Live-set index (DESIGN.md §14) -----------------------------------
+  // A live job sits in exactly one of the three sets below. A job that ends
+  // stays where it was until that set is next pruned, so every walk checks
+  // the phase.
+  // Jobs whose submit_time is still ahead, as a (submit_time, jobs_ index)
+  // min-heap.
+  std::priority_queue<std::pair<double, size_t>, std::vector<std::pair<double, size_t>>,
+                      std::greater<>>
+      arrivals_;
+  // Submitted jobs still inside their profiling window (not yet visible).
+  std::vector<size_t> profiling_;
+  // Visible queued or running jobs, as jobs_ indices in ascending order;
+  // pruned once per step.
+  std::vector<size_t> active_;
+  // Jobs that reached kFinished or kDropped.
+  int terminal_ = 0;
+  // Largest submit_time added (MaxTime's trace end).
+  double max_submit_ = 0.0;
+
   double now_ = 0.0;
   double next_round_ = 0.0;
   size_t next_failure_ = 0;
   size_t next_cancel_ = 0;
-  int live_ = 0;
   bool finished_ = false;
 };
 
