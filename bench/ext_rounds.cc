@@ -3,9 +3,9 @@
 // The RoundContext redesign lets CriusScheduler keep its per-job cell ranking
 // across rounds and re-estimate only the jobs the round's event delta actually
 // dirtied. This sweep measures what that buys: it runs the same trace twice --
-// once with CriusConfig::incremental on, once re-ranking every job from
-// scratch each round (the literal Algorithm 1) -- and reports per-round
-// Schedule() wall latency. The headline number is the median over
+// once with CriusScheduler, once with FreshCriusScheduler, which re-ranks
+// every job from scratch each round (the literal Algorithm 1) -- and reports
+// per-round Schedule() wall latency. The headline number is the median over
 // *steady-state* rounds (rounds whose event delta is empty), where the
 // incremental path should serve the entire ranking from the memo.
 //
@@ -29,6 +29,7 @@
 #include "bench/bench_util.h"
 #include "src/util/counters.h"
 #include "src/util/stats.h"
+#include "tests/fresh_crius_scheduler.h"
 
 namespace crius {
 namespace {
@@ -97,14 +98,12 @@ ModeStats Summarize(const std::vector<RoundSample>& samples) {
   return s;
 }
 
-// One full simulation with a fresh oracle and scheduler; returns the per-round
-// latency samples.
-std::vector<RoundSample> RunMode(const Cluster& cluster, const std::vector<TrainingJob>& trace,
-                                 bool incremental) {
+// One full simulation with a fresh oracle and a `Sched` (CriusScheduler or
+// the FreshCriusScheduler reference); returns the per-round latency samples.
+template <typename Sched>
+std::vector<RoundSample> RunMode(const Cluster& cluster, const std::vector<TrainingJob>& trace) {
   PerformanceOracle oracle(cluster, 42);
-  CriusConfig config;
-  config.incremental = incremental;
-  CriusScheduler sched(&oracle, config);
+  Sched sched(&oracle, CriusConfig{});
   RoundLatencyScheduler timed(&sched);
   Simulator sim(cluster, SimConfig{});
   sim.Run(timed, oracle, trace);
@@ -165,10 +164,10 @@ int main(int argc, char** argv) {
   // steady-state allocation pressure of the estimation path.
   const int64_t arena_before =
       CounterRegistry::Global().GetCounter("estimator.arena_bytes").value();
-  const std::vector<RoundSample> inc_samples = RunMode(cluster, trace, /*incremental=*/true);
+  const std::vector<RoundSample> inc_samples = RunMode<CriusScheduler>(cluster, trace);
   const int64_t arena_after =
       CounterRegistry::Global().GetCounter("estimator.arena_bytes").value();
-  const std::vector<RoundSample> full_samples = RunMode(cluster, trace, /*incremental=*/false);
+  const std::vector<RoundSample> full_samples = RunMode<FreshCriusScheduler>(cluster, trace);
   const ModeStats inc = Summarize(inc_samples);
   const ModeStats full = Summarize(full_samples);
   const double round_alloc_bytes =

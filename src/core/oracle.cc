@@ -245,16 +245,4 @@ void PerformanceOracle::EstimateCellBatch(const CellBatchRequest& req, CellBatch
   CRIUS_COUNTER_ADD("oracle.batch_estimates", static_cast<int64_t>(n));
 }
 
-void PerformanceOracle::EstimatedThroughputBatch(const ModelSpec& spec,
-                                                 const std::vector<Cell>& cells,
-                                                 std::vector<double>* out) {
-  static thread_local CellBatchResult result;
-  CellBatchRequest req;
-  req.spec = &spec;
-  req.cells = cells.data();
-  req.count = cells.size();
-  EstimateCellBatch(req, &result);
-  out->assign(result.throughput.begin(), result.throughput.end());
-}
-
 }  // namespace crius

@@ -109,11 +109,6 @@ class PerformanceOracle {
   // fan-out (scheduler, reconfig policy, benches) goes through here.
   void EstimateCellBatch(const CellBatchRequest& req, CellBatchResult* out);
 
-  // Thin wrapper over EstimateCellBatch for callers that only want the
-  // throughputs: `out` is resized to cells.size(), out[i] matching cells[i].
-  void EstimatedThroughputBatch(const ModelSpec& spec, const std::vector<Cell>& cells,
-                                std::vector<double>* out);
-
  private:
   using ModelPointKey = std::tuple<uint64_t, int, int>;        // (model, type, ngpus)
   using CellPointKey = std::tuple<uint64_t, int, int, int>;    // (model, type, ngpus, nstages)

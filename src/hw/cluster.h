@@ -102,11 +102,11 @@ class Cluster {
   // invalidated the moment the usable cluster changes.
   uint64_t health_epoch() const { return health_epoch_; }
 
-  // Process-unique id of this Cluster object, reassigned on copy: two Cluster
-  // objects never share an identity even when one is a copy of the other or
-  // reuses the other's freed address. Pairs with health_epoch() so cached
-  // scheduler state keyed on (identity, epoch) cannot survive a swap to a
-  // different cluster whose epoch coincidentally matches.
+  // Process-unique, nonzero id of this Cluster object, reassigned on copy:
+  // two Cluster objects never share an identity even when one is a copy of
+  // the other or reuses the other's freed address. Pairs with health_epoch()
+  // so cached scheduler state keyed on (identity, epoch) cannot survive a
+  // swap to a different cluster whose epoch coincidentally matches.
   uint64_t identity() const { return identity_.value; }
 
   // Worst straggler factor across the nodes of `alloc` (synchronous training

@@ -9,16 +9,12 @@
 #include "src/util/check.h"
 #include "src/util/counters.h"
 #include "src/util/mathutil.h"
-#include "src/util/rng.h"
 #include "src/util/threadpool.h"
 #include "src/util/trace.h"
 
 namespace crius {
 
 namespace {
-
-// Shard-routing hash for the ranking memo.
-uint64_t JobHash(int64_t id) { return SplitMix64(static_cast<uint64_t>(id)); }
 
 // Per-type candidate-size cap, exactly as GenerateCellsUpTo derives it:
 // FloorPowerOfTwo of the usable capacity, 0 when the type is absent or fully
@@ -89,20 +85,7 @@ JobCells CriusScheduler::ComputeCells(const TrainingJob& job, const Cluster& clu
   static thread_local CellBatchResult batch;
   GenerateCellsInto(job, cluster, &candidates);
   const size_t considered = candidates.size();
-  // Ablation pruning in place (§8.6: Crius-NH pins the type, Crius-NA the
-  // size). erase/remove_if keeps the sorted candidate order.
-  if (!config_.heterogeneity_scaling || !config_.adaptivity_scaling) {
-    candidates.erase(std::remove_if(candidates.begin(), candidates.end(),
-                                    [&](const Cell& cell) {
-                                      if (!config_.heterogeneity_scaling &&
-                                          cell.gpu_type != job.requested_type) {
-                                        return true;
-                                      }
-                                      return !config_.adaptivity_scaling &&
-                                             cell.ngpus != job.requested_gpus;
-                                    }),
-                     candidates.end());
-  }
+  PruneAblatedCells(job, &candidates);
   CRIUS_COUNTER_ADD("sched.cells_considered", static_cast<int64_t>(considered));
   CRIUS_COUNTER_ADD("sched.cells_pruned",
                     static_cast<int64_t>(considered - candidates.size()));
@@ -142,18 +125,17 @@ JobCells CriusScheduler::ComputeCells(const TrainingJob& job, const Cluster& clu
   return jc;
 }
 
-const JobCells& CriusScheduler::CellsFor(const TrainingJob& job, const Cluster& cluster) {
-  const MemoStamp stamp{cluster.identity(), cluster.health_epoch()};
-  const uint64_t hash = JobHash(job.id);
-  if (const JobCells* hit = cells_memo_.Find(job.id, hash, stamp)) {
-    return *hit;
+void CriusScheduler::PruneAblatedCells(const TrainingJob& job,
+                                       std::vector<Cell>* candidates) const {
+  if (config_.heterogeneity_scaling && config_.adaptivity_scaling) {
+    return;
   }
-  // Compute outside the memo lock (the oracle serializes per shard); a racing
-  // same-job miss loses the PutIfAbsent and the first value wins -- both
-  // computed the identical pure result, and first-wins keeps references
-  // handed out above immutable.
-  JobCells jc = ComputeCells(job, cluster);
-  return cells_memo_.PutIfAbsent(job.id, hash, stamp, std::move(jc));
+  std::erase_if(*candidates, [&](const Cell& cell) {
+    if (!config_.heterogeneity_scaling && cell.gpu_type != job.requested_type) {
+      return true;
+    }
+    return !config_.adaptivity_scaling && cell.ngpus != job.requested_gpus;
+  });
 }
 
 void CriusScheduler::SyncCellsCache(const RoundContext& round) {
@@ -168,58 +150,54 @@ void CriusScheduler::SyncCellsCache(const RoundContext& round) {
       "sched.phase_ms", MetricLabels{{"phase", "estimator"}});
   const Cluster& cluster = round.cluster();
   const std::vector<const JobState*>& jobs = round.jobs();
-  const MemoStamp stamp{cluster.identity(), cluster.health_epoch()};
+  const uint64_t identity = cluster.identity();
+  const uint64_t epoch = cluster.health_epoch();
 
   // 0. Steady-round fast path: same cluster, same health epoch, an empty
   // event delta -- the driver's account that no job arrived, departed, or
-  // changed phase since last round -- and an unchanged job count. Every memo
-  // entry is already stamped current, so maintenance would be a no-op; skip
-  // it entirely (including the phase histograms: sched.phase_ms describes
-  // maintenance rounds, sched.cells_steady_rounds counts the skipped ones).
-  // The count guard covers eventless callers (tests, ad-hoc drivers): when
-  // their job set shrinks or grows, the sweep below still runs and evicts
-  // departed entries; an eventless same-size *swap* stays correct too
-  // (CellsFor computes new jobs lazily), merely deferring eviction and this
-  // round's warm-up parallelism to the next uneven round.
-  if (config_.incremental && cells_stamp_known_ && cells_stamp_ == stamp &&
-      round.events().empty() && jobs.size() == cells_jobs_seen_) {
+  // changed phase since last round -- and exactly last sync's jobs in the
+  // same order. The memo and the snapshot are then already current, so skip
+  // maintenance entirely (including the phase histograms: sched.phase_ms
+  // describes maintenance rounds, sched.cells_steady_rounds counts the
+  // skipped ones). The id check covers eventless callers (tests, ad-hoc
+  // drivers): any change to their job set, a same-size swap included, takes
+  // the maintenance path below.
+  if (cells_identity_ == identity && cells_epoch_ == epoch && round.events().empty() &&
+      std::equal(jobs.begin(), jobs.end(), cells_snapshot_.begin(), cells_snapshot_.end(),
+                 [](const JobState* js, const std::pair<int64_t, const JobCells*>& entry) {
+                   return js->job.id == entry.first;
+                 })) {
     CRIUS_COUNTER_INC("sched.cells_steady_rounds");
     return;
   }
   const auto t_enter = std::chrono::steady_clock::now();
   const std::array<int, kNumGpuTypes> caps = CandidateCaps(cluster);
 
-  // 1. Pick the maintenance path. The incremental delta path requires:
-  // incremental mode on, the same cluster object as last round, and -- when
-  // the health epoch moved -- an event delta that actually reports the health
-  // changes (the RoundContext contract). An empty-handed delta, a cluster
-  // identity change (different hardware; cached rankings are meaningless),
-  // or incremental mode off all force the full re-rank, which is always
-  // correct.
-  const bool stamp_moved = cells_stamp_known_ && cells_stamp_ != stamp;
-  bool full = !config_.incremental || !cells_stamp_known_ ||
-              cells_stamp_.identity != stamp.identity;
-  if (!full && cells_stamp_.epoch != stamp.epoch && !round.has_health_events()) {
-    full = true;
-  }
+  // 1. Pick the maintenance path. The delta path requires the same cluster
+  // object as last round and -- when the health epoch moved -- an event delta
+  // that actually reports the health changes (the RoundContext contract). An
+  // empty-handed delta or a cluster identity change (the first round, or
+  // different hardware; cached rankings are meaningless) forces the full
+  // re-rank, which is always correct.
+  const bool identity_moved = cells_identity_ != identity;
+  const bool epoch_moved = cells_epoch_ != epoch;
+  const bool full = identity_moved || (epoch_moved && !round.has_health_events());
 
   if (full) {
-    if (stamp_moved && !cells_memo_.empty()) {
+    if ((identity_moved || epoch_moved) && !cells_memo_.empty()) {
       CRIUS_COUNTER_INC("sched.cells_cache_invalidations");
     }
-    cells_memo_.Clear();
+    cells_memo_.clear();
     CRIUS_COUNTER_INC("sched.cells_full_reranks");
-  } else if (cells_stamp_.epoch != stamp.epoch) {
-    // 1b. Incremental dirty set: a health change re-ranks a job iff some
-    // type's candidate-size cap crossed one of the job's three §6.1 candidate
-    // sizes -- only then does GenerateCells emit a different Cell set.
-    // Slowdown-only epochs change no caps, so every entry survives. Clean
-    // survivors are restamped in place; dirty ones are erased and re-ranked
-    // by the warm-up below.
+  } else if (epoch_moved) {
+    // 1b. Dirty set: a health change re-ranks a job iff some type's
+    // candidate-size cap crossed one of the job's three §6.1 candidate sizes
+    // -- only then does GenerateCells emit a different Cell set. Slowdown-only
+    // epochs change no caps, so every entry survives. Clean entries are kept;
+    // dirty ones are erased and re-ranked by the warm-up below.
     for (const JobState* js : jobs) {
-      const int64_t id = js->job.id;
-      const uint64_t hash = JobHash(id);
-      if (!cells_memo_.Contains(id, hash)) {
+      const auto it = cells_memo_.find(js->job.id);
+      if (it == cells_memo_.end()) {
         continue;
       }
       bool dirty = false;
@@ -231,18 +209,16 @@ void CriusScheduler::SyncCellsCache(const RoundContext& round) {
         }
       }
       if (dirty) {
-        cells_memo_.Erase(id, hash);
+        cells_memo_.erase(it);
         CRIUS_COUNTER_INC("sched.cells_dirty_reranks");
       } else {
-        cells_memo_.Restamp(id, hash, stamp);
         CRIUS_COUNTER_INC("sched.cells_kept_incremental");
       }
     }
   }
-  cells_stamp_ = stamp;
+  cells_identity_ = identity;
+  cells_epoch_ = epoch;
   cells_caps_ = caps;
-  cells_stamp_known_ = true;
-  cells_jobs_seen_ = jobs.size();
 
   // 2. Evict entries for jobs that left the system (completed, killed, or
   // dropped): without this the memo grows without bound over a trace. The
@@ -253,21 +229,24 @@ void CriusScheduler::SyncCellsCache(const RoundContext& round) {
     active_ids_.push_back(js->job.id);
   }
   std::sort(active_ids_.begin(), active_ids_.end());
-  const size_t evicted = cells_memo_.EvictIf([&](int64_t id, const MemoStamp&) {
-    return !std::binary_search(active_ids_.begin(), active_ids_.end(), id);
+  const size_t evicted = std::erase_if(cells_memo_, [&](const auto& entry) {
+    return !std::binary_search(active_ids_.begin(), active_ids_.end(), entry.first);
   });
   if (evicted > 0) {
     CRIUS_COUNTER_ADD("sched.cells_cache_evictions", static_cast<int64_t>(evicted));
   }
 
-  // 3. Warm missing entries (arrivals + dirtied) in parallel. ComputeCells is
-  // a pure function of (job, cluster-health), so slot results are identical
-  // across thread counts and the sequential inserts below keep the memo
-  // content deterministic.
+  // 3. Resolve every job's ranking into the positional snapshot, collecting
+  // the missing ones (arrivals + dirtied).
+  cells_snapshot_.clear();
   missing_.clear();
-  for (const JobState* js : jobs) {
-    if (cells_memo_.Find(js->job.id, JobHash(js->job.id), stamp) == nullptr) {
-      missing_.push_back(js);
+  for (size_t ji = 0; ji < jobs.size(); ++ji) {
+    const auto it = cells_memo_.find(jobs[ji]->job.id);
+    if (it == cells_memo_.end()) {
+      missing_.push_back(ji);
+      cells_snapshot_.emplace_back(jobs[ji]->job.id, nullptr);
+    } else {
+      cells_snapshot_.emplace_back(jobs[ji]->job.id, &it->second);
     }
   }
   const auto t_maintained = std::chrono::steady_clock::now();
@@ -275,29 +254,26 @@ void CriusScheduler::SyncCellsCache(const RoundContext& round) {
       std::chrono::duration<double, std::milli>(t_maintained - t_enter).count());
   if (missing_.empty()) {
     estimator_ms.Record(0.0);
-  } else {
-    CRIUS_TRACE_SPAN_ARGS("sched.cells_warmup",
-                          "{\"jobs\": " + std::to_string(missing_.size()) + "}");
-    std::vector<JobCells> slots(missing_.size());
-    ThreadPool::Global().ParallelFor(missing_.size(), [&](size_t i) {
-      slots[i] = ComputeCells(missing_[i]->job, cluster);
-    });
-    for (size_t i = 0; i < missing_.size(); ++i) {
-      const int64_t id = missing_[i]->job.id;
-      cells_memo_.PutIfAbsent(id, JobHash(id), stamp, std::move(slots[i]));
-    }
-    estimator_ms.Record(std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - t_maintained)
-                            .count());
+    return;
   }
 
-  // 4. Resolve every job's ranking once into the unlocked positional
-  // snapshot the ScheduleOnce passes (and all steady rounds until the next
-  // sync) read instead of taking a memo shard lock per job per pass.
-  cells_snapshot_.clear();
-  for (const JobState* js : jobs) {
-    cells_snapshot_.emplace_back(js->job.id, &CellsFor(js->job, cluster));
+  // 4. Warm the missing entries in parallel. ComputeCells is a pure function
+  // of (job, cluster-health), so slot results are identical across thread
+  // counts and the sequential inserts below keep the memo content
+  // deterministic (a repeated id keeps its first entry).
+  CRIUS_TRACE_SPAN_ARGS("sched.cells_warmup",
+                        "{\"jobs\": " + std::to_string(missing_.size()) + "}");
+  std::vector<JobCells> slots(missing_.size());
+  ThreadPool::Global().ParallelFor(missing_.size(), [&](size_t i) {
+    slots[i] = ComputeCells(jobs[missing_[i]]->job, cluster);
+  });
+  for (size_t i = 0; i < missing_.size(); ++i) {
+    std::pair<int64_t, const JobCells*>& slot = cells_snapshot_[missing_[i]];
+    slot.second = &cells_memo_.try_emplace(slot.first, std::move(slots[i])).first->second;
   }
+  estimator_ms.Record(std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t_maintained)
+                          .count());
 }
 
 double CriusScheduler::ProfilingDelay(const TrainingJob& job, const Cluster& cluster) {
@@ -305,21 +281,9 @@ double CriusScheduler::ProfilingDelay(const TrainingJob& job, const Cluster& clu
   static thread_local std::vector<Cell> candidates;
   static thread_local CellBatchResult batch;
   GenerateCellsInto(job, cluster, &candidates);
-  // Ablation variants never rank pruned Cells (CellsFor drops them), so they
-  // must not be charged the GPU-seconds to profile them either: Crius-NH
-  // profiles only the requested type, Crius-NA only the requested size.
-  if (!config_.heterogeneity_scaling || !config_.adaptivity_scaling) {
-    candidates.erase(std::remove_if(candidates.begin(), candidates.end(),
-                                    [&](const Cell& cell) {
-                                      if (!config_.heterogeneity_scaling &&
-                                          cell.gpu_type != job.requested_type) {
-                                        return true;
-                                      }
-                                      return !config_.adaptivity_scaling &&
-                                             cell.ngpus != job.requested_gpus;
-                                    }),
-                     candidates.end());
-  }
+  // Ablation variants never rank pruned Cells, so they must not be charged
+  // the GPU-seconds to profile them either.
+  PruneAblatedCells(job, &candidates);
   oracle_->EstimateCellBatch(
       CellBatchRequest{&job.spec, candidates.data(), candidates.size()}, &batch);
   for (size_t i = 0; i < candidates.size(); ++i) {
@@ -344,8 +308,8 @@ ScheduleDecision CriusScheduler::Schedule(const RoundContext& round) {
   CRIUS_SCOPED_TIMER_MS("sched.round_ms");
   CRIUS_TRACE_SPAN_ARGS("sched.round",
                         "{\"jobs\": " + std::to_string(jobs.size()) + "}");
-  // Round-start memo maintenance + parallel warm-up: after this every
-  // CellsFor call below is a memo hit, so concurrent passes are read-mostly.
+  // Round-start memo maintenance + parallel warm-up: after this the
+  // snapshot holds every job's ranking, and the passes below only read it.
   SyncCellsCache(round);
   // "explorer" phase: the ScheduleOnce pass(es) that enumerate placements.
   static Histogram& explorer_ms = CounterRegistry::Global().GetHistogram(
@@ -389,8 +353,7 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
 
   // --- Virtual state: running jobs keep their Cells ------------------------
   // Each job's ranking is read from the positional snapshot SyncCellsCache
-  // resolved (lock-free; the id tag catches ad-hoc callers whose job set
-  // drifted from the last sync, which fall back to the locked memo path).
+  // resolved for exactly these jobs.
   // Pass scratch is thread_local: passes run as pool tasks (one per ordering
   // under kBestOfAll) and nested ParallelFors stay inline on their worker,
   // so no two live passes share a thread.
@@ -403,9 +366,7 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
     const JobState* js = jobs[ji];
     VirtualJob vj;
     vj.state = js;
-    vj.cells = (ji < cells_snapshot_.size() && cells_snapshot_[ji].first == js->job.id)
-                   ? cells_snapshot_[ji].second
-                   : &CellsFor(js->job, cluster);
+    vj.cells = cells_snapshot_[ji].second;
     vj.fit = &vj.cells->fit;
     if (js->phase == JobPhase::kRunning) {
       Cell cell{js->gpu_type, js->ngpus, js->nstages};

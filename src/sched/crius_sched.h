@@ -21,6 +21,7 @@
 
 #include <array>
 #include <cstdint>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -28,7 +29,6 @@
 #include "src/power/power.h"
 #include "src/sched/placement_index.h"
 #include "src/sched/scheduler.h"
-#include "src/util/gen_memo.h"
 
 namespace crius {
 
@@ -76,12 +76,6 @@ struct CriusConfig {
   int max_search_jobs = 8;
   // Upper bound on upscale moves applied per round.
   int max_upscale_moves = 12;
-  // Event-driven incremental rounds: keep the generation-stamped per-job Cell
-  // ranking memo across rounds and re-estimate only the dirty set named by
-  // the RoundContext's event delta. false = literal Algorithm 1, re-ranking
-  // every job from scratch each round. Decisions are bit-identical either way
-  // (tests/incremental_equivalence_test).
-  bool incremental = true;
   // Multi-objective weights (src/power). Default (pure throughput) leaves
   // every decision bit-identical to the single-objective scheduler; any other
   // weight vector switches placement/upscale ranking to the composite score
@@ -110,26 +104,24 @@ class CriusScheduler : public Scheduler {
   // oracle, so pool workers may run it concurrently during cache warm-up.
   JobCells ComputeCells(const TrainingJob& job, const Cluster& cluster);
 
-  // Cell candidates for `job`, scored and memoized under the cluster's
-  // current (identity, health_epoch) stamp. Thread-safe: concurrent placement
-  // passes may look up (and, on a miss, populate) the memo.
-  const JobCells& CellsFor(const TrainingJob& job, const Cluster& cluster);
+  // §8.6 ablation pruning in place: Crius-NH keeps only the requested GPU
+  // type, Crius-NA only the requested size. Order-preserving.
+  void PruneAblatedCells(const TrainingJob& job, std::vector<Cell>* candidates) const;
 
-  // Round-start memo maintenance. Incremental mode keeps the memo across
-  // rounds: when the health epoch moved AND the round's event delta reports
-  // the health changes, only entries whose §6.1 candidate-size set actually
-  // changed (a per-type capacity cap crossed one of the job's three candidate
-  // sizes) are re-ranked; the rest are restamped in place. Falls back to a
-  // full re-rank when incremental mode is off, the cluster identity changed,
-  // or the epoch moved with an empty-handed event delta. Always evicts
-  // entries for jobs no longer in the round and warms missing entries in
-  // parallel.
+  // Round-start memo maintenance. The memo persists across rounds: when the
+  // health epoch moved AND the round's event delta reports the health
+  // changes, only entries whose §6.1 candidate-size set actually changed (a
+  // per-type capacity cap crossed one of the job's three candidate sizes) are
+  // re-ranked; the rest are kept. Falls back to a full re-rank when the
+  // cluster identity changed or the epoch moved with an empty-handed event
+  // delta. Always evicts entries for jobs no longer in the round, warms
+  // missing entries in parallel, and rebuilds `cells_snapshot_`.
   void SyncCellsCache(const RoundContext& round);
 
   // One full virtual-scheduling pass with a fixed queued-job order; also
   // returns the decision's total estimated normalized throughput. Pure
-  // function of (now, jobs, cluster, order); safe to run concurrently with
-  // other passes once the Cell cache is warm.
+  // function of (now, jobs, cluster, order) given the synced snapshot; safe
+  // to run concurrently with other passes.
   std::pair<ScheduleDecision, double> ScheduleOnce(double now,
                                                    const std::vector<const JobState*>& jobs,
                                                    const Cluster& cluster,
@@ -139,32 +131,31 @@ class CriusScheduler : public Scheduler {
   // Watt table backing the composite energy term; only read when
   // config_.multi carries a non-zero energy weight.
   PowerModel power_model_ = PowerModel::Default();
-  // Generation-stamped ranking memo: job id -> scored Cells, stamped with the
-  // (Cluster identity, health epoch) the entry was computed under. The
-  // identity nonce catches a scheduler being handed a different Cluster
-  // object whose epoch happens to match (e.g. a fresh cluster also at epoch
-  // 0, or one reusing a freed address) so it cannot keep rankings computed
-  // against hardware that no longer exists.
-  GenStampedMemo<int64_t, JobCells> cells_memo_;
+  // Ranking memo: job id -> scored Cells. Every entry is valid for the
+  // (cluster identity, health epoch) recorded below: each non-steady sync
+  // either clears the map or re-ranks the entries the epoch change dirtied,
+  // and evicts departed jobs. The identity nonce catches a scheduler being
+  // handed a different Cluster object whose epoch happens to match (e.g. a
+  // fresh cluster also at epoch 0, or one reusing a freed address) so it
+  // cannot keep rankings computed against hardware that no longer exists.
+  // Only SyncCellsCache mutates it, single-threaded; node-based, so the
+  // snapshot's pointers survive inserts.
+  std::unordered_map<int64_t, JobCells> cells_memo_;
   // Stamp of the previous round's sync, plus the per-type candidate-size caps
   // (FloorPowerOfTwo of usable capacity) observed then -- the inputs the
-  // dirty-set predicate diffs against.
-  MemoStamp cells_stamp_;
+  // dirty-set predicate diffs against. Cluster identities start at 1, so
+  // identity 0 means no sync has run yet.
+  uint64_t cells_identity_ = 0;
+  uint64_t cells_epoch_ = 0;
   std::array<int, kNumGpuTypes> cells_caps_{};
-  bool cells_stamp_known_ = false;
-  // Job count of the previous round: the steady fast path requires it to be
-  // unchanged so eventless callers that shrink the job set still get the
-  // eviction sweep.
-  size_t cells_jobs_seen_ = 0;
   // Round-maintenance scratch, reused across rounds so steady-state sync does
-  // no heap allocation (SyncCellsCache runs single-threaded by contract).
+  // no heap allocation.
   std::vector<int64_t> active_ids_;
-  std::vector<const JobState*> missing_;
+  std::vector<size_t> missing_;  // positions in round.jobs()
   // The round's rankings resolved once per sync, positionally aligned with
-  // round.jobs(): ScheduleOnce passes read these pointers lock-free instead
-  // of re-entering the memo's shard mutexes. Valid between syncs because memo
-  // entries are never mutated in place and maintenance only runs in
-  // SyncCellsCache; the id tag guards positional reads for ad-hoc callers.
+  // round.jobs(): the ScheduleOnce passes read these pointers directly. The
+  // id tags let the steady fast path confirm the round's jobs are exactly
+  // last sync's, in order.
   std::vector<std::pair<int64_t, const JobCells*>> cells_snapshot_;
 };
 

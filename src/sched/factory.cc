@@ -48,7 +48,6 @@ std::unique_ptr<Scheduler> MakeNamedScheduler(const std::string& name,
     CriusConfig config;
     config.search_depth = options.search_depth;
     config.deadline_aware = options.deadline_aware;
-    config.incremental = options.incremental;
     config.multi = options.multi;
     config.adaptivity_scaling = name != "crius-na";
     config.heterogeneity_scaling = name != "crius-nh";

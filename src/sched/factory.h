@@ -21,7 +21,6 @@ namespace crius {
 struct SchedulerOptions {
   int search_depth = 3;
   bool deadline_aware = false;
-  bool incremental = true;
   // Multi-objective weights (--objective-weights); default = pure throughput,
   // bit-identical to the single-objective scheduler.
   MultiObjectiveConfig multi;

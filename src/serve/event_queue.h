@@ -49,10 +49,10 @@
 //
 // The cluster view is epoch-published: the controller bumps an epoch counter
 // and stores the new queued-jobs / oldest-wait / virtual-now fields as plain
-// atomics (the same generation-stamping idea as src/util/gen_memo.h and
-// Cluster::health_epoch). Admission reads them without any lock; a torn read
-// across fields can only mis-route one admission decision by one tick, which
-// the policy tolerates by design.
+// atomics (the same generation-stamping idea as Cluster::health_epoch).
+// Admission reads them without any lock; a torn read across fields can only
+// mis-route one admission decision by one tick, which the policy tolerates by
+// design.
 
 #ifndef SRC_SERVE_EVENT_QUEUE_H_
 #define SRC_SERVE_EVENT_QUEUE_H_

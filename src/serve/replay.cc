@@ -27,7 +27,6 @@ SessionRuntime MakeSessionRuntime(const SessionMeta& meta) {
   SchedulerOptions options;
   options.search_depth = meta.search_depth;
   options.deadline_aware = meta.deadline_aware;
-  options.incremental = meta.incremental;
   runtime.scheduler = MakeNamedScheduler(meta.scheduler, runtime.oracle.get(), options);
   runtime.sim = SimConfigFromMeta(meta);
   return runtime;

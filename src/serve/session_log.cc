@@ -51,7 +51,6 @@ std::string SerializeSessionMeta(const SessionMeta& meta) {
   oss << "cluster=" << meta.cluster_spec << ";scheduler=" << meta.scheduler
       << ";seed=" << meta.seed << ";search_depth=" << meta.search_depth
       << ";deadline_aware=" << (meta.deadline_aware ? 1 : 0)
-      << ";incremental=" << (meta.incremental ? 1 : 0)
       << ";schedule_interval=" << FmtDouble(meta.schedule_interval)
       << ";restart_overhead=" << FmtDouble(meta.restart_overhead)
       << ";charge_profiling=" << (meta.charge_profiling ? 1 : 0)
@@ -96,7 +95,9 @@ SessionMeta ParseSessionMeta(const std::string& detail, int line_no) {
     } else if (key == "deadline_aware") {
       meta.deadline_aware = ParseBoolField(value, "deadline_aware", line_no);
     } else if (key == "incremental") {
-      meta.incremental = ParseBoolField(value, "incremental", line_no);
+      // Written by older builds for a since-removed scheduler knob that never
+      // changed decisions: validated, then ignored, so their logs replay.
+      ParseBoolField(value, "incremental", line_no);
     } else if (key == "schedule_interval") {
       meta.schedule_interval = csv::ParseDouble(value, "schedule_interval", line_no, "session log");
     } else if (key == "restart_overhead") {

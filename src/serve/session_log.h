@@ -43,7 +43,6 @@ struct SessionMeta {
   uint64_t seed = 1;
   int search_depth = 3;
   bool deadline_aware = false;
-  bool incremental = true;
   double schedule_interval = 5.0 * kMinute;
   double restart_overhead = 60.0;
   bool charge_profiling = true;

@@ -155,18 +155,6 @@ TEST_F(OracleBatchTest, EmptyBatchIsANoOp) {
   EXPECT_EQ(batch.misses, 0u);
 }
 
-TEST_F(OracleBatchTest, ThroughputWrapperMatchesBatch) {
-  const ModelSpec spec{ModelFamily::kMoe, 1.3, 256};
-  const std::vector<Cell> cells = {Cell{GpuType::kA100, 4, 1}, Cell{GpuType::kA100, 4, 2},
-                                   Cell{GpuType::kV100, 8, 4}, Cell{GpuType::kA40, 2, 2}};
-  std::vector<double> wrapped;
-  oracle_.EstimatedThroughputBatch(spec, cells, &wrapped);
-  ASSERT_EQ(wrapped.size(), cells.size());
-  for (size_t i = 0; i < cells.size(); ++i) {
-    EXPECT_EQ(wrapped[i], oracle_.EstimatedThroughput(spec, cells[i]));
-  }
-}
-
 TEST_F(OracleBatchTest, ContextForReturnsStableCachedReference) {
   const ModelSpec spec{ModelFamily::kBert, 2.6, 128};
   const JobContext& a = oracle_.ContextFor(spec, GpuType::kA100);

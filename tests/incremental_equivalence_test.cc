@@ -1,10 +1,11 @@
 // Acceptance test for event-driven incremental scheduling: a full simulation
-// run with CriusConfig::incremental on must produce BIT-IDENTICAL event,
-// timeline, and job-record CSVs to a run that re-ranks every job from scratch
-// each round (incremental off). The trace includes a mid-run node failure,
-// recovery, and a straggler window so the dirty-set path (per-type cap diff,
-// restamp-vs-rerank, slowdown-only epochs) is exercised, not just the
-// steady-state hit path. The harness mirrors tests/parallel_determinism_test.
+// run with CriusScheduler's cross-round ranking memo must produce
+// BIT-IDENTICAL event, timeline, and job-record CSVs to a run that re-ranks
+// every job from scratch each round (FreshCriusScheduler). The trace includes
+// a mid-run node failure, recovery, and a straggler window so the dirty-set
+// path (per-type cap diff, keep-vs-rerank, slowdown-only epochs) is
+// exercised, not just the steady-state hit path. The harness mirrors
+// tests/parallel_determinism_test.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "src/sim/trace.h"
 #include "src/sim/trace_io.h"
 #include "src/util/threadpool.h"
+#include "tests/fresh_crius_scheduler.h"
 
 namespace crius {
 namespace {
@@ -35,7 +37,9 @@ class IncrementalEquivalenceTest : public ::testing::Test {
   // to CSV. The fault schedule drives every incremental-path branch: node 0
   // fails at 2h (caps shrink -> dirty re-ranks), recovers at 4h (caps grow),
   // and node 1 straggles for a window (epoch moves with no cap change ->
-  // restamp-only rounds).
+  // keep-only rounds). `Sched` is CriusScheduler or the FreshCriusScheduler
+  // full-recompute reference.
+  template <typename Sched>
   static RunCsvs Run(int threads, CriusConfig sched_config) {
     ThreadPool::SetGlobalThreads(threads);
     Cluster cluster = MakePhysicalTestbed();
@@ -57,7 +61,7 @@ class IncrementalEquivalenceTest : public ::testing::Test {
         FailureEvent{4.0 * kHour, FailureKind::kNodeRecover, 0, 0, 1.0});
 
     Simulator sim(cluster, sim_config);
-    CriusScheduler sched(&oracle, sched_config);
+    Sched sched(&oracle, sched_config);
     const SimResult result = sim.Run(sched, oracle, trace);
 
     RunCsvs csvs;
@@ -79,44 +83,32 @@ class IncrementalEquivalenceTest : public ::testing::Test {
 };
 
 TEST_F(IncrementalEquivalenceTest, IncrementalMatchesFullRecomputeWithFaults) {
-  CriusConfig full;
-  full.incremental = false;
-  CriusConfig incremental;
-  incremental.incremental = true;
-
-  const RunCsvs base = Run(1, full);
+  const RunCsvs base = Run<FreshCriusScheduler>(1, CriusConfig{});
   ASSERT_FALSE(base.events.empty());
   ASSERT_FALSE(base.timeline.empty());
   // The fault schedule actually fired (failure/recovery rounds are covered).
   EXPECT_NE(base.events.find("node_fail"), std::string::npos);
   EXPECT_NE(base.events.find("node_recover"), std::string::npos);
 
-  ExpectIdentical(Run(1, incremental), base, "--incremental on vs off");
+  ExpectIdentical(Run<CriusScheduler>(1, CriusConfig{}), base, "memoized vs fresh");
 }
 
 TEST_F(IncrementalEquivalenceTest, IncrementalMatchesFullAcrossThreadCounts) {
-  // The cross product with the PR 3 determinism guarantee: incremental at 4
-  // threads vs full recompute at 1 thread.
-  CriusConfig full;
-  full.incremental = false;
-  CriusConfig incremental;
-  incremental.incremental = true;
-
-  const RunCsvs base = Run(1, full);
-  ExpectIdentical(Run(4, incremental), base, "--incremental on --threads 4 vs off --threads 1");
+  // The cross product with the determinism guarantee across --threads: the
+  // memo at 4 threads vs full recompute at 1 thread.
+  const RunCsvs base = Run<FreshCriusScheduler>(1, CriusConfig{});
+  ExpectIdentical(Run<CriusScheduler>(4, CriusConfig{}), base,
+                  "memoized --threads 4 vs fresh --threads 1");
 }
 
 TEST_F(IncrementalEquivalenceTest, SolverLiteIncrementalMatchesFull) {
-  // kBestOfAll runs three concurrent placement passes against the shared
-  // ranking memo; the memo's incremental maintenance must not change the
-  // winning pass.
-  CriusConfig full;
-  full.incremental = false;
-  full.placement_order = CriusPlacementOrder::kBestOfAll;
-  CriusConfig incremental = full;
-  incremental.incremental = true;
-
-  ExpectIdentical(Run(4, incremental), Run(1, full), "solver-lite incremental vs full");
+  // kBestOfAll runs three concurrent placement passes that read the shared
+  // ranking snapshot; the memo's maintenance must not change the winning
+  // pass.
+  CriusConfig config;
+  config.placement_order = CriusPlacementOrder::kBestOfAll;
+  ExpectIdentical(Run<CriusScheduler>(4, config), Run<FreshCriusScheduler>(1, config),
+                  "solver-lite memoized vs fresh");
 }
 
 }  // namespace

@@ -519,6 +519,174 @@ TEST_F(CriusSchedTest, CompletedJobsEvictedFromCellCache) {
             evictions_before + 2);
 }
 
+TEST_F(CriusSchedTest, SameSizeJobSwapEvictsInSameRound) {
+  // An eventless round whose job set keeps its size but swaps a job must not
+  // take the steady fast path: the newcomer is ranked and the departed job's
+  // entry is evicted in that same round.
+  CriusScheduler sched = Make();
+  for (int i = 0; i < 4; ++i) {
+    AddQueued(i, kSmall, 4, GpuType::kA100, static_cast<double>(i));
+  }
+  sched.Schedule(Round(0.0));
+
+  // Job 0 leaves and job 4 takes its place: still four jobs.
+  AddQueued(4, kMedium, 16, GpuType::kA100, 4.0);
+  states_.front() = std::move(states_.back());
+  states_.pop_back();
+  const int64_t evictions_before =
+      CounterRegistry::Global().CounterValue("sched.cells_cache_evictions");
+  const int64_t steady_before =
+      CounterRegistry::Global().CounterValue("sched.cells_steady_rounds");
+  const ScheduleDecision swapped = sched.Schedule(Round(300.0));
+  EXPECT_EQ(CounterRegistry::Global().CounterValue("sched.cells_cache_evictions"),
+            evictions_before + 1);
+  EXPECT_EQ(CounterRegistry::Global().CounterValue("sched.cells_steady_rounds"), steady_before);
+
+  CriusScheduler fresh = Make();
+  ExpectSameDecision(swapped, fresh.Schedule(Round(300.0)));
+  ASSERT_TRUE(swapped.assignments.count(4));
+}
+
+int64_t Counter(const char* name) { return CounterRegistry::Global().CounterValue(name); }
+
+// Ranking-memo scenario: two queued jobs on a 16-GPU A100 pool. Job 0's
+// candidate sizes {1, 2, 4} stay under the pool's cap even with half of it
+// failed; job 1's {4, 8, 16} reach the full pool, so losing 8 GPUs changes
+// its candidate set.
+class CellMemoTest : public ::testing::Test {
+ protected:
+  CellMemoTest() : cluster_(MakePool()), oracle_(cluster_, 42) {
+    const int requested_gpus[] = {2, 8};
+    for (int64_t id = 0; id < 2; ++id) {
+      auto s = std::make_unique<JobState>();
+      s->job.id = id;
+      s->job.spec = kSmall;
+      s->job.requested_gpus = requested_gpus[id];
+      s->job.requested_type = GpuType::kA100;
+      s->job.iterations = 1000;
+      s->phase = JobPhase::kQueued;
+      views_.push_back(s.get());
+      states_.push_back(std::move(s));
+    }
+  }
+
+  static Cluster MakePool() {
+    Cluster c;
+    c.AddNodes(GpuType::kA100, 4, 4);
+    return c;
+  }
+
+  RoundContext Round(double now, const Cluster& cluster, std::vector<RoundEvent> events = {},
+                     std::vector<const JobState*> jobs = {}) const {
+    return RoundContext(now, jobs.empty() ? views_ : std::move(jobs), cluster,
+                        std::move(events));
+  }
+
+  // Decision of a scheduler that has never seen an earlier round.
+  ScheduleDecision Fresh(const RoundContext& round) {
+    return CriusScheduler(&oracle_, CriusConfig{}).Schedule(round);
+  }
+
+  Cluster cluster_;
+  PerformanceOracle oracle_;
+  std::vector<std::unique_ptr<JobState>> states_;
+  std::vector<const JobState*> views_;
+};
+
+TEST_F(CellMemoTest, UnchangedRoundTakesSteadyPath) {
+  CriusScheduler sched(&oracle_, CriusConfig{});
+  const ScheduleDecision first = sched.Schedule(Round(0.0, cluster_));
+
+  const int64_t steady = Counter("sched.cells_steady_rounds");
+  const int64_t full = Counter("sched.cells_full_reranks");
+  const int64_t considered = Counter("sched.cells_considered");
+  const ScheduleDecision second = sched.Schedule(Round(300.0, cluster_));
+  EXPECT_EQ(Counter("sched.cells_steady_rounds"), steady + 1);
+  EXPECT_EQ(Counter("sched.cells_full_reranks"), full);
+  EXPECT_EQ(Counter("sched.cells_considered"), considered) << "a steady round re-ranked";
+  ExpectSameDecision(second, Fresh(Round(300.0, cluster_)));
+}
+
+TEST_F(CellMemoTest, ReorderedJobsReuseEntriesWithoutRerank) {
+  // Same ids in a different order: the snapshot no longer lines up with the
+  // round, so maintenance runs, but every entry is still current.
+  CriusScheduler sched(&oracle_, CriusConfig{});
+  sched.Schedule(Round(0.0, cluster_));
+
+  const std::vector<const JobState*> reversed(views_.rbegin(), views_.rend());
+  const int64_t steady = Counter("sched.cells_steady_rounds");
+  const int64_t evictions = Counter("sched.cells_cache_evictions");
+  const int64_t considered = Counter("sched.cells_considered");
+  const ScheduleDecision reordered = sched.Schedule(Round(300.0, cluster_, {}, reversed));
+  EXPECT_EQ(Counter("sched.cells_steady_rounds"), steady);
+  EXPECT_EQ(Counter("sched.cells_cache_evictions"), evictions);
+  EXPECT_EQ(Counter("sched.cells_considered"), considered) << "a current entry was re-ranked";
+  ExpectSameDecision(reordered, Fresh(Round(300.0, cluster_, {}, reversed)));
+}
+
+TEST_F(CellMemoTest, SlowdownEpochKeepsEveryEntry) {
+  // A straggler moves the health epoch but no capacity cap, so both entries
+  // are restamped rather than re-ranked.
+  CriusScheduler sched(&oracle_, CriusConfig{});
+  sched.Schedule(Round(0.0, cluster_));
+
+  cluster_.SetNodeSlowdown(0, 2.0);
+  const std::vector<RoundEvent> events = {RoundEvent::SlowdownChange(0, GpuType::kA100, 2.0)};
+  const int64_t kept = Counter("sched.cells_kept_incremental");
+  const int64_t dirty = Counter("sched.cells_dirty_reranks");
+  const int64_t full = Counter("sched.cells_full_reranks");
+  const int64_t considered = Counter("sched.cells_considered");
+  const ScheduleDecision slowed = sched.Schedule(Round(300.0, cluster_, events));
+  EXPECT_EQ(Counter("sched.cells_kept_incremental"), kept + 2);
+  EXPECT_EQ(Counter("sched.cells_dirty_reranks"), dirty);
+  EXPECT_EQ(Counter("sched.cells_full_reranks"), full);
+  EXPECT_EQ(Counter("sched.cells_considered"), considered);
+  ExpectSameDecision(slowed, Fresh(Round(300.0, cluster_, events)));
+}
+
+TEST_F(CellMemoTest, CapacityDropReranksOnlyDirtyEntries) {
+  // Failing two of the four nodes drops the A100 cap from 16 to 8: only job
+  // 1's candidate set changes, so only its entry is erased and re-ranked.
+  CriusScheduler sched(&oracle_, CriusConfig{});
+  sched.Schedule(Round(0.0, cluster_));
+
+  ASSERT_EQ(cluster_.MarkFailed(2, 0), 4);
+  ASSERT_EQ(cluster_.MarkFailed(3, 0), 4);
+  const std::vector<RoundEvent> events = {RoundEvent::NodeFail(2, GpuType::kA100),
+                                          RoundEvent::NodeFail(3, GpuType::kA100)};
+  const int64_t kept = Counter("sched.cells_kept_incremental");
+  const int64_t dirty = Counter("sched.cells_dirty_reranks");
+  const int64_t full = Counter("sched.cells_full_reranks");
+  const int64_t invalidations = Counter("sched.cells_cache_invalidations");
+  const ScheduleDecision degraded = sched.Schedule(Round(300.0, cluster_, events));
+  EXPECT_EQ(Counter("sched.cells_kept_incremental"), kept + 1);
+  EXPECT_EQ(Counter("sched.cells_dirty_reranks"), dirty + 1);
+  EXPECT_EQ(Counter("sched.cells_full_reranks"), full);
+  EXPECT_EQ(Counter("sched.cells_cache_invalidations"), invalidations);
+  ExpectSameDecision(degraded, Fresh(Round(300.0, cluster_, events)));
+  ASSERT_TRUE(degraded.assignments.count(1));
+  EXPECT_LE(degraded.assignments.at(1).ngpus, 8) << "placed beyond usable capacity";
+}
+
+TEST_F(CellMemoTest, DifferentClusterObjectForcesFullRerank) {
+  // A copy has the same shape and health epoch but a new identity: rankings
+  // kept from the original must not be trusted for it.
+  CriusScheduler sched(&oracle_, CriusConfig{});
+  sched.Schedule(Round(0.0, cluster_));
+
+  const Cluster other = cluster_;
+  ASSERT_EQ(other.health_epoch(), cluster_.health_epoch());
+  ASSERT_NE(other.identity(), cluster_.identity());
+  const int64_t full = Counter("sched.cells_full_reranks");
+  const int64_t invalidations = Counter("sched.cells_cache_invalidations");
+  const int64_t steady = Counter("sched.cells_steady_rounds");
+  const ScheduleDecision moved = sched.Schedule(Round(300.0, other));
+  EXPECT_EQ(Counter("sched.cells_full_reranks"), full + 1);
+  EXPECT_EQ(Counter("sched.cells_cache_invalidations"), invalidations + 1);
+  EXPECT_EQ(Counter("sched.cells_steady_rounds"), steady);
+  ExpectSameDecision(moved, Fresh(Round(300.0, other)));
+}
+
 TEST_F(CriusSchedTest, AblationPruningReducesProfilingDelay) {
   // Crius-NA/NH never rank the pruned Cells, so they must not be charged the
   // GPU-seconds to profile them either.

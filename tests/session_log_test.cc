@@ -14,7 +14,6 @@ SessionMeta SampleMeta() {
   meta.seed = 1234;
   meta.search_depth = 2;
   meta.deadline_aware = true;
-  meta.incremental = false;
   meta.schedule_interval = 123.25;
   meta.restart_overhead = 45.5;
   meta.charge_profiling = false;
@@ -40,7 +39,6 @@ TEST(SessionMetaTest, DetailRoundTrip) {
   EXPECT_EQ(parsed.seed, meta.seed);
   EXPECT_EQ(parsed.search_depth, meta.search_depth);
   EXPECT_EQ(parsed.deadline_aware, meta.deadline_aware);
-  EXPECT_EQ(parsed.incremental, meta.incremental);
   EXPECT_DOUBLE_EQ(parsed.schedule_interval, meta.schedule_interval);
   EXPECT_DOUBLE_EQ(parsed.restart_overhead, meta.restart_overhead);
   EXPECT_EQ(parsed.charge_profiling, meta.charge_profiling);
@@ -66,6 +64,32 @@ TEST(SessionMetaTest, PowerFieldsRoundTrip) {
   EXPECT_TRUE(parsed.power);
   EXPECT_EQ(parsed.dvfs, "powersave");
   EXPECT_DOUBLE_EQ(parsed.power_cap_watts, 12345.5);
+}
+
+TEST(SessionMetaTest, AcceptsAndIgnoresLegacyIncrementalKey) {
+  // Older builds wrote an `incremental=0|1` scheduler knob into the meta row.
+  // Those logs must still parse (the knob never changed decisions), and the
+  // key is no longer written.
+  const std::string legacy_prefix =
+      "cluster=testbed;scheduler=crius;seed=42;search_depth=3;deadline_aware=0;";
+  const std::string legacy_suffix =
+      ";schedule_interval=300;restart_overhead=60;charge_profiling=1;reconfig=0";
+  for (const char* value : {"1", "0"}) {
+    const SessionMeta parsed =
+        ParseSessionMeta(legacy_prefix + "incremental=" + value + legacy_suffix, 2);
+    EXPECT_EQ(parsed.cluster_spec, "testbed");
+    EXPECT_EQ(parsed.scheduler, "crius");
+    EXPECT_EQ(parsed.seed, 42u);
+    EXPECT_EQ(parsed.search_depth, 3);
+    EXPECT_DOUBLE_EQ(parsed.schedule_interval, 300.0);
+    EXPECT_TRUE(parsed.charge_profiling);
+    EXPECT_FALSE(parsed.reconfig);
+  }
+  EXPECT_EQ(SerializeSessionMeta(SessionMeta{}).find("incremental"), std::string::npos);
+}
+
+TEST(SessionMetaDeathTest, BadLegacyIncrementalValueAborts) {
+  EXPECT_DEATH(ParseSessionMeta("cluster=testbed;incremental=x", 2), "bad incremental 'x'");
 }
 
 TEST(SessionLogTest, RoundTripPreservesEverything) {

@@ -57,7 +57,6 @@ int Run(int argc, const char* const* argv) {
   int64_t seed = 42;
   int64_t search_depth = 3;
   bool deadline_aware = false;
-  bool incremental = true;
   bool no_profiling_cost = false;
   double schedule_interval = 5.0 * kMinute;
   double restart_overhead = 60.0;
@@ -89,7 +88,6 @@ int Run(int argc, const char* const* argv) {
   flags.Int("seed", &seed, "oracle / profiling-noise seed");
   flags.Int("search-depth", &search_depth, "Crius scaling-search depth");
   flags.Bool("deadline-aware", &deadline_aware, "run Crius in deadline-aware mode");
-  flags.Bool("incremental", &incremental, "event-driven incremental Crius rounds");
   flags.Bool("no-profiling-cost", &no_profiling_cost,
              "skip charging Crius's Cell-profiling delay");
   flags.Double("schedule-interval", &schedule_interval, "scheduling round interval, seconds");
@@ -171,7 +169,6 @@ int Run(int argc, const char* const* argv) {
   meta.seed = static_cast<uint64_t>(seed);
   meta.search_depth = static_cast<int>(search_depth);
   meta.deadline_aware = deadline_aware;
-  meta.incremental = incremental;
   meta.schedule_interval = schedule_interval;
   meta.restart_overhead = restart_overhead;
   meta.charge_profiling = !no_profiling_cost;

@@ -79,7 +79,6 @@ int Run(int argc, const char* const* argv) {
   std::string log_level;
   bool counters = false;
   int64_t threads = 1;
-  bool incremental = true;
 
   FlagSet flags("crius_sim", "Run a Crius cluster-scheduling simulation");
   flags.String("cluster", &cluster_spec,
@@ -96,9 +95,6 @@ int Run(int argc, const char* const* argv) {
   flags.Double("deadline-fraction", &deadline_fraction,
                "fraction of jobs carrying deadlines (§8.5)");
   flags.Bool("deadline-aware", &deadline_aware, "run Crius in deadline-aware mode");
-  flags.Bool("incremental", &incremental,
-             "event-driven incremental Crius rounds (--incremental=false re-ranks every "
-             "job from scratch each round; decisions are bit-identical)");
   flags.Bool("no-profiling-cost", &no_profiling_cost,
              "skip charging Crius's Cell-profiling delay");
   flags.Double("execution-jitter", &execution_jitter,
@@ -204,8 +200,7 @@ int Run(int argc, const char* const* argv) {
   }
 
   SchedulerOptions sched_options{.search_depth = static_cast<int>(search_depth),
-                                 .deadline_aware = deadline_aware,
-                                 .incremental = incremental};
+                                 .deadline_aware = deadline_aware};
   if (!objective_weights.empty()) {
     const std::optional<MultiObjectiveConfig> multi =
         MultiObjectiveConfig::Parse(objective_weights);
