@@ -360,6 +360,7 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
   static thread_local std::vector<VirtualJob> vjobs;
   static thread_local std::vector<size_t> queued_order;
   static thread_local std::vector<FitIndex> deadline_fits;
+  static thread_local MoveClassIndex move_classes;
   vjobs.clear();
   queued_order.clear();
   for (size_t ji = 0; ji < jobs.size(); ++ji) {
@@ -510,6 +511,10 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
   // Scaling-search work, added to the counters once per pass.
   int64_t moves_evaluated = 0;
   int64_t searches_placed = 0;
+  // The search's move classes, built at the pass's first search; from then on
+  // every placed job is indexed.
+  bool classes_built = false;
+  auto index_victim = [&](size_t vi) { move_classes.Insert(vjobs, vi, meets_deadline); };
   {
     CRIUS_TRACE_SPAN("sched.place");
     for (size_t qi : queued_order) {
@@ -523,6 +528,9 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
         vj.score = c->score;
         vj.opportunistic = some_job_pending;
         Take(c->cell, free);
+        if (classes_built) {
+          index_victim(qi);
+        }
         continue;
       }
 
@@ -535,6 +543,10 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
       bool placed = false;
       if (searched_jobs < config_.max_search_jobs && config_.search_depth > 0) {
         ++searched_jobs;
+        if (!classes_built) {
+          move_classes.Build(vjobs, meets_deadline);
+          classes_built = true;
+        }
         FreeMap trial_free = free;
         struct SavedVictim {
           size_t vi;
@@ -551,9 +563,9 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
         auto mine_after = [&](const FreeMap& f) { return best_fitting(vj, f); };
 
         for (int depth = 0; depth < config_.search_depth && !placed; ++depth) {
-          const ScalingMove move =
-              BestScalingMove(vjobs, qi, trial_free, cumulative_delta, vj_potential,
-                              meets_deadline, mine_after, &moves_evaluated);
+          const ScalingMove move = move_classes.BestMove(trial_free, cumulative_delta,
+                                                         vj_potential, mine_after,
+                                                         &moves_evaluated);
           if (move.choice < 0 || (move.enables && cumulative_delta + move.delta <= 0.0)) {
             break;  // no move, or completing the chain would lower throughput
           }
@@ -563,8 +575,10 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
           Give(*victim.cell, trial_free);
           Take(new_cell.cell, trial_free);
           cumulative_delta += new_cell.score - victim.score;
+          move_classes.Erase(move.victim);
           victim.cell = new_cell.cell;
           victim.score = new_cell.score;
+          index_victim(move.victim);
 
           if (const CellChoice* mine = best_fitting(vj, trial_free)) {
             if (cumulative_delta + mine->score > 0.0) {
@@ -572,6 +586,7 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
               vj.score = mine->score;
               vj.opportunistic = some_job_pending;
               Take(mine->cell, trial_free);
+              index_victim(qi);
               placed = true;
             }
           }
@@ -583,8 +598,10 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
         } else {
           // Roll back all speculative moves.
           for (auto it = saved.rbegin(); it != saved.rend(); ++it) {
+            move_classes.Erase(it->vi);
             vjobs[it->vi].cell = it->cell;
             vjobs[it->vi].score = it->score;
+            index_victim(it->vi);
           }
         }
       }
@@ -610,28 +627,32 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
   // --- Pending-job preemption of opportunistic jobs (§6.1) ------------------
   if (config_.opportunistic && some_job_pending) {
     CRIUS_TRACE_SPAN("sched.preempt_opportunistic");
+    // The placed opportunistic jobs in index order, and the free map once all
+    // of them are evicted. A preemption evicts a suffix of `evictable` and
+    // places one non-opportunistic job, so `released` only loses its Cell.
+    std::vector<size_t> evictable;
+    FreeMap released = free;
+    for (size_t vi = 0; vi < vjobs.size(); ++vi) {
+      if (vjobs[vi].cell.has_value() && vjobs[vi].opportunistic) {
+        Give(*vjobs[vi].cell, released);
+        evictable.push_back(vi);
+      }
+    }
     for (size_t qi : queued_order) {
       VirtualJob& vj = vjobs[qi];
       if (vj.cell.has_value() || vj.dropped) {
         continue;
       }
       // Would evicting all opportunistic jobs make room?
-      FreeMap f2 = free;
-      std::vector<size_t> evictable;
-      for (size_t vi = 0; vi < vjobs.size(); ++vi) {
-        if (vjobs[vi].cell.has_value() && vjobs[vi].opportunistic) {
-          Give(*vjobs[vi].cell, f2);
-          evictable.push_back(vi);
-        }
-      }
-      const CellChoice* mine = best_fitting(vj, f2);
+      const CellChoice* mine = best_fitting(vj, released);
       if (mine == nullptr) {
         continue;
       }
       // Evict only as many opportunistic jobs as needed (latest first).
       FreeMap f3 = free;
-      for (auto it = evictable.rbegin(); it != evictable.rend(); ++it) {
-        VirtualJob& opp = vjobs[*it];
+      while (!evictable.empty()) {
+        VirtualJob& opp = vjobs[evictable.back()];
+        evictable.pop_back();
         Give(*opp.cell, f3);
         opp.cell.reset();
         opp.score = 0.0;
@@ -639,13 +660,15 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
           break;
         }
       }
-      if (const CellChoice* c = best_fitting(vj, f3)) {
-        vj.cell = c->cell;
-        vj.score = c->score;
-        vj.opportunistic = false;
-        Take(c->cell, f3);
-        free = f3;
-      }
+      // `mine` fits f3, so this finds a Cell.
+      const CellChoice* c = best_fitting(vj, f3);
+      CRIUS_CHECK(c != nullptr);
+      vj.cell = c->cell;
+      vj.score = c->score;
+      vj.opportunistic = false;
+      Take(c->cell, f3);
+      Take(c->cell, released);
+      free = f3;
     }
   }
 

@@ -14,12 +14,12 @@
 //     per type (FitIndex).
 //   * Best scaling move: which (victim, alternative Cell) pair maximizes
 //     (enables placement, throughput delta)? Everything an evaluation reads
-//     except the alternative's own score -- whether it frees capacity,
-//     whether it fits, the free map it leaves and so the queued job's best
-//     fit -- depends only on the alternative's (type, ngpus). Within such a
-//     group the highest-scoring member has the highest delta and the lowest
-//     choice index, so the search walks group heads only (MoveGroups,
-//     BestScalingMove).
+//     except the gain in score -- whether the move frees capacity, whether
+//     it fits, the free map it leaves and so the queued job's best fit --
+//     depends only on the held shape and the alternative's shape. A pass
+//     groups its victims into these (held, alternative) classes, and a
+//     search step evaluates each class once, on its best member
+//     (MoveGroups, MoveClassIndex).
 
 #ifndef SRC_SCHED_PLACEMENT_INDEX_H_
 #define SRC_SCHED_PLACEMENT_INDEX_H_
@@ -176,10 +176,10 @@ struct JobCells {
   MoveGroups moves;
 };
 
-// Virtual placement of one job during a scheduling pass. `cells` caches the
-// job's memoized ranking, resolved exactly once per pass, so the placement
-// loops (including the density sort comparator) never re-enter the memo's
-// shard locks mid-pass.
+// Virtual placement of one job during a scheduling pass. `cells` points at
+// the job's memoized ranking, resolved once per round by the memo sync, so
+// the placement loops (including the density sort comparator) never look the
+// job up in the memo.
 struct VirtualJob {
   const JobState* state = nullptr;
   const JobCells* cells = nullptr;
@@ -202,48 +202,80 @@ struct ScalingMove {
   bool enables = false;  // the queued job fits once the move is made
 };
 
-// One step of the Algorithm-1 scaling search for queued job vjobs[queued]
-// under `trial_free`: the move of a placed job (victim) to another of its
-// Cells that frees capacity and maximizes (enables placement, delta), where
-// delta = new score - victim's score + the queued job's best fit afterwards.
-// A move that does not enable placement is only admissible while
-// cumulative_delta + delta + potential > 0. Ties go to the first victim, then
-// to its lowest choice index: exactly the pick of a scan over every victim
-// and every alternative Cell in order, but only move-group heads are
-// evaluated. meets_deadline(victim, choice) filters alternatives (a group's
-// candidate is its first member that passes); best_fitting(free) returns the
-// queued job's best-fitting choice under `free`, or null. Each evaluated move
-// adds one to *evaluated.
-template <typename MeetsDeadline, typename BestFitting>
-ScalingMove BestScalingMove(const std::vector<VirtualJob>& vjobs, size_t queued,
-                            const FreeMap& trial_free, double cumulative_delta,
-                            double potential, MeetsDeadline&& meets_deadline,
-                            BestFitting&& best_fitting, int64_t* evaluated) {
-  ScalingMove best;
-  for (size_t vi = 0; vi < vjobs.size(); ++vi) {
-    const VirtualJob& victim = vjobs[vi];
-    if (vi == queued || !victim.cell.has_value()) {
-      continue;
+// The Algorithm-1 scaling search over one placement pass, indexed by move
+// class.
+//
+// A search step for a queued job under `trial_free` picks the move of a
+// placed job (victim) to another of its Cells that frees capacity and
+// maximizes (enables placement, delta), where delta = (alternative's score -
+// victim's score) + the queued job's best fit afterwards. Ties go to the
+// lowest victim index, then the lowest choice index. A move that does not
+// enable placement is only admissible while
+// cumulative_delta + delta + potential > 0.
+//
+// For a victim holding shape H = (type, ngpus) and an alternative of shape A,
+// everything but the gain (alternative's score - victim's score) depends on
+// (H, A) alone: whether the move frees capacity, whether A fits under
+// trial_free + H, the free map it leaves and so the queued job's best fit,
+// `enables` and the deficit test. Each victim contributes one member to each
+// of its classes (H, A): its first, highest-scoring choice of shape A that
+// keeps its deadline. A step evaluates each live class once, on its best
+// member (highest gain, then lowest victim index): delta = gain + mine is
+// monotone in the gain, so no other member reaches a higher delta. A lower
+// gain can still round to the same delta, and then the lower victim index
+// must win. So each class also keeps an upper bound on its highest gain
+// strictly below the best, and when that bound rounds to the same delta the
+// class rescans its members (the tie guard).
+//
+// Maintenance: the pass inserts every placed job when it builds the index and
+// every job it places afterwards. A search move or rollback erases the victim
+// before its Cell changes and re-inserts it afterwards. Erasing a class's best
+// member marks the class stale, and a stale class recomputes its best from
+// the victims holding H when it is next evaluated.
+class MoveClassIndex {
+ public:
+  // Indexes every placed job of `vjobs`, forgetting any earlier pass.
+  // meets_deadline(victim, choice) filters the victims' alternatives and must
+  // not change during the pass.
+  template <typename MeetsDeadline>
+  void Build(const std::vector<VirtualJob>& vjobs, MeetsDeadline&& meets_deadline) {
+    held_.clear();
+    held_keys_.clear();
+    victims_.assign(vjobs.size(), Victim{});
+    members_.clear();
+    for (size_t vi = 0; vi < vjobs.size(); ++vi) {
+      if (vjobs[vi].cell.has_value()) {
+        Insert(vjobs, vi, meets_deadline);
+      }
     }
-    const Cell& held = *victim.cell;
-    FreeMap released = trial_free;
-    Give(held, released);
+  }
+
+  // Adds placed job vjobs[vi], which is not indexed, as a victim.
+  template <typename MeetsDeadline>
+  void Insert(const std::vector<VirtualJob>& vjobs, size_t vi, MeetsDeadline&& meets_deadline) {
+    const VirtualJob& victim = vjobs[vi];
+    CRIUS_CHECK(victim.cell.has_value());
+    Victim& v = victims_[vi];
+    CRIUS_CHECK(v.held < 0);
+    const Cell& held_cell = *victim.cell;
+    v.held = HeldSlot(held_cell);
+    Held& held = held_[static_cast<size_t>(v.held)];
+    v.pos = static_cast<uint32_t>(held.victims.size());
+    held.victims.push_back(static_cast<uint32_t>(vi));
+    v.first = static_cast<uint32_t>(members_.size());
     const std::vector<CellChoice>& choices = victim.cells->choices;
     for (const MoveGroups::Head& head : victim.cells->moves) {
       // The move must shrink usage of some type (downscale or exchange); this
       // also skips the held Cell's own group.
-      if (head.type == held.gpu_type && head.ngpus >= held.ngpus) {
+      if (head.type == held_cell.gpu_type && head.ngpus >= held_cell.ngpus) {
         continue;
       }
-      if (released[static_cast<int>(head.type)] < head.ngpus) {
-        continue;
-      }
-      // The group's candidate: its first member that keeps the victim's
-      // deadline (the head itself unless a deadline rules it out).
+      // The member: the group's first choice that keeps the victim's deadline
+      // (the head itself unless a deadline rules it out).
       int choice = -1;
       for (size_t i = head.index; i < choices.size(); ++i) {
-        const Cell& member = choices[i].cell;
-        if (member.gpu_type == head.type && member.ngpus == head.ngpus &&
+        const Cell& alt = choices[i].cell;
+        if (alt.gpu_type == head.type && alt.ngpus == head.ngpus &&
             meets_deadline(victim, choices[i])) {
           choice = static_cast<int>(i);
           break;
@@ -252,27 +284,206 @@ ScalingMove BestScalingMove(const std::vector<VirtualJob>& vjobs, size_t queued,
       if (choice < 0) {
         continue;
       }
-      const CellChoice& alt = choices[choice];
-      FreeMap after = released;
-      Take(alt.cell, after);
-      const CellChoice* mine = best_fitting(after);
-      ++*evaluated;
-      const bool enables = mine != nullptr;
-      const double delta = alt.score - victim.score + (enables ? mine->score : 0.0);
-      // Never dig deeper than the placed job could pay back.
-      if (!enables && cumulative_delta + delta + potential <= 0.0) {
-        continue;
+      const Member member{ClassSlot(held, head.type, head.ngpus), static_cast<uint8_t>(choice),
+                          choices[static_cast<size_t>(choice)].score - victim.score};
+      members_.push_back(member);
+      Class& cls = held.classes[member.cls];
+      if (cls.members++ == 0) {
+        cls.stale = false;
+        cls.gain = -std::numeric_limits<double>::infinity();
+        cls.second = -std::numeric_limits<double>::infinity();
       }
-      if ((enables && !best.enables) ||
-          (enables == best.enables &&
-           (delta > best.delta ||
-            (delta == best.delta && vi == best.victim && choice < best.choice)))) {
-        best = ScalingMove{vi, choice, delta, enables};
+      if (!cls.stale) {
+        Offer(cls, static_cast<uint32_t>(vi), member);
       }
     }
+    v.count = static_cast<uint32_t>(members_.size()) - v.first;
   }
-  return best;
-}
+
+  // Removes victim vi, which must be indexed.
+  void Erase(size_t vi) {
+    Victim& v = victims_[vi];
+    CRIUS_CHECK(v.held >= 0);
+    Held& held = held_[static_cast<size_t>(v.held)];
+    for (uint32_t i = v.first; i < v.first + v.count; ++i) {
+      Class& cls = held.classes[members_[i].cls];
+      --cls.members;
+      if (cls.victim == vi) {
+        cls.stale = true;
+      }
+    }
+    const uint32_t moved = held.victims.back();
+    held.victims[v.pos] = moved;
+    victims_[moved].pos = v.pos;
+    held.victims.pop_back();
+    v.held = -1;
+  }
+
+  // One search step: the best admissible move under `trial_free`.
+  // best_fitting(free) returns the queued job's best-fitting choice under
+  // `free`, or null. Each evaluated class adds one to *evaluated.
+  template <typename BestFitting>
+  ScalingMove BestMove(const FreeMap& trial_free, double cumulative_delta, double potential,
+                       BestFitting&& best_fitting, int64_t* evaluated) {
+    ScalingMove best;
+    for (Held& held : held_) {
+      if (held.victims.empty()) {
+        continue;
+      }
+      FreeMap released = trial_free;
+      released[static_cast<int>(held.type)] += held.ngpus;
+      for (size_t k = 0; k < held.classes.size(); ++k) {
+        Class& cls = held.classes[k];
+        if (cls.members == 0 || released[static_cast<int>(cls.type)] < cls.ngpus) {
+          continue;
+        }
+        if (cls.stale) {
+          Recompute(held, k);
+        }
+        FreeMap after = released;
+        after[static_cast<int>(cls.type)] -= cls.ngpus;
+        const CellChoice* mine = best_fitting(after);
+        ++*evaluated;
+        const bool enables = mine != nullptr;
+        const double mine_score = enables ? mine->score : 0.0;
+        const double delta = cls.gain + mine_score;
+        // Never dig deeper than the placed job could pay back.
+        if (!enables && cumulative_delta + delta + potential <= 0.0) {
+          continue;
+        }
+        uint32_t victim = cls.victim;
+        int choice = cls.choice;
+        if (cls.second + mine_score == delta) {
+          victim = LowestTiedVictim(held, k, mine_score, delta);
+          choice = MemberOf(victim, k)->choice;
+        }
+        if (enables != best.enables ? enables
+            : delta != best.delta   ? delta > best.delta
+            : victim != best.victim ? victim < best.victim
+                                    : choice < best.choice) {
+          best = ScalingMove{victim, choice, delta, enables};
+        }
+      }
+    }
+    return best;
+  }
+
+ private:
+  struct Member {
+    uint16_t cls = 0;    // class slot in the victim's Held
+    uint8_t choice = 0;  // into the victim's choices
+    double gain = 0.0;   // alternative's score - victim's score
+  };
+  // The victims of one move class (H, A) and its best member.
+  struct Class {
+    GpuType type = GpuType::kA100;  // A
+    int ngpus = 0;
+    uint32_t members = 0;
+    bool stale = true;  // the best member below was erased
+    uint8_t choice = 0;
+    uint32_t victim = 0;
+    double gain = 0.0;
+    // At least the highest member gain strictly below `gain`; -inf if none.
+    double second = 0.0;
+  };
+  // The victims holding one shape H, in no particular order, and H's classes.
+  struct Held {
+    GpuType type = GpuType::kA100;
+    int ngpus = 0;
+    std::vector<uint32_t> victims;
+    std::vector<Class> classes;
+    std::vector<uint64_t> class_keys;  // ShapeKey of each class's A
+  };
+  struct Victim {
+    int held = -1;       // slot in held_; -1 while not indexed
+    uint32_t pos = 0;    // in held_[held].victims
+    uint32_t first = 0;  // the victim's members: members_[first, first + count)
+    uint32_t count = 0;
+  };
+
+  // A shape as one word, so slot lookups scan a dense key array.
+  static uint64_t ShapeKey(GpuType type, int ngpus) {
+    return (static_cast<uint64_t>(type) << 32) | static_cast<uint32_t>(ngpus);
+  }
+
+  int HeldSlot(const Cell& cell) {
+    const uint64_t key = ShapeKey(cell.gpu_type, cell.ngpus);
+    for (size_t h = 0; h < held_keys_.size(); ++h) {
+      if (held_keys_[h] == key) {
+        return static_cast<int>(h);
+      }
+    }
+    held_keys_.push_back(key);
+    held_.push_back(Held{cell.gpu_type, cell.ngpus, {}, {}, {}});
+    return static_cast<int>(held_.size() - 1);
+  }
+
+  static uint16_t ClassSlot(Held& held, GpuType type, int ngpus) {
+    const uint64_t key = ShapeKey(type, ngpus);
+    for (size_t k = 0; k < held.class_keys.size(); ++k) {
+      if (held.class_keys[k] == key) {
+        return static_cast<uint16_t>(k);
+      }
+    }
+    CRIUS_CHECK(held.classes.size() < std::numeric_limits<uint16_t>::max());
+    held.class_keys.push_back(key);
+    held.classes.push_back(Class{type, ngpus});
+    return static_cast<uint16_t>(held.classes.size() - 1);
+  }
+
+  // Victim vi's member of class k of its Held, or null.
+  const Member* MemberOf(uint32_t vi, size_t k) const {
+    const Victim& v = victims_[vi];
+    for (uint32_t i = v.first; i < v.first + v.count; ++i) {
+      if (members_[i].cls == k) {
+        return &members_[i];
+      }
+    }
+    return nullptr;
+  }
+
+  static void Offer(Class& cls, uint32_t vi, const Member& member) {
+    if (member.gain > cls.gain || (member.gain == cls.gain && vi < cls.victim)) {
+      if (member.gain > cls.gain) {
+        cls.second = cls.gain;
+      }
+      cls.victim = vi;
+      cls.choice = member.choice;
+      cls.gain = member.gain;
+    } else if (member.gain < cls.gain) {
+      cls.second = std::max(cls.second, member.gain);
+    }
+  }
+
+  void Recompute(Held& held, size_t k) {
+    Class& cls = held.classes[k];
+    cls.gain = -std::numeric_limits<double>::infinity();
+    cls.second = -std::numeric_limits<double>::infinity();
+    for (const uint32_t vi : held.victims) {
+      if (const Member* member = MemberOf(vi, k)) {
+        Offer(cls, vi, *member);
+      }
+    }
+    cls.stale = false;
+  }
+
+  // The lowest victim index whose member of class k reaches `delta`.
+  uint32_t LowestTiedVictim(const Held& held, size_t k, double mine_score, double delta) const {
+    uint32_t lowest = std::numeric_limits<uint32_t>::max();
+    for (const uint32_t vi : held.victims) {
+      const Member* member = MemberOf(vi, k);
+      if (member != nullptr && member->gain + mine_score == delta) {
+        lowest = std::min(lowest, vi);
+      }
+    }
+    return lowest;
+  }
+
+  std::vector<Held> held_;
+  std::vector<uint64_t> held_keys_;  // ShapeKey of each Held's H
+  std::vector<Victim> victims_;      // by vjobs index
+  std::vector<Member> members_;      // every insert appends; Build clears
+};
 
 }  // namespace crius
 

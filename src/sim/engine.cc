@@ -452,7 +452,9 @@ void SimEngine::ApplyDecision(double at, const ScheduleDecision& decision) {
 
   // Releases: running jobs whose assignment vanished or changed, plus jobs
   // being migrated (their current grant is released so the new Cell can be
-  // allocated from the freed capacity).
+  // allocated from the freed capacity). active_ holds only jobs
+  // PromoteArrivals has made visible, the set the scheduler was shown, so any
+  // of them it assigns starts here.
   struct StartItem {
     size_t index;
     Assignment assignment;
@@ -462,9 +464,6 @@ void SimEngine::ApplyDecision(double at, const ScheduleDecision& decision) {
   for (size_t i : active_) {
     SimJob& sj = jobs_[i];
     if (sj.state.phase != JobPhase::kRunning && sj.state.phase != JobPhase::kQueued) {
-      continue;
-    }
-    if (at < sj.schedulable_at) {
       continue;
     }
     const auto it = decision.assignments.find(sj.state.job.id);

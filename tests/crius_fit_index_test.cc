@@ -7,15 +7,18 @@
 //   * FitIndex::FirstFit equals the linear first-fit scan it replaced (kept
 //     here as the reference), for plain, NA/NH-pruned and deadline-filtered
 //     choice sets, and
-//   * BestScalingMove, which evaluates move-group heads only, picks exactly
-//     the move a brute-force scan over every victim and every alternative
-//     Cell picks, with the same tie-break (first victim, then lowest choice
-//     index).
+//   * MoveClassIndex, which evaluates each (held shape, alternative shape)
+//     class once, picks exactly the move a brute-force scan over every victim
+//     and every alternative Cell picks, with the same tie-break (first victim,
+//     then lowest choice index), after every step of random sequences of
+//     search moves, rollbacks and placements.
 // Every case is reproducible from (seed, iteration), printed on failure.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <optional>
 #include <vector>
 
 #include "src/sched/placement_index.h"
@@ -276,56 +279,132 @@ ScalingMove BruteForceMove(const MoveCase& mc) {
   return best;
 }
 
-void CheckMoves(Pruning pruning, bool deadline_filtered) {
+// Moves vjobs[vi] to `cell` the way the placement pass does: erased from the
+// index before the change and re-inserted after it.
+template <typename MeetsDeadline>
+void Reassign(std::vector<VirtualJob>& vjobs, size_t vi, std::optional<Cell> cell, double score,
+              MeetsDeadline&& meets_deadline, MoveClassIndex* index) {
+  index->Erase(vi);
+  vjobs[vi].cell = cell;
+  vjobs[vi].score = score;
+  index->Insert(vjobs, vi, meets_deadline);
+}
+
+// A random walk through one pass: from a random virtual state, each step
+// checks the index's pick against BruteForceMove and then applies the pick (a
+// search move), rolls back the moves made so far, places an unplaced job, or
+// moves a random victim to a random choice. The queued job, free map and
+// cumulative delta are redrawn between steps.
+void CheckMoveSequences(Pruning pruning, bool deadline_filtered) {
+  constexpr int kSteps = 6;
   Rng rng(kSeed, "scaling_moves");
+  int checks = 0;
   int moves_found = 0;
   int enabling = 0;
   for (int iter = 0; iter < kIterations; ++iter) {
-    const MoveCase mc = RandomMoveCase(rng, pruning, deadline_filtered);
-    const VirtualJob& queued = mc.vjobs[mc.queued];
+    MoveCase mc = RandomMoveCase(rng, pruning, deadline_filtered);
     auto meets_deadline = [&](const VirtualJob& victim, const CellChoice& choice) {
       const size_t vi = static_cast<size_t>(&victim - mc.vjobs.data());
       return static_cast<bool>(
           mc.deadline_ok[vi][static_cast<size_t>(&choice - victim.cells->choices.data())]);
     };
-    auto best_fitting = [&](const FreeMap& free) -> const CellChoice* {
-      const int i = queued.fit->FirstFit(queued.cells->choices, free);
-      return i < 0 ? nullptr : &queued.cells->choices[static_cast<size_t>(i)];
+    MoveClassIndex index;
+    index.Build(mc.vjobs, meets_deadline);
+    struct Saved {
+      size_t vi;
+      std::optional<Cell> cell;
+      double score;
     };
-    int64_t evaluated = 0;
-    const ScalingMove got = BestScalingMove(mc.vjobs, mc.queued, mc.trial_free,
-                                            mc.cumulative_delta, mc.potential, meets_deadline,
-                                            best_fitting, &evaluated);
-    const ScalingMove want = BruteForceMove(mc);
-    ASSERT_EQ(got.choice, want.choice) << "iteration " << iter;
-    if (want.choice < 0) {
-      continue;
+    std::vector<Saved> saved;
+    for (int step = 0; step < kSteps; ++step) {
+      const VirtualJob& queued = mc.vjobs[mc.queued];
+      auto best_fitting = [&](const FreeMap& free) -> const CellChoice* {
+        const int i = queued.fit->FirstFit(queued.cells->choices, free);
+        return i < 0 ? nullptr : &queued.cells->choices[static_cast<size_t>(i)];
+      };
+      int64_t evaluated = 0;
+      const ScalingMove got = index.BestMove(mc.trial_free, mc.cumulative_delta, mc.potential,
+                                             best_fitting, &evaluated);
+      const ScalingMove want = BruteForceMove(mc);
+      ++checks;
+      ASSERT_EQ(got.choice, want.choice) << "iteration " << iter << " step " << step;
+      if (want.choice >= 0) {
+        ++moves_found;
+        enabling += want.enables ? 1 : 0;
+        ASSERT_EQ(got.victim, want.victim) << "iteration " << iter << " step " << step;
+        ASSERT_EQ(got.enables, want.enables) << "iteration " << iter << " step " << step;
+        ASSERT_EQ(got.delta, want.delta) << "iteration " << iter << " step " << step;
+        ASSERT_GT(evaluated, 0);
+      }
+
+      std::vector<size_t> placed;
+      std::vector<size_t> unplaced;  // besides the queued job
+      for (size_t vi = 0; vi < mc.vjobs.size(); ++vi) {
+        if (mc.vjobs[vi].cell.has_value()) {
+          placed.push_back(vi);
+        } else if (vi != mc.queued && !mc.cells[vi].choices.empty()) {
+          unplaced.push_back(vi);
+        }
+      }
+      const double op = rng.Uniform();
+      if (op < 0.4 && want.choice >= 0) {
+        VirtualJob& victim = mc.vjobs[want.victim];
+        saved.push_back(Saved{want.victim, victim.cell, victim.score});
+        const CellChoice& alt = victim.cells->choices[static_cast<size_t>(want.choice)];
+        Reassign(mc.vjobs, want.victim, alt.cell, alt.score, meets_deadline, &index);
+      } else if (op < 0.6 && !saved.empty()) {
+        for (auto it = saved.rbegin(); it != saved.rend(); ++it) {
+          Reassign(mc.vjobs, it->vi, it->cell, it->score, meets_deadline, &index);
+        }
+        saved.clear();
+      } else if (op < 0.8 && !unplaced.empty()) {
+        const size_t vi = unplaced[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(unplaced.size()) - 1))];
+        const std::vector<CellChoice>& choices = mc.cells[vi].choices;
+        const CellChoice& c = choices[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(choices.size()) - 1))];
+        mc.vjobs[vi].cell = c.cell;
+        mc.vjobs[vi].score = c.score;
+        index.Insert(mc.vjobs, vi, meets_deadline);
+      } else if (!placed.empty()) {
+        const size_t vi = placed[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(placed.size()) - 1))];
+        const std::vector<CellChoice>& choices = mc.cells[vi].choices;
+        const CellChoice& c = choices[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(choices.size()) - 1))];
+        saved.push_back(Saved{vi, mc.vjobs[vi].cell, mc.vjobs[vi].score});
+        Reassign(mc.vjobs, vi, c.cell, c.score, meets_deadline, &index);
+      }
+
+      // The next search: any unplaced job may be the queued one.
+      unplaced.push_back(mc.queued);
+      std::erase_if(unplaced, [&](size_t vi) { return mc.vjobs[vi].cell.has_value(); });
+      mc.queued = unplaced[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(unplaced.size()) - 1))];
+      const JobCells& q = mc.cells[mc.queued];
+      mc.potential = q.choices.empty() ? 0.0 : q.choices.front().score;
+      mc.trial_free = RandomFree(rng);
+      mc.cumulative_delta = 0.125 * static_cast<double>(rng.UniformInt(-12, 4));
     }
-    ++moves_found;
-    enabling += want.enables ? 1 : 0;
-    ASSERT_EQ(got.victim, want.victim) << "iteration " << iter;
-    ASSERT_EQ(got.enables, want.enables) << "iteration " << iter;
-    ASSERT_EQ(got.delta, want.delta) << "iteration " << iter;
-    ASSERT_GT(evaluated, 0);
   }
   // Both kinds of pick, and the no-move outcome, must all be common.
-  EXPECT_GT(enabling, kIterations / 10);
-  EXPECT_GT(moves_found - enabling, kIterations / 20);
-  EXPECT_LT(moves_found, kIterations - kIterations / 20);
+  EXPECT_GT(enabling, checks / 10);
+  EXPECT_GT(moves_found - enabling, checks / 20);
+  EXPECT_LT(moves_found, checks - checks / 20);
 }
 
-TEST(CriusFitIndexTest, HeadMovesMatchBruteForce) { CheckMoves(Pruning::kNone, false); }
+TEST(CriusFitIndexTest, ClassMovesMatchBruteForce) { CheckMoveSequences(Pruning::kNone, false); }
 
-TEST(CriusFitIndexTest, HeadMovesMatchBruteForceUnderNaPruning) {
-  CheckMoves(Pruning::kNoAdaptivity, false);
+TEST(CriusFitIndexTest, ClassMovesMatchBruteForceUnderNaPruning) {
+  CheckMoveSequences(Pruning::kNoAdaptivity, false);
 }
 
-TEST(CriusFitIndexTest, HeadMovesMatchBruteForceUnderNhPruning) {
-  CheckMoves(Pruning::kNoHeterogeneity, false);
+TEST(CriusFitIndexTest, ClassMovesMatchBruteForceUnderNhPruning) {
+  CheckMoveSequences(Pruning::kNoHeterogeneity, false);
 }
 
-TEST(CriusFitIndexTest, HeadMovesMatchBruteForceWithDeadlineFilteredAlternatives) {
-  CheckMoves(Pruning::kNone, true);
+TEST(CriusFitIndexTest, ClassMovesMatchBruteForceWithDeadlineFilteredAlternatives) {
+  CheckMoveSequences(Pruning::kNone, true);
 }
 
 TEST(CriusFitIndexTest, EqualDeltasBreakTiesByVictimThenChoiceIndex) {
@@ -360,23 +439,94 @@ TEST(CriusFitIndexTest, EqualDeltasBreakTiesByVictimThenChoiceIndex) {
     const int i = queued_cells.fit.FirstFit(queued_cells.choices, f);
     return i < 0 ? nullptr : &queued_cells.choices[static_cast<size_t>(i)];
   };
+  MoveClassIndex index;
+  index.Build(vjobs, any_deadline);
   int64_t evaluated = 0;
-  const ScalingMove move =
-      BestScalingMove(vjobs, 2, free, 0.0, 1.0, any_deadline, best_fitting, &evaluated);
+  const ScalingMove move = index.BestMove(free, 0.0, 1.0, best_fitting, &evaluated);
   EXPECT_EQ(move.victim, 0u);
   EXPECT_EQ(move.choice, 1);
   EXPECT_TRUE(move.enables);
   EXPECT_EQ(move.delta, 0.5);
-  EXPECT_EQ(evaluated, 4);
+  // One evaluation per class: (A100 x8 -> A40 x8) and (A100 x8 -> A100 x4).
+  EXPECT_EQ(evaluated, 2);
 
   // A deadline that rules the exchange out leaves the downscale.
   auto no_exchange = [](const VirtualJob&, const CellChoice& c) {
     return c.cell.gpu_type == GpuType::kA100;
   };
-  const ScalingMove downscale =
-      BestScalingMove(vjobs, 2, free, 0.0, 1.0, no_exchange, best_fitting, &evaluated);
+  index.Build(vjobs, no_exchange);
+  const ScalingMove downscale = index.BestMove(free, 0.0, 1.0, best_fitting, &evaluated);
   EXPECT_EQ(downscale.victim, 0u);
   EXPECT_EQ(downscale.choice, 2);
+}
+
+TEST(CriusFitIndexTest, RoundingTieGoesToTheLowerVictimIndex) {
+  // Victims 0 and 1 both hold an 8-GPU A100 Cell at score 0.25 and can step
+  // down to 4 GPUs: victim 0 at the same score (gain 0), victim 1 at
+  // 0.25 + 2^-54 (gain 2^-54, one ulp of 0.25). Once the queued job's score
+  // 1.0 is added both deltas round to 1.0, so the lower victim index must win
+  // even though the class's best member by gain is victim 1.
+  const double ulp = std::ldexp(1.0, -54);
+  ASSERT_EQ((0.25 + ulp) - 0.25, ulp);
+  ASSERT_EQ(ulp + 1.0, 0.0 + 1.0);
+  JobCells low_gain;
+  low_gain.choices = {CellChoice{Cell{GpuType::kA100, 8, 1}, 0.25},
+                      CellChoice{Cell{GpuType::kA100, 4, 1}, 0.25}};
+  JobCells high_gain;
+  high_gain.choices = {CellChoice{Cell{GpuType::kA100, 4, 1}, 0.25 + ulp},
+                       CellChoice{Cell{GpuType::kA100, 8, 1}, 0.25}};
+  JobCells queued_cells;
+  queued_cells.choices = {CellChoice{Cell{GpuType::kA100, 4, 1}, 1.0}};
+  for (JobCells* jc : {&low_gain, &high_gain, &queued_cells}) {
+    jc->fit.Build(jc->choices);
+    jc->moves.Build(jc->choices);
+  }
+
+  std::vector<VirtualJob> vjobs(3);
+  vjobs[0].cells = &low_gain;
+  vjobs[1].cells = &high_gain;
+  vjobs[2].cells = &queued_cells;
+  for (VirtualJob& vj : vjobs) {
+    vj.fit = &vj.cells->fit;
+  }
+  for (size_t i = 0; i < 2; ++i) {
+    vjobs[i].cell = Cell{GpuType::kA100, 8, 1};
+    vjobs[i].score = 0.25;
+  }
+
+  auto any_deadline = [](const VirtualJob&, const CellChoice&) { return true; };
+  auto best_fitting = [&](const FreeMap& f) -> const CellChoice* {
+    const int i = queued_cells.fit.FirstFit(queued_cells.choices, f);
+    return i < 0 ? nullptr : &queued_cells.choices[static_cast<size_t>(i)];
+  };
+  MoveClassIndex index;
+  index.Build(vjobs, any_deadline);
+  const FreeMap free{};
+  int64_t evaluated = 0;
+  const ScalingMove move = index.BestMove(free, 0.0, 1.0, best_fitting, &evaluated);
+  EXPECT_EQ(evaluated, 1);
+  EXPECT_TRUE(move.enables);
+  EXPECT_EQ(move.delta, 1.0);
+  EXPECT_EQ(move.victim, 0u);
+  EXPECT_EQ(move.choice, 1);
+
+  // The same pick once victim 1, the class's best member, has left and come
+  // back, so the class recomputes its best.
+  index.Erase(1);
+  index.Insert(vjobs, 1, any_deadline);
+  const ScalingMove again = index.BestMove(free, 0.0, 1.0, best_fitting, &evaluated);
+  EXPECT_EQ(again.victim, 0u);
+  EXPECT_EQ(again.choice, 1);
+
+  // And when victim 0 is placed only after the index was built, so it joins
+  // the class below its best member.
+  vjobs[0].cell.reset();
+  index.Build(vjobs, any_deadline);
+  vjobs[0].cell = Cell{GpuType::kA100, 8, 1};
+  index.Insert(vjobs, 0, any_deadline);
+  const ScalingMove late = index.BestMove(free, 0.0, 1.0, best_fitting, &evaluated);
+  EXPECT_EQ(late.victim, 0u);
+  EXPECT_EQ(late.choice, 1);
 }
 
 }  // namespace

@@ -11,8 +11,13 @@
 // unsaturated trace), and the counters must read the same at every thread
 // count.
 //
+// CriusWorkCountTest pins the deterministic work counts of the crius and
+// crius-solver runs at --threads 1 exactly, so an algorithmic regression fails
+// here instead of hiding in wall-time noise.
+//
 // To regenerate after an intended decision change, run the test and copy the
-// "actual" hashes it prints into kVariants.
+// "actual" hashes it prints into kVariants. A pinned work count changes only
+// with the change that moves it, stating the old and new value and why.
 
 #include <gtest/gtest.h>
 
@@ -62,6 +67,8 @@ struct RunResult {
   int64_t searches_placed = 0;
   int64_t searches_failed = 0;
   int64_t moves_evaluated = 0;
+  int64_t cells_considered = 0;
+  int64_t sched_invocations = 0;
 };
 
 int64_t CounterNow(const std::string& name, const MetricLabels& labels = {}) {
@@ -101,6 +108,8 @@ RunResult RunVariant(const Variant& variant, int threads) {
   const int64_t placed0 = CounterNow("sched.searches", {{"outcome", "placed"}});
   const int64_t failed0 = CounterNow("sched.searches", {{"outcome", "failed"}});
   const int64_t moves0 = CounterNow("sched.search_moves_evaluated");
+  const int64_t cells0 = CounterNow("sched.cells_considered");
+  const int64_t invocations0 = CounterNow("sim.sched_invocations");
   const SimResult result = sim.Run(*scheduler, oracle, trace);
 
   RunResult run;
@@ -112,6 +121,8 @@ RunResult RunVariant(const Variant& variant, int threads) {
   run.searches_placed = CounterNow("sched.searches", {{"outcome", "placed"}}) - placed0;
   run.searches_failed = CounterNow("sched.searches", {{"outcome", "failed"}}) - failed0;
   run.moves_evaluated = CounterNow("sched.search_moves_evaluated") - moves0;
+  run.cells_considered = CounterNow("sched.cells_considered") - cells0;
+  run.sched_invocations = CounterNow("sim.sched_invocations") - invocations0;
   return run;
 }
 
@@ -151,6 +162,49 @@ TEST_P(CriusPlacementGoldenTest, DecisionsMatchGoldensAtEveryThreadCount) {
 
 INSTANTIATE_TEST_SUITE_P(AllVariants, CriusPlacementGoldenTest, ::testing::ValuesIn(kVariants),
                          [](const ::testing::TestParamInfo<Variant>& info) {
+                           return std::string(info.param.label);
+                         });
+
+struct WorkCounts {
+  const char* label;  // a kVariants entry
+  int64_t moves_evaluated;
+  int64_t searches_placed;
+  int64_t searches_failed;
+  int64_t cells_considered;
+  int64_t sched_invocations;
+};
+
+// Recorded at --threads 1 from the class-indexed scaling search.
+constexpr WorkCounts kWorkCounts[] = {
+    {"crius", 38278, 458, 406, 20868, 3184},
+    {"crius_solver", 265969, 957, 3660, 20868, 3184},
+};
+
+class CriusWorkCountTest : public ::testing::TestWithParam<WorkCounts> {};
+
+TEST_P(CriusWorkCountTest, WorkCountsMatchExactlyAtOneThread) {
+  const WorkCounts& want = GetParam();
+  const Variant* variant = nullptr;
+  for (const Variant& v : kVariants) {
+    if (std::string(v.label) == want.label) {
+      variant = &v;
+    }
+  }
+  ASSERT_NE(variant, nullptr) << want.label;
+  const RunResult run = RunVariant(*variant, 1);
+  std::printf("actual: {\"%s\", %" PRId64 ", %" PRId64 ", %" PRId64 ", %" PRId64 ", %" PRId64
+              "}\n",
+              want.label, run.moves_evaluated, run.searches_placed, run.searches_failed,
+              run.cells_considered, run.sched_invocations);
+  EXPECT_EQ(run.moves_evaluated, want.moves_evaluated) << "sched.search_moves_evaluated";
+  EXPECT_EQ(run.searches_placed, want.searches_placed) << "sched.searches{outcome=placed}";
+  EXPECT_EQ(run.searches_failed, want.searches_failed) << "sched.searches{outcome=failed}";
+  EXPECT_EQ(run.cells_considered, want.cells_considered) << "sched.cells_considered";
+  EXPECT_EQ(run.sched_invocations, want.sched_invocations) << "sim.sched_invocations";
+}
+
+INSTANTIATE_TEST_SUITE_P(CriusAndSolver, CriusWorkCountTest, ::testing::ValuesIn(kWorkCounts),
+                         [](const ::testing::TestParamInfo<WorkCounts>& info) {
                            return std::string(info.param.label);
                          });
 

@@ -131,6 +131,30 @@ TEST_F(SimulatorTest, ProfilingDelayPostponesCriusStart) {
   EXPECT_GT(a.jobs[0].first_start, b.jobs[0].first_start);
 }
 
+// FCFS with a fixed profiling delay.
+class DelayedFcfsScheduler : public FcfsScheduler {
+ public:
+  DelayedFcfsScheduler(PerformanceOracle* oracle, double delay)
+      : FcfsScheduler(oracle), delay_(delay) {}
+  double ProfilingDelay(const TrainingJob&, const Cluster&) override { return delay_; }
+
+ private:
+  double delay_;
+};
+
+TEST_F(SimulatorTest, JobVisibleWithinEpsilonOfItsProfilingWindowStartsThatRound) {
+  // The engine makes a job visible once the round time is within 1e-6 of its
+  // profiling window's end. A job the round's scheduler sees and assigns must
+  // also start in that round, not wait for the next round boundary.
+  SimConfig config;
+  config.charge_profiling = true;
+  Simulator sim(cluster_, config);
+  DelayedFcfsScheduler sched(&oracle_, 0.5e-6);
+  const SimResult r = sim.Run(sched, oracle_, {MakeJob(0, 0.0, 100)});
+  ASSERT_TRUE(r.jobs[0].finished);
+  EXPECT_DOUBLE_EQ(r.jobs[0].first_start, 0.0);
+}
+
 TEST_F(SimulatorTest, ExecutionJitterChangesTimesDeterministically) {
   SimConfig jitter;
   jitter.execution_jitter = 0.06;
