@@ -26,17 +26,18 @@ namespace crius {
 // "--threads=N") -- and sizes the global pool accordingly. Routed through
 // FlagSet::ParseKnown so a malformed value warns and keeps the default
 // instead of silently turning garbage into 0, and so flags owned by the
-// bench binary itself pass through untouched. Per-seed and per-scheduler
-// sweep runs fan out over the pool; results are bit-identical across thread
-// counts.
+// bench binary itself pass through untouched. The pool runs ext_robustness's
+// per-seed sweep (each seed owns its oracle) and ext_serve's connection
+// workers; every simulation run is single-threaded, so results are
+// bit-identical across thread counts.
 inline void ConfigureBenchThreads(int argc, char** argv) {
   int64_t threads = 1;
   FlagSet flags("bench", "shared benchmark flags");
-  flags.Int("threads", &threads, "worker threads for sweep fan-out");
+  flags.Int("threads", &threads, "worker threads for per-seed sweeps and serve connections");
   flags.ParseKnown(argc, argv);
-  if (threads < 1 || threads > 4096) {
-    std::fprintf(stderr, "warning: ignoring --threads value %lld (expected 1..4096); using 1\n",
-                 static_cast<long long>(threads));
+  if (threads < 1 || threads > ThreadPool::kMaxThreads) {
+    std::fprintf(stderr, "warning: ignoring --threads value %lld (expected 1..%d); using 1\n",
+                 static_cast<long long>(threads), ThreadPool::kMaxThreads);
     threads = 1;
   }
   ThreadPool::SetGlobalThreads(static_cast<int>(threads));

@@ -136,8 +136,8 @@ int main(int argc, char** argv) {
   // Cold-oracle batch-estimation throughput (DESIGN.md §14): hand every trace
   // job's whole candidate Cell list to EstimateCellBatch against a fresh
   // oracle and measure Cells ranked per wall second. First occurrence of a
-  // (model, cell) point is a miss fanned across the pool; repeats are served
-  // by the sharded cache's batched lookup -- the same mix the scheduler's
+  // (model, cell) point is a miss estimated on the calling thread; repeats
+  // are served by the batch's lookup pass -- the same mix the scheduler's
   // warm-up sees.
   size_t batch_cells = 0;
   double batch_seconds = 0.0;

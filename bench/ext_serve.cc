@@ -28,7 +28,7 @@
 //
 // Flags: --smoke, --determinism, --clients N, --requests N (per client),
 // --batch N (pipelined submissions per round trip), --shards N (ingress
-// shards), --threads N (dispatch pool shared with scheduling fan-out),
+// shards), --threads N (connection-dispatch pool),
 // --json F (write a BENCH_serve.json perf-trajectory report for
 // crius_benchdiff).
 

@@ -18,14 +18,13 @@ void RunTrace(const Cluster& cluster, PerformanceOracle& oracle, const TraceConf
   const auto trace = GenerateTrace(cluster, oracle, config);
   std::printf("\n%s: %zu jobs (%s)\n", figure, trace.size(), config.name.c_str());
 
-  // Scheduler runs share only the (thread-safe) oracle; each simulates its own
-  // cluster copy, so the five runs fan out over the pool into fixed slots.
-  auto schedulers = MakeAllSchedulers(&oracle);
-  std::vector<SimResult> results(schedulers.size());
-  ThreadPool::Global().ParallelFor(schedulers.size(), [&](size_t i) {
+  // The five runs share the oracle, which belongs to one thread, so they run
+  // one after another; each simulates its own cluster copy.
+  std::vector<SimResult> results;
+  for (auto& sched : MakeAllSchedulers(&oracle)) {
     Simulator sim(cluster, SimConfig{});
-    results[i] = sim.Run(*schedulers[i], oracle, trace);
-  });
+    results.push_back(sim.Run(*sched, oracle, trace));
+  }
   const SimResult& crius = results.back();
 
   Table table(std::string(figure) + " (" + config.name + ")");

@@ -30,20 +30,11 @@ struct AssemblyOption {
 
 }  // namespace
 
-EstimatorScratch& ThreadLocalEstimatorScratch() {
-  static thread_local EstimatorScratch scratch;
-  return scratch;
-}
-
 CellEstimator::CellEstimator(const PerfModel* model, const CommProfile* comm, uint64_t seed,
                              double compute_jitter)
     : model_(model), comm_(comm), profiler_(model, seed, compute_jitter) {
   CRIUS_CHECK(model != nullptr);
   CRIUS_CHECK(comm != nullptr);
-}
-
-CellEstimate CellEstimator::Estimate(const JobContext& ctx, const Cell& cell) const {
-  return Estimate(ctx, cell, &ThreadLocalEstimatorScratch());
 }
 
 // The SoA assembly. Bit-identity with EstimateReference below rests on three
@@ -59,15 +50,14 @@ CellEstimate CellEstimator::Estimate(const JobContext& ctx, const Cell& cell) co
 //      order equal DFS visitation order.
 //   3. The min-reduction is a forward scan with strict '<', so the first
 //      leaf in DFS order wins ties, exactly like the incremental DFS update.
-CellEstimate CellEstimator::Estimate(const JobContext& ctx, const Cell& cell,
-                                     EstimatorScratch* scratch) const {
+CellEstimate CellEstimator::Estimate(const JobContext& ctx, const Cell& cell) const {
   CRIUS_CHECK(ctx.graph != nullptr);
   CRIUS_CHECK_MSG(ctx.gpu_type == cell.gpu_type, "context/cell GPU type mismatch");
   CRIUS_TRACE_SPAN("estimator.estimate");
   CRIUS_COUNTER_INC("estimator.evaluations");
   CRIUS_SCOPED_TIMER_MS("estimator.eval_ms");
   const OpGraph& g = *ctx.graph;
-  Arena& arena = scratch->arena;
+  Arena& arena = arena_;
   arena.Reset();
 
   CellEstimate out;

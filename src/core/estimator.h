@@ -14,11 +14,11 @@
 // evaluates in Fig. 12.
 //
 // Memory layout (DESIGN.md §14): the assembly inner loop runs over SoA arrays
-// of per-plan stage sums / maxima carved from a caller-provided
-// EstimatorScratch arena, so a steady-state Estimate call performs no heap
-// allocation and the final min-reduction is a plain vectorizable scan. The
-// pre-refactor recursive assembly survives as EstimateReference, the golden
-// oracle for the bit-identity test (tests/estimator_batch_test.cc).
+// of per-plan stage sums / maxima carved from the estimator's scratch arena,
+// so a steady-state Estimate call performs no heap allocation and the final
+// min-reduction is a plain vectorizable scan. The pre-refactor recursive
+// assembly survives as EstimateReference, the golden oracle for the
+// bit-identity test (tests/estimator_batch_test.cc).
 
 #ifndef SRC_CORE_ESTIMATOR_H_
 #define SRC_CORE_ESTIMATOR_H_
@@ -55,19 +55,6 @@ struct CellEstimate {
   int plans_assembled = 0;
 };
 
-// Reusable per-call scratch for CellEstimator::Estimate. One scratch per
-// thread of execution: the arena is bump-allocated with no internal locking,
-// and Estimate resets it on entry, so a scratch must never be shared between
-// concurrently running estimates. The oracle's batch fan-out hands each pool
-// worker its own via ThreadLocalEstimatorScratch().
-struct EstimatorScratch {
-  Arena arena;
-};
-
-// The calling thread's scratch (function-local thread_local). Safe because an
-// estimate borrows it only for the duration of the call.
-EstimatorScratch& ThreadLocalEstimatorScratch();
-
 class CellEstimator {
  public:
   // `compute_jitter` overrides the single-device profiler's measurement
@@ -76,13 +63,9 @@ class CellEstimator {
                 double compute_jitter = SingleDeviceProfiler::kMeasureJitter);
 
   // Estimates `cell` for the job in `ctx`. ctx.gpu_type must equal
-  // cell.gpu_type. All per-call assembly scratch comes from `scratch` (reset
-  // on entry); steady-state calls allocate nothing on the heap.
-  CellEstimate Estimate(const JobContext& ctx, const Cell& cell,
-                        EstimatorScratch* scratch) const;
-
-  // Scalar convenience wrapper over the scratch-threaded path, using the
-  // calling thread's ThreadLocalEstimatorScratch().
+  // cell.gpu_type. All per-call assembly scratch comes from the estimator's
+  // arena (reset on entry); steady-state calls allocate nothing on the heap.
+  // An estimator belongs to one thread, like the oracle that owns it.
   CellEstimate Estimate(const JobContext& ctx, const Cell& cell) const;
 
   // Pre-refactor assembly (per-plan structs on an explicit DFS stack), kept
@@ -94,6 +77,9 @@ class CellEstimator {
   const PerfModel* model_;
   const CommProfile* comm_;
   SingleDeviceProfiler profiler_;
+  // Estimate's scratch; mutable because reusing it is invisible to callers
+  // (every estimate resets it).
+  mutable Arena arena_;
 };
 
 }  // namespace crius

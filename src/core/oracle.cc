@@ -5,10 +5,27 @@
 #include "src/util/check.h"
 #include "src/util/counters.h"
 #include "src/util/mathutil.h"
-#include "src/util/rng.h"
-#include "src/util/threadpool.h"
 
 namespace crius {
+
+namespace {
+
+// Looks up `key`; on a miss, stores compute(). Returns (value, was_miss).
+// compute() may insert into other maps: node-based maps keep every
+// reference stable across inserts.
+template <typename Map, typename Fn>
+std::pair<const typename Map::mapped_type&, bool> GetOrCompute(Map& map,
+                                                               const typename Map::key_type& key,
+                                                               Fn&& compute) {
+  auto it = map.find(key);
+  if (it != map.end()) {
+    return {it->second, false};
+  }
+  it = map.emplace(key, compute()).first;
+  return {it->second, true};
+}
+
+}  // namespace
 
 PerformanceOracle::PerformanceOracle(const Cluster& cluster, uint64_t seed, OracleConfig config)
     : model_(cluster),
@@ -18,46 +35,21 @@ PerformanceOracle::PerformanceOracle(const Cluster& cluster, uint64_t seed, Orac
       tuner_(&explorer_) {}
 
 const JobContext& PerformanceOracle::ContextFor(const ModelSpec& spec, GpuType type) const {
-  // Doubles hash by bit pattern: specs originate from shared configs, so equal
+  // Doubles key by bit pattern: specs originate from shared configs, so equal
   // sizes are the same literal and bit-compare equal.
   uint64_t params_bits = 0;
   static_assert(sizeof(params_bits) == sizeof(spec.params_billion));
   std::memcpy(&params_bits, &spec.params_billion, sizeof(params_bits));
   const ContextKey key{static_cast<int>(spec.family), params_bits, spec.global_batch,
                        static_cast<int>(type)};
-  return context_cache_
-      .GetOrCompute(key, ShardHash(key), [&] { return model_.MakeContext(spec, type); })
-      .first;
-}
-
-uint64_t PerformanceOracle::ShardHash(const ModelPointKey& key) {
-  uint64_t h = std::get<0>(key);
-  h = HashCombine(h, static_cast<uint64_t>(std::get<1>(key)));
-  h = HashCombine(h, static_cast<uint64_t>(std::get<2>(key)));
-  return h;
-}
-
-uint64_t PerformanceOracle::ShardHash(const CellPointKey& key) {
-  uint64_t h = std::get<0>(key);
-  h = HashCombine(h, static_cast<uint64_t>(std::get<1>(key)));
-  h = HashCombine(h, static_cast<uint64_t>(std::get<2>(key)));
-  h = HashCombine(h, static_cast<uint64_t>(std::get<3>(key)));
-  return h;
-}
-
-uint64_t PerformanceOracle::ShardHash(const ContextKey& key) {
-  uint64_t h = static_cast<uint64_t>(std::get<0>(key));
-  h = HashCombine(h, std::get<1>(key));
-  h = HashCombine(h, static_cast<uint64_t>(std::get<2>(key)));
-  h = HashCombine(h, static_cast<uint64_t>(std::get<3>(key)));
-  return h;
+  return GetOrCompute(context_cache_, key, [&] { return model_.MakeContext(spec, type); }).first;
 }
 
 const std::optional<PlanChoice>& PerformanceOracle::BestAdaptive(const ModelSpec& spec,
                                                                  GpuType type, int ngpus) {
   const JobContext& ctx = ContextFor(spec, type);
   const ModelPointKey key{ctx.model_key, static_cast<int>(type), ngpus};
-  const auto [value, miss] = adaptive_cache_.GetOrCompute(key, ShardHash(key), [&] {
+  const auto [value, miss] = GetOrCompute(adaptive_cache_, key, [&] {
     std::optional<PlanChoice> best;
     if (ngpus >= 1 && IsPowerOfTwo(ngpus)) {
       ExploreResult r = explorer_.FullExplore(ctx, ngpus);
@@ -78,27 +70,26 @@ std::optional<double> PerformanceOracle::DpOnlyIterTime(const ModelSpec& spec, G
                                                         int ngpus) {
   const JobContext& ctx = ContextFor(spec, type);
   const ModelPointKey key{ctx.model_key, static_cast<int>(type), ngpus};
-  return dp_only_cache_
-      .GetOrCompute(key, ShardHash(key),
-                    [&]() -> std::optional<double> {
-                      if (ngpus < 1 || !IsPowerOfTwo(ngpus)) {
-                        return std::nullopt;
-                      }
-                      ParallelPlan plan;
-                      plan.gpu_type = type;
-                      StagePlan sp;
-                      sp.op_begin = 0;
-                      sp.op_end = ctx.graph->size();
-                      sp.gpus = ngpus;
-                      sp.dp = ngpus;
-                      sp.tp = 1;
-                      plan.stages.push_back(sp);
-                      const PlanEval eval = model_.Evaluate(ctx, plan);
-                      if (!eval.feasible) {
-                        return std::nullopt;
-                      }
-                      return eval.iter_time;
-                    })
+  return GetOrCompute(dp_only_cache_, key,
+                      [&]() -> std::optional<double> {
+                        if (ngpus < 1 || !IsPowerOfTwo(ngpus)) {
+                          return std::nullopt;
+                        }
+                        ParallelPlan plan;
+                        plan.gpu_type = type;
+                        StagePlan sp;
+                        sp.op_begin = 0;
+                        sp.op_end = ctx.graph->size();
+                        sp.gpus = ngpus;
+                        sp.dp = ngpus;
+                        sp.tp = 1;
+                        plan.stages.push_back(sp);
+                        const PlanEval eval = model_.Evaluate(ctx, plan);
+                        if (!eval.feasible) {
+                          return std::nullopt;
+                        }
+                        return eval.iter_time;
+                      })
       .first;
 }
 
@@ -106,8 +97,8 @@ const CellEstimate& PerformanceOracle::EstimateCell(const ModelSpec& spec, const
   const JobContext& ctx = ContextFor(spec, cell.gpu_type);
   const CellPointKey key{ctx.model_key, static_cast<int>(cell.gpu_type), cell.ngpus,
                          cell.nstages};
-  const auto [value, miss] = estimate_cache_.GetOrCompute(
-      key, ShardHash(key), [&] { return estimator_.Estimate(ctx, cell); });
+  const auto [value, miss] =
+      GetOrCompute(estimate_cache_, key, [&] { return estimator_.Estimate(ctx, cell); });
   if (miss) {
     CRIUS_COUNTER_INC("oracle.estimate_cache_misses");
   } else {
@@ -120,9 +111,7 @@ const TuneResult& PerformanceOracle::TuneCell(const ModelSpec& spec, const Cell&
   const JobContext& ctx = ContextFor(spec, cell.gpu_type);
   const CellPointKey key{ctx.model_key, static_cast<int>(cell.gpu_type), cell.ngpus,
                          cell.nstages};
-  const auto [value, miss] = tune_cache_.GetOrCompute(key, ShardHash(key), [&] {
-    // EstimateCell re-enters the *estimate* cache, never this one, so the
-    // shard-lock order is acyclic (tune shard -> estimate shard).
+  const auto [value, miss] = GetOrCompute(tune_cache_, key, [&] {
     const CellEstimate& estimate = EstimateCell(spec, cell);
     return tuner_.Tune(ctx, cell, estimate);
   });
@@ -161,76 +150,39 @@ void PerformanceOracle::EstimateCellBatch(const CellBatchRequest& req, CellBatch
     return;
   }
 
-  // Reused per-thread staging buffers (the batch API itself must not churn
-  // the heap it exists to eliminate). Thread-local because warm-up fan-outs
-  // call EstimateCellBatch concurrently, one batch per pool worker.
-  struct BatchScratch {
-    std::vector<CellPointKey> keys;
-    std::vector<uint64_t> hashes;
-    std::vector<size_t> miss_index;
-    std::vector<CellPointKey> miss_keys;
-    std::vector<uint64_t> miss_hashes;
-    std::vector<CellEstimate> computed;
-    std::vector<const CellEstimate*> inserted;
-  };
-  static thread_local BatchScratch scratch;
-
   // Keys in one pass; contexts resolved once per GPU type present.
   const JobContext* ctx_by_type[kNumGpuTypes] = {};
-  scratch.keys.resize(n);
-  scratch.hashes.resize(n);
+  batch_keys_.resize(n);
   for (size_t i = 0; i < n; ++i) {
     const Cell& cell = req.cells[i];
     const int t = static_cast<int>(cell.gpu_type);
     if (ctx_by_type[t] == nullptr) {
       ctx_by_type[t] = &ContextFor(*req.spec, cell.gpu_type);
     }
-    scratch.keys[i] = CellPointKey{ctx_by_type[t]->model_key, t, cell.ngpus, cell.nstages};
-    scratch.hashes[i] = ShardHash(scratch.keys[i]);
+    batch_keys_[i] = CellPointKey{ctx_by_type[t]->model_key, t, cell.ngpus, cell.nstages};
   }
 
-  // Hits: one traversal of the sharded cache, one lock per touched shard.
-  estimate_cache_.LookupBatch(scratch.keys.data(), scratch.hashes.data(), n,
-                              out->estimates.data());
-  scratch.miss_index.clear();
+  // Hits: one lookup pass over the whole batch before anything is inserted,
+  // so a Cell repeated within the batch counts as a miss each time.
+  batch_miss_index_.clear();
   for (size_t i = 0; i < n; ++i) {
-    if (out->estimates[i] == nullptr) {
-      scratch.miss_index.push_back(i);
+    const auto it = estimate_cache_.find(batch_keys_[i]);
+    if (it != estimate_cache_.end()) {
+      out->estimates[i] = &it->second;
+    } else {
+      batch_miss_index_.push_back(i);
     }
   }
-  const size_t misses = scratch.miss_index.size();
-  out->hits = n - misses;
-  out->misses = misses;
+  out->misses = batch_miss_index_.size();
+  out->hits = n - out->misses;
 
-  // Misses: estimate outside any cache lock, fanned across the pool, each
-  // worker on its own scratch arena. Deterministic: slot k belongs to
-  // miss_index[k] regardless of worker interleaving, and InsertBatch's
-  // first-wins keeps cached contents pure functions of their keys even when
-  // concurrent batches race on a key.
-  if (misses > 0) {
-    scratch.miss_keys.resize(misses);
-    scratch.miss_hashes.resize(misses);
-    scratch.computed.resize(misses);
-    scratch.inserted.resize(misses);
-    for (size_t k = 0; k < misses; ++k) {
-      const size_t i = scratch.miss_index[k];
-      scratch.miss_keys[k] = scratch.keys[i];
-      scratch.miss_hashes[k] = scratch.hashes[i];
-    }
-    // The lambda must not touch `scratch` (workers have their own); read the
-    // inputs it needs through locals.
-    std::vector<size_t>& miss_index = scratch.miss_index;
-    std::vector<CellEstimate>& computed = scratch.computed;
-    ThreadPool::Global().ParallelFor(misses, [&, this](size_t k) {
-      const Cell& cell = req.cells[miss_index[k]];
-      const JobContext* ctx = ctx_by_type[static_cast<int>(cell.gpu_type)];
-      computed[k] = estimator_.Estimate(*ctx, cell, &ThreadLocalEstimatorScratch());
-    });
-    estimate_cache_.InsertBatch(scratch.miss_keys.data(), scratch.miss_hashes.data(), misses,
-                                scratch.computed.data(), scratch.inserted.data());
-    for (size_t k = 0; k < misses; ++k) {
-      out->estimates[scratch.miss_index[k]] = scratch.inserted[k];
-    }
+  // Misses: estimate and insert in batch order (a repeated Cell keeps its
+  // first estimate).
+  for (const size_t i : batch_miss_index_) {
+    const Cell& cell = req.cells[i];
+    const JobContext& ctx = *ctx_by_type[static_cast<int>(cell.gpu_type)];
+    out->estimates[i] =
+        &estimate_cache_.try_emplace(batch_keys_[i], estimator_.Estimate(ctx, cell)).first->second;
   }
 
   const double global_batch = static_cast<double>(req.spec->global_batch);

@@ -12,31 +12,34 @@
 //   * TuneCell       -- Crius's Cell-guided tuned plan (§5.2).
 //
 // Trace-scale simulations query the same (model, GPU type, count) points
-// millions of times; everything is cached. Caches are sharded-mutex
-// thread-safe: every cached quantity is a pure function of its key, so
-// concurrent callers (the scheduler's parallel Cell fan-out, parallel bench
-// sweeps) read/populate them in any order without changing any value.
+// millions of times; everything is cached in plain maps. Every cached
+// quantity is a pure function of its key.
+//
+// Threading contract: an oracle belongs to one thread. Nothing in it is
+// locked -- the caches, the batch staging buffers and the estimator's scratch
+// arena are plain members -- so callers that want parallelism build one
+// oracle per thread (ext_robustness does, one per seed).
 //
 // Batch-first API (DESIGN.md §14): rankers hand a job's whole candidate Cell
-// list to EstimateCellBatch, which resolves cache hits with one traversal of
-// the sharded estimate cache (one lock per shard instead of one per Cell),
-// fans the misses across the ThreadPool with per-worker EstimatorScratch, and
-// writes results into caller-owned SoA buffers (CellBatchResult). The scalar
-// entry points survive as conveniences for one-off queries and remain the
-// units the batch path is defined in terms of.
+// list to EstimateCellBatch, which resolves cache hits in one lookup pass,
+// then estimates and inserts the misses, and writes results into
+// caller-owned SoA buffers (CellBatchResult). The scalar entry points survive
+// as conveniences for one-off queries and remain the units the batch path is
+// defined in terms of.
 
 #ifndef SRC_CORE_ORACLE_H_
 #define SRC_CORE_ORACLE_H_
 
+#include <map>
 #include <optional>
 #include <tuple>
+#include <vector>
 
 #include "src/core/cell.h"
 #include "src/core/comm_profile.h"
 #include "src/core/estimator.h"
 #include "src/core/tuner.h"
 #include "src/parallel/explorer.h"
-#include "src/util/sharded_cache.h"
 
 namespace crius {
 
@@ -102,11 +105,10 @@ class PerformanceOracle {
   // cell; 0 if infeasible. This is the number Crius's scheduler ranks by.
   double EstimatedThroughput(const ModelSpec& spec, const Cell& cell);
 
-  // Batched what-if estimation for one job's candidate Cells: one sharded-
-  // cache traversal for the hits, ThreadPool fan-out for the misses, results
-  // in caller-owned SoA buffers. Safe to call concurrently (a nested call
-  // from inside a ParallelFor worker runs its fan-out inline). Every ranking
-  // fan-out (scheduler, reconfig policy, benches) goes through here.
+  // Batched what-if estimation for one job's candidate Cells: a lookup pass
+  // for the hits, then the misses are estimated and inserted in order,
+  // results in caller-owned SoA buffers. Every ranking fan-out (scheduler,
+  // reconfig policy, benches) goes through here.
   void EstimateCellBatch(const CellBatchRequest& req, CellBatchResult* out);
 
  private:
@@ -116,22 +118,24 @@ class PerformanceOracle {
   // reads from the spec, without the string key construction.
   using ContextKey = std::tuple<int, uint64_t, int64_t, int>;
 
-  static uint64_t ShardHash(const ModelPointKey& key);
-  static uint64_t ShardHash(const CellPointKey& key);
-  static uint64_t ShardHash(const ContextKey& key);
-
   PerfModel model_;
   CommProfile comm_;
   Explorer explorer_;
   CellEstimator estimator_;
   CellTuner tuner_;
 
-  // mutable: ContextFor is logically const (pure, memoized).
-  mutable ShardedCache<ContextKey, JobContext> context_cache_;
-  ShardedCache<ModelPointKey, std::optional<PlanChoice>> adaptive_cache_;
-  ShardedCache<ModelPointKey, std::optional<double>> dp_only_cache_;
-  ShardedCache<CellPointKey, CellEstimate> estimate_cache_;
-  ShardedCache<CellPointKey, TuneResult> tune_cache_;
+  // Node-based maps: references handed out stay valid for the oracle's
+  // lifetime. mutable: ContextFor is logically const (pure, memoized).
+  mutable std::map<ContextKey, JobContext> context_cache_;
+  std::map<ModelPointKey, std::optional<PlanChoice>> adaptive_cache_;
+  std::map<ModelPointKey, std::optional<double>> dp_only_cache_;
+  std::map<CellPointKey, CellEstimate> estimate_cache_;
+  std::map<CellPointKey, TuneResult> tune_cache_;
+
+  // EstimateCellBatch staging, reused across calls so the batch path does
+  // not churn the heap.
+  std::vector<CellPointKey> batch_keys_;
+  std::vector<size_t> batch_miss_index_;
 };
 
 }  // namespace crius

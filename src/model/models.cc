@@ -128,7 +128,7 @@ OpGraph BuildOpGraph(const ModelSpec& spec) {
 
 const OpGraph& GetOpGraph(const ModelSpec& spec) {
   // Keyed by family+size only: the graph does not depend on the batch.
-  // Mutex-guarded so parallel estimation fan-out can share the cache; builds
+  // Mutex-guarded so oracles on different threads can share the cache; builds
   // are pure, so holding the lock across the (rare) build keeps each graph
   // constructed exactly once. std::map nodes are stable, so returned
   // references outlive later inserts.

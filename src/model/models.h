@@ -68,8 +68,9 @@ double BatchHalfPoint(ModelFamily family);
 OpGraph BuildOpGraph(const ModelSpec& spec);
 
 // Cached variant of BuildOpGraph; the returned reference lives for the
-// process lifetime. Thread-safe: the cache is mutex-guarded so the parallel
-// estimation fan-out can share it.
+// process lifetime. Thread-safe: the cache is process-wide and mutex-guarded,
+// so oracles owned by different threads (one per seed in ext_robustness) can
+// share it.
 const OpGraph& GetOpGraph(const ModelSpec& spec);
 
 // Individual builders (exposed for tests).

@@ -9,7 +9,6 @@
 #include "src/util/check.h"
 #include "src/util/counters.h"
 #include "src/util/mathutil.h"
-#include "src/util/threadpool.h"
 #include "src/util/trace.h"
 
 namespace crius {
@@ -78,29 +77,24 @@ std::string CriusScheduler::name() const {
 JobCells CriusScheduler::ComputeCells(const TrainingJob& job, const Cluster& cluster) {
   CRIUS_TRACE_SPAN("sched.cells_for");
   JobCells jc;
-  // Per-thread candidate + batch-result buffers: warm-up fan-outs run
-  // ComputeCells on pool workers, and steady-state rounds reuse the capacity
-  // so the ranking path performs no heap allocation.
-  static thread_local std::vector<Cell> candidates;
-  static thread_local CellBatchResult batch;
-  GenerateCellsInto(job, cluster, &candidates);
-  const size_t considered = candidates.size();
-  PruneAblatedCells(job, &candidates);
+  GenerateCellsInto(job, cluster, &candidates_);
+  const size_t considered = candidates_.size();
+  PruneAblatedCells(job, &candidates_);
   CRIUS_COUNTER_ADD("sched.cells_considered", static_cast<int64_t>(considered));
   CRIUS_COUNTER_ADD("sched.cells_pruned",
-                    static_cast<int64_t>(considered - candidates.size()));
+                    static_cast<int64_t>(considered - candidates_.size()));
   oracle_->EstimateCellBatch(
-      CellBatchRequest{&job.spec, candidates.data(), candidates.size()}, &batch);
+      CellBatchRequest{&job.spec, candidates_.data(), candidates_.size()}, &batch_);
   int64_t infeasible = 0;
-  jc.choices.reserve(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    const double thr = batch.throughput[i];
+  jc.choices.reserve(candidates_.size());
+  for (size_t i = 0; i < candidates_.size(); ++i) {
+    const double thr = batch_.throughput[i];
     if (thr <= 0.0) {
       ++infeasible;
       continue;  // infeasible Cell
     }
-    jc.choices.push_back(CellChoice{candidates[i], thr});
-    if (candidates[i].ngpus == job.requested_gpus) {
+    jc.choices.push_back(CellChoice{candidates_[i], thr});
+    if (candidates_[i].ngpus == job.requested_gpus) {
       jc.ref_throughput = std::max(jc.ref_throughput, thr);
     }
   }
@@ -140,7 +134,7 @@ void CriusScheduler::PruneAblatedCells(const TrainingJob& job,
 
 void CriusScheduler::SyncCellsCache(const RoundContext& round) {
   // Phase breakdown of the round's cache work: everything up to the warm-up
-  // is memo maintenance ("memo_restamp"); the parallel ComputeCells warm-up
+  // is memo maintenance ("memo_restamp"); the ComputeCells warm-up
   // is where the oracle estimates run ("estimator"). Both land in the
   // labeled histogram sched.phase_ms next to the "explorer" phase recorded
   // by Schedule().
@@ -257,19 +251,14 @@ void CriusScheduler::SyncCellsCache(const RoundContext& round) {
     return;
   }
 
-  // 4. Warm the missing entries in parallel. ComputeCells is a pure function
-  // of (job, cluster-health), so slot results are identical across thread
-  // counts and the sequential inserts below keep the memo content
-  // deterministic (a repeated id keeps its first entry).
+  // 4. Rank the missing entries in round order (a repeated id keeps its
+  // first entry).
   CRIUS_TRACE_SPAN_ARGS("sched.cells_warmup",
                         "{\"jobs\": " + std::to_string(missing_.size()) + "}");
-  std::vector<JobCells> slots(missing_.size());
-  ThreadPool::Global().ParallelFor(missing_.size(), [&](size_t i) {
-    slots[i] = ComputeCells(jobs[missing_[i]]->job, cluster);
-  });
-  for (size_t i = 0; i < missing_.size(); ++i) {
-    std::pair<int64_t, const JobCells*>& slot = cells_snapshot_[missing_[i]];
-    slot.second = &cells_memo_.try_emplace(slot.first, std::move(slots[i])).first->second;
+  for (const size_t ji : missing_) {
+    std::pair<int64_t, const JobCells*>& slot = cells_snapshot_[ji];
+    slot.second =
+        &cells_memo_.try_emplace(slot.first, ComputeCells(jobs[ji]->job, cluster)).first->second;
   }
   estimator_ms.Record(std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t_maintained)
@@ -278,17 +267,15 @@ void CriusScheduler::SyncCellsCache(const RoundContext& round) {
 
 double CriusScheduler::ProfilingDelay(const TrainingJob& job, const Cluster& cluster) {
   std::array<double, kNumGpuTypes> per_type{};
-  static thread_local std::vector<Cell> candidates;
-  static thread_local CellBatchResult batch;
-  GenerateCellsInto(job, cluster, &candidates);
+  GenerateCellsInto(job, cluster, &candidates_);
   // Ablation variants never rank pruned Cells, so they must not be charged
   // the GPU-seconds to profile them either.
-  PruneAblatedCells(job, &candidates);
+  PruneAblatedCells(job, &candidates_);
   oracle_->EstimateCellBatch(
-      CellBatchRequest{&job.spec, candidates.data(), candidates.size()}, &batch);
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    per_type[static_cast<int>(candidates[i].gpu_type)] +=
-        batch.estimates[i]->profile_gpu_seconds;
+      CellBatchRequest{&job.spec, candidates_.data(), candidates_.size()}, &batch_);
+  for (size_t i = 0; i < candidates_.size(); ++i) {
+    per_type[static_cast<int>(candidates_[i].gpu_type)] +=
+        batch_.estimates[i]->profile_gpu_seconds;
   }
   // Heterogeneous GPU types profile in parallel, one device each (§6.1);
   // Crius bounds the total at 30 minutes (§8.2).
@@ -308,8 +295,8 @@ ScheduleDecision CriusScheduler::Schedule(const RoundContext& round) {
   CRIUS_SCOPED_TIMER_MS("sched.round_ms");
   CRIUS_TRACE_SPAN_ARGS("sched.round",
                         "{\"jobs\": " + std::to_string(jobs.size()) + "}");
-  // Round-start memo maintenance + parallel warm-up: after this the
-  // snapshot holds every job's ranking, and the passes below only read it.
+  // Round-start memo maintenance + warm-up: after this the snapshot holds
+  // every job's ranking, and the passes below only read it.
   SyncCellsCache(round);
   // "explorer" phase: the ScheduleOnce pass(es) that enumerate placements.
   static Histogram& explorer_ms = CounterRegistry::Global().GetHistogram(
@@ -319,20 +306,12 @@ ScheduleDecision CriusScheduler::Schedule(const RoundContext& round) {
     return ScheduleOnce(now, jobs, cluster, config_.placement_order).first;
   }
   // Solver-lite: evaluate every ordering virtually and keep the outcome with
-  // the highest total estimated throughput. Each pass is a pure function of
-  // (now, jobs, cluster, order) with its own virtual state, so the three run
-  // concurrently into slots; the winner is then picked sequentially in the
-  // same fixed order (strict > comparison) the single-threaded loop used --
-  // the decision is bit-identical across thread counts.
-  const std::array<CriusPlacementOrder, 3> orders = {CriusPlacementOrder::kFifo,
-                                                     CriusPlacementOrder::kScoreDensity,
-                                                     CriusPlacementOrder::kSmallestFirst};
-  std::array<std::pair<ScheduleDecision, double>, 3> results;
-  ThreadPool::Global().ParallelFor(orders.size(), [&](size_t i) {
-    results[i] = ScheduleOnce(now, jobs, cluster, orders[i]);
-  });
+  // the highest total estimated throughput; the first ordering wins ties.
   std::pair<ScheduleDecision, double> best{ScheduleDecision{}, -1.0};
-  for (std::pair<ScheduleDecision, double>& candidate : results) {
+  for (const CriusPlacementOrder order :
+       {CriusPlacementOrder::kFifo, CriusPlacementOrder::kScoreDensity,
+        CriusPlacementOrder::kSmallestFirst}) {
+    std::pair<ScheduleDecision, double> candidate = ScheduleOnce(now, jobs, cluster, order);
     if (candidate.second > best.second) {
       best = std::move(candidate);
     }
@@ -354,15 +333,8 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
   // --- Virtual state: running jobs keep their Cells ------------------------
   // Each job's ranking is read from the positional snapshot SyncCellsCache
   // resolved for exactly these jobs.
-  // Pass scratch is thread_local: passes run as pool tasks (one per ordering
-  // under kBestOfAll) and nested ParallelFors stay inline on their worker,
-  // so no two live passes share a thread.
-  static thread_local std::vector<VirtualJob> vjobs;
-  static thread_local std::vector<size_t> queued_order;
-  static thread_local std::vector<FitIndex> deadline_fits;
-  static thread_local MoveClassIndex move_classes;
-  vjobs.clear();
-  queued_order.clear();
+  vjobs_.clear();
+  queued_order_.clear();
   for (size_t ji = 0; ji < jobs.size(); ++ji) {
     const JobState* js = jobs[ji];
     VirtualJob vj;
@@ -387,24 +359,24 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
       const double best = vj.cells->choices.empty() ? 0.0 : vj.cells->choices.front().score;
       vj.density = best / std::max(1, js->job.requested_gpus);
     }
-    vjobs.push_back(vj);
+    vjobs_.push_back(vj);
   }
-  for (size_t i = 0; i < vjobs.size(); ++i) {
-    if (!vjobs[i].cell.has_value()) {
-      queued_order.push_back(i);
+  for (size_t i = 0; i < vjobs_.size(); ++i) {
+    if (!vjobs_[i].cell.has_value()) {
+      queued_order_.push_back(i);
     }
   }
-  std::stable_sort(queued_order.begin(), queued_order.end(), [&](size_t a, size_t b) {
-    const TrainingJob& ja = vjobs[a].state->job;
-    const TrainingJob& jb = vjobs[b].state->job;
+  std::stable_sort(queued_order_.begin(), queued_order_.end(), [&](size_t a, size_t b) {
+    const TrainingJob& ja = vjobs_[a].state->job;
+    const TrainingJob& jb = vjobs_[b].state->job;
     if (config_.deadline_aware && ja.deadline.has_value() && jb.deadline.has_value() &&
         *ja.deadline != *jb.deadline) {
       return *ja.deadline < *jb.deadline;  // earliest deadline first
     }
     if (!config_.deadline_aware) {
       if (order == CriusPlacementOrder::kScoreDensity) {
-        if (vjobs[a].density != vjobs[b].density) {
-          return vjobs[a].density > vjobs[b].density;
+        if (vjobs_[a].density != vjobs_[b].density) {
+          return vjobs_[a].density > vjobs_[b].density;
         }
       } else if (order == CriusPlacementOrder::kSmallestFirst) {
         if (ja.requested_gpus != jb.requested_gpus) {
@@ -488,15 +460,15 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
   // Each queued job with a deadline gets a FitIndex over the choices that
   // meet it, built once per pass; an empty one means the job is hopeless.
   if (config_.deadline_aware) {
-    deadline_fits.resize(vjobs.size());
-    for (size_t qi : queued_order) {
-      VirtualJob& vj = vjobs[qi];
+    deadline_fits_.resize(vjobs_.size());
+    for (size_t qi : queued_order_) {
+      VirtualJob& vj = vjobs_[qi];
       if (!vj.state->job.deadline.has_value()) {
         continue;
       }
       const std::vector<CellChoice>& choices = vj.cells->choices;
-      deadline_fits[qi].Build(choices, [&](size_t i) { return meets_deadline(vj, choices[i]); });
-      vj.fit = &deadline_fits[qi];
+      deadline_fits_[qi].Build(choices, [&](size_t i) { return meets_deadline(vj, choices[i]); });
+      vj.fit = &deadline_fits_[qi];
       if (vj.fit->first() < 0) {
         vj.dropped = true;
         decision.dropped.push_back(vj.state->job.id);
@@ -514,11 +486,11 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
   // The search's move classes, built at the pass's first search; from then on
   // every placed job is indexed.
   bool classes_built = false;
-  auto index_victim = [&](size_t vi) { move_classes.Insert(vjobs, vi, meets_deadline); };
+  auto index_victim = [&](size_t vi) { move_classes_.Insert(vjobs_, vi, meets_deadline); };
   {
     CRIUS_TRACE_SPAN("sched.place");
-    for (size_t qi : queued_order) {
-      VirtualJob& vj = vjobs[qi];
+    for (size_t qi : queued_order_) {
+      VirtualJob& vj = vjobs_[qi];
       if (vj.dropped) {
         continue;
       }
@@ -544,7 +516,7 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
       if (searched_jobs < config_.max_search_jobs && config_.search_depth > 0) {
         ++searched_jobs;
         if (!classes_built) {
-          move_classes.Build(vjobs, meets_deadline);
+          move_classes_.Build(vjobs_, meets_deadline);
           classes_built = true;
         }
         FreeMap trial_free = free;
@@ -563,19 +535,19 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
         auto mine_after = [&](const FreeMap& f) { return best_fitting(vj, f); };
 
         for (int depth = 0; depth < config_.search_depth && !placed; ++depth) {
-          const ScalingMove move = move_classes.BestMove(trial_free, cumulative_delta,
+          const ScalingMove move = move_classes_.BestMove(trial_free, cumulative_delta,
                                                          vj_potential, mine_after,
                                                          &moves_evaluated);
           if (move.choice < 0 || (move.enables && cumulative_delta + move.delta <= 0.0)) {
             break;  // no move, or completing the chain would lower throughput
           }
-          VirtualJob& victim = vjobs[move.victim];
+          VirtualJob& victim = vjobs_[move.victim];
           const CellChoice& new_cell = victim.cells->choices[move.choice];
           saved.push_back(SavedVictim{move.victim, victim.cell, victim.score});
           Give(*victim.cell, trial_free);
           Take(new_cell.cell, trial_free);
           cumulative_delta += new_cell.score - victim.score;
-          move_classes.Erase(move.victim);
+          move_classes_.Erase(move.victim);
           victim.cell = new_cell.cell;
           victim.score = new_cell.score;
           index_victim(move.victim);
@@ -598,9 +570,9 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
         } else {
           // Roll back all speculative moves.
           for (auto it = saved.rbegin(); it != saved.rend(); ++it) {
-            move_classes.Erase(it->vi);
-            vjobs[it->vi].cell = it->cell;
-            vjobs[it->vi].score = it->score;
+            move_classes_.Erase(it->vi);
+            vjobs_[it->vi].cell = it->cell;
+            vjobs_[it->vi].score = it->score;
             index_victim(it->vi);
           }
         }
@@ -632,14 +604,14 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
     // places one non-opportunistic job, so `released` only loses its Cell.
     std::vector<size_t> evictable;
     FreeMap released = free;
-    for (size_t vi = 0; vi < vjobs.size(); ++vi) {
-      if (vjobs[vi].cell.has_value() && vjobs[vi].opportunistic) {
-        Give(*vjobs[vi].cell, released);
+    for (size_t vi = 0; vi < vjobs_.size(); ++vi) {
+      if (vjobs_[vi].cell.has_value() && vjobs_[vi].opportunistic) {
+        Give(*vjobs_[vi].cell, released);
         evictable.push_back(vi);
       }
     }
-    for (size_t qi : queued_order) {
-      VirtualJob& vj = vjobs[qi];
+    for (size_t qi : queued_order_) {
+      VirtualJob& vj = vjobs_[qi];
       if (vj.cell.has_value() || vj.dropped) {
         continue;
       }
@@ -651,7 +623,7 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
       // Evict only as many opportunistic jobs as needed (latest first).
       FreeMap f3 = free;
       while (!evictable.empty()) {
-        VirtualJob& opp = vjobs[evictable.back()];
+        VirtualJob& opp = vjobs_[evictable.back()];
         evictable.pop_back();
         Give(*opp.cell, f3);
         opp.cell.reset();
@@ -683,8 +655,8 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
                            : -std::numeric_limits<double>::infinity();
     size_t best_vi = 0;
     const CellChoice* best_cell = nullptr;
-    for (size_t vi = 0; vi < vjobs.size(); ++vi) {
-      VirtualJob& vj = vjobs[vi];
+    for (size_t vi = 0; vi < vjobs_.size(); ++vi) {
+      VirtualJob& vj = vjobs_[vi];
       if (!vj.cell.has_value()) {
         continue;
       }
@@ -740,7 +712,7 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
     if (best_cell == nullptr) {
       break;
     }
-    VirtualJob& vj = vjobs[best_vi];
+    VirtualJob& vj = vjobs_[best_vi];
     Give(*vj.cell, free);
     Take(best_cell->cell, free);
     vj.cell = best_cell->cell;
@@ -753,7 +725,7 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
   double total_score = 0.0;
   double watts_sum = 0.0;
   std::vector<double> placed_scores;
-  for (const VirtualJob& vj : vjobs) {
+  for (const VirtualJob& vj : vjobs_) {
     if (!vj.cell.has_value()) {
       continue;
     }

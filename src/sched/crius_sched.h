@@ -15,6 +15,11 @@
 // scaling pins it to its requested GPU type (Crius-NH). The deadline-aware
 // variant (Crius-DDL, §8.5) admission-drops jobs that cannot meet their
 // deadline and refuses scaling moves that would break an admitted deadline.
+//
+// Threading contract: a scheduler belongs to one thread, like the oracle it
+// ranks with. Its memo and the pass scratch below are plain members, and
+// every round -- warm-up and every placement pass -- runs on the caller's
+// thread.
 
 #ifndef SRC_SCHED_CRIUS_SCHED_H_
 #define SRC_SCHED_CRIUS_SCHED_H_
@@ -99,9 +104,9 @@ class CriusScheduler : public Scheduler {
   const CriusConfig& config() const { return config_; }
 
  private:
-  // Pure computation of the scored Cell candidates for `job` under the
-  // ablation flags. Touches no scheduler state besides the (thread-safe)
-  // oracle, so pool workers may run it concurrently during cache warm-up.
+  // The scored Cell candidates for `job` under the ablation flags: a pure
+  // function of (job, cluster health). Reads no scheduler state besides the
+  // oracle; writes only the candidate/batch scratch.
   JobCells ComputeCells(const TrainingJob& job, const Cluster& cluster);
 
   // §8.6 ablation pruning in place: Crius-NH keeps only the requested GPU
@@ -114,14 +119,14 @@ class CriusScheduler : public Scheduler {
   // per-type capacity cap crossed one of the job's three candidate sizes) are
   // re-ranked; the rest are kept. Falls back to a full re-rank when the
   // cluster identity changed or the epoch moved with an empty-handed event
-  // delta. Always evicts entries for jobs no longer in the round, warms
-  // missing entries in parallel, and rebuilds `cells_snapshot_`.
+  // delta. Always evicts entries for jobs no longer in the round, ranks the
+  // missing entries, and rebuilds `cells_snapshot_`.
   void SyncCellsCache(const RoundContext& round);
 
   // One full virtual-scheduling pass with a fixed queued-job order; also
   // returns the decision's total estimated normalized throughput. Pure
-  // function of (now, jobs, cluster, order) given the synced snapshot; safe
-  // to run concurrently with other passes.
+  // function of (now, jobs, cluster, order) given the synced snapshot; the
+  // pass scratch below is reset on entry.
   std::pair<ScheduleDecision, double> ScheduleOnce(double now,
                                                    const std::vector<const JobState*>& jobs,
                                                    const Cluster& cluster,
@@ -138,8 +143,8 @@ class CriusScheduler : public Scheduler {
   // handed a different Cluster object whose epoch happens to match (e.g. a
   // fresh cluster also at epoch 0, or one reusing a freed address) so it
   // cannot keep rankings computed against hardware that no longer exists.
-  // Only SyncCellsCache mutates it, single-threaded; node-based, so the
-  // snapshot's pointers survive inserts.
+  // Only SyncCellsCache mutates it; node-based, so the snapshot's pointers
+  // survive inserts.
   std::unordered_map<int64_t, JobCells> cells_memo_;
   // Stamp of the previous round's sync, plus the per-type candidate-size caps
   // (FloorPowerOfTwo of usable capacity) observed then -- the inputs the
@@ -157,6 +162,14 @@ class CriusScheduler : public Scheduler {
   // id tags let the steady fast path confirm the round's jobs are exactly
   // last sync's, in order.
   std::vector<std::pair<int64_t, const JobCells*>> cells_snapshot_;
+  // Ranking scratch (ComputeCells, ProfilingDelay) and ScheduleOnce pass
+  // scratch, reused so steady-state rounds reallocate nothing.
+  std::vector<Cell> candidates_;
+  CellBatchResult batch_;
+  std::vector<VirtualJob> vjobs_;
+  std::vector<size_t> queued_order_;
+  std::vector<FitIndex> deadline_fits_;
+  MoveClassIndex move_classes_;
 };
 
 }  // namespace crius

@@ -7,8 +7,10 @@
 // process-wide ThreadPool (ThreadPool::Global().ParallelFor) -- one worker
 // per connection, so a connection's requests stay ordered and no two threads
 // ever write the same fd, while slow handlers on separate connections run
-// concurrently. Handlers must therefore be thread-safe (the Controller's
-// ingress and snapshot surfaces are).
+// concurrently. This is the only ParallelFor in the library. Handlers must
+// therefore be thread-safe: they reach the Controller only through its
+// ingress and snapshot surfaces, never the scheduler or oracle, which belong
+// to the controller thread.
 //
 // A connection's batch of responses is concatenated and written with ONE
 // bounded write sequence: EAGAIN waits for POLLOUT only until

@@ -19,8 +19,8 @@
 //     large block ("large-block fallback"); it is recycled by Reset like any
 //     other block, so a one-off huge round does not wedge the arena into
 //     permanently oversized steady-state behaviour beyond keeping that block.
-//   * Not thread-safe. One arena per thread of execution (EstimatorScratch is
-//     threaded through the batch API exactly so each pool worker owns one).
+//   * Not thread-safe. An arena belongs to its owner's thread (the estimator
+//     owns one, and an estimator belongs to one thread).
 //
 // ArenaVector<T> is the minimal vector shim the hot loops need: contiguous,
 // grow-by-doubling via arena storage, no destructor calls, no shrinking. Use

@@ -1,4 +1,7 @@
-// Small work-stealing thread pool for the scheduling/estimation hot path.
+// Small work-stealing thread pool. It runs the serve daemon's per-connection
+// request handling (Server::DispatchReady) and bench sweeps whose tasks own
+// all their state (ext_robustness, one oracle per seed). A simulation run
+// itself never uses it: an oracle and a scheduler belong to one thread.
 //
 // Design goals, in order:
 //   1. Determinism. ParallelFor(n, fn) runs fn(0..n-1) with results written
@@ -18,8 +21,8 @@
 // ParallelFor never blocks on a fully busy pool.
 //
 // The process-wide pool is sized by ThreadPool::SetGlobalThreads (the
-// --threads flag of crius_sim / crius_plan); call it from main before any
-// parallel section, not concurrently with one.
+// --threads flag of the tools and benches, 1..kMaxThreads); call it from main
+// before any parallel section, not concurrently with one.
 
 #ifndef SRC_UTIL_THREADPOOL_H_
 #define SRC_UTIL_THREADPOOL_H_
@@ -45,6 +48,9 @@ class ThreadPool {
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
+
+  // Largest --threads value the tools and benches accept.
+  static constexpr int kMaxThreads = 4096;
 
   int threads() const { return threads_; }
 

@@ -12,8 +12,10 @@
 // count.
 //
 // CriusWorkCountTest pins the deterministic work counts of the crius and
-// crius-solver runs at --threads 1 exactly, so an algorithmic regression fails
-// here instead of hiding in wall-time noise.
+// crius-solver runs exactly, so an algorithmic regression fails here instead
+// of hiding in wall-time noise. The counts are recorded at --threads 1 and a
+// --threads 4 run must reproduce every one of them, the oracle's batch
+// hit/miss split included.
 //
 // To regenerate after an intended decision change, run the test and copy the
 // "actual" hashes it prints into kVariants. A pinned work count changes only
@@ -69,11 +71,38 @@ struct RunResult {
   int64_t moves_evaluated = 0;
   int64_t cells_considered = 0;
   int64_t sched_invocations = 0;
+  int64_t assignments = 0;
+  int64_t batch_hits = 0;
+  int64_t batch_misses = 0;
 };
 
 int64_t CounterNow(const std::string& name, const MetricLabels& labels = {}) {
   return CounterRegistry::Global().CounterValue(CanonicalMetricName(name, labels));
 }
+
+// Delegates to `inner` and sums the assignment entries of every decision
+// (the count perfbench reports as sched.assignments).
+class AssignmentCounter final : public Scheduler {
+ public:
+  explicit AssignmentCounter(Scheduler& inner) : Scheduler(nullptr), inner_(inner) {}
+
+  std::string name() const override { return inner_.name(); }
+
+  ScheduleDecision Schedule(const RoundContext& round) override {
+    ScheduleDecision decision = inner_.Schedule(round);
+    assignments += static_cast<int64_t>(decision.assignments.size());
+    return decision;
+  }
+
+  double ProfilingDelay(const TrainingJob& job, const Cluster& cluster) override {
+    return inner_.ProfilingDelay(job, cluster);
+  }
+
+  int64_t assignments = 0;
+
+ private:
+  Scheduler& inner_;
+};
 
 // The scenario: the 1,280-GPU simulated cluster under a compressed heavy
 // Philly trace (600 jobs in two days at offered load 2.0), so queued jobs
@@ -101,6 +130,7 @@ RunResult RunVariant(const Variant& variant, int threads) {
     options.multi = multi.value_or(MultiObjectiveConfig{});
   }
   auto scheduler = MakeNamedScheduler(variant.scheduler, &oracle, options);
+  AssignmentCounter counted(*scheduler);
   SimConfig sim_config;
   sim_config.record_events = true;
   Simulator sim(cluster, sim_config);
@@ -110,7 +140,9 @@ RunResult RunVariant(const Variant& variant, int threads) {
   const int64_t moves0 = CounterNow("sched.search_moves_evaluated");
   const int64_t cells0 = CounterNow("sched.cells_considered");
   const int64_t invocations0 = CounterNow("sim.sched_invocations");
-  const SimResult result = sim.Run(*scheduler, oracle, trace);
+  const int64_t hits0 = CounterNow("oracle.batch_hits");
+  const int64_t misses0 = CounterNow("oracle.batch_misses");
+  const SimResult result = sim.Run(counted, oracle, trace);
 
   RunResult run;
   std::ostringstream jobs, events;
@@ -123,6 +155,9 @@ RunResult RunVariant(const Variant& variant, int threads) {
   run.moves_evaluated = CounterNow("sched.search_moves_evaluated") - moves0;
   run.cells_considered = CounterNow("sched.cells_considered") - cells0;
   run.sched_invocations = CounterNow("sim.sched_invocations") - invocations0;
+  run.assignments = counted.assignments;
+  run.batch_hits = CounterNow("oracle.batch_hits") - hits0;
+  run.batch_misses = CounterNow("oracle.batch_misses") - misses0;
   return run;
 }
 
@@ -172,36 +207,50 @@ struct WorkCounts {
   int64_t searches_failed;
   int64_t cells_considered;
   int64_t sched_invocations;
+  int64_t assignments;
+  int64_t batch_hits;
+  int64_t batch_misses;
 };
 
 // Recorded at --threads 1 from the class-indexed scaling search.
 constexpr WorkCounts kWorkCounts[] = {
-    {"crius", 38278, 458, 406, 20868, 3184},
-    {"crius_solver", 265969, 957, 3660, 20868, 3184},
+    {"crius", 38278, 458, 406, 20868, 3184, 215336, 38924, 2812},
+    {"crius_solver", 265969, 957, 3660, 20868, 3184, 208435, 38924, 2812},
 };
 
-class CriusWorkCountTest : public ::testing::TestWithParam<WorkCounts> {};
+class CriusWorkCountTest : public ::testing::TestWithParam<WorkCounts> {
+ protected:
+  void TearDown() override { ThreadPool::SetGlobalThreads(1); }
 
-TEST_P(CriusWorkCountTest, WorkCountsMatchExactlyAtOneThread) {
-  const WorkCounts& want = GetParam();
-  const Variant* variant = nullptr;
-  for (const Variant& v : kVariants) {
-    if (std::string(v.label) == want.label) {
-      variant = &v;
+  // Runs the scenario at `threads` and compares every pinned count.
+  static void ExpectCounts(const WorkCounts& want, int threads) {
+    const Variant* variant = nullptr;
+    for (const Variant& v : kVariants) {
+      if (std::string(v.label) == want.label) {
+        variant = &v;
+      }
     }
+    ASSERT_NE(variant, nullptr) << want.label;
+    const RunResult run = RunVariant(*variant, threads);
+    std::printf("actual: {\"%s\", %" PRId64 ", %" PRId64 ", %" PRId64 ", %" PRId64 ", %" PRId64
+                ", %" PRId64 ", %" PRId64 ", %" PRId64 "}  // --threads %d\n",
+                want.label, run.moves_evaluated, run.searches_placed, run.searches_failed,
+                run.cells_considered, run.sched_invocations, run.assignments, run.batch_hits,
+                run.batch_misses, threads);
+    EXPECT_EQ(run.moves_evaluated, want.moves_evaluated) << "sched.search_moves_evaluated";
+    EXPECT_EQ(run.searches_placed, want.searches_placed) << "sched.searches{outcome=placed}";
+    EXPECT_EQ(run.searches_failed, want.searches_failed) << "sched.searches{outcome=failed}";
+    EXPECT_EQ(run.cells_considered, want.cells_considered) << "sched.cells_considered";
+    EXPECT_EQ(run.sched_invocations, want.sched_invocations) << "sim.sched_invocations";
+    EXPECT_EQ(run.assignments, want.assignments) << "sched.assignments";
+    EXPECT_EQ(run.batch_hits, want.batch_hits) << "oracle.batch_hits";
+    EXPECT_EQ(run.batch_misses, want.batch_misses) << "oracle.batch_misses";
   }
-  ASSERT_NE(variant, nullptr) << want.label;
-  const RunResult run = RunVariant(*variant, 1);
-  std::printf("actual: {\"%s\", %" PRId64 ", %" PRId64 ", %" PRId64 ", %" PRId64 ", %" PRId64
-              "}\n",
-              want.label, run.moves_evaluated, run.searches_placed, run.searches_failed,
-              run.cells_considered, run.sched_invocations);
-  EXPECT_EQ(run.moves_evaluated, want.moves_evaluated) << "sched.search_moves_evaluated";
-  EXPECT_EQ(run.searches_placed, want.searches_placed) << "sched.searches{outcome=placed}";
-  EXPECT_EQ(run.searches_failed, want.searches_failed) << "sched.searches{outcome=failed}";
-  EXPECT_EQ(run.cells_considered, want.cells_considered) << "sched.cells_considered";
-  EXPECT_EQ(run.sched_invocations, want.sched_invocations) << "sim.sched_invocations";
-}
+};
+
+TEST_P(CriusWorkCountTest, WorkCountsMatchExactlyAtOneThread) { ExpectCounts(GetParam(), 1); }
+
+TEST_P(CriusWorkCountTest, WorkCountsMatchExactlyAtFourThreads) { ExpectCounts(GetParam(), 4); }
 
 INSTANTIATE_TEST_SUITE_P(CriusAndSolver, CriusWorkCountTest, ::testing::ValuesIn(kWorkCounts),
                          [](const ::testing::TestParamInfo<WorkCounts>& info) {

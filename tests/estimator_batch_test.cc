@@ -77,13 +77,13 @@ TEST_F(EstimatorBatchTest, SoAPathIsBitIdenticalToReferenceAcrossZoo) {
 TEST_F(EstimatorBatchTest, ScratchReuseDoesNotChangeResults) {
   const ModelSpec spec{ModelFamily::kBert, 2.6, 128};
   const JobContext ctx = model_.MakeContext(spec, GpuType::kA100);
-  EstimatorScratch scratch;
   const Cell a{GpuType::kA100, 8, 4};
   const Cell b{GpuType::kA100, 16, 8};
-  const CellEstimate first_a = estimator_.Estimate(ctx, a, &scratch);
-  // Interleave other work through the same scratch, then re-estimate.
-  (void)estimator_.Estimate(ctx, b, &scratch);
-  const CellEstimate again_a = estimator_.Estimate(ctx, a, &scratch);
+  const CellEstimate first_a = estimator_.Estimate(ctx, a);
+  // Interleave other work through the estimator's scratch arena, then
+  // re-estimate.
+  (void)estimator_.Estimate(ctx, b);
+  const CellEstimate again_a = estimator_.Estimate(ctx, a);
   ExpectBitIdentical(again_a, first_a, "scratch reuse");
 }
 

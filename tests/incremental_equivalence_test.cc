@@ -102,9 +102,8 @@ TEST_F(IncrementalEquivalenceTest, IncrementalMatchesFullAcrossThreadCounts) {
 }
 
 TEST_F(IncrementalEquivalenceTest, SolverLiteIncrementalMatchesFull) {
-  // kBestOfAll runs three concurrent placement passes that read the shared
-  // ranking snapshot; the memo's maintenance must not change the winning
-  // pass.
+  // kBestOfAll runs three placement passes that read the shared ranking
+  // snapshot; the memo's maintenance must not change the winning pass.
   CriusConfig config;
   config.placement_order = CriusPlacementOrder::kBestOfAll;
   ExpectIdentical(Run<CriusScheduler>(4, config), Run<FreshCriusScheduler>(1, config),

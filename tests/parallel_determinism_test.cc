@@ -1,9 +1,8 @@
-// Acceptance test for the parallel scheduling/estimation fan-out: a full
-// simulation run must produce BIT-IDENTICAL event and timeline CSVs at any
-// thread count. Every cached quantity is a pure function of its key and every
-// fan-out writes into caller-owned slots, so the only way this test fails is a
-// real determinism bug (ordering leak, shared-state race, or a cache whose
-// value depends on population order).
+// Acceptance test for the --threads contract: a full simulation run must
+// produce BIT-IDENTICAL event and timeline CSVs at any thread count. A run is
+// single-threaded whatever the pool size, so the only way this test fails is
+// a real determinism bug (a code path that starts using the pool, or a value
+// that depends on the pool size).
 
 #include <gtest/gtest.h>
 
@@ -80,8 +79,8 @@ TEST_F(ParallelDeterminismTest, CriusRunIsBitIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(ParallelDeterminismTest, SolverLiteRunIsBitIdenticalAcrossThreadCounts) {
-  // kBestOfAll runs its three virtual placement passes concurrently; the
-  // winning decision must not depend on which pass finishes first.
+  // kBestOfAll runs its three virtual placement passes one after another on
+  // shared pass scratch; the winning decision must not depend on the pool.
   CriusConfig config;
   config.placement_order = CriusPlacementOrder::kBestOfAll;
   const RunCsvs base = Run(1, config);

@@ -129,7 +129,9 @@ int Run(int argc, const char* const* argv) {
   flags.String("timeline-csv", &timeline_csv, "write the throughput timeline to this CSV");
   flags.String("events-csv", &events_csv, "write the scheduling-event log to this CSV");
   flags.Bool("counters", &counters, "print the counter/histogram table on exit");
-  flags.Int("threads", &threads, "worker threads (socket dispatch + estimation fan-out)");
+  flags.Int("threads", &threads,
+            "worker threads for socket connection dispatch, 1..4096 (the scheduler "
+            "runs on the controller thread)");
   if (!flags.Parse(argc, argv)) {
     return 1;
   }
@@ -151,6 +153,11 @@ int Run(int argc, const char* const* argv) {
     return 1;
   }
 
+  if (threads < 1 || threads > ThreadPool::kMaxThreads) {
+    std::fprintf(stderr, "crius_serve: --threads must be in 1..%d (got %lld)\n",
+                 ThreadPool::kMaxThreads, static_cast<long long>(threads));
+    return 1;
+  }
   ThreadPool::SetGlobalThreads(static_cast<int>(threads));
 
   if (!replay_path.empty()) {

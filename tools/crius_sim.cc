@@ -150,8 +150,8 @@ int Run(int argc, const char* const* argv) {
                "debug|info|warning|error|off; overrides CRIUS_LOG_LEVEL "
                "(precedence: flag > env > default warning)");
   flags.Int("threads", &threads,
-            "worker threads for scheduling/estimation fan-out (results are "
-            "bit-identical to --threads 1)");
+            "worker-pool size, 1..4096; a simulation runs on one thread, so the "
+            "output is identical at every value");
   if (!flags.Parse(argc, argv)) {
     return 1;
   }
@@ -163,6 +163,12 @@ int Run(int argc, const char* const* argv) {
       return 1;
     }
     SetLogLevel(*parsed);
+  }
+
+  if (threads < 1 || threads > ThreadPool::kMaxThreads) {
+    std::fprintf(stderr, "crius_sim: --threads must be in 1..%d (got %lld)\n",
+                 ThreadPool::kMaxThreads, static_cast<long long>(threads));
+    return 1;
   }
 
   if (!trace_json.empty()) {
