@@ -22,23 +22,21 @@
 
 namespace crius {
 
-// Parses the one flag the bench binaries share -- "--threads N" (or
-// "--threads=N") -- and sizes the global pool accordingly. Routed through
-// FlagSet::ParseKnown so a malformed value warns and keeps the default
-// instead of silently turning garbage into 0, and so flags owned by the
-// bench binary itself pass through untouched. The pool runs ext_robustness's
-// per-seed sweep (each seed owns its oracle) and ext_serve's connection
-// workers; every simulation run is single-threaded, so results are
-// bit-identical across thread counts.
+// Parses "--threads N" (or "--threads=N") for the benches that run the pool
+// -- ext_robustness's per-seed sweep (each seed owns its oracle) and
+// ext_serve's connection workers -- and sizes the global pool accordingly.
+// Routed through FlagSet::ParseKnown so a malformed value warns and keeps the
+// default, and so flags owned by the bench binary itself pass through
+// untouched. A value outside 1..kMaxThreads exits 1, as in crius_serve.
 inline void ConfigureBenchThreads(int argc, char** argv) {
   int64_t threads = 1;
   FlagSet flags("bench", "shared benchmark flags");
   flags.Int("threads", &threads, "worker threads for per-seed sweeps and serve connections");
   flags.ParseKnown(argc, argv);
   if (threads < 1 || threads > ThreadPool::kMaxThreads) {
-    std::fprintf(stderr, "warning: ignoring --threads value %lld (expected 1..%d); using 1\n",
-                 static_cast<long long>(threads), ThreadPool::kMaxThreads);
-    threads = 1;
+    std::fprintf(stderr, "%s: --threads must be in 1..%d (got %lld)\n", argv[0],
+                 ThreadPool::kMaxThreads, static_cast<long long>(threads));
+    std::exit(1);
   }
   ThreadPool::SetGlobalThreads(static_cast<int>(threads));
 }

@@ -18,7 +18,6 @@
 
 int main(int argc, char** argv) {
   using namespace crius;
-  ConfigureBenchThreads(argc, argv);
   const int jobs_override = static_cast<int>(BenchFlagInt(argc, argv, "--jobs", 0));
 
   Cluster cluster = MakeSimulatedCluster();

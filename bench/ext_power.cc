@@ -60,7 +60,6 @@ double Kwh(double joules) { return joules / 3.6e6; }
 
 int main(int argc, char** argv) {
   using namespace crius;
-  ConfigureBenchThreads(argc, argv);
   const bool smoke = BenchFlagPresent(argc, argv, "--smoke");
   const int jobs_override = static_cast<int>(BenchFlagInt(argc, argv, "--jobs", 0));
 

@@ -70,7 +70,6 @@ SimResult RunOne(const Cluster& cluster, const std::vector<TrainingJob>& trace,
 
 int main(int argc, char** argv) {
   using namespace crius;
-  ConfigureBenchThreads(argc, argv);
   const bool smoke = BenchFlagPresent(argc, argv, "--smoke");
   const int jobs_override = static_cast<int>(BenchFlagInt(argc, argv, "--jobs", 0));
 

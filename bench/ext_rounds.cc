@@ -115,7 +115,6 @@ std::vector<RoundSample> RunMode(const Cluster& cluster, const std::vector<Train
 
 int main(int argc, char** argv) {
   using namespace crius;
-  ConfigureBenchThreads(argc, argv);
   const bool smoke = BenchFlagPresent(argc, argv, "--smoke");
   const int jobs_override = static_cast<int>(BenchFlagInt(argc, argv, "--jobs", 0));
 

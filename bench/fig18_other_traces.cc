@@ -48,9 +48,8 @@ void RunTrace(const Cluster& cluster, PerformanceOracle& oracle, const TraceConf
 }  // namespace
 }  // namespace crius
 
-int main(int argc, char** argv) {
+int main() {
   using namespace crius;
-  ConfigureBenchThreads(argc, argv);
   Cluster cluster = MakeSimulatedCluster();
   PerformanceOracle oracle(cluster, 42);
   RunTrace(cluster, oracle, HeliosModerateConfig(), "Fig. 18(a)(c) Helios Venus, moderate load");

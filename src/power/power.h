@@ -25,7 +25,7 @@
 //
 // The ledger is driven exclusively from the single-threaded SimEngine step
 // path (src/sim/engine.cc), so it needs no synchronization and its sums are
-// bit-identical across --threads.
+// bit-identical from run to run and through serve-session replay.
 
 #ifndef SRC_POWER_POWER_H_
 #define SRC_POWER_POWER_H_

@@ -32,7 +32,7 @@
 // decision, internal cooldown state); jobs are scanned in ascending id and
 // candidates in GenerateCells's canonical order, estimated with one
 // EstimateCellBatch query per job whose cached values are pure functions of
-// their keys -- so proposals are bit-identical across --threads and through
+// their keys -- so proposals are bit-identical from run to run and through
 // serve-session replay.
 
 #ifndef SRC_RECONFIG_POLICY_H_

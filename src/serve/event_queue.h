@@ -42,10 +42,10 @@
 // ring and merges the batch by the (virtual-time, route, seq) key. None of
 // those three stamps depends on the physical shard count, so for the same
 // ingress sequence the merged — and therefore applied, logged, and replayed —
-// command order is bit-identical across --shards 1/2/8, the same way
-// parallel_determinism_test proves scheduling is across --threads. Commands
-// that share a route (all commands of one job; all health events of one
-// node) keep their arrival order via the per-route seq.
+// command order is bit-identical across --shards 1/2/8 (EventQueueTest and
+// the ext_serve --determinism gate check it). Commands that share a route
+// (all commands of one job; all health events of one node) keep their arrival
+// order via the per-route seq.
 //
 // The cluster view is epoch-published: the controller bumps an epoch counter
 // and stores the new queued-jobs / oldest-wait / virtual-now fields as plain

@@ -1,6 +1,8 @@
 #include "src/util/threadpool.h"
 
-#include "src/util/check.h"
+#include <memory>
+#include <string>
+
 #include "src/util/counters.h"
 #include "src/util/trace.h"
 
@@ -18,14 +20,9 @@ std::unique_ptr<ThreadPool> g_global_pool;  // lazily created, default 1 thread
 }  // namespace
 
 ThreadPool::ThreadPool(int threads) : threads_(threads < 1 ? 1 : threads) {
-  deques_.reserve(static_cast<size_t>(threads_));
-  for (int i = 0; i < threads_; ++i) {
-    deques_.push_back(std::make_unique<Deque>());
-  }
-  // Worker w services deques_[w + 1]; the ParallelFor caller services
-  // deques_[0].
+  // The ParallelFor caller is the remaining participant.
   for (int w = 0; w + 1 < threads_; ++w) {
-    workers_.emplace_back([this, w] { WorkerLoop(w); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -40,65 +37,35 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-bool ThreadPool::PopIndex(int worker, size_t* index, bool* stolen) {
-  // Own deque first, front-first (preserves the round-robin deal order).
-  {
-    Deque& own = *deques_[static_cast<size_t>(worker)];
-    std::lock_guard<std::mutex> lock(own.mu);
-    if (!own.indices.empty()) {
-      *index = own.indices.front();
-      own.indices.pop_front();
-      *stolen = false;
-      return true;
-    }
-  }
-  // Steal from siblings, back-first (classic work stealing: take the work the
-  // owner would reach last).
-  for (int off = 1; off < threads_; ++off) {
-    Deque& victim = *deques_[static_cast<size_t>((worker + off) % threads_)];
-    std::lock_guard<std::mutex> lock(victim.mu);
-    if (!victim.indices.empty()) {
-      *index = victim.indices.back();
-      victim.indices.pop_back();
-      *stolen = true;
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::RunOne(size_t index) {
+void ThreadPool::RunBatch(Batch* batch) {
   const bool was_in_task = t_in_pool_task;
   t_in_pool_task = true;
-  (*fn_)(index);
+  for (size_t i = batch->next.fetch_add(1); i < batch->n;
+       i = batch->next.fetch_add(1)) {
+    (*batch->fn)(i);
+  }
   t_in_pool_task = was_in_task;
-  remaining_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
-void ThreadPool::WorkerLoop(int worker) {
-  const int my_deque = worker + 1;
+void ThreadPool::WorkerLoop() {
   uint64_t seen_generation = 0;
+  std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] { return shutdown_ || generation_ != seen_generation; });
-      if (shutdown_) {
-        return;
-      }
-      seen_generation = generation_;
+    work_cv_.wait(lock, [&] {
+      return shutdown_ || (batch_ != nullptr && generation_ != seen_generation);
+    });
+    if (shutdown_) {
+      return;
     }
-    size_t index = 0;
-    bool stolen = false;
-    while (PopIndex(my_deque, &index, &stolen)) {
-      if (stolen) {
-        CRIUS_COUNTER_INC("threadpool.tasks_stolen");
-      }
-      RunOne(index);
-    }
-    if (remaining_.load(std::memory_order_acquire) == 0) {
-      // Synchronize with the caller's predicate check so the notify cannot
-      // slip between its check and its wait (missed wake-up).
-      { std::lock_guard<std::mutex> lock(mu_); }
+    seen_generation = generation_;
+    // Joining under mu_ keeps the caller from retiring the batch while this
+    // worker can still claim from it.
+    Batch* batch = batch_;
+    ++batch->workers;
+    lock.unlock();
+    RunBatch(batch);
+    lock.lock();
+    if (--batch->workers == 0) {
       done_cv_.notify_all();
     }
   }
@@ -124,44 +91,20 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   CRIUS_COUNTER_INC("threadpool.parallel_sections");
   CRIUS_COUNTER_ADD("threadpool.tasks_executed", static_cast<int64_t>(n));
 
-  // Publish the batch state BEFORE any index becomes poppable: a worker that
-  // finished the previous batch can still be scanning the deques, and if it
-  // pops a fresh index it must observe the new fn_/remaining_ (the deque mutex
-  // orders these writes before its pop). Publishing after the pushes would let
-  // such a stale worker call the old, nulled fn_ or underflow remaining_.
+  Batch batch{&fn, n};
   {
     std::lock_guard<std::mutex> lock(mu_);
-    fn_ = &fn;
-    remaining_.store(n, std::memory_order_release);
-  }
-
-  // Deal indices round-robin so every participant starts with a contiguous
-  // share and stealing only happens on imbalance.
-  for (size_t i = 0; i < n; ++i) {
-    Deque& d = *deques_[i % static_cast<size_t>(threads_)];
-    std::lock_guard<std::mutex> lock(d.mu);
-    d.indices.push_back(i);
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
+    batch_ = &batch;
     ++generation_;
   }
   work_cv_.notify_all();
-
-  // The caller works its own share (deque 0), then steals.
-  size_t index = 0;
-  bool stolen = false;
-  while (PopIndex(0, &index, &stolen)) {
-    if (stolen) {
-      CRIUS_COUNTER_INC("threadpool.tasks_stolen");
-    }
-    RunOne(index);
-  }
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] { return remaining_.load(std::memory_order_acquire) == 0; });
-    fn_ = nullptr;
-  }
+  RunBatch(&batch);
+  // Every index is claimed once the caller's loop ends; the batch is done
+  // when no worker is still running one. Clearing batch_ under the same lock
+  // keeps late-waking workers off it.
+  std::unique_lock<std::mutex> lock(mu_);
+  done_cv_.wait(lock, [&] { return batch.workers == 0; });
+  batch_ = nullptr;
 }
 
 ThreadPool& ThreadPool::Global() {
@@ -178,11 +121,6 @@ void ThreadPool::SetGlobalThreads(int threads) {
     return;
   }
   g_global_pool = std::make_unique<ThreadPool>(threads);
-}
-
-int ThreadPool::GlobalThreads() {
-  std::lock_guard<std::mutex> lock(g_global_mu);
-  return g_global_pool ? g_global_pool->threads() : 1;
 }
 
 }  // namespace crius

@@ -1,21 +1,19 @@
 // Golden decision test for the Crius placement pass.
 //
-// Runs one saturated simulated-cluster scenario under every Crius variant at
-// --threads 1 and 4 and compares FNV-1a hashes of the jobs and events CSVs
-// against goldens recorded from the linear-scan placement pass, before the
-// Algorithm-1 scaling search was indexed. Any change to a placement, scaling
-// move, preemption or upscale decision moves a hash.
-//
-// The same runs pin the scaling-search work counters: the scenario must run
-// at least 500 searches with both outcomes (so the goldens cannot pass on an
-// unsaturated trace), and the counters must read the same at every thread
-// count.
+// Runs one saturated simulated-cluster scenario under every Crius variant and
+// compares FNV-1a hashes of the jobs and events CSVs against goldens recorded
+// from the linear-scan placement pass, before the Algorithm-1 scaling search
+// was indexed. Any change to a placement, scaling move, preemption or upscale
+// decision moves a hash. The scenario must run at least 500 searches with
+// both outcomes, so the goldens cannot pass on an unsaturated trace.
 //
 // CriusWorkCountTest pins the deterministic work counts of the crius and
 // crius-solver runs exactly, so an algorithmic regression fails here instead
-// of hiding in wall-time noise. The counts are recorded at --threads 1 and a
-// --threads 4 run must reproduce every one of them, the oracle's batch
-// hit/miss split included.
+// of hiding in wall-time noise.
+//
+// Every run has the global pool at 4 threads and must start no parallel
+// section on it: a simulation is single-threaded, so goldens and counts
+// recorded with a 1-thread pool hold unchanged.
 //
 // To regenerate after an intended decision change, run the test and copy the
 // "actual" hashes it prints into kVariants. A pinned work count changes only
@@ -51,7 +49,7 @@ struct Variant {
   uint64_t events_hash;           // golden FNV-1a of the events CSV
 };
 
-// Recorded from the linear-scan scheduler; identical at --threads 1 and 4.
+// Recorded from the linear-scan scheduler.
 constexpr Variant kVariants[] = {
     {"crius", "crius", false, "", 0x0ae91316f77a6910ull, 0xc5fcb1760199de6dull},
     {"crius_na", "crius-na", false, "", 0x44f436751ecba71dull, 0xab452c9e56489766ull},
@@ -74,6 +72,7 @@ struct RunResult {
   int64_t assignments = 0;
   int64_t batch_hits = 0;
   int64_t batch_misses = 0;
+  int64_t parallel_sections = 0;  // threadpool.parallel_sections during the run
 };
 
 int64_t CounterNow(const std::string& name, const MetricLabels& labels = {}) {
@@ -106,9 +105,10 @@ class AssignmentCounter final : public Scheduler {
 
 // The scenario: the 1,280-GPU simulated cluster under a compressed heavy
 // Philly trace (600 jobs in two days at offered load 2.0), so queued jobs
-// regularly find no free fit and the scaling search runs.
-RunResult RunVariant(const Variant& variant, int threads) {
-  ThreadPool::SetGlobalThreads(threads);
+// regularly find no free fit and the scaling search runs. The global pool
+// gets 4 threads, which the run must leave unused.
+RunResult RunVariant(const Variant& variant) {
+  ThreadPool::SetGlobalThreads(4);
   Cluster cluster = MakeNamedCluster("simulated");
   PerformanceOracle oracle(cluster, 42);
   TraceConfig trace_config = PhillyWeekHeavyConfig();
@@ -142,6 +142,7 @@ RunResult RunVariant(const Variant& variant, int threads) {
   const int64_t invocations0 = CounterNow("sim.sched_invocations");
   const int64_t hits0 = CounterNow("oracle.batch_hits");
   const int64_t misses0 = CounterNow("oracle.batch_misses");
+  const int64_t sections0 = CounterNow("threadpool.parallel_sections");
   const SimResult result = sim.Run(counted, oracle, trace);
 
   RunResult run;
@@ -158,6 +159,7 @@ RunResult RunVariant(const Variant& variant, int threads) {
   run.assignments = counted.assignments;
   run.batch_hits = CounterNow("oracle.batch_hits") - hits0;
   run.batch_misses = CounterNow("oracle.batch_misses") - misses0;
+  run.parallel_sections = CounterNow("threadpool.parallel_sections") - sections0;
   return run;
 }
 
@@ -166,33 +168,22 @@ class CriusPlacementGoldenTest : public ::testing::TestWithParam<Variant> {
   void TearDown() override { ThreadPool::SetGlobalThreads(1); }
 };
 
-TEST_P(CriusPlacementGoldenTest, DecisionsMatchGoldensAtEveryThreadCount) {
+TEST_P(CriusPlacementGoldenTest, DecisionsMatchGoldens) {
   const Variant& variant = GetParam();
-  std::optional<RunResult> first;
-  for (int threads : {1, 4}) {
-    const RunResult run = RunVariant(variant, threads);
-    std::printf("actual: {\"%s\", 0x%016" PRIx64 "ull, 0x%016" PRIx64
-                "ull}  // --threads %d, searches %" PRId64 " placed / %" PRId64
-                " failed, %" PRId64 " moves\n",
-                variant.label, run.jobs_hash, run.events_hash, threads, run.searches_placed,
-                run.searches_failed, run.moves_evaluated);
-    EXPECT_EQ(run.jobs_hash, variant.jobs_hash) << "jobs CSV at --threads " << threads;
-    EXPECT_EQ(run.events_hash, variant.events_hash) << "events CSV at --threads " << threads;
+  const RunResult run = RunVariant(variant);
+  std::printf("actual: {\"%s\", 0x%016" PRIx64 "ull, 0x%016" PRIx64
+              "ull}  // searches %" PRId64 " placed / %" PRId64 " failed, %" PRId64 " moves\n",
+              variant.label, run.jobs_hash, run.events_hash, run.searches_placed,
+              run.searches_failed, run.moves_evaluated);
+  EXPECT_EQ(run.jobs_hash, variant.jobs_hash) << "jobs CSV";
+  EXPECT_EQ(run.events_hash, variant.events_hash) << "events CSV";
+  EXPECT_EQ(run.parallel_sections, 0) << "threadpool.parallel_sections";
 
-    // The goldens only mean something if the search actually ran, both ways.
-    EXPECT_GE(run.searches_placed + run.searches_failed, 500) << "--threads " << threads;
-    EXPECT_GT(run.searches_placed, 0) << "--threads " << threads;
-    EXPECT_GT(run.searches_failed, 0) << "--threads " << threads;
-    EXPECT_GT(run.moves_evaluated, 0) << "--threads " << threads;
-    // Work counters are deterministic: the same at every thread count.
-    if (first.has_value()) {
-      EXPECT_EQ(run.searches_placed, first->searches_placed);
-      EXPECT_EQ(run.searches_failed, first->searches_failed);
-      EXPECT_EQ(run.moves_evaluated, first->moves_evaluated);
-    } else {
-      first = run;
-    }
-  }
+  // The goldens only mean something if the search actually ran, both ways.
+  EXPECT_GE(run.searches_placed + run.searches_failed, 500);
+  EXPECT_GT(run.searches_placed, 0);
+  EXPECT_GT(run.searches_failed, 0);
+  EXPECT_GT(run.moves_evaluated, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllVariants, CriusPlacementGoldenTest, ::testing::ValuesIn(kVariants),
@@ -212,7 +203,7 @@ struct WorkCounts {
   int64_t batch_misses;
 };
 
-// Recorded at --threads 1 from the class-indexed scaling search.
+// Recorded with a 1-thread pool from the class-indexed scaling search.
 constexpr WorkCounts kWorkCounts[] = {
     {"crius", 38278, 458, 406, 20868, 3184, 215336, 38924, 2812},
     {"crius_solver", 265969, 957, 3660, 20868, 3184, 208435, 38924, 2812},
@@ -221,36 +212,33 @@ constexpr WorkCounts kWorkCounts[] = {
 class CriusWorkCountTest : public ::testing::TestWithParam<WorkCounts> {
  protected:
   void TearDown() override { ThreadPool::SetGlobalThreads(1); }
-
-  // Runs the scenario at `threads` and compares every pinned count.
-  static void ExpectCounts(const WorkCounts& want, int threads) {
-    const Variant* variant = nullptr;
-    for (const Variant& v : kVariants) {
-      if (std::string(v.label) == want.label) {
-        variant = &v;
-      }
-    }
-    ASSERT_NE(variant, nullptr) << want.label;
-    const RunResult run = RunVariant(*variant, threads);
-    std::printf("actual: {\"%s\", %" PRId64 ", %" PRId64 ", %" PRId64 ", %" PRId64 ", %" PRId64
-                ", %" PRId64 ", %" PRId64 ", %" PRId64 "}  // --threads %d\n",
-                want.label, run.moves_evaluated, run.searches_placed, run.searches_failed,
-                run.cells_considered, run.sched_invocations, run.assignments, run.batch_hits,
-                run.batch_misses, threads);
-    EXPECT_EQ(run.moves_evaluated, want.moves_evaluated) << "sched.search_moves_evaluated";
-    EXPECT_EQ(run.searches_placed, want.searches_placed) << "sched.searches{outcome=placed}";
-    EXPECT_EQ(run.searches_failed, want.searches_failed) << "sched.searches{outcome=failed}";
-    EXPECT_EQ(run.cells_considered, want.cells_considered) << "sched.cells_considered";
-    EXPECT_EQ(run.sched_invocations, want.sched_invocations) << "sim.sched_invocations";
-    EXPECT_EQ(run.assignments, want.assignments) << "sched.assignments";
-    EXPECT_EQ(run.batch_hits, want.batch_hits) << "oracle.batch_hits";
-    EXPECT_EQ(run.batch_misses, want.batch_misses) << "oracle.batch_misses";
-  }
 };
 
-TEST_P(CriusWorkCountTest, WorkCountsMatchExactlyAtOneThread) { ExpectCounts(GetParam(), 1); }
-
-TEST_P(CriusWorkCountTest, WorkCountsMatchExactlyAtFourThreads) { ExpectCounts(GetParam(), 4); }
+TEST_P(CriusWorkCountTest, WorkCountsMatchExactly) {
+  const WorkCounts& want = GetParam();
+  const Variant* variant = nullptr;
+  for (const Variant& v : kVariants) {
+    if (std::string(v.label) == want.label) {
+      variant = &v;
+    }
+  }
+  ASSERT_NE(variant, nullptr) << want.label;
+  const RunResult run = RunVariant(*variant);
+  std::printf("actual: {\"%s\", %" PRId64 ", %" PRId64 ", %" PRId64 ", %" PRId64 ", %" PRId64
+              ", %" PRId64 ", %" PRId64 ", %" PRId64 "}\n",
+              want.label, run.moves_evaluated, run.searches_placed, run.searches_failed,
+              run.cells_considered, run.sched_invocations, run.assignments, run.batch_hits,
+              run.batch_misses);
+  EXPECT_EQ(run.moves_evaluated, want.moves_evaluated) << "sched.search_moves_evaluated";
+  EXPECT_EQ(run.searches_placed, want.searches_placed) << "sched.searches{outcome=placed}";
+  EXPECT_EQ(run.searches_failed, want.searches_failed) << "sched.searches{outcome=failed}";
+  EXPECT_EQ(run.cells_considered, want.cells_considered) << "sched.cells_considered";
+  EXPECT_EQ(run.sched_invocations, want.sched_invocations) << "sim.sched_invocations";
+  EXPECT_EQ(run.assignments, want.assignments) << "sched.assignments";
+  EXPECT_EQ(run.batch_hits, want.batch_hits) << "oracle.batch_hits";
+  EXPECT_EQ(run.batch_misses, want.batch_misses) << "oracle.batch_misses";
+  EXPECT_EQ(run.parallel_sections, 0) << "threadpool.parallel_sections";
+}
 
 INSTANTIATE_TEST_SUITE_P(CriusAndSolver, CriusWorkCountTest, ::testing::ValuesIn(kWorkCounts),
                          [](const ::testing::TestParamInfo<WorkCounts>& info) {

@@ -1,15 +1,18 @@
 // Golden output test for the simulation engine (src/sim/engine).
 //
 // Runs one faulty simulated-cluster scenario (node and GPU failures,
-// straggler windows, periodic checkpoints) under every scheduler name at
-// --threads 1 and 4, plus two extra configurations: fcfs with live
-// reconfiguration and power accounting, and Crius-NH with owner cancels that hit
-// every cancel path (before submit, inside the profiling window, queued,
-// running, unknown id, already finished). Each run's jobs, events and
-// timeline CSVs are compared by FNV-1a hash against goldens recorded from the
-// engine that scanned every job on every step, before the live-set index.
+// straggler windows, periodic checkpoints) under every scheduler name, plus
+// two extra configurations: fcfs with live reconfiguration and power
+// accounting, and Crius-NH with owner cancels that hit every cancel path
+// (before submit, inside the profiling window, queued, running, unknown id,
+// already finished). Each run's jobs, events and timeline CSVs are compared
+// by FNV-1a hash against goldens recorded from the engine that scanned every
+// job on every step, before the live-set index.
 // Any change to when a job becomes visible, which job a failure kills, the
-// order of releases, or a throughput sample moves a hash.
+// order of releases, or a throughput sample moves a hash. Every run has the
+// global pool at 4 threads and must start no parallel section on it: a
+// simulation is single-threaded, so goldens recorded with a 1-thread pool
+// hold unchanged.
 //
 // To regenerate after an intended behavior change, run the test and copy the
 // "actual" hashes it prints into kCases.
@@ -34,6 +37,7 @@
 #include "src/sim/simulator.h"
 #include "src/sim/trace.h"
 #include "src/sim/trace_io.h"
+#include "src/util/counters.h"
 #include "src/util/rng.h"
 #include "src/util/threadpool.h"
 
@@ -56,7 +60,7 @@ struct Case {
   uint64_t timeline_hash;  // golden FNV-1a of the timeline CSV
 };
 
-// Recorded from the scan-every-job engine; identical at --threads 1 and 4.
+// Recorded from the scan-every-job engine.
 constexpr Case kCases[] = {
     {"crius", "crius", Extra::kNone, false,
      0x139c32298ac4e032ull, 0x1dd5eb8d2e945c8dull, 0x51dc32aac45c5109ull},
@@ -244,17 +248,21 @@ struct RunResult {
   int preempts = 0;
   int cancels = 0;
   std::set<std::string> cancel_paths;
+  int64_t parallel_sections = 0;  // threadpool.parallel_sections during the run
 };
 
-RunResult RunCase(const Case& c, int threads, const std::vector<JobCancelEvent>& cancels) {
-  ThreadPool::SetGlobalThreads(threads);
+RunResult RunCase(const Case& c, const std::vector<JobCancelEvent>& cancels) {
+  ThreadPool::SetGlobalThreads(4);
   Scenario s = MakeScenario(c.extra);
   s.config.cancels = cancels;
   auto scheduler = MakeNamedScheduler(c.scheduler, s.oracle.get());
   Simulator sim(s.cluster, s.config);
+  CounterRegistry& counters = CounterRegistry::Global();
+  const int64_t sections0 = counters.CounterValue("threadpool.parallel_sections");
   const SimResult result = sim.Run(*scheduler, *s.oracle, s.trace);
 
   RunResult run;
+  run.parallel_sections = counters.CounterValue("threadpool.parallel_sections") - sections0;
   std::ostringstream jobs, events, timeline;
   WriteJobRecordsCsv(result, jobs);
   WriteEventsCsv(result, events);
@@ -278,33 +286,30 @@ class EngineGoldenTest : public ::testing::TestWithParam<Case> {
   void TearDown() override { ThreadPool::SetGlobalThreads(1); }
 };
 
-TEST_P(EngineGoldenTest, CsvsMatchGoldensAtEveryThreadCount) {
+TEST_P(EngineGoldenTest, CsvsMatchGoldens) {
   const Case& c = GetParam();
   const std::vector<JobCancelEvent> cancels =
       c.extra == Extra::kCancels ? PickCancels(c.scheduler) : std::vector<JobCancelEvent>{};
-  for (int threads : {1, 4}) {
-    const RunResult run = RunCase(c, threads, cancels);
-    std::printf("actual: {\"%s\", 0x%016" PRIx64 "ull, 0x%016" PRIx64 "ull, 0x%016" PRIx64
-                "ull}  // --threads %d, %d failure kills, %d preempts, %d cancels\n",
-                c.label, run.jobs_hash, run.events_hash, run.timeline_hash, threads,
-                run.failure_kills, run.preempts, run.cancels);
-    EXPECT_EQ(run.jobs_hash, c.jobs_hash) << "jobs CSV at --threads " << threads;
-    EXPECT_EQ(run.events_hash, c.events_hash) << "events CSV at --threads " << threads;
-    EXPECT_EQ(run.timeline_hash, c.timeline_hash) << "timeline CSV at --threads " << threads;
+  const RunResult run = RunCase(c, cancels);
+  std::printf("actual: {\"%s\", 0x%016" PRIx64 "ull, 0x%016" PRIx64 "ull, 0x%016" PRIx64
+              "ull}  // %d failure kills, %d preempts, %d cancels\n",
+              c.label, run.jobs_hash, run.events_hash, run.timeline_hash, run.failure_kills,
+              run.preempts, run.cancels);
+  EXPECT_EQ(run.jobs_hash, c.jobs_hash) << "jobs CSV";
+  EXPECT_EQ(run.events_hash, c.events_hash) << "events CSV";
+  EXPECT_EQ(run.timeline_hash, c.timeline_hash) << "timeline CSV";
+  EXPECT_EQ(run.parallel_sections, 0) << "threadpool.parallel_sections";
 
-    // The goldens only pin the engine if the scenario exercises it.
-    EXPECT_GT(run.failure_kills, 0) << "--threads " << threads;
-    if (c.preempts) {
-      EXPECT_GT(run.preempts, 0) << "--threads " << threads;
-    }
-    if (c.extra == Extra::kCancels) {
-      // Unknown and finished jobs are ignored; the other four are withdrawn.
-      EXPECT_EQ(run.cancels, 4) << "--threads " << threads;
-      EXPECT_EQ(run.cancel_paths,
-                (std::set<std::string>{"before_submit", "profiling", "queued", "running",
-                                       "unknown", "finished"}))
-          << "--threads " << threads;
-    }
+  // The goldens only pin the engine if the scenario exercises it.
+  EXPECT_GT(run.failure_kills, 0);
+  if (c.preempts) {
+    EXPECT_GT(run.preempts, 0);
+  }
+  if (c.extra == Extra::kCancels) {
+    // Unknown and finished jobs are ignored; the other four are withdrawn.
+    EXPECT_EQ(run.cancels, 4);
+    EXPECT_EQ(run.cancel_paths, (std::set<std::string>{"before_submit", "profiling", "queued",
+                                                       "running", "unknown", "finished"}));
   }
 }
 

@@ -4,8 +4,9 @@
 // every job from scratch each round (FreshCriusScheduler). The trace includes
 // a mid-run node failure, recovery, and a straggler window so the dirty-set
 // path (per-type cap diff, keep-vs-rerank, slowdown-only epochs) is
-// exercised, not just the steady-state hit path. The harness mirrors
-// tests/parallel_determinism_test.
+// exercised, not just the steady-state hit path. The global pool has 4
+// threads; a run stays single-threaded, so it cannot change the result. The
+// harness mirrors tests/parallel_determinism_test.
 
 #include <gtest/gtest.h>
 
@@ -31,6 +32,7 @@ struct RunCsvs {
 
 class IncrementalEquivalenceTest : public ::testing::Test {
  protected:
+  void SetUp() override { ThreadPool::SetGlobalThreads(4); }
   void TearDown() override { ThreadPool::SetGlobalThreads(1); }
 
   // One complete simulation from fresh oracle/scheduler/sim state, serialized
@@ -40,8 +42,7 @@ class IncrementalEquivalenceTest : public ::testing::Test {
   // keep-only rounds). `Sched` is CriusScheduler or the FreshCriusScheduler
   // full-recompute reference.
   template <typename Sched>
-  static RunCsvs Run(int threads, CriusConfig sched_config) {
-    ThreadPool::SetGlobalThreads(threads);
+  static RunCsvs Run(CriusConfig sched_config) {
     Cluster cluster = MakePhysicalTestbed();
     PerformanceOracle oracle(cluster, 42);
 
@@ -83,22 +84,14 @@ class IncrementalEquivalenceTest : public ::testing::Test {
 };
 
 TEST_F(IncrementalEquivalenceTest, IncrementalMatchesFullRecomputeWithFaults) {
-  const RunCsvs base = Run<FreshCriusScheduler>(1, CriusConfig{});
+  const RunCsvs base = Run<FreshCriusScheduler>(CriusConfig{});
   ASSERT_FALSE(base.events.empty());
   ASSERT_FALSE(base.timeline.empty());
   // The fault schedule actually fired (failure/recovery rounds are covered).
   EXPECT_NE(base.events.find("node_fail"), std::string::npos);
   EXPECT_NE(base.events.find("node_recover"), std::string::npos);
 
-  ExpectIdentical(Run<CriusScheduler>(1, CriusConfig{}), base, "memoized vs fresh");
-}
-
-TEST_F(IncrementalEquivalenceTest, IncrementalMatchesFullAcrossThreadCounts) {
-  // The cross product with the determinism guarantee across --threads: the
-  // memo at 4 threads vs full recompute at 1 thread.
-  const RunCsvs base = Run<FreshCriusScheduler>(1, CriusConfig{});
-  ExpectIdentical(Run<CriusScheduler>(4, CriusConfig{}), base,
-                  "memoized --threads 4 vs fresh --threads 1");
+  ExpectIdentical(Run<CriusScheduler>(CriusConfig{}), base, "memoized vs fresh");
 }
 
 TEST_F(IncrementalEquivalenceTest, SolverLiteIncrementalMatchesFull) {
@@ -106,7 +99,7 @@ TEST_F(IncrementalEquivalenceTest, SolverLiteIncrementalMatchesFull) {
   // snapshot; the memo's maintenance must not change the winning pass.
   CriusConfig config;
   config.placement_order = CriusPlacementOrder::kBestOfAll;
-  ExpectIdentical(Run<CriusScheduler>(4, config), Run<FreshCriusScheduler>(1, config),
+  ExpectIdentical(Run<CriusScheduler>(config), Run<FreshCriusScheduler>(config),
                   "solver-lite memoized vs fresh");
 }
 

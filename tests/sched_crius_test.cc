@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "src/util/counters.h"
-#include "src/util/threadpool.h"
 #include "tests/sched_test_util.h"
 
 namespace crius {
@@ -438,28 +437,6 @@ TEST_F(CriusSchedTest, RepeatedScheduleIsIdempotent) {
   const ScheduleDecision first = sched.Schedule(Round(0.0));
   const ScheduleDecision second = sched.Schedule(Round(0.0));
   ExpectSameDecision(first, second);
-}
-
-TEST_F(CriusSchedTest, BestOfAllIdenticalAcrossThreadCounts) {
-  // kBestOfAll fans the three placement passes out over the global pool; the
-  // chosen decision must be bit-identical to the sequential build.
-  for (int i = 0; i < 30; ++i) {
-    AddQueued(i, (i % 2) ? kMedium : kSmall, (i % 3) ? 16 : 4, GpuType::kA100,
-              static_cast<double>(i));
-  }
-  CriusConfig config;
-  config.placement_order = CriusPlacementOrder::kBestOfAll;
-
-  ThreadPool::SetGlobalThreads(1);
-  CriusScheduler sequential(&oracle_, config);
-  const ScheduleDecision d1 = sequential.Schedule(Round(0.0));
-
-  ThreadPool::SetGlobalThreads(4);
-  CriusScheduler parallel(&oracle_, config);
-  const ScheduleDecision d4 = parallel.Schedule(Round(0.0));
-  ThreadPool::SetGlobalThreads(1);
-
-  ExpectSameDecision(d1, d4);
 }
 
 TEST_F(CriusSchedTest, ClusterHealthChangeInvalidatesCellCache) {

@@ -30,12 +30,12 @@ TEST(ThreadPoolTest, ReusableAcrossBatches) {
 }
 
 TEST(ThreadPoolTest, BackToBackBatchesStress) {
-  // Regression test for the inter-batch race: a worker still scanning the
-  // deques after finishing one batch must observe the next batch's
-  // fn_/remaining_ before it can pop one of the new indices -- otherwise it
-  // calls the previous (nulled) fn_ or underflows the counter and the caller
-  // deadlocks. Tiny, immediately consecutive batches maximize the window
-  // where a stale worker overlaps the next ParallelFor's setup.
+  // Regression test for the inter-batch race: a worker still claiming from
+  // one batch must never claim an index of the next one through the previous
+  // batch's fn or counter, and a worker that wakes late must not join a batch
+  // the caller already retired. Tiny, immediately consecutive batches
+  // maximize the window where a stale worker overlaps the next ParallelFor's
+  // setup.
   ThreadPool pool(4);
   for (int round = 0; round < 2000; ++round) {
     const size_t n = static_cast<size_t>(2 + round % 7);
@@ -111,14 +111,14 @@ TEST(ThreadPoolTest, ClampsNonPositiveThreadCounts) {
 }
 
 TEST(ThreadPoolTest, GlobalPoolConfigurable) {
-  const int before = ThreadPool::GlobalThreads();
+  const int before = ThreadPool::Global().threads();
   ThreadPool::SetGlobalThreads(3);
-  EXPECT_EQ(ThreadPool::GlobalThreads(), 3);
+  EXPECT_EQ(ThreadPool::Global().threads(), 3);
   std::atomic<int> sum{0};
   ThreadPool::Global().ParallelFor(10, [&](size_t i) { sum.fetch_add(static_cast<int>(i)); });
   EXPECT_EQ(sum.load(), 45);
   ThreadPool::SetGlobalThreads(before);
-  EXPECT_EQ(ThreadPool::GlobalThreads(), before);
+  EXPECT_EQ(ThreadPool::Global().threads(), before);
 }
 
 }  // namespace

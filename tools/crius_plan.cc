@@ -48,7 +48,6 @@ int Run(int argc, const char* const* argv) {
   std::string trace_json;
   std::string log_level;
   bool counters = false;
-  int64_t threads = 1;
 
   FlagSet flags("crius_plan", "Inspect adaptive parallelization of one job");
   flags.String("model", &model_name, "model name, e.g. BERT-2.6B, WRes-4.0B, MoE-10B");
@@ -66,9 +65,6 @@ int Run(int argc, const char* const* argv) {
   flags.String("log-level", &log_level,
                "debug|info|warning|error|off; overrides CRIUS_LOG_LEVEL "
                "(precedence: flag > env > default warning)");
-  flags.Int("threads", &threads,
-            "worker-pool size, 1..4096; planning runs on one thread, so the "
-            "output is identical at every value");
   if (!flags.Parse(argc, argv)) {
     return 1;
   }
@@ -82,16 +78,9 @@ int Run(int argc, const char* const* argv) {
     SetLogLevel(*parsed);
   }
 
-  if (threads < 1 || threads > ThreadPool::kMaxThreads) {
-    std::fprintf(stderr, "crius_plan: --threads must be in 1..%d (got %lld)\n",
-                 ThreadPool::kMaxThreads, static_cast<long long>(threads));
-    return 1;
-  }
-
   if (!trace_json.empty()) {
     TraceRecorder::Global().SetEnabled(true);
   }
-  ThreadPool::SetGlobalThreads(static_cast<int>(threads));
 
   const GpuType type = ParseGpuType(type_name);
   Cluster cluster;

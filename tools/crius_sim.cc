@@ -78,7 +78,6 @@ int Run(int argc, const char* const* argv) {
   std::string trace_json;
   std::string log_level;
   bool counters = false;
-  int64_t threads = 1;
 
   FlagSet flags("crius_sim", "Run a Crius cluster-scheduling simulation");
   flags.String("cluster", &cluster_spec,
@@ -149,9 +148,6 @@ int Run(int argc, const char* const* argv) {
   flags.String("log-level", &log_level,
                "debug|info|warning|error|off; overrides CRIUS_LOG_LEVEL "
                "(precedence: flag > env > default warning)");
-  flags.Int("threads", &threads,
-            "worker-pool size, 1..4096; a simulation runs on one thread, so the "
-            "output is identical at every value");
   if (!flags.Parse(argc, argv)) {
     return 1;
   }
@@ -165,16 +161,9 @@ int Run(int argc, const char* const* argv) {
     SetLogLevel(*parsed);
   }
 
-  if (threads < 1 || threads > ThreadPool::kMaxThreads) {
-    std::fprintf(stderr, "crius_sim: --threads must be in 1..%d (got %lld)\n",
-                 ThreadPool::kMaxThreads, static_cast<long long>(threads));
-    return 1;
-  }
-
   if (!trace_json.empty()) {
     TraceRecorder::Global().SetEnabled(true);
   }
-  ThreadPool::SetGlobalThreads(static_cast<int>(threads));
   // SIGINT/SIGTERM stop the simulation at the next step boundary; partial
   // CSV/Chrome-trace outputs are still flushed below before exiting 128+sig.
   InstallShutdownHandler();
