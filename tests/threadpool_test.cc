@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -101,6 +102,52 @@ TEST(ThreadPoolTest, SlotResultsMatchSequential) {
   std::vector<double> parallel(kN);
   pool.ParallelFor(kN, [&](size_t i) { parallel[i] = compute(i); });
   EXPECT_EQ(parallel, sequential);
+}
+
+TEST(ThreadPoolTest, BlockedTaskDoesNotStallOtherIndices) {
+  // Indices are claimed from one shared counter, so while one participant
+  // sits in a long task the others claim and finish every remaining index.
+  // Task 0 waits (bounded) for the rest to finish before it returns.
+  ThreadPool pool(2);
+  constexpr size_t kN = 64;
+  std::atomic<size_t> others_done{0};
+  std::atomic<bool> saw_all{false};
+  pool.ParallelFor(kN, [&](size_t i) {
+    if (i != 0) {
+      others_done.fetch_add(1);
+      return;
+    }
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (others_done.load() < kN - 1 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    saw_all = others_done.load() == kN - 1;
+  });
+  EXPECT_TRUE(saw_all.load());
+  EXPECT_EQ(others_done.load(), kN - 1);
+}
+
+TEST(ThreadPoolTest, ConcurrentExternalCallersEachCompleteTheirBatch) {
+  // Two threads outside the pool share it; their fan-outs run one at a time
+  // and each sees every one of its own indices exactly once.
+  ThreadPool pool(3);
+  constexpr size_t kN = 200;
+  constexpr int kRounds = 50;
+  std::vector<std::atomic<int>> hits_a(kN);
+  std::vector<std::atomic<int>> hits_b(kN);
+  auto caller = [&](std::vector<std::atomic<int>>* hits) {
+    for (int round = 0; round < kRounds; ++round) {
+      pool.ParallelFor(kN, [&](size_t i) { (*hits)[i].fetch_add(1); });
+    }
+  };
+  std::thread a(caller, &hits_a);
+  std::thread b(caller, &hits_b);
+  a.join();
+  b.join();
+  for (size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(hits_a[i].load(), kRounds) << "index " << i;
+    EXPECT_EQ(hits_b[i].load(), kRounds) << "index " << i;
+  }
 }
 
 TEST(ThreadPoolTest, ClampsNonPositiveThreadCounts) {
