@@ -1,11 +1,9 @@
 #include "src/core/estimator.h"
 
 #include <algorithm>
-#include <cmath>
-
+#include <limits>
 #include <utility>
 
-#include "src/parallel/stage_partition.h"
 #include "src/util/check.h"
 #include "src/util/counters.h"
 #include "src/util/mathutil.h"
@@ -17,16 +15,79 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// One profiled stage option (dp-only or tp-only).
+// One profiled stage option (dp-only or tp-only); its times live in the
+// StageChain arrays at the same index.
 struct AssemblyOption {
   int dp = 1;
   int tp = 1;
-  bool is_tp = false;
-  // Estimated per-microbatch stage time (profiled compute + interpolated comm).
-  double t_stage = 0.0;
-  // Estimated gradient-sync time per iteration.
-  double t_dp_sync = 0.0;
 };
+
+// A plan's total, in the association the enumeration used:
+// ((sum + (B-1)*max_stage) + f*max_sync) + overhead.
+double PlanTotal(const StageChain& chain, double sum, double max_stage, double max_sync) {
+  return sum + static_cast<double>(chain.num_microbatches - 1) * max_stage +
+         PerfModel::kDpSyncExposedFraction * max_sync + PerfModel::kIterOverhead;
+}
+
+// Min-sum Viterbi pass over stages (s0, Ns) using only options whose stage
+// time is <= cap_stage and sync time <= cap_sync. `cur[o]` holds the smallest
+// running sum of a prefix ending in option o at stage s0 (kInf if none).
+// Returns the smallest running sum over all complete chains (kInf if none).
+double MinChainSum(const StageChain& chain, size_t s0, double cur[2], double cap_stage,
+                   double cap_sync) {
+  for (size_t s = s0 + 1; s < chain.num_stages; ++s) {
+    double next[2] = {kInf, kInf};
+    for (int o = 0; o < chain.opt_count[s]; ++o) {
+      const size_t i = 2 * s + static_cast<size_t>(o);
+      if (chain.t_stage[i] > cap_stage || chain.t_dp_sync[i] > cap_sync) {
+        continue;
+      }
+      for (int po = 0; po < chain.opt_count[s - 1]; ++po) {
+        const double sum = cur[po] + chain.t_stage[i] +
+                           chain.boundary[4 * s + 2 * static_cast<size_t>(po) +
+                                          static_cast<size_t>(o)];
+        next[o] = std::min(next[o], sum);
+      }
+    }
+    cur[0] = next[0];
+    cur[1] = next[1];
+  }
+  return std::min(cur[0], cur[1]);
+}
+
+// Viterbi over the whole chain under the caps.
+double MinChainSum(const StageChain& chain, double cap_stage, double cap_sync) {
+  double cur[2] = {kInf, kInf};
+  for (int o = 0; o < chain.opt_count[0]; ++o) {
+    if (chain.t_stage[o] <= cap_stage && chain.t_dp_sync[o] <= cap_sync) {
+      cur[o] = chain.t_stage[o];
+    }
+  }
+  return MinChainSum(chain, 0, cur, cap_stage, cap_sync);
+}
+
+// The values one column's maximum can take over complete chains, ascending
+// and deduplicated: every option's value except those below the largest
+// per-stage minimum, which every chain reaches. Returns the count.
+size_t CandidateMaxima(const StageChain& chain, const double* values, double* caps) {
+  double floor = 0.0;
+  for (size_t s = 0; s < chain.num_stages; ++s) {
+    const double stage_min =
+        chain.opt_count[s] > 1 ? std::min(values[2 * s], values[2 * s + 1]) : values[2 * s];
+    floor = std::max(floor, stage_min);
+  }
+  size_t n = 0;
+  for (size_t s = 0; s < chain.num_stages; ++s) {
+    for (int o = 0; o < chain.opt_count[s]; ++o) {
+      const double v = values[2 * s + static_cast<size_t>(o)];
+      if (v >= floor) {
+        caps[n++] = v;
+      }
+    }
+  }
+  std::sort(caps, caps + n);
+  return static_cast<size_t>(std::unique(caps, caps + n) - caps);
+}
 
 }  // namespace
 
@@ -37,19 +98,112 @@ CellEstimator::CellEstimator(const PerfModel* model, const CommProfile* comm, ui
   CRIUS_CHECK(comm != nullptr);
 }
 
-// The SoA assembly. Bit-identity with EstimateReference below rests on three
-// invariants, each load-bearing:
-//   1. Per-plan arithmetic order is unchanged: a plan's running sum adds
-//      t_stage first, then the boundary term, stage by stage, and the final
-//      total is ((sum + (B-1)*max_stage) + f*max_sync) + overhead -- the exact
-//      association the DFS used, so every double is the same double.
-//   2. Leaf order is the DFS's: the DFS pushed options in index order and
-//      popped LIFO, exploring the highest option index first, with stage 0
-//      outermost. Level expansion therefore stores children in DESCENDING
-//      option order (slot j holds option n-1-j), making linear leaf index
-//      order equal DFS visitation order.
-//   3. The min-reduction is a forward scan with strict '<', so the first
-//      leaf in DFS order wins ties, exactly like the incremental DFS update.
+// The chain assembly (DESIGN.md §14 "Chain assembly"). It returns exactly the
+// minimum and the winner the enumeration of all combinations would, because:
+//   1. A plan's total is ((S + (B-1)*max_stage) + f*max_sync) + overhead,
+//      where S adds t_stage, then the boundary term, stage by stage. Floating
+//      '+' and multiplication by a positive constant are monotone, so for
+//      fixed caps on the two maxima the smallest S gives the smallest total,
+//      and a Viterbi pass's min over prefixes equals the min over chains.
+//   2. Every plan's maxima are some option's values. The cap pair equal to the
+//      optimal plan's maxima scores at most its total, and every cap pair
+//      scores at least the total of the chain it found. So the min over cap
+//      pairs is the optimal total, the same double.
+//   3. Ties go to the first plan in depth-first order (stage 0 outermost,
+//      highest option index first): stage by stage, take the first option
+//      after which some completion still reaches the best total under a tight
+//      cap pair (one scoring exactly the best).
+double AssembleChain(const StageChain& chain, Arena* arena, int* choice) {
+  const size_t ns = chain.num_stages;
+  CRIUS_CHECK(ns >= 1);
+  for (size_t s = 0; s < ns; ++s) {
+    CRIUS_CHECK(chain.opt_count[s] == 1 || chain.opt_count[s] == 2);
+  }
+
+  double* caps_stage = arena->AllocateArray<double>(2 * ns);
+  double* caps_sync = arena->AllocateArray<double>(2 * ns);
+  const size_t num_stage_caps = CandidateMaxima(chain, chain.t_stage, caps_stage);
+  const size_t num_sync_caps = CandidateMaxima(chain, chain.t_dp_sync, caps_sync);
+
+  // Scores every cap pair in ascending order. A pair cannot beat the
+  // uncapped min chain under its own caps, so the scan stops as soon as that
+  // bound exceeds the best score.
+  struct CapPair {
+    double stage = 0.0;
+    double sync = 0.0;
+    double total = 0.0;
+  };
+  CapPair* pairs = arena->AllocateArray<CapPair>(num_stage_caps * num_sync_caps);
+  size_t num_pairs = 0;
+  const double free_sum = MinChainSum(chain, kInf, kInf);
+  double best_time = kInf;
+  for (size_t i = 0; i < num_stage_caps; ++i) {
+    if (PlanTotal(chain, free_sum, caps_stage[i], caps_sync[0]) > best_time) {
+      break;
+    }
+    for (size_t j = 0; j < num_sync_caps; ++j) {
+      if (PlanTotal(chain, free_sum, caps_stage[i], caps_sync[j]) > best_time) {
+        break;
+      }
+      const double sum = MinChainSum(chain, caps_stage[i], caps_sync[j]);
+      if (sum == kInf) {
+        continue;
+      }
+      const CapPair pair{caps_stage[i], caps_sync[j],
+                         PlanTotal(chain, sum, caps_stage[i], caps_sync[j])};
+      pairs[num_pairs++] = pair;
+      best_time = std::min(best_time, pair.total);
+    }
+  }
+  CRIUS_CHECK(best_time < kInf);
+  size_t num_tight = 0;
+  for (size_t k = 0; k < num_pairs; ++k) {
+    if (pairs[k].total == best_time) {
+      pairs[num_tight++] = pairs[k];
+    }
+  }
+
+  // Tie walk (point 3).
+  double prefix_sum = 0.0;
+  double max_stage = 0.0;
+  double max_sync = 0.0;
+  for (size_t s = 0; s < ns; ++s) {
+    int pick = -1;
+    double pick_sum = 0.0;
+    for (int o = chain.opt_count[s] - 1; o >= 0 && pick < 0; --o) {
+      const size_t i = 2 * s + static_cast<size_t>(o);
+      double sum = prefix_sum + chain.t_stage[i];
+      if (s > 0) {
+        sum += chain.boundary[4 * s + 2 * static_cast<size_t>(choice[s - 1]) +
+                              static_cast<size_t>(o)];
+      }
+      const double stage_max = std::max(max_stage, chain.t_stage[i]);
+      const double sync_max = std::max(max_sync, chain.t_dp_sync[i]);
+      for (size_t k = 0; k < num_tight; ++k) {
+        const CapPair& pair = pairs[k];
+        if (stage_max > pair.stage || sync_max > pair.sync) {
+          continue;
+        }
+        double cur[2] = {kInf, kInf};
+        cur[o] = sum;
+        const double completion = MinChainSum(chain, s, cur, pair.stage, pair.sync);
+        if (PlanTotal(chain, completion, pair.stage, pair.sync) <= best_time) {
+          pick = o;
+          pick_sum = sum;
+          break;
+        }
+      }
+    }
+    CRIUS_CHECK_MSG(pick >= 0, "chain assembly lost the optimum at stage " << s);
+    choice[s] = pick;
+    prefix_sum = pick_sum;
+    const size_t i = 2 * s + static_cast<size_t>(pick);
+    max_stage = std::max(max_stage, chain.t_stage[i]);
+    max_sync = std::max(max_sync, chain.t_dp_sync[i]);
+  }
+  return best_time;
+}
+
 CellEstimate CellEstimator::Estimate(const JobContext& ctx, const Cell& cell) const {
   CRIUS_CHECK(ctx.graph != nullptr);
   CRIUS_CHECK_MSG(ctx.gpu_type == cell.gpu_type, "context/cell GPU type mismatch");
@@ -65,7 +219,7 @@ CellEstimate CellEstimator::Estimate(const JobContext& ctx, const Cell& cell) co
     return out;
   }
 
-  const std::vector<StageRange> ranges = PartitionStages(g, cell.ngpus, cell.nstages);
+  const std::vector<StageRange>& ranges = model_->Stages(ctx, cell.ngpus, cell.nstages);
   const size_t num_stages = ranges.size();
   const int nstages = cell.nstages;
   const int num_microbatches = 4 * nstages;
@@ -74,9 +228,11 @@ CellEstimate CellEstimator::Estimate(const JobContext& ctx, const Cell& cell) co
 
   // --- Profile the two grid plans (dp-only / tp-only per stage) -------------
   // At most two surviving options per stage; opts[2*s + oi] with opt_count[s]
-  // live entries.
+  // live entries, their times in the chain arrays at the same index.
   AssemblyOption* opts = arena.AllocateArray<AssemblyOption>(2 * num_stages);
   int* opt_count = arena.AllocateArray<int>(num_stages);
+  double* t_stage = arena.AllocateArray<double>(2 * num_stages);
+  double* t_dp_sync = arena.AllocateArray<double>(2 * num_stages);
   {
     CRIUS_TRACE_SPAN("estimator.grid_sample");
     for (size_t s = 0; s < num_stages; ++s) {
@@ -92,10 +248,6 @@ CellEstimate CellEstimator::Estimate(const JobContext& ctx, const Cell& cell) co
         if (!prof.fits) {
           continue;  // the compiled plan reports OOM; drop it (§5.1)
         }
-        AssemblyOption opt;
-        opt.dp = dp;
-        opt.tp = tp;
-        opt.is_tp = tp > 1;
         const double local_samples = microbatch / static_cast<double>(dp);
 
         double t_comm = 0.0;
@@ -107,14 +259,16 @@ CellEstimate CellEstimator::Estimate(const JobContext& ctx, const Cell& cell) co
             t_comm += comm_->Estimate(CollectiveKind::kAllToAll, ctx.gpu_type, a2a_bytes, tp);
           }
         }
-        opt.t_stage = prof.t_compute + t_comm;
+        const size_t i = 2 * s + static_cast<size_t>(opt_count[s]);
+        opts[i] = AssemblyOption{dp, tp};
+        t_stage[i] = prof.t_compute + t_comm;
+        t_dp_sync[i] = 0.0;
         if (dp > 1) {
           const double grad_bytes =
               g.ParamBytes(range.op_begin, range.op_end) / static_cast<double>(tp);
-          opt.t_dp_sync =
+          t_dp_sync[i] =
               comm_->Estimate(CollectiveKind::kAllReduce, ctx.gpu_type, grad_bytes, dp);
         }
-        opts[2 * s + static_cast<size_t>(opt_count[s])] = opt;
         ++opt_count[s];
       }
       if (opt_count[s] == 0) {
@@ -123,7 +277,7 @@ CellEstimate CellEstimator::Estimate(const JobContext& ctx, const Cell& cell) co
     }
   }
 
-  // --- Assemble all 2^Ns combinations (Fig. 9) ------------------------------
+  // --- Assemble the best of all 2^Ns combinations (Fig. 9) ----------------
   int* offsets = arena.AllocateArray<int>(num_stages);
   offsets[0] = 0;
   for (size_t s = 1; s < num_stages; ++s) {
@@ -131,9 +285,7 @@ CellEstimate CellEstimator::Estimate(const JobContext& ctx, const Cell& cell) co
   }
 
   // Boundary-time table bnd[s][prev_oi][cur_oi] for s >= 1: the inter-stage
-  // transfer cost is a pure function of (stage, previous option, option), so
-  // it is computed once per pair instead of once per assembled plan. The
-  // arithmetic matches the reference's boundary() lambda exactly.
+  // transfer cost is a pure function of (stage, previous option, option).
   double* bnd = arena.AllocateArray<double>(4 * num_stages);
   for (size_t s = 1; s < num_stages; ++s) {
     const double bytes = g.BoundaryBytes(ranges[s].op_begin) * microbatch;
@@ -153,85 +305,18 @@ CellEstimate CellEstimator::Estimate(const JobContext& ctx, const Cell& cell) co
     }
   }
 
-  size_t leaves = 1;
+  int plans = 1;
   for (size_t s = 0; s < num_stages; ++s) {
-    leaves *= static_cast<size_t>(opt_count[s]);
+    plans *= opt_count[s];
   }
-
-  // Double-buffered SoA level arrays: partial plans of the first s stages as
-  // parallel (running sum, max stage time, max sync time) columns.
-  double* sum_cur = arena.AllocateArray<double>(leaves);
-  double* sum_next = arena.AllocateArray<double>(leaves);
-  double* maxst_cur = arena.AllocateArray<double>(leaves);
-  double* maxst_next = arena.AllocateArray<double>(leaves);
-  double* maxsy_cur = arena.AllocateArray<double>(leaves);
-  double* maxsy_next = arena.AllocateArray<double>(leaves);
-
-  size_t width = 1;
-  sum_cur[0] = 0.0;
-  maxst_cur[0] = 0.0;
-  maxsy_cur[0] = 0.0;
+  int* best_choice = arena.AllocateArray<int>(num_stages);
+  double best_time = 0.0;
   {
     CRIUS_TRACE_SPAN("estimator.assemble");
-    for (size_t s = 0; s < num_stages; ++s) {
-      const size_t n = static_cast<size_t>(opt_count[s]);
-      const size_t n_prev = s > 0 ? static_cast<size_t>(opt_count[s - 1]) : 1;
-      for (size_t p = 0; p < width; ++p) {
-        // Slot layout is descending-option (invariant 2), so the parent's own
-        // option index at stage s-1 is n_prev-1 minus its last digit.
-        const size_t prev_oi = s > 0 ? (n_prev - 1 - (p % n_prev)) : 0;
-        const double* brow = bnd + 4 * s + 2 * prev_oi;
-        const size_t base = p * n;
-        for (size_t j = 0; j < n; ++j) {
-          const size_t oi = n - 1 - j;
-          const AssemblyOption& opt = opts[2 * s + oi];
-          double sum = sum_cur[p] + opt.t_stage;
-          if (s > 0) {
-            sum += brow[oi];
-          }
-          sum_next[base + j] = sum;
-          maxst_next[base + j] = std::max(maxst_cur[p], opt.t_stage);
-          maxsy_next[base + j] = std::max(maxsy_cur[p], opt.t_dp_sync);
-        }
-      }
-      std::swap(sum_cur, sum_next);
-      std::swap(maxst_cur, maxst_next);
-      std::swap(maxsy_cur, maxsy_next);
-      width *= n;
-    }
+    const StageChain chain{num_stages, opt_count, t_stage, t_dp_sync, bnd, num_microbatches};
+    best_time = AssembleChain(chain, &arena, best_choice);
   }
-  CRIUS_CHECK(width == leaves);
-
-  // Totals: an elementwise pass the compiler can vectorize, then a forward
-  // strict-min scan (invariant 3). Reuses the retired swap buffer.
-  double* totals = sum_next;
-  const double mb1 = static_cast<double>(num_microbatches - 1);
-  for (size_t i = 0; i < width; ++i) {
-    totals[i] = sum_cur[i] + mb1 * maxst_cur[i] +
-                PerfModel::kDpSyncExposedFraction * maxsy_cur[i] + PerfModel::kIterOverhead;
-  }
-  double best_time = kInf;
-  size_t best_leaf = 0;
-  for (size_t i = 0; i < width; ++i) {
-    if (totals[i] < best_time) {
-      best_time = totals[i];
-      best_leaf = i;
-    }
-  }
-  out.plans_assembled = static_cast<int>(width);
-  CRIUS_CHECK(best_time < kInf);
-
-  // Decode the winning leaf back into per-stage option indices (mixed radix,
-  // stage 0 most significant, descending-option slots).
-  int* best_choice = arena.AllocateArray<int>(num_stages);
-  {
-    size_t idx = best_leaf;
-    for (size_t s = num_stages; s-- > 0;) {
-      const size_t n = static_cast<size_t>(opt_count[s]);
-      best_choice[s] = static_cast<int>(n - 1 - (idx % n));
-      idx /= n;
-    }
-  }
+  out.plans_assembled = plans;
 
   // --- Materialize the winning assembled plan -------------------------------
   out.feasible = true;
@@ -240,7 +325,9 @@ CellEstimate CellEstimator::Estimate(const JobContext& ctx, const Cell& cell) co
   out.stage_prefers_tp.resize(num_stages);
   out.stage_tp_range.resize(num_stages);
   for (size_t s = 0; s < num_stages; ++s) {
-    const AssemblyOption& opt = opts[2 * s + static_cast<size_t>(best_choice[s])];
+    const size_t best = 2 * s + static_cast<size_t>(best_choice[s]);
+    const AssemblyOption& opt = opts[best];
+    const bool is_tp = opt.tp > 1;
     StagePlan sp;
     sp.op_begin = ranges[s].op_begin;
     sp.op_end = ranges[s].op_end;
@@ -248,7 +335,7 @@ CellEstimate CellEstimator::Estimate(const JobContext& ctx, const Cell& cell) co
     sp.dp = opt.dp;
     sp.tp = opt.tp;
     out.plan.stages.push_back(sp);
-    out.stage_prefers_tp[s] = opt.is_tp;
+    out.stage_prefers_tp[s] = is_tp;
 
     // Tuning range (§5.2 pruning). With both grid probes available the favor
     // picks the half; when the dp-only probe OOMed, the comparison is void,
@@ -260,8 +347,8 @@ CellEstimate CellEstimator::Estimate(const JobContext& ctx, const Cell& cell) co
       out.stage_tp_range[s] = {1, 1};
     } else if (opt_count[s] >= 2) {
       out.stage_tp_range[s] =
-          opt.is_tp ? std::make_pair(half_ceil, gpus) : std::make_pair(1, half_floor);
-    } else if (!opt.is_tp) {
+          is_tp ? std::make_pair(half_ceil, gpus) : std::make_pair(1, half_floor);
+    } else if (!is_tp) {
       // Only dp-only fit (tensor side dropped): favor the data half.
       out.stage_tp_range[s] = {1, half_floor};
     } else if (gpus >= 4) {
@@ -281,7 +368,7 @@ CellEstimate CellEstimator::Estimate(const JobContext& ctx, const Cell& cell) co
         if (a2a_bytes > 0.0) {
           t += comm_->Estimate(CollectiveKind::kAllToAll, ctx.gpu_type, a2a_bytes, half_ceil);
         }
-        hybrid_wins = t < opt.t_stage;
+        hybrid_wins = t < t_stage[best];
       }
       // tp == 1 is known-OOM; the lower half starts at 2.
       out.stage_tp_range[s] =
@@ -293,187 +380,6 @@ CellEstimate CellEstimator::Estimate(const JobContext& ctx, const Cell& cell) co
   CRIUS_HISTOGRAM_RECORD("estimator.plans_assembled", static_cast<double>(out.plans_assembled));
   CRIUS_HISTOGRAM_RECORD("estimator.profile_gpu_s", out.profile_gpu_seconds);
   CRIUS_COUNTER_ADD("estimator.arena_bytes", static_cast<int64_t>(arena.bytes_served()));
-  return out;
-}
-
-// Pre-refactor assembly, preserved verbatim (modulo instrumentation) as the
-// golden reference for the SoA path's bit-identity test. Heap-allocating and
-// exponential-stack-ish by design -- never call it on a hot path.
-CellEstimate CellEstimator::EstimateReference(const JobContext& ctx, const Cell& cell) const {
-  CRIUS_CHECK(ctx.graph != nullptr);
-  CRIUS_CHECK_MSG(ctx.gpu_type == cell.gpu_type, "context/cell GPU type mismatch");
-  const OpGraph& g = *ctx.graph;
-
-  CellEstimate out;
-  if (cell.nstages > std::min<int>(cell.ngpus, static_cast<int>(g.size()))) {
-    return out;
-  }
-
-  const std::vector<StageRange> ranges = PartitionStages(g, cell.ngpus, cell.nstages);
-  const int nstages = cell.nstages;
-  const int num_microbatches = 4 * nstages;
-  const double microbatch =
-      static_cast<double>(ctx.global_batch) / static_cast<double>(num_microbatches);
-
-  // --- Profile the two grid plans (dp-only / tp-only per stage) -------------
-  std::vector<std::vector<AssemblyOption>> options(ranges.size());
-  for (size_t s = 0; s < ranges.size(); ++s) {
-    const StageRange& range = ranges[s];
-    std::vector<std::pair<int, int>> splits;  // (dp, tp)
-    splits.emplace_back(range.gpus, 1);
-    if (range.gpus > 1) {
-      splits.emplace_back(1, range.gpus);
-    }
-    for (const auto& [dp, tp] : splits) {
-      const StageProfile prof = profiler_.ProfileStage(ctx, range, dp, tp, nstages);
-      out.profile_gpu_seconds += prof.gpu_seconds;
-      if (!prof.fits) {
-        continue;  // the compiled plan reports OOM; drop it (§5.1)
-      }
-      AssemblyOption opt;
-      opt.dp = dp;
-      opt.tp = tp;
-      opt.is_tp = tp > 1;
-      const double local_samples = microbatch / static_cast<double>(dp);
-
-      double t_comm = 0.0;
-      if (tp > 1) {
-        const double tp_bytes = g.TpCommBytes(range.op_begin, range.op_end) * local_samples;
-        t_comm += comm_->Estimate(CollectiveKind::kAllReduce, ctx.gpu_type, tp_bytes, tp);
-        const double a2a_bytes = g.A2aBytes(range.op_begin, range.op_end) * local_samples;
-        if (a2a_bytes > 0.0) {
-          t_comm += comm_->Estimate(CollectiveKind::kAllToAll, ctx.gpu_type, a2a_bytes, tp);
-        }
-      }
-      opt.t_stage = prof.t_compute + t_comm;
-      if (dp > 1) {
-        const double grad_bytes =
-            g.ParamBytes(range.op_begin, range.op_end) / static_cast<double>(tp);
-        opt.t_dp_sync =
-            comm_->Estimate(CollectiveKind::kAllReduce, ctx.gpu_type, grad_bytes, dp);
-      }
-      options[s].push_back(opt);
-    }
-    if (options[s].empty()) {
-      return out;  // infeasible Cell: some stage fits under no sampled plan
-    }
-  }
-
-  // --- Assemble all 2^Ns combinations (Fig. 9) ------------------------------
-  std::vector<int> offsets(ranges.size(), 0);
-  for (size_t s = 1; s < ranges.size(); ++s) {
-    offsets[s] = offsets[s - 1] + ranges[s - 1].gpus;
-  }
-
-  auto boundary = [&](size_t s, int tp_prev, int tp_next) {
-    const double bytes = g.BoundaryBytes(ranges[s].op_begin) * microbatch;
-    const bool cross_node = (offsets[s] % ctx.topo.gpus_per_node) == 0;
-    const double slice = bytes / static_cast<double>(std::max(1, tp_prev));
-    double t = comm_->EstimateSendRecv(ctx.gpu_type, slice, cross_node);
-    if (tp_next != tp_prev && std::max(tp_prev, tp_next) > 1) {
-      t += comm_->Estimate(CollectiveKind::kAllGather, ctx.gpu_type, bytes,
-                           std::max(tp_prev, tp_next));
-    }
-    return 2.0 * t;
-  };
-
-  struct State {
-    double sum = 0.0;
-    double max_stage = 0.0;
-    double max_sync = 0.0;
-    int last_tp = 1;
-    std::vector<int> choice;
-  };
-
-  double best_time = kInf;
-  std::vector<int> best_choice;
-  {
-    std::vector<State> stack;
-    stack.push_back(State{});
-    while (!stack.empty()) {
-      State st = std::move(stack.back());
-      stack.pop_back();
-      const size_t s = st.choice.size();
-      if (s == ranges.size()) {
-        ++out.plans_assembled;
-        const double total = st.sum + static_cast<double>(num_microbatches - 1) * st.max_stage +
-                             PerfModel::kDpSyncExposedFraction * st.max_sync +
-                             PerfModel::kIterOverhead;
-        if (total < best_time) {
-          best_time = total;
-          best_choice = st.choice;
-        }
-        continue;
-      }
-      for (size_t oi = 0; oi < options[s].size(); ++oi) {
-        const AssemblyOption& opt = options[s][oi];
-        State next = st;
-        next.sum += opt.t_stage;
-        if (s > 0) {
-          next.sum += boundary(s, st.last_tp, opt.tp);
-        }
-        next.max_stage = std::max(next.max_stage, opt.t_stage);
-        next.max_sync = std::max(next.max_sync, opt.t_dp_sync);
-        next.last_tp = opt.tp;
-        next.choice.push_back(static_cast<int>(oi));
-        stack.push_back(std::move(next));
-      }
-    }
-  }
-  CRIUS_CHECK(best_choice.size() == ranges.size());
-
-  // --- Materialize the winning assembled plan -------------------------------
-  out.feasible = true;
-  out.iter_time = best_time;
-  out.plan.gpu_type = ctx.gpu_type;
-  out.stage_prefers_tp.resize(ranges.size());
-  out.stage_tp_range.resize(ranges.size());
-  for (size_t s = 0; s < ranges.size(); ++s) {
-    const AssemblyOption& opt = options[s][static_cast<size_t>(best_choice[s])];
-    StagePlan sp;
-    sp.op_begin = ranges[s].op_begin;
-    sp.op_end = ranges[s].op_end;
-    sp.gpus = ranges[s].gpus;
-    sp.dp = opt.dp;
-    sp.tp = opt.tp;
-    out.plan.stages.push_back(sp);
-    out.stage_prefers_tp[s] = opt.is_tp;
-
-    const int gpus = ranges[s].gpus;
-    const int half_floor = HalfHybridFloor(gpus);
-    const int half_ceil = HalfHybridCeil(gpus);
-    if (gpus == 1) {
-      out.stage_tp_range[s] = {1, 1};
-    } else if (options[s].size() >= 2) {
-      out.stage_tp_range[s] =
-          opt.is_tp ? std::make_pair(half_ceil, gpus) : std::make_pair(1, half_floor);
-    } else if (!opt.is_tp) {
-      out.stage_tp_range[s] = {1, half_floor};
-    } else if (gpus >= 4) {
-      const int dp = gpus / half_ceil;
-      const StageProfile hybrid =
-          profiler_.ProfileStage(ctx, ranges[s], dp, half_ceil, nstages);
-      out.profile_gpu_seconds += hybrid.gpu_seconds;
-      bool hybrid_wins = false;
-      if (hybrid.fits) {
-        const double tp_bytes =
-            g.TpCommBytes(ranges[s].op_begin, ranges[s].op_end) * microbatch / dp;
-        double t = hybrid.t_compute +
-                   comm_->Estimate(CollectiveKind::kAllReduce, ctx.gpu_type, tp_bytes,
-                                   half_ceil);
-        const double a2a_bytes =
-            g.A2aBytes(ranges[s].op_begin, ranges[s].op_end) * microbatch / dp;
-        if (a2a_bytes > 0.0) {
-          t += comm_->Estimate(CollectiveKind::kAllToAll, ctx.gpu_type, a2a_bytes, half_ceil);
-        }
-        hybrid_wins = t < opt.t_stage;
-      }
-      out.stage_tp_range[s] =
-          hybrid_wins ? std::make_pair(2, half_ceil) : std::make_pair(half_ceil, gpus);
-    } else {
-      out.stage_tp_range[s] = {2, gpus};
-    }
-  }
   return out;
 }
 

@@ -2,23 +2,22 @@
 //
 // With a Cell's stages fixed, Crius profiles every stage exactly twice on a
 // single device -- once data-parallel-only, once tensor-parallel-only -- and
-// assembles all 2^Ns combinations of those stage profiles into candidate
-// plans, injecting offline-profiled communication operators between stages.
-// The best assembled plan's latency is the Cell's estimate, and each stage's
-// winning side is that stage's "parallelism favor", which later prunes tuning
-// (§5.2).
+// assembles those stage profiles into candidate plans, injecting
+// offline-profiled communication operators between stages. The best of all
+// 2^Ns combinations is the Cell's estimate, and each stage's winning side is
+// that stage's "parallelism favor", which later prunes tuning (§5.2).
 //
 // This is grid sampling, not optimum prediction: the true best plan may be a
 // hybrid the grid misses, and the profiles carry measurement jitter plus
 // interpolation error -- exactly the accuracy/overhead trade the paper
 // evaluates in Fig. 12.
 //
-// Memory layout (DESIGN.md §14): the assembly inner loop runs over SoA arrays
-// of per-plan stage sums / maxima carved from the estimator's scratch arena,
-// so a steady-state Estimate call performs no heap allocation and the final
-// min-reduction is a plain vectorizable scan. The pre-refactor recursive
-// assembly survives as EstimateReference, the golden oracle for the
-// bit-identity test (tests/estimator_batch_test.cc).
+// Chain assembly (DESIGN.md §14): instead of visiting every combination, an
+// exact chain DP (AssembleChain) finds the same best plan and the same double
+// in time polynomial in Ns, with scratch carved from the estimator's arena,
+// so a steady-state Estimate call performs no heap allocation. The original
+// enumeration lives on in tests/estimator_reference.cc as the golden oracle
+// for the bit-identity test (tests/estimator_batch_test.cc).
 
 #ifndef SRC_CORE_ESTIMATOR_H_
 #define SRC_CORE_ESTIMATOR_H_
@@ -51,9 +50,35 @@ struct CellEstimate {
   std::vector<std::pair<int, int>> stage_tp_range;
   // Single-GPU seconds spent profiling (the Fig. 12b cost).
   double profile_gpu_seconds = 0.0;
-  // Number of assembled plans considered (2^Ns modulo OOM-dropped options).
+  // Number of combinations the assembly covers: the product of the per-stage
+  // option counts (2^Ns modulo OOM-dropped options). The chain DP covers them
+  // all without visiting each one.
   int plans_assembled = 0;
 };
+
+// The Fig. 9 assembly problem for one Cell. Stage s offers opt_count[s]
+// (1 or 2) options. Option o of stage s has per-microbatch time
+// t_stage[2*s + o] and gradient-sync time t_dp_sync[2*s + o]; moving from
+// option po of stage s-1 into option o of stage s costs
+// boundary[4*s + 2*po + o] (s >= 1).
+struct StageChain {
+  size_t num_stages = 0;
+  const int* opt_count = nullptr;
+  const double* t_stage = nullptr;
+  const double* t_dp_sync = nullptr;
+  const double* boundary = nullptr;
+  int num_microbatches = 1;
+};
+
+// Returns the smallest plan total over every combination of one option per
+// stage, where a plan's total is
+//   ((S + (B-1)*max t_stage) + f*max t_dp_sync) + PerfModel::kIterOverhead,
+// S adds t_stage and then the boundary term stage by stage, B is
+// num_microbatches and f is PerfModel::kDpSyncExposedFraction. Writes the
+// winning option per stage to choice[0, num_stages): among equal totals, the
+// combination a depth-first enumeration (stage 0 outermost, highest option
+// index first) reaches first. Scratch comes from `arena`, which is not reset.
+double AssembleChain(const StageChain& chain, Arena* arena, int* choice);
 
 class CellEstimator {
  public:
@@ -67,11 +92,6 @@ class CellEstimator {
   // arena (reset on entry); steady-state calls allocate nothing on the heap.
   // An estimator belongs to one thread, like the oracle that owns it.
   CellEstimate Estimate(const JobContext& ctx, const Cell& cell) const;
-
-  // Pre-refactor assembly (per-plan structs on an explicit DFS stack), kept
-  // as the golden reference: the SoA path must reproduce its CellEstimates
-  // bit for bit (tests/estimator_batch_test.cc). Not used on any hot path.
-  CellEstimate EstimateReference(const JobContext& ctx, const Cell& cell) const;
 
  private:
   const PerfModel* model_;

@@ -69,7 +69,7 @@ ExploreResult Explorer::ExploreWithinStages(const JobContext& ctx, int ngpus, in
     return result;
   }
 
-  const std::vector<StageRange> ranges = PartitionStages(g, ngpus, nstages);
+  const std::vector<StageRange>& ranges = model_->Stages(ctx, ngpus, nstages);
   const int num_microbatches = 4 * nstages;
   const double microbatch =
       static_cast<double>(ctx.global_batch) / static_cast<double>(num_microbatches);

@@ -44,6 +44,16 @@ JobContext PerfModel::MakeContext(const ModelSpec& spec, GpuType type) const {
   return ctx;
 }
 
+const std::vector<StageRange>& PerfModel::Stages(const JobContext& ctx, int ngpus,
+                                                int nstages) const {
+  CRIUS_CHECK(ctx.graph != nullptr);
+  auto [it, inserted] = stages_cache_.try_emplace(StagesKey{ctx.graph, ngpus, nstages});
+  if (inserted) {
+    it->second = PartitionStages(*ctx.graph, ngpus, nstages);
+  }
+  return it->second;
+}
+
 namespace {
 
 // Topology seen by a data-parallel group whose replicas are tp GPUs apart:

@@ -22,6 +22,9 @@
 #define SRC_PARALLEL_PERF_MODEL_H_
 
 #include <array>
+#include <map>
+#include <tuple>
+#include <vector>
 
 #include "src/hw/cluster.h"
 #include "src/model/models.h"
@@ -112,9 +115,20 @@ class PerfModel {
 
   bool HasType(GpuType type) const { return has_type_[static_cast<int>(type)]; }
 
+  // PartitionStages(*ctx.graph, ngpus, nstages), memoized per (graph, ngpus,
+  // nstages). The partition is a pure function of its key and every graph
+  // comes from GetOpGraph, so entries stay valid for the process lifetime.
+  // The reference is stable across calls. Like PerformanceOracle::ContextFor,
+  // a model's memo belongs to one thread.
+  const std::vector<StageRange>& Stages(const JobContext& ctx, int ngpus, int nstages) const;
+
  private:
+  using StagesKey = std::tuple<const OpGraph*, int, int>;
+
   std::array<GroupTopology, kNumGpuTypes> topo_{};
   std::array<bool, kNumGpuTypes> has_type_{};
+  // mutable: Stages is logically const (pure, memoized).
+  mutable std::map<StagesKey, std::vector<StageRange>> stages_cache_;
 };
 
 // Degraded-mode iteration time: the realized latency of a plan whose slowest

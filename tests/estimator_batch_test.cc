@@ -1,12 +1,15 @@
-// Bit-identity of the SoA assembly path against the pre-refactor recursive
-// reference, plus the batch estimation API's contract (DESIGN.md §14).
+// Bit-identity of the chain-DP assembly against the original enumeration
+// (tests/estimator_reference.h), the PerfModel stage-partition memo, and the
+// batch estimation API's contract (DESIGN.md §14).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/core/estimator.h"
 #include "src/core/oracle.h"
+#include "tests/estimator_reference.h"
 
 namespace crius {
 namespace {
@@ -24,20 +27,23 @@ class EstimatorBatchTest : public ::testing::Test {
       : cluster_(MakeSimulatedCluster()),
         model_(cluster_),
         comm_(cluster_, 42, CommProfile::kMeasureJitter),
-        estimator_(&model_, &comm_, 42) {}
+        estimator_(&model_, &comm_, 42),
+        reference_profiler_(&model_, 42) {}
 
   Cluster cluster_;
   PerfModel model_;
   CommProfile comm_;
   CellEstimator estimator_;
+  // Same seed and jitter as estimator_'s own profiler.
+  SingleDeviceProfiler reference_profiler_;
 };
 
 void ExpectBitIdentical(const CellEstimate& soa, const CellEstimate& ref,
                         const std::string& what) {
   SCOPED_TRACE(what);
   ASSERT_EQ(soa.feasible, ref.feasible);
-  // Exact double equality on purpose: the SoA rewrite must preserve the
-  // reference arithmetic association, not merely approximate it.
+  // Exact double equality on purpose: the chain DP must find the very double
+  // the enumeration computed, not merely approximate it.
   EXPECT_EQ(soa.iter_time, ref.iter_time);
   EXPECT_EQ(soa.profile_gpu_seconds, ref.profile_gpu_seconds);
   EXPECT_EQ(soa.plans_assembled, ref.plans_assembled);
@@ -55,23 +61,49 @@ void ExpectBitIdentical(const CellEstimate& soa, const CellEstimate& ref,
   EXPECT_EQ(soa.stage_tp_range, ref.stage_tp_range);
 }
 
-TEST_F(EstimatorBatchTest, SoAPathIsBitIdenticalToReferenceAcrossZoo) {
+TEST_F(EstimatorBatchTest, ChainPathIsBitIdenticalToReferenceAcrossZoo) {
   int compared = 0;
   for (const ModelSpec& spec : kZoo) {
     for (GpuType type : {GpuType::kA100, GpuType::kA40, GpuType::kV100}) {
       const JobContext ctx = model_.MakeContext(spec, type);
-      for (int ngpus : {1, 2, 4, 8, 16}) {
-        for (int nstages = 1; nstages <= ngpus; nstages *= 2) {
+      for (int ngpus : {1, 2, 4, 8, 16, 32, 64}) {
+        for (int nstages = 1; nstages <= std::min(ngpus, 16); nstages *= 2) {
           const Cell cell{type, ngpus, nstages};
-          const CellEstimate soa = estimator_.Estimate(ctx, cell);
-          const CellEstimate ref = estimator_.EstimateReference(ctx, cell);
-          ExpectBitIdentical(soa, ref, spec.Name() + " " + cell.ToString());
+          const CellEstimate chain = estimator_.Estimate(ctx, cell);
+          const CellEstimate ref = EstimateCellReference(comm_, reference_profiler_, ctx, cell);
+          ExpectBitIdentical(chain, ref, spec.Name() + " " + cell.ToString());
           ++compared;
         }
       }
     }
   }
-  EXPECT_GT(compared, 200);  // the sweep actually covered the zoo
+  EXPECT_GT(compared, 400);  // the sweep actually covered the zoo
+}
+
+TEST_F(EstimatorBatchTest, StagesMemoMatchesPartitionStagesAcrossZoo) {
+  for (const ModelSpec& spec : kZoo) {
+    const JobContext ctx = model_.MakeContext(spec, GpuType::kA100);
+    const int num_ops = static_cast<int>(ctx.graph->size());
+    for (int ngpus = 1; ngpus <= 64; ngpus *= 2) {
+      for (int nstages = 1; nstages <= std::min(ngpus, num_ops); ++nstages) {
+        SCOPED_TRACE(spec.Name() + " ngpus " + std::to_string(ngpus) + " nstages " +
+                     std::to_string(nstages));
+        const std::vector<StageRange>& memo = model_.Stages(ctx, ngpus, nstages);
+        const std::vector<StageRange> fresh = PartitionStages(*ctx.graph, ngpus, nstages);
+        ASSERT_EQ(memo.size(), fresh.size());
+        for (size_t s = 0; s < fresh.size(); ++s) {
+          EXPECT_EQ(memo[s].op_begin, fresh[s].op_begin);
+          EXPECT_EQ(memo[s].op_end, fresh[s].op_end);
+          EXPECT_EQ(memo[s].gpus, fresh[s].gpus);
+        }
+        // A repeat call, also through another context on the same graph,
+        // returns the memoized entry itself.
+        EXPECT_EQ(&model_.Stages(ctx, ngpus, nstages), &memo);
+        const JobContext other = model_.MakeContext(spec, GpuType::kV100);
+        EXPECT_EQ(&model_.Stages(other, ngpus, nstages), &memo);
+      }
+    }
+  }
 }
 
 TEST_F(EstimatorBatchTest, ScratchReuseDoesNotChangeResults) {
