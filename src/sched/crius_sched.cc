@@ -15,6 +15,13 @@ namespace crius {
 
 namespace {
 
+// Minimum relative estimated-throughput gain before a running job is
+// re-scheduled in the upscale phase; keeps restart counts low (§8.4).
+constexpr double kMoveGainThreshold = 0.05;
+// Pending queued jobs that get the full scaling search per round; the rest
+// only try free capacity (bounds per-round scheduling overhead).
+constexpr int kMaxSearchJobs = 8;
+
 // Per-type candidate-size cap, exactly as GenerateCellsUpTo derives it:
 // FloorPowerOfTwo of the usable capacity, 0 when the type is absent or fully
 // failed. Cached Cell rankings are a pure function of the job and these caps
@@ -513,7 +520,7 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
       // the final placement makes the cumulative delta (including the placed
       // job's score) positive.
       bool placed = false;
-      if (searched_jobs < config_.max_search_jobs && config_.search_depth > 0) {
+      if (searched_jobs < kMaxSearchJobs && config_.search_depth > 0) {
         ++searched_jobs;
         if (!classes_built) {
           move_classes_.Build(vjobs_, meets_deadline);
@@ -651,7 +658,7 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
   int upscale_moves = 0;
   for (int moves = 0; moves < config_.max_upscale_moves; ++moves) {
     double best_rank = !multi && config_.objective == CriusObjective::kMaxThroughput
-                           ? config_.move_gain_threshold
+                           ? kMoveGainThreshold
                            : -std::numeric_limits<double>::infinity();
     size_t best_vi = 0;
     const CellChoice* best_cell = nullptr;
@@ -679,12 +686,12 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
         double rank = 0.0;
         if (multi) {
           // Composite gain of swapping the held Cell for `alt`; the same
-          // move_gain_threshold guards against churny marginal restarts.
+          // kMoveGainThreshold guards against churny marginal restarts.
           FreeMap f3 = f2;
           Take(alt.cell, f3);
           const double gain = composite_rank(alt.score, alt.cell, f3) -
                               composite_rank(vj.score, *vj.cell, free);
-          if (gain <= config_.move_gain_threshold) {
+          if (gain <= kMoveGainThreshold) {
             continue;
           }
           // Fairness water-fills (most-deprived job first), like the coarse
@@ -692,7 +699,7 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
           rank = gain + config_.multi.fairness * -vj.score;
         } else {
           const double gain = (alt.score - vj.score) / std::max(vj.score, 1e-9);
-          if (gain <= config_.move_gain_threshold) {
+          if (gain <= kMoveGainThreshold) {
             continue;  // a restart is never worth a marginal gain
           }
           if (config_.objective == CriusObjective::kMaxThroughput) {

@@ -73,12 +73,6 @@ struct CriusConfig {
   bool deadline_aware = false;
   // Launch later queued jobs while a larger one pends (§6.1).
   bool opportunistic = true;
-  // Minimum relative estimated-throughput gain before a running job is
-  // re-scheduled in the upscale phase; keeps restart counts low (§8.4).
-  double move_gain_threshold = 0.05;
-  // Pending queued jobs that get the full scaling search per round; the rest
-  // only try free capacity (bounds per-round scheduling overhead).
-  int max_search_jobs = 8;
   // Upper bound on upscale moves applied per round.
   int max_upscale_moves = 12;
   // Multi-objective weights (src/power). Default (pure throughput) leaves

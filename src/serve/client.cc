@@ -148,49 +148,49 @@ bool Client::Submit(const TrainingJob& job, JsonObject* response, std::string* e
 
 bool Client::Cancel(int64_t job_id, JsonObject* response, std::string* error) {
   JsonObject request;
-  request["cmd"] = JsonValue::String("cancel");
-  request["job_id"] = JsonValue::Number(static_cast<double>(job_id));
+  request.Set("cmd", Json::Str("cancel"));
+  request.Set("job_id", Json::Number(static_cast<double>(job_id)));
   return CallJson(request, response, error);
 }
 
 bool Client::FailNode(int node_id, JsonObject* response, std::string* error) {
   JsonObject request;
-  request["cmd"] = JsonValue::String("fail-node");
-  request["node_id"] = JsonValue::Number(node_id);
+  request.Set("cmd", Json::Str("fail-node"));
+  request.Set("node_id", Json::Number(node_id));
   return CallJson(request, response, error);
 }
 
 bool Client::RecoverNode(int node_id, JsonObject* response, std::string* error) {
   JsonObject request;
-  request["cmd"] = JsonValue::String("recover-node");
-  request["node_id"] = JsonValue::Number(node_id);
+  request.Set("cmd", Json::Str("recover-node"));
+  request.Set("node_id", Json::Number(node_id));
   return CallJson(request, response, error);
 }
 
 bool Client::Query(int64_t job_id, JsonObject* response, std::string* error) {
   JsonObject request;
-  request["cmd"] = JsonValue::String("query");
-  request["job_id"] = JsonValue::Number(static_cast<double>(job_id));
+  request.Set("cmd", Json::Str("query"));
+  request.Set("job_id", Json::Number(static_cast<double>(job_id)));
   return CallJson(request, response, error);
 }
 
 bool Client::Stats(JsonObject* response, std::string* error) {
   JsonObject request;
-  request["cmd"] = JsonValue::String("stats");
+  request.Set("cmd", Json::Str("stats"));
   return CallJson(request, response, error);
 }
 
 bool Client::Metrics(const std::string& format, JsonObject* response, std::string* error) {
   JsonObject request;
-  request["cmd"] = JsonValue::String("metrics");
-  request["format"] = JsonValue::String(format);
+  request.Set("cmd", Json::Str("metrics"));
+  request.Set("format", Json::Str(format));
   return CallJson(request, response, error);
 }
 
 bool Client::Shutdown(bool drain, JsonObject* response, std::string* error) {
   JsonObject request;
-  request["cmd"] = JsonValue::String("shutdown");
-  request["mode"] = JsonValue::String(drain ? "drain" : "now");
+  request.Set("cmd", Json::Str("shutdown"));
+  request.Set("mode", Json::Str(drain ? "drain" : "now"));
   return CallJson(request, response, error);
 }
 

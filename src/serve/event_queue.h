@@ -59,6 +59,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -83,6 +84,8 @@ enum class RejectReason : uint8_t {
   kBadRequest,   // malformed or out-of-range request fields
   kClusterPowerCap,  // projected cluster draw at/over --power-cap-watts
 };
+inline constexpr size_t kNumRejectReasons =
+    static_cast<size_t>(RejectReason::kClusterPowerCap) + 1;
 
 // Stable machine-readable token ("queue_full", ...) used in protocol error
 // responses and counters.
@@ -202,7 +205,7 @@ class EventQueue {
   // mutex; the push path must not).
   Counter* accepted_counter_;
   Counter* rejected_counter_;
-  Counter* rejected_by_reason_[9];
+  Counter* rejected_by_reason_[kNumRejectReasons];
   Histogram* push_ns_;
   Histogram* merge_ms_;
 };

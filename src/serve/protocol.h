@@ -1,21 +1,22 @@
 // Line-delimited JSON protocol between crius_serve and its clients.
 //
 // Each request and each response is one flat JSON object on one line --
-// string, number, and boolean values only, no nesting. A deliberately tiny
-// dialect: it keeps the daemon dependency-free, is trivially scriptable from
-// a shell, and the flat shape is all the command vocabulary needs.
+// string, number, and boolean values only, no nesting. The flat shape keeps
+// the daemon trivially scriptable from a shell and is all the command
+// vocabulary needs. Lines are read and written with crius::Json
+// (src/util/json.h); this file adds the flat-shape check, the sorted-key
+// wire serializer, and the typed request fields.
 //
 //   -> {"cmd":"submit","family":"BERT","params_billion":1.3,
 //       "global_batch":256,"iterations":200,"gpus":8,"type":"A100"}
-//   <- {"ok":true,"job_id":7,"status":"queued"}
+//   <- {"job_id":7,"ok":true,"status":"queued"}
 //   -> {"cmd":"submit",...}                       (cluster saturated)
 //   <- {"ok":false,"reason":"cluster_saturated"}
 //
 // Commands: submit | cancel | fail-node | recover-node | query | stats |
-// metrics | shutdown. See DESIGN.md §8 for the full field tables. The
-// `metrics` reply smuggles the (nested) registry snapshot through the flat
-// dialect as an escaped string field -- clients parse the line, then parse
-// the "metrics" payload.
+// metrics | shutdown; see DESIGN.md §10 "Protocol". The `metrics` reply
+// carries the (nested) registry snapshot as an escaped string field --
+// clients parse the line, then parse the "metrics" payload.
 //
 // Serialization is deterministic (keys emitted in sorted order) so tests can
 // string-compare responses.
@@ -23,45 +24,37 @@
 #ifndef SRC_SERVE_PROTOCOL_H_
 #define SRC_SERVE_PROTOCOL_H_
 
-#include <map>
+#include <cstdint>
 #include <string>
 
 #include "src/model/job.h"
 #include "src/serve/event_queue.h"
+#include "src/util/json.h"
 
 namespace crius {
 namespace serve {
 
-// One flat JSON value.
-struct JsonValue {
-  enum class Kind : uint8_t { kString, kNumber, kBool };
-  Kind kind = Kind::kString;
-  std::string str;
-  double num = 0.0;
-  bool b = false;
+// A protocol line: a Json object with string, number, and bool values.
+using JsonObject = Json;
 
-  static JsonValue String(std::string s);
-  static JsonValue Number(double v);
-  static JsonValue Bool(bool v);
-};
-
-// std::map keeps keys sorted, which makes Serialize deterministic.
-using JsonObject = std::map<std::string, JsonValue>;
-
-// Parses one flat JSON object. Returns false (with a message in *error) on
-// malformed input, nesting, arrays, or null -- operator input is rejected,
-// never aborted on.
+// Parses one protocol line. Returns false (with a message in *error) on
+// malformed JSON, a root that is not an object, nesting, arrays, or null --
+// operator input is rejected, never aborted on.
 bool ParseJsonObject(const std::string& line, JsonObject* out, std::string* error);
 
-// Renders `obj` as one JSON line (no trailing newline), keys sorted.
+// Renders `obj` as one JSON line (no trailing newline), keys sorted. The one
+// place that fixes the wire key order.
 std::string Serialize(const JsonObject& obj);
 
-// Field accessors with defaults.
-bool Has(const JsonObject& obj, const std::string& key);
-std::string GetString(const JsonObject& obj, const std::string& key,
-                      const std::string& fallback = "");
-double GetNumber(const JsonObject& obj, const std::string& key, double fallback = 0.0);
-bool GetBool(const JsonObject& obj, const std::string& key, bool fallback = false);
+// Largest magnitude at which every integer is exactly a double (2^53).
+inline constexpr int64_t kMaxExactInteger = int64_t{1} << 53;
+
+// Reads the integer field `key` of `request` into *out: `fallback` when the
+// field is absent, else a whole number in [min, max]. Returns false with a
+// message otherwise (not a number, fractional, or out of range). Bounds must
+// lie within +-kMaxExactInteger so every accepted value converts exactly.
+bool IntegerField(const JsonObject& request, const std::string& key, int64_t min, int64_t max,
+                  int64_t fallback, int64_t* out, std::string* error);
 
 // Canned responses.
 std::string OkResponse(JsonObject extra = {});
@@ -69,7 +62,8 @@ std::string ErrorResponse(RejectReason reason, const std::string& message = "");
 
 // Builds a TrainingJob (id unset) from a submit request. Returns false with a
 // human-readable message on unknown families/types, unsupported model sizes,
-// or non-positive counts; the caller turns that into a kBadRequest response.
+// or non-positive or non-integer counts; the caller turns that into a
+// kBadRequest response.
 bool ParseSubmitJob(const JsonObject& request, TrainingJob* job, std::string* error);
 
 // The submit request for `job` (inverse of ParseSubmitJob; used by the client

@@ -1,5 +1,6 @@
 #include "src/serve/service.h"
 
+#include <climits>
 #include <optional>
 
 #include "src/serve/protocol.h"
@@ -11,11 +12,8 @@ namespace serve {
 
 namespace {
 
-std::string FromReject(std::optional<RejectReason> reject, JsonObject ok_extra = {}) {
-  if (reject.has_value()) {
-    return ErrorResponse(*reject);
-  }
-  return OkResponse(std::move(ok_extra));
+std::string FromReject(std::optional<RejectReason> reject) {
+  return reject.has_value() ? ErrorResponse(*reject) : OkResponse();
 }
 
 std::string HandleSubmit(Controller& controller, const JsonObject& request) {
@@ -29,64 +27,69 @@ std::string HandleSubmit(Controller& controller, const JsonObject& request) {
     return ErrorResponse(result.reason);
   }
   JsonObject extra;
-  extra["job_id"] = JsonValue::Number(static_cast<double>(result.job_id));
-  extra["status"] = JsonValue::String("queued");
+  extra.Set("job_id", Json::Number(static_cast<double>(result.job_id)));
+  extra.Set("status", Json::Str("queued"));
   return OkResponse(std::move(extra));
 }
 
 std::string HandleQuery(Controller& controller, const JsonObject& request) {
-  const int64_t job_id = static_cast<int64_t>(GetNumber(request, "job_id", -1.0));
+  int64_t job_id = -1;
+  std::string error;
+  if (!IntegerField(request, "job_id", -kMaxExactInteger, kMaxExactInteger, -1, &job_id,
+                    &error)) {
+    return ErrorResponse(RejectReason::kBadRequest, error);
+  }
   const Controller::JobStatus status = controller.Query(job_id);
   if (!status.known) {
     return ErrorResponse(RejectReason::kUnknownJob);
   }
   JsonObject extra;
-  extra["job_id"] = JsonValue::Number(static_cast<double>(job_id));
-  extra["status"] = JsonValue::String(status.state);
-  extra["submit_time"] = JsonValue::Number(status.submit_time);
-  extra["first_start"] = JsonValue::Number(status.first_start);
-  extra["finish_time"] = JsonValue::Number(status.finish_time);
-  extra["restarts"] = JsonValue::Number(status.restarts);
+  extra.Set("job_id", Json::Number(static_cast<double>(job_id)));
+  extra.Set("status", Json::Str(status.state));
+  extra.Set("submit_time", Json::Number(status.submit_time));
+  extra.Set("first_start", Json::Number(status.first_start));
+  extra.Set("finish_time", Json::Number(status.finish_time));
+  extra.Set("restarts", Json::Number(status.restarts));
   return OkResponse(std::move(extra));
 }
 
 std::string HandleStats(Controller& controller) {
   const Controller::Stats stats = controller.GetStats();
   JsonObject extra;
-  extra["virtual_now"] = JsonValue::Number(stats.virtual_now);
-  extra["ticks"] = JsonValue::Number(static_cast<double>(stats.ticks));
-  extra["live_jobs"] = JsonValue::Number(stats.live_jobs);
-  extra["running_jobs"] = JsonValue::Number(stats.running_jobs);
-  extra["queued_jobs"] = JsonValue::Number(stats.queued_jobs);
-  extra["accepted"] = JsonValue::Number(static_cast<double>(stats.accepted));
-  extra["infeasible"] = JsonValue::Number(static_cast<double>(stats.infeasible));
-  extra["decisions"] = JsonValue::Number(static_cast<double>(stats.decisions));
-  extra["latency_p50_ms"] = JsonValue::Number(stats.latency_p50_ms);
-  extra["latency_p95_ms"] = JsonValue::Number(stats.latency_p95_ms);
-  extra["latency_p99_ms"] = JsonValue::Number(stats.latency_p99_ms);
+  extra.Set("virtual_now", Json::Number(stats.virtual_now));
+  extra.Set("ticks", Json::Number(static_cast<double>(stats.ticks)));
+  extra.Set("live_jobs", Json::Number(stats.live_jobs));
+  extra.Set("running_jobs", Json::Number(stats.running_jobs));
+  extra.Set("queued_jobs", Json::Number(stats.queued_jobs));
+  extra.Set("accepted", Json::Number(static_cast<double>(stats.accepted)));
+  extra.Set("infeasible", Json::Number(static_cast<double>(stats.infeasible)));
+  extra.Set("decisions", Json::Number(static_cast<double>(stats.decisions)));
+  extra.Set("latency_p50_ms", Json::Number(stats.latency_p50_ms));
+  extra.Set("latency_p95_ms", Json::Number(stats.latency_p95_ms));
+  extra.Set("latency_p99_ms", Json::Number(stats.latency_p99_ms));
   // Registry-sourced enrichment: live ingress backlog, wall uptime, and one
   // rejected_<reason> field per admission-reject reason seen so far.
-  extra["queue_depth"] = JsonValue::Number(stats.queue_depth);
-  extra["uptime_seconds"] = JsonValue::Number(stats.uptime_seconds);
+  extra.Set("queue_depth", Json::Number(stats.queue_depth));
+  extra.Set("uptime_seconds", Json::Number(stats.uptime_seconds));
   for (const auto& [reason, count] : stats.rejected_by_reason) {
-    extra["rejected_" + reason] = JsonValue::Number(static_cast<double>(count));
+    extra.Set("rejected_" + reason, Json::Number(static_cast<double>(count)));
   }
   return OkResponse(std::move(extra));
 }
 
 std::string HandleMetrics(const JsonObject& request) {
-  const std::string format = GetString(request, "format", "json");
+  const std::string format = request.StringOr("format", "json");
   if (format != "json" && format != "prometheus") {
     return ErrorResponse(RejectReason::kBadRequest, "metrics format must be json|prometheus");
   }
   const MetricsSnapshot snapshot = CounterRegistry::Global().Snapshot();
   JsonObject extra;
-  extra["format"] = JsonValue::String(format);
-  // The protocol is deliberately flat (one line, no nesting), so the nested
-  // snapshot rides inside a string field; consumers parse the line, then
-  // parse the "metrics" payload (double-parse).
-  extra["metrics"] = JsonValue::String(format == "json" ? MetricsToJson(snapshot)
-                                                        : MetricsToPrometheus(snapshot));
+  extra.Set("format", Json::Str(format));
+  // The protocol is flat (one line, no nesting), so the nested snapshot
+  // rides inside a string field; consumers parse the line, then parse the
+  // "metrics" payload (double-parse).
+  extra.Set("metrics", Json::Str(format == "json" ? MetricsToJson(snapshot)
+                                                  : MetricsToPrometheus(snapshot)));
   return OkResponse(std::move(extra));
 }
 
@@ -98,30 +101,33 @@ std::string HandleRequest(Controller& controller, const std::string& line) {
   if (!ParseJsonObject(line, &request, &error)) {
     return ErrorResponse(RejectReason::kBadRequest, error);
   }
-  const std::string cmd = GetString(request, "cmd");
+  const std::string cmd = request.StringOr("cmd", "");
+  // The id argument of cancel / fail-node / recover-node: required, and a
+  // whole number in [min, max].
+  int64_t id = 0;
+  const auto read_id = [&](const char* key, int64_t min, int64_t max) {
+    if (request.Find(key) == nullptr) {
+      error = cmd + " needs " + key;
+      return false;
+    }
+    return IntegerField(request, key, min, max, 0, &id, &error);
+  };
   if (cmd == "submit") {
     return HandleSubmit(controller, request);
   }
   if (cmd == "cancel") {
-    if (!Has(request, "job_id")) {
-      return ErrorResponse(RejectReason::kBadRequest, "cancel needs job_id");
+    if (!read_id("job_id", -kMaxExactInteger, kMaxExactInteger)) {
+      return ErrorResponse(RejectReason::kBadRequest, error);
     }
-    return FromReject(
-        controller.Cancel(static_cast<int64_t>(GetNumber(request, "job_id", -1.0))));
+    return FromReject(controller.Cancel(id));
   }
-  if (cmd == "fail-node") {
-    if (!Has(request, "node_id")) {
-      return ErrorResponse(RejectReason::kBadRequest, "fail-node needs node_id");
+  if (cmd == "fail-node" || cmd == "recover-node") {
+    if (!read_id("node_id", INT_MIN, INT_MAX)) {
+      return ErrorResponse(RejectReason::kBadRequest, error);
     }
-    return FromReject(
-        controller.FailNode(static_cast<int>(GetNumber(request, "node_id", -1.0))));
-  }
-  if (cmd == "recover-node") {
-    if (!Has(request, "node_id")) {
-      return ErrorResponse(RejectReason::kBadRequest, "recover-node needs node_id");
-    }
-    return FromReject(
-        controller.RecoverNode(static_cast<int>(GetNumber(request, "node_id", -1.0))));
+    const int node_id = static_cast<int>(id);
+    return FromReject(cmd == "fail-node" ? controller.FailNode(node_id)
+                                         : controller.RecoverNode(node_id));
   }
   if (cmd == "query") {
     return HandleQuery(controller, request);
@@ -133,7 +139,7 @@ std::string HandleRequest(Controller& controller, const std::string& line) {
     return HandleMetrics(request);
   }
   if (cmd == "shutdown") {
-    const std::string mode = GetString(request, "mode", "drain");
+    const std::string mode = request.StringOr("mode", "drain");
     if (mode != "drain" && mode != "now") {
       return ErrorResponse(RejectReason::kBadRequest, "shutdown mode must be drain|now");
     }

@@ -99,9 +99,9 @@ bool BenchReport::Parse(const std::string& text, BenchReport* out, std::string* 
     *error = "bench report must be a JSON object";
     return false;
   }
-  const int schema = static_cast<int>(root.NumberOr("schema", 0.0));
+  const double schema = root.NumberOr("schema", 0.0);
   if (schema != kBenchSchemaVersion) {
-    *error = "unsupported bench report schema " + std::to_string(schema);
+    *error = "unsupported bench report schema " + FormatJsonNumber(schema);
     return false;
   }
   out->bench = root.StringOr("bench", "");

@@ -4,7 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <system_error>
 
 namespace crius {
 
@@ -95,7 +95,11 @@ std::string FormatJsonNumber(double v) {
     return "0";
   }
   char buf[64];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  // Whole numbers below 1e15 (ids, counts) print as plain digits: the
+  // shortest form of 100000 would be "1e+05".
+  const auto res = v == std::trunc(v) && std::abs(v) < 1e15
+                       ? std::to_chars(buf, buf + sizeof(buf), static_cast<int64_t>(v))
+                       : std::to_chars(buf, buf + sizeof(buf), v);
   return std::string(buf, res.ptr);
 }
 
@@ -358,17 +362,59 @@ struct JsonParser {
       return true;
     }
     if (c == '-' || (c >= '0' && c <= '9')) {
-      const char* begin = s.c_str() + pos;
-      char* end = nullptr;
-      const double v = std::strtod(begin, &end);
-      if (end == begin) {
-        return Fail("bad number");
-      }
-      pos += static_cast<size_t>(end - begin);
-      *out = Json::Number(v);
-      return true;
+      return ParseNumber(out);
     }
     return Fail(std::string("unexpected character '") + c + "'");
+  }
+
+  bool IsDigit(size_t i) const { return i < s.size() && s[i] >= '0' && s[i] <= '9'; }
+
+  size_t SkipDigits(size_t i) const {
+    while (IsDigit(i)) {
+      ++i;
+    }
+    return i;
+  }
+
+  // RFC 8259 number: -? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?.
+  // No inf/nan spellings, no hex; a value outside the double range (1e999,
+  // 1e-400) is rejected rather than rounded to inf or 0.
+  bool ParseNumber(Json* out) {
+    size_t end = pos;
+    if (s[end] == '-') {
+      ++end;
+    }
+    if (!IsDigit(end)) {
+      return Fail("bad number");
+    }
+    end = s[end] == '0' ? end + 1 : SkipDigits(end);
+    if (end < s.size() && s[end] == '.') {
+      if (!IsDigit(end + 1)) {
+        return Fail("bad number");
+      }
+      end = SkipDigits(end + 1);
+    }
+    if (end < s.size() && (s[end] == 'e' || s[end] == 'E')) {
+      ++end;
+      if (end < s.size() && (s[end] == '+' || s[end] == '-')) {
+        ++end;
+      }
+      if (!IsDigit(end)) {
+        return Fail("bad number");
+      }
+      end = SkipDigits(end);
+    }
+    if (IsDigit(end)) {
+      return Fail("bad number (leading zero)");
+    }
+    double v = 0.0;
+    const auto res = std::from_chars(s.data() + pos, s.data() + end, v);
+    if (res.ec != std::errc()) {
+      return Fail("number out of range");
+    }
+    pos = end;
+    *out = Json::Number(v);
+    return true;
   }
 };
 

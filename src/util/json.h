@@ -1,18 +1,18 @@
 // Minimal generic JSON tree: parse, build, serialize.
 //
-// The serve protocol deliberately speaks a *flat* JSON dialect
-// (src/serve/protocol.h); this is the general-purpose counterpart for the
-// telemetry pipeline, where nesting is essential: metrics snapshots
+// The one JSON reader and writer in src/: the serve protocol's request and
+// response lines (src/serve/protocol.h), metrics snapshots
 // (src/util/metrics_export.h), bench perf reports (bench/bench_util.h), and
 // the crius_benchdiff regression gate all read and write this tree.
 //
-// Properties the telemetry consumers rely on:
+// Properties the consumers rely on:
 //   * Deterministic serialization: objects keep insertion order (builders
 //     insert sorted keys where determinism matters), numbers render via
-//     std::to_chars shortest round-trip form, so parse(serialize(x)) == x
-//     and golden tests can string-compare output.
+//     FormatJsonNumber, so parse(serialize(x)) == x and golden tests can
+//     string-compare output.
 //   * No aborts on malformed input: Parse returns false with a message and
 //     byte offset; operator-supplied files are rejected, never crashed on.
+//     Numbers follow the RFC 8259 grammar and must be finite doubles.
 //   * Small surface: object/array/string/number/bool/null only -- no
 //     comments, no trailing commas, \uXXXX escapes limited to ASCII.
 
@@ -88,7 +88,9 @@ class Json {
   std::vector<std::pair<std::string, Json>> fields_;
 };
 
-// Shortest round-trip decimal rendering of `v` (std::to_chars); "0" for -0.
+// Decimal rendering of `v` that parses back to the same double: whole numbers
+// below 1e15 as plain digits, everything else in shortest round-trip form
+// (std::to_chars); "0" for -0 and for non-finite values.
 std::string FormatJsonNumber(double v);
 
 }  // namespace crius

@@ -1,9 +1,11 @@
 #include "src/util/metrics_export.h"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
+#include "src/util/csv.h"
 #include "src/util/json.h"
 
 namespace crius {
@@ -185,9 +187,9 @@ bool ParseMetricsJson(const std::string& text, MetricsSnapshot* out, std::string
     *error = "metrics document must be a JSON object";
     return false;
   }
-  const int schema = static_cast<int>(root.NumberOr("schema", 0.0));
+  const double schema = root.NumberOr("schema", 0.0);
   if (schema != kMetricsSchemaVersion) {
-    *error = "unsupported metrics schema " + std::to_string(schema);
+    *error = "unsupported metrics schema " + FormatJsonNumber(schema);
     return false;
   }
   if (!ParseScalars(root, "counters", &out->counters, error) ||
@@ -214,7 +216,12 @@ bool ParseMetricsJson(const std::string& text, MetricsSnapshot* out, std::string
       return false;
     }
     HistogramSnapshot& s = sample.value;
-    s.count = static_cast<size_t>(entry.NumberOr("count", 0.0));
+    const double count = entry.NumberOr("count", 0.0);
+    if (!(count >= 0.0 && count <= 0x1p53) || count != std::trunc(count)) {
+      *error = "histogram '" + sample.name + "' count must be a whole number";
+      return false;
+    }
+    s.count = static_cast<size_t>(count);
     s.sum = entry.NumberOr("sum", 0.0);
     s.mean = entry.NumberOr("mean", 0.0);
     s.min = entry.NumberOr("min", 0.0);
@@ -284,24 +291,6 @@ bool WriteMetricsJsonFile(const std::string& path, const MetricsSnapshot& snapsh
 
 namespace {
 
-// CSV cells hold canonical metric names, which can contain commas inside the
-// label block -- quote anything that needs it.
-std::string CsvCell(const std::string& value) {
-  if (value.find_first_of(",\"\n") == std::string::npos) {
-    return value;
-  }
-  std::string out = "\"";
-  for (const char c : value) {
-    if (c == '"') {
-      out += "\"\"";
-    } else {
-      out.push_back(c);
-    }
-  }
-  out += "\"";
-  return out;
-}
-
 // Flattens a snapshot into (column name -> value): scalars contribute their
 // canonical name; histograms contribute .p50/.p95/.count derived columns.
 std::map<std::string, double> FlattenSnapshot(const MetricsSnapshot& snapshot) {
@@ -335,7 +324,9 @@ bool MetricsCsvWriter::Append(double timestamp, const MetricsSnapshot& snapshot)
     std::string header = "time";
     for (const auto& [name, value] : flat) {
       columns_.push_back(name);
-      header += "," + CsvCell(name);
+      // Canonical names can hold commas inside the label block.
+      header += ',';
+      header += csv::EscapeField(name);
     }
     out << header << "\n";
     if (!out) {

@@ -55,6 +55,8 @@ TEST(BenchReportTest, ParseRejectsMalformedReports) {
   EXPECT_FALSE(BenchReport::Parse("nope", &out, &error));
   EXPECT_FALSE(BenchReport::Parse(R"({"bench":"x","schema":2,"metrics":{}})", &out, &error));
   EXPECT_NE(error.find("schema"), std::string::npos);
+  EXPECT_FALSE(BenchReport::Parse(R"({"bench":"x","schema":1e300,"metrics":{}})", &out, &error));
+  EXPECT_EQ(error, "unsupported bench report schema 1e+300");
   EXPECT_FALSE(BenchReport::Parse(R"({"bench":"x","schema":1})", &out, &error));
   EXPECT_NE(error.find("metrics"), std::string::npos);
   // Bad `better` direction is rejected, not defaulted.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 namespace crius {
 namespace {
@@ -102,32 +103,48 @@ TEST(JsonTest, EscapeStringQuotesAndControls) {
 }
 
 TEST(JsonTest, ParseRejectsMalformedInputWithOffset) {
-  struct Case {
-    const char* text;
+  const char* const cases[] = {
+      "",               // empty input
+      "{",              // unterminated object
+      "[1,2,",          // unterminated array
+      "{\"a\" 1}",      // missing colon
+      "[1] trailing",   // trailing garbage
+      "{'a':1}",        // single quotes
+      "[01]",           // leading zero (RFC 8259)
+      "nan",
+      "\"unterminated",
+      // Non-JSON or non-finite numbers that a bare strtod would accept.
+      "-inf",
+      "-nan",
+      "-Infinity",
+      "1e999",
+      "0x10",
   };
-  const Case cases[] = {
-      {""},            // empty input
-      {"{"},           // unterminated object
-      {"[1,2,"},       // unterminated array
-      {"{\"a\" 1}"},   // missing colon
-      {"[1] trailing"},  // trailing garbage
-      {"{'a':1}"},     // single quotes
-      {"[01]"},        // leading zero is fine per strtod but "nan" is not:
-      {"nan"},
-      {"\"unterminated"},
-  };
-  for (const Case& c : cases) {
-    // "[01]" parses under permissive number readers; only assert that a
-    // failure, when reported, carries a message. The hard-malformed cases
-    // must fail.
+  for (const char* text : cases) {
     Json out;
     std::string error;
-    const bool ok = Json::Parse(c.text, &out, &error);
-    if (std::string(c.text) == "[01]") {
-      continue;  // implementation-defined; not part of the contract
-    }
-    EXPECT_FALSE(ok) << "input: " << c.text;
-    EXPECT_FALSE(error.empty()) << "input: " << c.text;
+    EXPECT_FALSE(Json::Parse(text, &out, &error)) << "input: " << text;
+    EXPECT_FALSE(error.empty()) << "input: " << text;
+  }
+}
+
+TEST(JsonTest, ParseFollowsNumberGrammar) {
+  const char* const bad[] = {"-", "+1", ".5", "1.", "1e", "1e+", "-.5", "--1", "1.e5"};
+  for (const char* text : bad) {
+    Json out;
+    std::string error;
+    EXPECT_FALSE(Json::Parse(text, &out, &error)) << "input: " << text;
+  }
+  const std::pair<const char*, double> good[] = {
+      {"0", 0.0},      {"-0", 0.0},    {"12", 12.0},    {"-3.25", -3.25},
+      {"1e3", 1000.0}, {"2E-2", 0.02}, {"0.5e+1", 5.0},
+      {"1.7976931348623157e308", 1.7976931348623157e308},
+  };
+  for (const auto& [text, value] : good) {
+    Json out;
+    std::string error;
+    ASSERT_TRUE(Json::Parse(text, &out, &error)) << "input: " << text << ": " << error;
+    EXPECT_EQ(out.number(), value) << "input: " << text;
   }
 }
 
@@ -157,6 +174,11 @@ TEST(JsonTest, FormatJsonNumberShortestRoundTrip) {
   EXPECT_EQ(FormatJsonNumber(3.0), "3");
   // Shortest form that round-trips, not a fixed precision.
   EXPECT_EQ(FormatJsonNumber(0.1), "0.1");
+  // Whole numbers below 1e15 stay in plain digits, not the shorter "1e+05".
+  EXPECT_EQ(FormatJsonNumber(100000.0), "100000");
+  EXPECT_EQ(FormatJsonNumber(-2000000.0), "-2000000");
+  EXPECT_EQ(FormatJsonNumber(999999999999999.0), "999999999999999");
+  EXPECT_EQ(FormatJsonNumber(1e15), "1e+15");
 }
 
 }  // namespace

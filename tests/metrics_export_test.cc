@@ -115,6 +115,16 @@ TEST_F(MetricsExportTest, ParseRejectsMalformedDocuments) {
       R"({"schema":1,"counters":[{"name":"x","labels":{"k":1},"value":1}]})", &out, &error));
   // Top level must be an object.
   EXPECT_FALSE(ParseMetricsJson("[1,2]", &out, &error));
+  // A schema or histogram count too large or fractional for its integer
+  // type is rejected, not cast.
+  EXPECT_FALSE(ParseMetricsJson(R"({"schema":1e300})", &out, &error));
+  EXPECT_FALSE(ParseMetricsJson(R"({"schema":1.5})", &out, &error));
+  EXPECT_EQ(error, "unsupported metrics schema 1.5");
+  EXPECT_FALSE(
+      ParseMetricsJson(R"({"schema":1,"histograms":[{"name":"h","count":1e300}]})", &out, &error));
+  EXPECT_NE(error.find("count"), std::string::npos);
+  EXPECT_FALSE(
+      ParseMetricsJson(R"({"schema":1,"histograms":[{"name":"h","count":-1}]})", &out, &error));
 }
 
 TEST_F(MetricsExportTest, PrometheusGolden) {

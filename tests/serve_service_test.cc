@@ -54,9 +54,9 @@ TEST_F(ServiceTest, MalformedJsonRejectedAsBadRequest) {
   JsonObject response;
   std::string error;
   ASSERT_TRUE(ParseJsonObject(Handle("not json"), &response, &error)) << error;
-  EXPECT_FALSE(GetBool(response, "ok", true));
-  EXPECT_EQ(GetString(response, "reason"), "bad_request");
-  EXPECT_FALSE(GetString(response, "message").empty());
+  EXPECT_FALSE(response.BoolOr("ok", true));
+  EXPECT_EQ(response.StringOr("reason", ""), "bad_request");
+  EXPECT_FALSE(response.StringOr("message", "").empty());
 }
 
 TEST_F(ServiceTest, UnknownCommandRejected) {
@@ -64,8 +64,8 @@ TEST_F(ServiceTest, UnknownCommandRejected) {
   JsonObject response;
   std::string error;
   ASSERT_TRUE(ParseJsonObject(Handle(R"({"cmd":"resize"})"), &response, &error)) << error;
-  EXPECT_FALSE(GetBool(response, "ok", true));
-  EXPECT_EQ(GetString(response, "reason"), "bad_request");
+  EXPECT_FALSE(response.BoolOr("ok", true));
+  EXPECT_EQ(response.StringOr("reason", ""), "bad_request");
 }
 
 TEST_F(ServiceTest, SubmitQueryStatsShutdownOverDispatch) {
@@ -78,31 +78,81 @@ TEST_F(ServiceTest, SubmitQueryStatsShutdownOverDispatch) {
              R"("global_batch":256,"iterations":20,"gpus":8,"type":"A40"})"),
       &response, &error))
       << error;
-  ASSERT_TRUE(GetBool(response, "ok"));
-  const int64_t job_id = static_cast<int64_t>(GetNumber(response, "job_id", -1));
+  ASSERT_TRUE(response.BoolOr("ok", false));
+  const int64_t job_id = static_cast<int64_t>(response.NumberOr("job_id", -1));
   EXPECT_GE(job_id, 1);
-  EXPECT_EQ(GetString(response, "status"), "queued");
+  EXPECT_EQ(response.StringOr("status", ""), "queued");
 
   ASSERT_TRUE(ParseJsonObject(Handle(R"({"cmd":"query","job_id":999})"), &response, &error));
-  EXPECT_FALSE(GetBool(response, "ok", true));
-  EXPECT_EQ(GetString(response, "reason"), "unknown_job");
+  EXPECT_FALSE(response.BoolOr("ok", true));
+  EXPECT_EQ(response.StringOr("reason", ""), "unknown_job");
 
   ASSERT_TRUE(ParseJsonObject(Handle(R"({"cmd":"stats"})"), &response, &error));
-  EXPECT_TRUE(GetBool(response, "ok"));
-  EXPECT_TRUE(Has(response, "virtual_now"));
-  EXPECT_TRUE(Has(response, "live_jobs"));
-  EXPECT_TRUE(Has(response, "latency_p99_ms"));
+  EXPECT_TRUE(response.BoolOr("ok", false));
+  EXPECT_TRUE(response.Find("virtual_now") != nullptr);
+  EXPECT_TRUE(response.Find("live_jobs") != nullptr);
+  EXPECT_TRUE(response.Find("latency_p99_ms") != nullptr);
 
   ASSERT_TRUE(
       ParseJsonObject(Handle(R"({"cmd":"shutdown","mode":"sideways"})"), &response, &error));
-  EXPECT_FALSE(GetBool(response, "ok", true));
-  EXPECT_EQ(GetString(response, "reason"), "bad_request");
+  EXPECT_FALSE(response.BoolOr("ok", true));
+  EXPECT_EQ(response.StringOr("reason", ""), "bad_request");
 
   ASSERT_TRUE(
       ParseJsonObject(Handle(R"({"cmd":"shutdown","mode":"drain"})"), &response, &error));
-  EXPECT_TRUE(GetBool(response, "ok"));
+  EXPECT_TRUE(response.BoolOr("ok", false));
   controller_->Join();
   EXPECT_TRUE(controller_->done());
+}
+
+// One exact response line per verb, from a controller whose round loop has
+// not started (so no field depends on tick timing). Every number here is
+// integer-valued; the key order is the sorted wire order.
+TEST_F(ServiceTest, WireLinesPinnedPerVerb) {
+  EXPECT_EQ(Handle(R"({"cmd":"submit","family":"BERT","params_billion":0.76,)"
+                   R"("global_batch":256,"iterations":20,"gpus":8,"type":"A40"})"),
+            R"({"job_id":1,"ok":true,"status":"queued"})");
+  EXPECT_EQ(Handle(R"({"cmd":"query","job_id":1})"),
+            R"({"finish_time":-1,"first_start":-1,"job_id":1,"ok":true,"restarts":0,)"
+            R"("status":"accepted","submit_time":-1})");
+  EXPECT_EQ(Handle(R"({"cmd":"query","job_id":999})"), R"({"ok":false,"reason":"unknown_job"})");
+  EXPECT_EQ(Handle(R"({"cmd":"cancel","job_id":1})"), R"({"ok":true})");
+  EXPECT_EQ(Handle(R"({"cmd":"fail-node","node_id":0})"), R"({"ok":true})");
+  EXPECT_EQ(Handle(R"({"cmd":"fail-node","node_id":100000})"),
+            R"({"ok":false,"reason":"bad_request"})");
+  EXPECT_EQ(Handle(R"({"cmd":"submit","family":"GPT","params_billion":1,)"
+                   R"("global_batch":256,"iterations":20,"gpus":8})"),
+            R"({"message":"unknown family 'GPT'","ok":false,"reason":"bad_request"})");
+  EXPECT_EQ(Handle(R"({"cmd":"shutdown","mode":"drain"})"), R"({"ok":true})");
+  EXPECT_EQ(Handle(R"({"cmd":"submit","family":"BERT","params_billion":0.76,)"
+                   R"("global_batch":256,"iterations":20,"gpus":8,"type":"A40"})"),
+            R"({"ok":false,"reason":"shutting_down"})");
+}
+
+// Integer fields must be whole numbers in range: a fractional GPU count or
+// node id is a bad request, not silently truncated, and an id too large for
+// an integer is rejected before any conversion.
+TEST_F(ServiceTest, IntegerFieldsMustBeWholeAndInRange) {
+  const std::string submit_prefix =
+      R"({"cmd":"submit","family":"BERT","params_billion":0.76,"type":"A40",)";
+  EXPECT_EQ(Handle(submit_prefix + R"("global_batch":256,"iterations":20,"gpus":2.5})"),
+            R"({"message":"gpus must be an integer","ok":false,"reason":"bad_request"})");
+  EXPECT_EQ(Handle(submit_prefix + R"("global_batch":1e300,"iterations":20,"gpus":8})"),
+            R"({"message":"global_batch must be <= 9007199254740992","ok":false,)"
+            R"("reason":"bad_request"})");
+  EXPECT_EQ(Handle(submit_prefix + R"("global_batch":256,"iterations":-1e300,"gpus":8})"),
+            R"({"message":"iterations must be >= 1","ok":false,"reason":"bad_request"})");
+  EXPECT_EQ(Handle(R"({"cmd":"fail-node","node_id":0.5})"),
+            R"({"message":"node_id must be an integer","ok":false,"reason":"bad_request"})");
+  EXPECT_EQ(Handle(R"({"cmd":"recover-node","node_id":1e300})"),
+            R"({"message":"node_id must be <= 2147483647","ok":false,"reason":"bad_request"})");
+  EXPECT_EQ(Handle(R"({"cmd":"cancel","job_id":"1"})"),
+            R"({"message":"job_id must be an integer","ok":false,"reason":"bad_request"})");
+  EXPECT_EQ(Handle(R"({"cmd":"query","job_id":1.5})"),
+            R"({"message":"job_id must be an integer","ok":false,"reason":"bad_request"})");
+  // Nothing above reached the controller.
+  EXPECT_EQ(controller_->GetStats().accepted, 0u);
+  EXPECT_EQ(Handle(R"({"cmd":"query","job_id":1})"), R"({"ok":false,"reason":"unknown_job"})");
 }
 
 TEST_F(ServiceTest, NodeCommandsValidateRange) {
@@ -111,18 +161,18 @@ TEST_F(ServiceTest, NodeCommandsValidateRange) {
   std::string error;
   ASSERT_TRUE(
       ParseJsonObject(Handle(R"({"cmd":"fail-node","node_id":100000})"), &response, &error));
-  EXPECT_FALSE(GetBool(response, "ok", true));
-  EXPECT_EQ(GetString(response, "reason"), "bad_request");
+  EXPECT_FALSE(response.BoolOr("ok", true));
+  EXPECT_EQ(response.StringOr("reason", ""), "bad_request");
 
   ASSERT_TRUE(ParseJsonObject(Handle(R"({"cmd":"fail-node"})"), &response, &error));
-  EXPECT_FALSE(GetBool(response, "ok", true));
+  EXPECT_FALSE(response.BoolOr("ok", true));
 
   ASSERT_TRUE(
       ParseJsonObject(Handle(R"({"cmd":"fail-node","node_id":0})"), &response, &error));
-  EXPECT_TRUE(GetBool(response, "ok"));
+  EXPECT_TRUE(response.BoolOr("ok", false));
   ASSERT_TRUE(
       ParseJsonObject(Handle(R"({"cmd":"recover-node","node_id":0})"), &response, &error));
-  EXPECT_TRUE(GetBool(response, "ok"));
+  EXPECT_TRUE(response.BoolOr("ok", false));
 }
 
 TEST_F(ServiceTest, StatsIncludeRegistryEnrichment) {
@@ -130,11 +180,11 @@ TEST_F(ServiceTest, StatsIncludeRegistryEnrichment) {
   JsonObject response;
   std::string error;
   ASSERT_TRUE(ParseJsonObject(Handle(R"({"cmd":"stats"})"), &response, &error)) << error;
-  EXPECT_TRUE(GetBool(response, "ok"));
-  EXPECT_TRUE(Has(response, "queue_depth"));
-  EXPECT_GE(GetNumber(response, "queue_depth", -1.0), 0.0);
-  EXPECT_TRUE(Has(response, "uptime_seconds"));
-  EXPECT_GE(GetNumber(response, "uptime_seconds", -1.0), 0.0);
+  EXPECT_TRUE(response.BoolOr("ok", false));
+  EXPECT_TRUE(response.Find("queue_depth") != nullptr);
+  EXPECT_GE(response.NumberOr("queue_depth", -1.0), 0.0);
+  EXPECT_TRUE(response.Find("uptime_seconds") != nullptr);
+  EXPECT_GE(response.NumberOr("uptime_seconds", -1.0), 0.0);
 }
 
 TEST_F(ServiceTest, MetricsVerbReturnsParseableSnapshot) {
@@ -151,13 +201,13 @@ TEST_F(ServiceTest, MetricsVerbReturnsParseableSnapshot) {
   JsonObject response;
   std::string error;
   ASSERT_TRUE(ParseJsonObject(Handle(R"({"cmd":"metrics"})"), &response, &error)) << error;
-  EXPECT_TRUE(GetBool(response, "ok"));
-  EXPECT_EQ(GetString(response, "format"), "json");
+  EXPECT_TRUE(response.BoolOr("ok", false));
+  EXPECT_EQ(response.StringOr("format", ""), "json");
 
   // The snapshot rides inside the flat protocol as an escaped string field;
   // parse it back out into a MetricsSnapshot.
   MetricsSnapshot snapshot;
-  ASSERT_TRUE(ParseMetricsJson(GetString(response, "metrics"), &snapshot, &error)) << error;
+  ASSERT_TRUE(ParseMetricsJson(response.StringOr("metrics", ""), &snapshot, &error)) << error;
 
   bool saw_round = false;
   int phase_entries = 0;
@@ -191,14 +241,14 @@ TEST_F(ServiceTest, MetricsVerbSpeaksPrometheus) {
   ASSERT_TRUE(ParseJsonObject(Handle(R"({"cmd":"metrics","format":"prometheus"})"), &response,
                               &error))
       << error;
-  EXPECT_TRUE(GetBool(response, "ok"));
-  EXPECT_EQ(GetString(response, "format"), "prometheus");
-  EXPECT_NE(GetString(response, "metrics").find("# TYPE "), std::string::npos);
+  EXPECT_TRUE(response.BoolOr("ok", false));
+  EXPECT_EQ(response.StringOr("format", ""), "prometheus");
+  EXPECT_NE(response.StringOr("metrics", "").find("# TYPE "), std::string::npos);
 
   ASSERT_TRUE(
       ParseJsonObject(Handle(R"({"cmd":"metrics","format":"xml"})"), &response, &error));
-  EXPECT_FALSE(GetBool(response, "ok", true));
-  EXPECT_EQ(GetString(response, "reason"), "bad_request");
+  EXPECT_FALSE(response.BoolOr("ok", true));
+  EXPECT_EQ(response.StringOr("reason", ""), "bad_request");
 }
 
 TEST_F(ServiceTest, ClientMetricsHelperOverSocket) {
@@ -211,9 +261,9 @@ TEST_F(ServiceTest, ClientMetricsHelperOverSocket) {
   ASSERT_TRUE(client.Connect(socket_path, &error)) << error;
   JsonObject response;
   ASSERT_TRUE(client.Metrics("json", &response, &error)) << error;
-  EXPECT_TRUE(GetBool(response, "ok"));
+  EXPECT_TRUE(response.BoolOr("ok", false));
   MetricsSnapshot snapshot;
-  EXPECT_TRUE(ParseMetricsJson(GetString(response, "metrics"), &snapshot, &error)) << error;
+  EXPECT_TRUE(ParseMetricsJson(response.StringOr("metrics", ""), &snapshot, &error)) << error;
   server.Stop();
 }
 
@@ -235,26 +285,26 @@ TEST_F(ServiceTest, EndToEndOverUnixSocket) {
 
   JsonObject response;
   ASSERT_TRUE(client.Submit(job, &response, &error)) << error;
-  ASSERT_TRUE(GetBool(response, "ok"));
-  const int64_t job_id = static_cast<int64_t>(GetNumber(response, "job_id", -1));
+  ASSERT_TRUE(response.BoolOr("ok", false));
+  const int64_t job_id = static_cast<int64_t>(response.NumberOr("job_id", -1));
 
   ASSERT_TRUE(client.FailNode(0, &response, &error)) << error;
-  EXPECT_TRUE(GetBool(response, "ok"));
+  EXPECT_TRUE(response.BoolOr("ok", false));
   ASSERT_TRUE(client.RecoverNode(0, &response, &error)) << error;
-  EXPECT_TRUE(GetBool(response, "ok"));
+  EXPECT_TRUE(response.BoolOr("ok", false));
 
   ASSERT_TRUE(client.Query(job_id, &response, &error)) << error;
-  EXPECT_TRUE(GetBool(response, "ok"));
-  EXPECT_FALSE(GetString(response, "status").empty());
+  EXPECT_TRUE(response.BoolOr("ok", false));
+  EXPECT_FALSE(response.StringOr("status", "").empty());
 
   // A second concurrent connection is served too.
   Client other;
   ASSERT_TRUE(other.Connect(socket_path, &error)) << error;
   ASSERT_TRUE(other.Stats(&response, &error)) << error;
-  EXPECT_TRUE(GetBool(response, "ok"));
+  EXPECT_TRUE(response.BoolOr("ok", false));
 
   ASSERT_TRUE(client.Shutdown(/*drain=*/true, &response, &error)) << error;
-  EXPECT_TRUE(GetBool(response, "ok"));
+  EXPECT_TRUE(response.BoolOr("ok", false));
   controller_->Join();
   EXPECT_TRUE(controller_->done());
   EXPECT_FALSE(controller_->interrupted());

@@ -77,15 +77,15 @@ int RunScript(serve::Client& client, std::istream& script) {
       }
       tokens >> deadline;  // optional
       serve::JsonObject request;
-      request["cmd"] = serve::JsonValue::String("submit");
-      request["family"] = serve::JsonValue::String(family);
-      request["params_billion"] = serve::JsonValue::Number(params);
-      request["global_batch"] = serve::JsonValue::Number(static_cast<double>(batch));
-      request["iterations"] = serve::JsonValue::Number(static_cast<double>(iters));
-      request["gpus"] = serve::JsonValue::Number(gpus);
-      request["type"] = serve::JsonValue::String(type);
+      request.Set("cmd", Json::Str("submit"));
+      request.Set("family", Json::Str(family));
+      request.Set("params_billion", Json::Number(params));
+      request.Set("global_batch", Json::Number(static_cast<double>(batch)));
+      request.Set("iterations", Json::Number(static_cast<double>(iters)));
+      request.Set("gpus", Json::Number(gpus));
+      request.Set("type", Json::Str(type));
       if (deadline > 0.0) {
-        request["deadline"] = serve::JsonValue::Number(deadline);
+        request.Set("deadline", Json::Number(deadline));
       }
       ok = client.CallJson(request, &response, &error);
     } else if (cmd == "cancel" || cmd == "query") {
@@ -124,7 +124,7 @@ int RunScript(serve::Client& client, std::istream& script) {
       }
       // Print the payload itself (not the envelope): `metrics json` gives one
       // parseable snapshot document, `metrics prometheus` a scrapable page.
-      std::printf("%s\n", serve::GetString(response, "metrics").c_str());
+      std::printf("%s\n", response.StringOr("metrics", "").c_str());
       std::fflush(stdout);
       continue;
     } else if (cmd == "wait-idle") {
@@ -137,7 +137,7 @@ int RunScript(serve::Client& client, std::istream& script) {
           ok = false;
           break;
         }
-        if (serve::GetNumber(response, "live_jobs", 1.0) <= 0.0) {
+        if (response.NumberOr("live_jobs", 1.0) <= 0.0) {
           break;
         }
         if (std::chrono::steady_clock::now() >= deadline) {
