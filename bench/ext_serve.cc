@@ -9,36 +9,27 @@
 // applied-at-tick) p50/p95/p99.
 //
 // Modes:
-//   default        8 clients x 20000 submissions in batches of 256 against a
-//                  sharded ingress queue; measures the saturated lock-free
-//                  ingress path. Uses the fcfs scheduler so engine rounds
-//                  stay cheap -- the bench measures ingress, not scheduling.
+//   default        8 clients x 20000 submissions in batches of 256; measures
+//                  the saturated ingress path. Uses the fcfs scheduler so
+//                  engine rounds stay cheap -- the bench measures ingress,
+//                  not scheduling.
 //   --smoke        4 clients against a deliberately tiny queue (capacity 4,
 //                  max-pending 2) so over-capacity submissions are rejected;
 //                  exits non-zero unless (a) some submissions were accepted,
 //                  (b) some were rejected with a machine-readable reason from
 //                  the admission policy, and (c) no transport errors
 //                  occurred. (CI regression gate for the admission path.)
-//   --determinism  runs the same scripted session (submits, cancels, a node
-//                  failure cycle, drain shutdown) under --shards 1, 2, and 8
-//                  and exits non-zero unless the session log bytes, the live
-//                  decision CSVs, and the --replay CSVs are bit-identical
-//                  across all three -- the serve-path analogue of
-//                  parallel_determinism_test. (CI determinism gate.)
 //
-// Flags: --smoke, --determinism, --clients N, --requests N (per client),
-// --batch N (pipelined submissions per round trip), --shards N (ingress
-// shards), --threads N (connection-dispatch pool),
-// --json F (write a BENCH_serve.json perf-trajectory report for
+// Flags: --smoke, --clients N, --requests N (per client), --batch N
+// (pipelined submissions per round trip), --threads N (connection-dispatch
+// pool), --json F (write a BENCH_serve.json perf-trajectory report for
 // crius_benchdiff).
 
 #include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,7 +40,6 @@
 #include "src/serve/replay.h"
 #include "src/serve/server.h"
 #include "src/serve/service.h"
-#include "src/sim/trace_io.h"
 #include "src/util/counters.h"
 #include "src/util/stats.h"
 
@@ -143,119 +133,16 @@ ClientResult RunClient(const std::string& socket_path, size_t requests, size_t b
   return result;
 }
 
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-std::string DecisionCsvs(const SimResult& result) {
-  std::ostringstream out;
-  WriteJobRecordsCsv(result, out);
-  WriteEventsCsv(result, out);
-  return out.str();
-}
-
-// --determinism: the scripted session below must produce bit-identical
-// session-log bytes, live decision CSVs, and replay CSVs for every shard
-// count. All commands are enqueued from one thread before the controller
-// starts, so the only ordering mechanism in play is the deterministic
-// (vt_stamp, route, seq) merge -- exactly the property under test.
-int RunDeterminism() {
-  struct ShardRun {
-    size_t shards = 0;
-    std::string log_bytes;
-    std::string live_csvs;
-    std::string replay_csvs;
-  };
-  std::vector<ShardRun> runs;
-  for (const size_t shards : {size_t{1}, size_t{2}, size_t{8}}) {
-    SessionMeta meta;
-    SessionRuntime runtime = MakeSessionRuntime(meta);
-    const std::string log_path = "/tmp/crius_ext_serve_det." + std::to_string(::getpid()) +
-                                 "." + std::to_string(shards) + ".csv";
-    SimResult live;
-    {
-      SessionLog log(log_path, meta);
-      Controller::Config config;
-      config.tick_virtual_seconds = 60.0;
-      config.tick_wall_seconds = 0.001;
-      config.queue.capacity = 4096;
-      config.queue.shards = shards;
-      Controller controller(runtime.cluster, runtime.sim, *runtime.scheduler,
-                            *runtime.oracle, &log, config);
-      for (size_t i = 0; i < 40; ++i) {
-        const Controller::SubmitResult submit = controller.Submit(MakeJob(i));
-        if (!submit.ok) {
-          std::fprintf(stderr, "ext_serve: determinism submit %zu rejected (%s)\n", i,
-                       RejectReasonName(submit.reason));
-          return 1;
-        }
-      }
-      controller.Cancel(3);
-      controller.Cancel(17);
-      controller.FailNode(1);
-      controller.RecoverNode(1);
-      controller.Shutdown(/*drain=*/true);
-      controller.Start();
-      controller.Join();
-      live = controller.TakeResult();
-    }
-    ShardRun run;
-    run.shards = shards;
-    run.log_bytes = ReadFileBytes(log_path);
-    run.live_csvs = DecisionCsvs(live);
-    run.replay_csvs = DecisionCsvs(ReplaySessionFile(log_path));
-    std::remove(log_path.c_str());
-    if (run.log_bytes.empty()) {
-      std::fprintf(stderr, "ext_serve: determinism: empty session log (--shards %zu)\n",
-                   shards);
-      return 1;
-    }
-    if (run.live_csvs != run.replay_csvs) {
-      std::fprintf(stderr,
-                   "ext_serve: FAIL: live vs replay decision CSVs differ (--shards %zu)\n",
-                   shards);
-      return 1;
-    }
-    runs.push_back(std::move(run));
-  }
-  for (size_t i = 1; i < runs.size(); ++i) {
-    if (runs[i].log_bytes != runs[0].log_bytes) {
-      std::fprintf(stderr,
-                   "ext_serve: FAIL: session log differs between --shards %zu and %zu\n",
-                   runs[0].shards, runs[i].shards);
-      return 1;
-    }
-    if (runs[i].live_csvs != runs[0].live_csvs) {
-      std::fprintf(stderr,
-                   "ext_serve: FAIL: decision CSVs differ between --shards %zu and %zu\n",
-                   runs[0].shards, runs[i].shards);
-      return 1;
-    }
-  }
-  std::printf(
-      "ext_serve determinism OK: session log, live CSVs, and replay CSVs bit-identical "
-      "across --shards 1/2/8 (%zu log bytes, %zu csv bytes)\n",
-      runs[0].log_bytes.size(), runs[0].live_csvs.size());
-  return 0;
-}
-
 }  // namespace
 }  // namespace crius
 
 int main(int argc, char** argv) {
   using namespace crius;
   ConfigureBenchThreads(argc, argv);
-  if (BenchFlagPresent(argc, argv, "--determinism")) {
-    return RunDeterminism();
-  }
   const bool smoke = BenchFlagPresent(argc, argv, "--smoke");
   size_t clients = static_cast<size_t>(BenchFlagInt(argc, argv, "--clients", 0));
   size_t requests = static_cast<size_t>(BenchFlagInt(argc, argv, "--requests", 0));
   size_t batch = static_cast<size_t>(BenchFlagInt(argc, argv, "--batch", 0));
-  size_t shards = static_cast<size_t>(BenchFlagInt(argc, argv, "--shards", 0));
   if (clients == 0) {
     clients = smoke ? 4 : 8;
   }
@@ -264,9 +151,6 @@ int main(int argc, char** argv) {
   }
   if (batch == 0) {
     batch = smoke ? 1 : 256;
-  }
-  if (shards == 0) {
-    shards = smoke ? 1 : 4;
   }
 
   // The same runtime crius_serve builds from its flags; testbed keeps the
@@ -282,7 +166,6 @@ int main(int argc, char** argv) {
   Controller::Config config;
   config.tick_virtual_seconds = 60.0;
   config.tick_wall_seconds = smoke ? 0.02 : 0.002;
-  config.queue.shards = shards;
   if (smoke) {
     // Tiny queue + pending cap: clients outrun the controller tick, so the
     // admission policy must reject the overflow with a machine-readable
@@ -291,7 +174,7 @@ int main(int argc, char** argv) {
     config.queue.max_pending_jobs = 2;
   } else {
     // Deep enough to absorb bursts, bounded so the engine never sees an
-    // unbounded backlog: overflow is rejected by the lock-free admission
+    // unbounded backlog: overflow is rejected by the admission
     // checks (queue_full / cluster_saturated), which is exactly the ingress
     // work this bench wants to measure.
     config.queue.capacity = 16384;
@@ -367,10 +250,8 @@ int main(int argc, char** argv) {
   const double ingress_per_sec =
       elapsed > 0.0 ? static_cast<double>(ingress_commands) / elapsed : 0.0;
 
-  std::printf("ext_serve: %zu clients x %zu requests, batch %zu, %zu shards, queue "
-              "capacity %zu%s\n",
-              clients, requests, batch, shards, config.queue.capacity,
-              smoke ? " (smoke)" : "");
+  std::printf("ext_serve: %zu clients x %zu requests, batch %zu, queue capacity %zu%s\n",
+              clients, requests, batch, config.queue.capacity, smoke ? " (smoke)" : "");
   std::printf("  submissions        %zu in %.2f s  (%.0f submissions/sec)\n", submitted,
               elapsed, submissions_per_sec);
   std::printf("  ingress commands   %lld  (%.0f/sec through the admission path)\n",
@@ -402,7 +283,6 @@ int main(int argc, char** argv) {
     report.meta["clients"] = std::to_string(clients);
     report.meta["requests_per_client"] = std::to_string(requests);
     report.meta["batch"] = std::to_string(batch);
-    report.meta["shards"] = std::to_string(shards);
     report.AddMetric("submissions_per_sec", submissions_per_sec, "1/s", "higher", 0.8);
     report.AddMetric("serve.ingress.submissions_per_sec", ingress_per_sec, "1/s", "higher",
                      0.8);

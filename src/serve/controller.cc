@@ -304,10 +304,8 @@ void Controller::RefreshSnapshot() {
     ++stats_.ticks;
   }
   ClusterView view;
-  view.virtual_now = virtual_now_;
   view.queued_jobs = stats.queued_jobs;
   view.oldest_wait = oldest_wait;
-  view.shutting_down = false;
   view.projected_watts = engine_.ProjectedDrawWatts();
   queue_.PublishClusterView(view);
 }
@@ -334,13 +332,6 @@ void Controller::RunLoop() {
   Histogram& schedule_ms = registry.GetHistogram("serve.phase_ms", {{"phase", "schedule"}});
   Histogram& log_ms = registry.GetHistogram("serve.phase_ms", {{"phase", "log"}});
   Histogram& round_ms = registry.GetHistogram("serve.round_ms");
-  // Per-shard backlog gauges, sampled just before each drain.
-  std::vector<Gauge*> shard_depth;
-  shard_depth.reserve(queue_.shards());
-  for (size_t i = 0; i < queue_.shards(); ++i) {
-    shard_depth.push_back(
-        &registry.GetGauge("serve.ingress.shard_depth", {{"shard", std::to_string(i)}}));
-  }
   using Clock = std::chrono::steady_clock;
   const auto ms_between = [](Clock::time_point a, Clock::time_point b) {
     return std::chrono::duration<double, std::milli>(b - a).count();
@@ -355,15 +346,11 @@ void Controller::RunLoop() {
     }
     CRIUS_TRACE_SPAN("serve.tick");
     CRIUS_COUNTER_INC("serve.ticks");
-    // Phase 1/4 "drain": pop every ingress shard into the reusable batch
-    // buffer and merge deterministically (see EventQueue::DrainInto).
+    // Phase 1/4 "drain": take the queued commands, in arrival order, into
+    // the reusable batch buffer (see EventQueue::DrainInto).
     const auto t_round = Clock::now();
-    drain_buf_.clear();
     {
       CRIUS_TRACE_SPAN("serve.phase.drain");
-      for (size_t i = 0; i < shard_depth.size(); ++i) {
-        shard_depth[i]->Set(static_cast<double>(queue_.shard_depth(i)));
-      }
       queue_.DrainInto(&drain_buf_);
     }
     const auto t_drained = Clock::now();
@@ -373,7 +360,6 @@ void Controller::RunLoop() {
     // Phase 2/4 "apply": stamp and feed drained commands to the engine.
     {
       CRIUS_TRACE_SPAN("serve.phase.apply");
-      const auto applied_wall = t_drained;
       for (const ServeCommand& cmd : drain_buf_) {
         if (cmd.kind == ServeCommand::Kind::kShutdown) {
           shutdown = true;
@@ -381,8 +367,7 @@ void Controller::RunLoop() {
           continue;
         }
         ApplyCommand(cmd);
-        const double latency_ms =
-            std::chrono::duration<double, std::milli>(applied_wall - cmd.enqueue_wall).count();
+        const double latency_ms = ms_between(cmd.enqueue_wall, t_drained);
         CRIUS_HISTOGRAM_RECORD("serve.decision_latency_ms", latency_ms);
         std::lock_guard<std::mutex> lock(state_mu_);
         latencies_ms_.push_back(latency_ms);

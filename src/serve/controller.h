@@ -8,13 +8,11 @@
 //     applies admission control and hands commands to the round loop, and
 //   * a mutex-guarded snapshot (Query/GetStats) the loop refreshes each tick.
 //
-// Each tick the loop drains every ingress shard into a reusable batch
-// buffer, merges the batch deterministically by (virtual-time, route, seq)
-// (see src/serve/event_queue.h — the key is independent of the shard count,
-// so the applied order is bit-identical across --shards 1/2/8), advances the
-// session's virtual clock by tick_virtual_seconds, stamps every drained
-// command with the new virtual time, applies it to the engine (TryAddJob /
-// InjectCancel / InjectFailure), appends it to the session log, and calls
+// Each tick the loop drains the ingress FIFO into a reusable batch buffer
+// (src/serve/event_queue.h), advances the session's virtual clock by
+// tick_virtual_seconds, stamps every drained command with the new virtual
+// time, applies it to the engine (TryAddJob / InjectCancel / InjectFailure)
+// in arrival order, appends it to the session log, and calls
 // SimEngine::AdvanceTo(now). The engine's lazy stepping (src/sim/engine.h)
 // guarantees that the resulting decision sequence is bit-identical to
 // replaying the session log through the batch simulator, provided the
@@ -152,8 +150,8 @@ class Controller {
   SimEngine engine_;
   SessionLog* log_;
   EventQueue queue_;
-  // Reusable per-tick drain batch (controller-thread only): capacity survives
-  // across ticks so the steady-state drain phase never allocates.
+  // Per-tick drain batch (controller-thread only); it trades buffers with the
+  // queue at each drain, so the steady-state drain phase never allocates.
   std::vector<ServeCommand> drain_buf_;
   std::optional<MetricsCsvWriter> metrics_csv_;
 

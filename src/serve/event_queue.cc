@@ -1,27 +1,12 @@
 #include "src/serve/event_queue.h"
 
-#include <algorithm>
 #include <string>
-#include <tuple>
 #include <utility>
 
 #include "src/util/check.h"
 #include "src/util/counters.h"
 
 namespace crius {
-
-namespace {
-
-// 64-bit mix (splitmix64 finalizer): spreads small consecutive ids across
-// routes so one busy tenant's jobs do not all land on one shard.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 const char* RejectReasonName(RejectReason reason) {
   switch (reason) {
@@ -48,48 +33,17 @@ const char* RejectReasonName(RejectReason reason) {
 }
 
 EventQueue::EventQueue(EventQueueConfig config) : config_(config) {
-  CRIUS_CHECK_MSG(config_.shards >= 1, "EventQueue needs at least one shard");
+  CRIUS_CHECK_MSG(config_.shards == 1, "EventQueue is one FIFO: shards must be 1");
   CRIUS_CHECK_MSG(config_.capacity >= 1, "EventQueue needs capacity >= 1");
-  const size_t per_shard = (config_.capacity + config_.shards - 1) / config_.shards;
-  rings_.reserve(config_.shards);
-  for (size_t i = 0; i < config_.shards; ++i) {
-    rings_.push_back(std::make_unique<MpscRing<ServeCommand>>(per_shard));
-  }
   CounterRegistry& registry = CounterRegistry::Global();
   accepted_counter_ = &registry.GetCounter("serve.ingress.accepted");
   rejected_counter_ = &registry.GetCounter("serve.ingress.rejected");
-  for (const RejectReason reason :
-       {RejectReason::kNone, RejectReason::kQueueFull, RejectReason::kClusterSaturated,
-        RejectReason::kStarvationGuard, RejectReason::kShuttingDown, RejectReason::kInfeasible,
-        RejectReason::kUnknownJob, RejectReason::kBadRequest,
-        RejectReason::kClusterPowerCap}) {
-    rejected_by_reason_[static_cast<size_t>(reason)] = &registry.GetCounter(
-        "serve.ingress.rejected_by_reason", MetricLabels{{"reason", RejectReasonName(reason)}});
+  for (size_t i = 0; i < kNumRejectReasons; ++i) {
+    rejected_by_reason_[i] = &registry.GetCounter(
+        "serve.ingress.rejected_by_reason",
+        MetricLabels{{"reason", RejectReasonName(static_cast<RejectReason>(i))}});
   }
   push_ns_ = &registry.GetHistogram("serve.ingress.push_ns");
-  merge_ms_ = &registry.GetHistogram("serve.ingress.merge_ms");
-}
-
-uint32_t EventQueue::RouteOf(const ServeCommand& cmd) const {
-  // Job-identity commands share a route (submit before cancel of the same job
-  // stays ordered); health commands of one node likewise. The shutdown latch
-  // never reaches a ring.
-  uint64_t key = 0;
-  switch (cmd.kind) {
-    case ServeCommand::Kind::kSubmit:
-      key = static_cast<uint64_t>(cmd.job.id);
-      break;
-    case ServeCommand::Kind::kCancel:
-      key = static_cast<uint64_t>(cmd.job_id);
-      break;
-    case ServeCommand::Kind::kFailNode:
-    case ServeCommand::Kind::kRecoverNode:
-      key = 0x8000000000000000ULL | static_cast<uint64_t>(cmd.node_id);
-      break;
-    case ServeCommand::Kind::kShutdown:
-      return 0;
-  }
-  return static_cast<uint32_t>(Mix64(key) % kRoutes);
 }
 
 std::optional<RejectReason> EventQueue::TryPush(ServeCommand cmd) {
@@ -97,13 +51,17 @@ std::optional<RejectReason> EventQueue::TryPush(ServeCommand cmd) {
   std::optional<RejectReason> reject;
   if (cmd.kind == ServeCommand::Kind::kShutdown) {
     // Shutdown must always get through, or a full queue would make the daemon
-    // unstoppable: it rides a latch + push counter instead of a ring slot.
+    // unstoppable: it rides a latch + push counter instead of a queue slot.
+    // The latch is set before the counter moves, so a drain that has seen
+    // this push also makes every later TryPush see the latch.
     shutdown_drain_.store(cmd.drain, std::memory_order_relaxed);
-    shutdown_pushes_.fetch_add(1, std::memory_order_release);
     shutting_down_.store(true, std::memory_order_release);
+    shutdown_pushes_.fetch_add(1, std::memory_order_release);
     accepted_counter_->Add(1);
     return std::nullopt;
   }
+  // The cluster-level checks read only the published view, so the reject
+  // path under overload never takes the queue lock.
   if (shutting_down_.load(std::memory_order_acquire)) {
     reject = RejectReason::kShuttingDown;
   } else if (cmd.kind == ServeCommand::Kind::kSubmit) {
@@ -120,14 +78,22 @@ std::optional<RejectReason> EventQueue::TryPush(ServeCommand cmd) {
     }
   }
   if (!reject.has_value()) {
-    cmd.route = RouteOf(cmd);
-    cmd.seq = route_seq_[cmd.route].fetch_add(1, std::memory_order_relaxed) + 1;
-    cmd.vt_stamp = view_virtual_now_.load(std::memory_order_relaxed);
-    const bool sample_latency = (cmd.seq & 0x3f) == 0;  // 1-in-64, off the hot path
     const auto t0 = cmd.enqueue_wall;
-    if (!rings_[cmd.route % rings_.size()]->TryPush(std::move(cmd))) {
-      reject = RejectReason::kQueueFull;
-    } else if (sample_latency) {
+    bool sample_latency = false;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      // Re-checked under the lock: a command is either queued before the
+      // drain that delivers a shutdown, or rejected.
+      if (shutting_down_.load(std::memory_order_acquire)) {
+        reject = RejectReason::kShuttingDown;
+      } else if (pending_.size() >= config_.capacity) {
+        reject = RejectReason::kQueueFull;
+      } else {
+        pending_.push_back(std::move(cmd));
+        sample_latency = (++pushes_ & 0x3f) == 0;  // 1-in-64, off the hot path
+      }
+    }
+    if (sample_latency) {
       push_ns_->Record(std::chrono::duration<double, std::nano>(
                            std::chrono::steady_clock::now() - t0)
                            .count());
@@ -143,34 +109,20 @@ std::optional<RejectReason> EventQueue::TryPush(ServeCommand cmd) {
 }
 
 size_t EventQueue::DrainInto(std::vector<ServeCommand>* out) {
-  const size_t start = out->size();
-  // Sample the shutdown counter BEFORE popping the rings. A producer that
-  // pushed a command and then called Shutdown ordered its ring publish before
+  out->clear();
+  // Sample the shutdown counter BEFORE taking the batch. A producer that
+  // queued a command and then called Shutdown released the queue lock before
   // the counter increment; acquiring the counter first therefore guarantees
-  // the pops below see every command accepted before that shutdown. Sampling
-  // after the pops could deliver the shutdown in a batch missing a command
-  // published between the pop and the sample.
+  // the swap below sees every command accepted before that shutdown.
+  // Sampling after the swap could deliver the shutdown in a batch missing a
+  // command queued between the swap and the sample.
   const uint64_t pushes = shutdown_pushes_.load(std::memory_order_acquire);
-  ServeCommand cmd;
-  for (const auto& ring : rings_) {
-    while (ring->TryPop(&cmd)) {
-      out->push_back(std::move(cmd));
-    }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    out->swap(pending_);
   }
-  // Deterministic merge: the key is independent of the physical shard count,
-  // so the applied order — and the session log built from it — is
-  // bit-identical across --shards (see header).
-  const auto t0 = std::chrono::steady_clock::now();
-  std::sort(out->begin() + static_cast<long>(start), out->end(),
-            [](const ServeCommand& a, const ServeCommand& b) {
-              return std::tie(a.vt_stamp, a.route, a.seq) <
-                     std::tie(b.vt_stamp, b.route, b.seq);
-            });
-  merge_ms_->Record(
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count());
-  // Deliver each pending shutdown push once, after the merged batch, so the
-  // batch's commands are still applied before the loop breaks (matching the
-  // pre-shard behavior of a shutdown riding the same drain).
+  // Deliver each pending shutdown push once, after the batch, so the batch's
+  // commands are still applied before the loop breaks.
   if (pushes > shutdown_delivered_) {
     shutdown_delivered_ = pushes;
     ServeCommand shutdown;
@@ -179,37 +131,19 @@ size_t EventQueue::DrainInto(std::vector<ServeCommand>* out) {
     shutdown.enqueue_wall = std::chrono::steady_clock::now();
     out->push_back(std::move(shutdown));
   }
-  return out->size() - start;
-}
-
-std::vector<ServeCommand> EventQueue::Drain() {
-  std::vector<ServeCommand> out;
-  DrainInto(&out);
-  return out;
+  return out->size();
 }
 
 void EventQueue::PublishClusterView(const ClusterView& view) {
   view_epoch_.fetch_add(1, std::memory_order_relaxed);
-  view_virtual_now_.store(view.virtual_now, std::memory_order_relaxed);
   view_queued_jobs_.store(view.queued_jobs, std::memory_order_relaxed);
   view_oldest_wait_.store(view.oldest_wait, std::memory_order_relaxed);
   view_projected_watts_.store(view.projected_watts, std::memory_order_relaxed);
-  if (view.shutting_down) {
-    // Latches: once requested it is never un-requested.
-    shutting_down_.store(true, std::memory_order_release);
-  }
 }
 
 size_t EventQueue::size() const {
-  size_t total = 0;
-  for (const auto& ring : rings_) {
-    total += ring->SizeApprox();
-  }
-  return total;
-}
-
-size_t EventQueue::shard_depth(size_t shard) const {
-  return shard < rings_.size() ? rings_[shard]->SizeApprox() : 0;
+  std::lock_guard<std::mutex> lock(mu_);
+  return pending_.size();
 }
 
 }  // namespace crius

@@ -1,14 +1,14 @@
-// Sharded, lock-free command path between the ingress threads and the
-// controller's round loop, with admission control.
+// Bounded FIFO command path between the ingress threads and the controller's
+// round loop, with admission control.
 //
 // Ingress (socket handler threads, bench client threads) calls TryPush; the
-// controller drains every shard once per tick and publishes back an
+// controller drains the queue once per tick and publishes back an
 // epoch-stamped view of the cluster (PublishClusterView) that the admission
 // checks read. All admission policy lives here so it is unit-testable
 // without sockets or a controller:
 //
-//   * kQueueFull         -- the command's ingress shard is at capacity
-//                           (backpressure: the controller is not keeping up).
+//   * kQueueFull         -- the queue holds `capacity` commands (backpressure:
+//                           the controller is not keeping up).
 //   * kClusterSaturated  -- too many jobs already waiting for GPUs
 //                           (max_pending_jobs); admitting more would only
 //                           grow the queue, so the submitter is told to back
@@ -32,27 +32,17 @@
 // been requested, after which the shutdown latch rejects them too (the
 // session is ending; the drain phase settles the remaining state).
 //
-// Sharding and the deterministic merge
-// ------------------------------------
-// The hot path is lock-free: every command is routed by its job/class key to
-// one of kRoutes logical routes (route = hash(key) % kRoutes), claims a
-// per-route monotone sequence number, is stamped with the published view's
-// virtual time, and is pushed into the MPSC ring of the physical shard that
-// owns the route (route % shards). The controller's drain phase pops every
-// ring and merges the batch by the (virtual-time, route, seq) key. None of
-// those three stamps depends on the physical shard count, so for the same
-// ingress sequence the merged — and therefore applied, logged, and replayed —
-// command order is bit-identical across --shards 1/2/8 (EventQueueTest and
-// the ext_serve --determinism gate check it). Commands that share a route
-// (all commands of one job; all health events of one node) keep their arrival
-// order via the per-route seq.
+// Order: one mutex-guarded vector. TryPush appends under the lock and
+// DrainInto swaps the whole vector out, so the controller applies, logs, and
+// (through the session log) replays commands in arrival order.
 //
 // The cluster view is epoch-published: the controller bumps an epoch counter
-// and stores the new queued-jobs / oldest-wait / virtual-now fields as plain
+// and stores the new queued-jobs / oldest-wait / projected-draw fields as plain
 // atomics (the same generation-stamping idea as Cluster::health_epoch).
-// Admission reads them without any lock; a torn read across fields can only
-// mis-route one admission decision by one tick, which the policy tolerates by
-// design.
+// Admission reads them without any lock, so the reject path under overload
+// never touches the queue mutex; a torn read across fields can only
+// mis-route one admission decision by one tick, which the policy tolerates
+// by design.
 
 #ifndef SRC_SERVE_EVENT_QUEUE_H_
 #define SRC_SERVE_EVENT_QUEUE_H_
@@ -61,12 +51,11 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
 #include "src/model/job.h"
-#include "src/util/mpsc_ring.h"
 
 namespace crius {
 
@@ -101,23 +90,16 @@ struct ServeCommand {
   int node_id = -1;     // kFailNode / kRecoverNode
   bool drain = true;    // kShutdown: drain the system before exiting?
 
-  // Assigned by TryPush; together the deterministic merge key. `route` is the
-  // logical shard (stable under any physical shard count), `seq` the
-  // per-route monotone sequence, `vt_stamp` the published virtual time at
-  // admission.
-  uint32_t route = 0;
-  uint64_t seq = 0;
-  double vt_stamp = 0.0;
-  // Ingress wall time (decision latency = applied-at-tick wall time minus
-  // this).
+  // Ingress wall time, stamped by TryPush (decision latency = applied-at-tick
+  // wall time minus this).
   std::chrono::steady_clock::time_point enqueue_wall{};
 };
 
 struct EventQueueConfig {
-  // Total command-queue capacity (backpressure bound), split evenly across
-  // shards (each shard gets ceil(capacity / shards) slots, enforced exactly).
+  // Command-queue capacity (backpressure bound), enforced exactly.
   size_t capacity = 256;
-  // Physical ingress shards (one lock-free MPSC ring each).
+  // Must be 1: ingress is one FIFO. The member remains only because existing
+  // callers assign it; the constructor rejects any other value.
   size_t shards = 1;
   // Reject submissions while this many jobs already wait for GPUs; 0 = no
   // limit.
@@ -134,10 +116,8 @@ struct EventQueueConfig {
 // The controller's per-tick feedback, published with an epoch stamp and read
 // lock-free by every admission check.
 struct ClusterView {
-  double virtual_now = 0.0;
   int queued_jobs = 0;
   double oldest_wait = 0.0;
-  bool shutting_down = false;
   // Instantaneous cluster draw from the engine's power ledger; 0.0 when power
   // accounting is off.
   double projected_watts = 0.0;
@@ -145,58 +125,44 @@ struct ClusterView {
 
 class EventQueue {
  public:
-  // Logical routes; fixed so the merge key never depends on the physical
-  // shard count.
-  static constexpr size_t kRoutes = 64;
-
   explicit EventQueue(EventQueueConfig config);
 
   // Admission-checks and enqueues `cmd`. Returns std::nullopt on success
-  // (cmd.route / cmd.seq / cmd.vt_stamp / cmd.enqueue_wall were stamped), or
-  // the rejection reason. Lock-free; safe from any thread.
+  // (cmd.enqueue_wall was stamped), or the rejection reason. Safe from any
+  // thread.
   std::optional<RejectReason> TryPush(ServeCommand cmd);
 
-  // Pops every queued command from every shard and appends the batch to
-  // *out in deterministic (vt_stamp, route, seq) merge order; a pending
-  // shutdown is delivered once, at the end of the batch. Reuses out's
-  // capacity (clear it between ticks to avoid re-applying old commands).
-  // Controller-thread only: single consumer.
+  // Replaces *out with every queued command in arrival order; a pending
+  // shutdown is delivered once, at the end of the batch. *out and the
+  // queue swap buffers, so steady-state ticks never allocate. Returns the
+  // batch size. Controller-thread only: single consumer.
   size_t DrainInto(std::vector<ServeCommand>* out);
 
-  // Convenience wrapper for tests; allocates a fresh batch per call.
-  std::vector<ServeCommand> Drain();
-
   // Controller feedback after each tick. Epoch-published: bumps view_epoch()
-  // and stores the fields lock-free. Shutdown latches: once requested (via
-  // the view or a kShutdown push) it is never un-requested.
+  // and stores the fields lock-free.
   void PublishClusterView(const ClusterView& view);
 
-  // Approximate total backlog across shards (racy while producers run).
+  // Commands waiting for the next drain.
   size_t size() const;
-  // Approximate depth of one physical shard (for the per-shard gauges).
-  size_t shard_depth(size_t shard) const;
-  size_t shards() const { return rings_.size(); }
   uint64_t view_epoch() const { return view_epoch_.load(std::memory_order_relaxed); }
-  const EventQueueConfig& config() const { return config_; }
 
  private:
-  uint32_t RouteOf(const ServeCommand& cmd) const;
-
   const EventQueueConfig config_;
-  std::vector<std::unique_ptr<MpscRing<ServeCommand>>> rings_;
-  std::atomic<uint64_t> route_seq_[kRoutes] = {};
+
+  mutable std::mutex mu_;
+  std::vector<ServeCommand> pending_;  // guarded by mu_
+  uint64_t pushes_ = 0;                // guarded by mu_; paces push_ns sampling
 
   // Epoch-published cluster view (all relaxed atomics; see header comment).
   std::atomic<uint64_t> view_epoch_{0};
-  std::atomic<double> view_virtual_now_{0.0};
   std::atomic<int> view_queued_jobs_{0};
   std::atomic<double> view_oldest_wait_{0.0};
   std::atomic<double> view_projected_watts_{0.0};
   std::atomic<bool> shutting_down_{false};
 
-  // Shutdown delivery: pushes latch shutting_down_ and bump the push count;
-  // the drain phase appends one synthesized kShutdown command per undelivered
-  // push (consumer-side counter, controller thread only).
+  // Shutdown delivery: pushes latch shutting_down_ (never un-set) and bump
+  // the push count; the drain phase appends one synthesized kShutdown command
+  // per undelivered push (consumer-side counter, controller thread only).
   std::atomic<uint64_t> shutdown_pushes_{0};
   std::atomic<bool> shutdown_drain_{true};
   uint64_t shutdown_delivered_ = 0;
@@ -207,7 +173,6 @@ class EventQueue {
   Counter* rejected_counter_;
   Counter* rejected_by_reason_[kNumRejectReasons];
   Histogram* push_ns_;
-  Histogram* merge_ms_;
 };
 
 }  // namespace crius

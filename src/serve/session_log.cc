@@ -6,6 +6,7 @@
 
 #include "src/util/check.h"
 #include "src/util/csv.h"
+#include "src/util/logging.h"
 
 namespace crius {
 
@@ -175,6 +176,13 @@ Session ReadSessionLog(std::istream& in) {
   bool meta_seen = false;
   csv::Reader reader(in, "session log", "time,");
   while (reader.Next()) {
+    if (reader.torn()) {
+      // The daemon died mid-append. Even a torn row that parses may hold a
+      // cut numeric field, so the row is dropped, not trusted.
+      LogMessage(LogLevel::kWarning,
+                 "session log truncated at line " + std::to_string(reader.line_no()));
+      break;
+    }
     reader.ExpectFields(12);
     const double time = reader.Double(0, "time");
     const std::string& kind = reader.Field(1);

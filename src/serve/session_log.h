@@ -93,8 +93,10 @@ struct Session {
   std::vector<JobCancelEvent> cancels;  // cancel rows
 };
 
-// Parses a session log. Aborts with a "session log line N: ..." diagnostic on
-// malformed rows (same failing-loudly policy as the trace readers).
+// Parses a session log. A final line without its trailing newline is a row
+// the writer never finished: it is dropped with a "session log truncated at
+// line N" warning. Any other malformed row aborts with a "session log line
+// N: ..." diagnostic (same failing-loudly policy as the trace readers).
 Session ReadSessionLog(std::istream& in);
 Session ReadSessionLogFile(const std::string& path);
 

@@ -110,6 +110,7 @@ bool Reader::Next() {
       continue;
     }
     fields_ = SplitLine(line);
+    torn_ = in_.eof();  // getline hit the end of input before a '\n'
     return true;
   }
   return false;

@@ -54,6 +54,9 @@ class Reader {
   // Current row accessors (valid after Next() returned true).
   const std::vector<std::string>& fields() const { return fields_; }
   int line_no() const { return line_no_; }
+  // True when the current row is the last line of the input and lacks its
+  // trailing newline: a writer that was killed mid-append leaves one.
+  bool torn() const { return torn_; }
 
   // Aborts unless the current row has exactly `n` fields.
   void ExpectFields(size_t n) const;
@@ -69,6 +72,7 @@ class Reader {
   std::vector<std::string> fields_;
   int line_no_ = 0;
   bool header_seen_ = false;
+  bool torn_ = false;
 };
 
 }  // namespace csv

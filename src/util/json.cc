@@ -1,8 +1,8 @@
 #include "src/util/json.h"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <system_error>
 
@@ -196,6 +196,40 @@ std::string Json::Serialize(int indent) const {
 
 namespace {
 
+// Length of the well-formed UTF-8 sequence starting at s[i] (a byte >= 0x80),
+// or 0 for a stray continuation byte, an overlong form, a surrogate, a code
+// point above U+10FFFF, or a sequence cut short (RFC 3629 section 4).
+size_t Utf8SequenceLength(const std::string& s, size_t i) {
+  const auto at = [&s](size_t k) { return k < s.size() ? static_cast<uint8_t>(s[k]) : 0u; };
+  const unsigned lead = at(i);
+  const size_t len = lead >= 0xf0 ? 4 : lead >= 0xe0 ? 3 : 2;
+  // The second byte's range is what excludes overlongs (E0, F0), surrogates
+  // (ED) and code points above U+10FFFF (F4).
+  const unsigned lo = lead == 0xe0 ? 0xa0 : lead == 0xf0 ? 0x90 : 0x80;
+  const unsigned hi = lead == 0xed ? 0x9f : lead == 0xf4 ? 0x8f : 0xbf;
+  if (lead < 0xc2 || lead > 0xf4 || at(i + 1) < lo || at(i + 1) > hi) {
+    return 0;
+  }
+  for (size_t k = 2; k < len; ++k) {
+    if (at(i + k) < 0x80 || at(i + k) > 0xbf) {
+      return 0;
+    }
+  }
+  return len;
+}
+
+// A byte for an error message: printable ASCII as is, anything else as \xNN,
+// so a message never carries bytes that are not valid UTF-8.
+std::string Printable(char c) {
+  const auto byte = static_cast<unsigned char>(c);
+  if (byte >= 0x20 && byte <= 0x7e) {
+    return std::string(1, c);
+  }
+  char buf[8];
+  std::snprintf(buf, sizeof(buf), "\\x%02x", byte);
+  return buf;
+}
+
 struct JsonParser {
   const std::string& s;
   size_t pos = 0;
@@ -208,8 +242,10 @@ struct JsonParser {
     return false;
   }
 
+  // RFC 8259 whitespace only: no \v or \f.
   void SkipSpace() {
-    while (pos < s.size() && std::isspace(static_cast<unsigned char>(s[pos])) != 0) {
+    while (pos < s.size() &&
+           (s[pos] == ' ' || s[pos] == '\t' || s[pos] == '\n' || s[pos] == '\r')) {
       ++pos;
     }
   }
@@ -224,6 +260,21 @@ struct JsonParser {
       const char c = s[pos++];
       if (c == '"') {
         return true;
+      }
+      const auto byte = static_cast<unsigned char>(c);
+      if (byte < 0x20) {
+        --pos;
+        return Fail("control character in string");
+      }
+      if (byte >= 0x80) {
+        const size_t len = Utf8SequenceLength(s, pos - 1);
+        if (len == 0) {
+          --pos;
+          return Fail("invalid UTF-8 in string");
+        }
+        out->append(s, pos - 1, len);
+        pos += len - 1;
+        continue;
       }
       if (c != '\\') {
         out->push_back(c);
@@ -267,7 +318,7 @@ struct JsonParser {
           break;
         }
         default:
-          return Fail(std::string("unsupported escape '\\") + e + "'");
+          return Fail("unsupported escape '\\" + Printable(e) + "'");
       }
     }
     return Fail("unterminated string");
@@ -364,7 +415,7 @@ struct JsonParser {
     if (c == '-' || (c >= '0' && c <= '9')) {
       return ParseNumber(out);
     }
-    return Fail(std::string("unexpected character '") + c + "'");
+    return Fail("unexpected character '" + Printable(c) + "'");
   }
 
   bool IsDigit(size_t i) const { return i < s.size() && s[i] >= '0' && s[i] <= '9'; }

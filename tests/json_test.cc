@@ -128,6 +128,46 @@ TEST(JsonTest, ParseRejectsMalformedInputWithOffset) {
   }
 }
 
+// Strings carry well-formed UTF-8 and no raw control characters; only
+// space, tab, newline and carriage return count as whitespace.
+TEST(JsonTest, ParseIsStrictAboutStringBytesAndWhitespace) {
+  const char* const bad[] = {
+      "\"a\x01" "b\"",          // raw U+0001
+      "\"a\tb\"",               // raw tab inside a string
+      "\v{}",                   // vertical tab is not JSON whitespace
+      "{}\f",                   // nor is form feed
+      "\"\x80\"",               // stray continuation byte
+      "\"\xc3\x28\"",           // lead byte without its continuation
+      "\"\xc0\xaf\"",           // overlong '/'
+      "\"\xe0\x80\xaf\"",       // overlong, three bytes
+      "\"\xed\xa0\x80\"",       // UTF-16 surrogate U+D800
+      "\"\xf4\x90\x80\x80\"",   // above U+10FFFF
+      "\"\xe2\x82\"",           // sequence cut short by the quote
+      "\"\xf0\x9f\x98",         // sequence cut short by the end of input
+      "\"\xff\"",               // never valid in UTF-8
+  };
+  for (const char* text : bad) {
+    Json out;
+    std::string error;
+    EXPECT_FALSE(Json::Parse(text, &out, &error)) << "input: " << text;
+    for (const char c : error) {
+      EXPECT_TRUE(c >= 0x20 && c <= 0x7e) << "non-ASCII byte in error: " << error;
+    }
+  }
+  const char* const good[] = {"\"\xc3\xa9\"", "\"\xe2\x82\xac\"", "\"\xf0\x9f\x98\x80\"",
+                              "\"\xf4\x8f\xbf\xbf\"", " \t\r\n\"\\u0001\" "};
+  for (const char* text : good) {
+    Json out;
+    std::string error;
+    ASSERT_TRUE(Json::Parse(text, &out, &error)) << "input: " << text << ": " << error;
+    EXPECT_TRUE(out.is_string());
+  }
+  Json out;
+  std::string error;
+  ASSERT_TRUE(Json::Parse("\"caf\xc3\xa9\"", &out, &error)) << error;
+  EXPECT_EQ(out.str(), "caf\xc3\xa9");
+}
+
 TEST(JsonTest, ParseFollowsNumberGrammar) {
   const char* const bad[] = {"-", "+1", ".5", "1.", "1e", "1e+", "-.5", "--1", "1.e5"};
   for (const char* text : bad) {

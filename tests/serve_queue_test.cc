@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
-#include <tuple>
+#include <thread>
 #include <vector>
 
 namespace crius {
@@ -36,12 +37,16 @@ ServeCommand Shutdown() {
   return cmd;
 }
 
-ClusterView View(int queued_jobs, double oldest_wait, bool shutting_down,
-                 double projected_watts = 0.0) {
+std::vector<ServeCommand> Drain(EventQueue& queue) {
+  std::vector<ServeCommand> out;
+  queue.DrainInto(&out);
+  return out;
+}
+
+ClusterView View(int queued_jobs, double oldest_wait, double projected_watts = 0.0) {
   ClusterView view;
   view.queued_jobs = queued_jobs;
   view.oldest_wait = oldest_wait;
-  view.shutting_down = shutting_down;
   view.projected_watts = projected_watts;
   return view;
 }
@@ -61,69 +66,29 @@ TEST(RejectReasonTest, NamesAreMachineReadableTokens) {
   EXPECT_STREQ(RejectReasonName(RejectReason::kClusterPowerCap), "cluster_power_cap");
 }
 
-TEST(EventQueueTest, AcceptsAndDrainsInMergeOrder) {
+TEST(EventQueueTest, DrainsInArrivalOrder) {
   EventQueue queue(EventQueueConfig{});
-  // Same job id = same route: arrival order is preserved via the per-route
-  // seq even though the drain re-sorts the batch.
-  EXPECT_FALSE(queue.TryPush(Submit(7)).has_value());
-  EXPECT_FALSE(queue.TryPush(Cancel(7)).has_value());
   EXPECT_FALSE(queue.TryPush(Submit(8)).has_value());
-  EXPECT_EQ(queue.size(), 3u);
+  EXPECT_FALSE(queue.TryPush(Submit(7)).has_value());
+  EXPECT_FALSE(queue.TryPush(FailNode(3)).has_value());
+  EXPECT_FALSE(queue.TryPush(Cancel(7)).has_value());
+  EXPECT_EQ(queue.size(), 4u);
 
-  const auto cmds = queue.Drain();
+  const auto cmds = Drain(queue);
   EXPECT_EQ(queue.size(), 0u);
-  ASSERT_EQ(cmds.size(), 3u);
-  // The batch comes back sorted by the deterministic merge key.
-  for (size_t i = 1; i < cmds.size(); ++i) {
-    EXPECT_LT(std::tie(cmds[i - 1].vt_stamp, cmds[i - 1].route, cmds[i - 1].seq),
-              std::tie(cmds[i].vt_stamp, cmds[i].route, cmds[i].seq));
-  }
-  // Submit(7) and Cancel(7) share a route and keep arrival order.
-  size_t submit7 = cmds.size(), cancel7 = cmds.size();
-  for (size_t i = 0; i < cmds.size(); ++i) {
-    if (cmds[i].kind == ServeCommand::Kind::kSubmit && cmds[i].job.id == 7) submit7 = i;
-    if (cmds[i].kind == ServeCommand::Kind::kCancel) cancel7 = i;
-  }
-  ASSERT_LT(submit7, cmds.size());
-  ASSERT_LT(cancel7, cmds.size());
-  EXPECT_EQ(cmds[submit7].route, cmds[cancel7].route);
-  EXPECT_LT(submit7, cancel7);
-  EXPECT_LT(cmds[submit7].seq, cmds[cancel7].seq);
+  ASSERT_EQ(cmds.size(), 4u);
+  EXPECT_EQ(cmds[0].job.id, 8);
+  EXPECT_EQ(cmds[1].job.id, 7);
+  EXPECT_EQ(cmds[2].kind, ServeCommand::Kind::kFailNode);
+  EXPECT_EQ(cmds[2].node_id, 3);
+  EXPECT_EQ(cmds[3].kind, ServeCommand::Kind::kCancel);
+  EXPECT_EQ(cmds[3].job_id, 7);
 }
 
-TEST(EventQueueTest, MergeOrderIsIdenticalAcrossShardCounts) {
-  // The same ingress sequence drains in the same order for any physical
-  // shard count: the (vt_stamp, route, seq) key only depends on command
-  // content and arrival order, never on which ring a command landed in.
-  auto run = [](size_t shards) {
-    EventQueueConfig config;
-    config.capacity = 256;
-    config.shards = shards;
-    EventQueue queue(config);
-    for (int64_t id = 1; id <= 40; ++id) {
-      EXPECT_FALSE(queue.TryPush(Submit(id)).has_value());
-      if (id % 3 == 0) {
-        EXPECT_FALSE(queue.TryPush(Cancel(id)).has_value());
-      }
-      if (id % 7 == 0) {
-        EXPECT_FALSE(queue.TryPush(FailNode(static_cast<int>(id))).has_value());
-      }
-    }
-    std::vector<std::tuple<int, int64_t, uint32_t, uint64_t>> order;
-    for (const ServeCommand& cmd : queue.Drain()) {
-      const int64_t id = cmd.kind == ServeCommand::Kind::kSubmit ? cmd.job.id
-                         : cmd.kind == ServeCommand::Kind::kCancel
-                             ? cmd.job_id
-                             : static_cast<int64_t>(cmd.node_id);
-      order.emplace_back(static_cast<int>(cmd.kind), id, cmd.route, cmd.seq);
-    }
-    return order;
-  };
-
-  const auto one = run(1);
-  EXPECT_EQ(one.size(), 40u + 13u + 5u);
-  EXPECT_EQ(one, run(2));
-  EXPECT_EQ(one, run(8));
+TEST(EventQueueTest, ShardsOtherThanOneAreRejected) {
+  EventQueueConfig config;
+  config.shards = 4;
+  EXPECT_DEATH(EventQueue{config}, "shards must be 1");
 }
 
 TEST(EventQueueTest, CapacityRejectsEverythingButShutdown) {
@@ -157,13 +122,13 @@ TEST(EventQueueTest, CapacityOneStillBackpressuresAndRecovers) {
   ASSERT_TRUE(reject.has_value());
   EXPECT_EQ(*reject, RejectReason::kQueueFull);
 
-  auto cmds = queue.Drain();
+  auto cmds = Drain(queue);
   ASSERT_EQ(cmds.size(), 1u);
   EXPECT_EQ(cmds[0].job.id, 1);
   EXPECT_FALSE(queue.TryPush(Submit(3)).has_value());
 
   EXPECT_FALSE(queue.TryPush(Shutdown()).has_value());
-  cmds = queue.Drain();
+  cmds = Drain(queue);
   ASSERT_EQ(cmds.size(), 2u);
   EXPECT_EQ(cmds[0].kind, ServeCommand::Kind::kSubmit);
   EXPECT_EQ(cmds[1].kind, ServeCommand::Kind::kShutdown);
@@ -173,7 +138,7 @@ TEST(EventQueueTest, SaturationRejectsOnlySubmissions) {
   EventQueueConfig config;
   config.max_pending_jobs = 4;
   EventQueue queue(config);
-  queue.PublishClusterView(View(/*queued_jobs=*/4, /*oldest_wait=*/0.0, /*shutting_down=*/false));
+  queue.PublishClusterView(View(/*queued_jobs=*/4, /*oldest_wait=*/0.0));
 
   const auto reject = queue.TryPush(Submit());
   ASSERT_TRUE(reject.has_value());
@@ -181,7 +146,7 @@ TEST(EventQueueTest, SaturationRejectsOnlySubmissions) {
   // Cancels shrink load; they pass.
   EXPECT_FALSE(queue.TryPush(Cancel(1)).has_value());
 
-  queue.PublishClusterView(View(3, 0.0, false));
+  queue.PublishClusterView(View(3, 0.0));
   EXPECT_FALSE(queue.TryPush(Submit()).has_value());
 }
 
@@ -189,13 +154,13 @@ TEST(EventQueueTest, StarvationGuardRejectsWhileBacklogIsOld) {
   EventQueueConfig config;
   config.starvation_wait = 600.0;
   EventQueue queue(config);
-  queue.PublishClusterView(View(1, /*oldest_wait=*/601.0, false));
+  queue.PublishClusterView(View(1, /*oldest_wait=*/601.0));
 
   const auto reject = queue.TryPush(Submit());
   ASSERT_TRUE(reject.has_value());
   EXPECT_EQ(*reject, RejectReason::kStarvationGuard);
 
-  queue.PublishClusterView(View(1, 599.0, false));
+  queue.PublishClusterView(View(1, 599.0));
   EXPECT_FALSE(queue.TryPush(Submit()).has_value());
 }
 
@@ -206,10 +171,10 @@ TEST(EventQueueTest, StarvationGuardAdmitsWaitExactlyAtThreshold) {
   EventQueueConfig config;
   config.starvation_wait = 600.0;
   EventQueue queue(config);
-  queue.PublishClusterView(View(1, /*oldest_wait=*/600.0, false));
+  queue.PublishClusterView(View(1, /*oldest_wait=*/600.0));
   EXPECT_FALSE(queue.TryPush(Submit()).has_value());
 
-  queue.PublishClusterView(View(1, 600.0000001, false));
+  queue.PublishClusterView(View(1, 600.0000001));
   const auto reject = queue.TryPush(Submit());
   ASSERT_TRUE(reject.has_value());
   EXPECT_EQ(*reject, RejectReason::kStarvationGuard);
@@ -219,7 +184,7 @@ TEST(EventQueueTest, PowerCapRejectsSubmissionsAtOrAboveCap) {
   EventQueueConfig config;
   config.power_cap_watts = 5000.0;
   EventQueue queue(config);
-  queue.PublishClusterView(View(0, 0.0, false, /*projected_watts=*/5000.0));
+  queue.PublishClusterView(View(0, 0.0, /*projected_watts=*/5000.0));
 
   // The cap is at-or-above: draw exactly at the cap already rejects.
   auto reject = queue.TryPush(Submit());
@@ -228,7 +193,7 @@ TEST(EventQueueTest, PowerCapRejectsSubmissionsAtOrAboveCap) {
   // Cancels shrink draw; they pass.
   EXPECT_FALSE(queue.TryPush(Cancel(1)).has_value());
 
-  queue.PublishClusterView(View(0, 0.0, false, 4999.9));
+  queue.PublishClusterView(View(0, 0.0, 4999.9));
   EXPECT_FALSE(queue.TryPush(Submit()).has_value());
 }
 
@@ -236,7 +201,7 @@ TEST(EventQueueTest, PowerCapDisabledIgnoresProjectedDraw) {
   // power_cap_watts == 0 disables the guard no matter how high the published
   // draw is (the view field is always populated once power accounting is on).
   EventQueue queue(EventQueueConfig{});
-  queue.PublishClusterView(View(0, 0.0, false, /*projected_watts=*/1e9));
+  queue.PublishClusterView(View(0, 0.0, /*projected_watts=*/1e9));
   EXPECT_FALSE(queue.TryPush(Submit()).has_value());
 }
 
@@ -251,9 +216,8 @@ TEST(EventQueueTest, ShutdownLatchesAndOnlyShutdownPasses) {
   ASSERT_TRUE(reject.has_value());
   EXPECT_EQ(*reject, RejectReason::kShuttingDown);
 
-  // The latch survives cluster-view refreshes that say "not shutting down"
-  // (the controller never un-requests a shutdown).
-  queue.PublishClusterView(View(0, 0.0, false));
+  // The latch survives the controller's per-tick cluster-view refreshes.
+  queue.PublishClusterView(View(0, 0.0));
   reject = queue.TryPush(Submit());
   ASSERT_TRUE(reject.has_value());
   EXPECT_EQ(*reject, RejectReason::kShuttingDown);
@@ -276,7 +240,7 @@ TEST(EventQueueTest, CancelAndHealthBeforeQueuedShutdownStayInBatch) {
   EXPECT_TRUE(queue.TryPush(FailNode(5)).has_value());
 
   // ...but the racing pre-shutdown commands all drain, shutdown last.
-  const auto cmds = queue.Drain();
+  const auto cmds = Drain(queue);
   ASSERT_EQ(cmds.size(), 3u);
   EXPECT_NE(cmds[0].kind, ServeCommand::Kind::kShutdown);
   EXPECT_NE(cmds[1].kind, ServeCommand::Kind::kShutdown);
@@ -290,56 +254,120 @@ TEST(EventQueueTest, DrainClearsBackpressure) {
   EventQueue queue(config);
   EXPECT_FALSE(queue.TryPush(Submit()).has_value());
   EXPECT_TRUE(queue.TryPush(Submit()).has_value());
-  queue.Drain();
+  Drain(queue);
   EXPECT_FALSE(queue.TryPush(Submit()).has_value());
 }
 
-TEST(EventQueueTest, DrainIntoReusesCallerBuffer) {
+TEST(EventQueueTest, DrainIntoReplacesBatchAndTradesBuffers) {
   EventQueue queue(EventQueueConfig{});
-  std::vector<ServeCommand> batch;
+  std::vector<ServeCommand> batch(3);  // stale commands from an earlier tick
   EXPECT_FALSE(queue.TryPush(Submit(1)).has_value());
   EXPECT_EQ(queue.DrainInto(&batch), 1u);
   ASSERT_EQ(batch.size(), 1u);
-  const size_t warm_capacity = batch.capacity();
+  EXPECT_EQ(batch[0].job.id, 1);
+  const ServeCommand* first = batch.data();
 
-  // Steady state: clear + refill stays within the warm capacity — the tick
-  // loop never re-allocates its batch buffer.
-  batch.clear();
   EXPECT_FALSE(queue.TryPush(Submit(2)).has_value());
   EXPECT_EQ(queue.DrainInto(&batch), 1u);
-  EXPECT_EQ(batch.capacity(), warm_capacity);
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].job.id, 2);
+  const ServeCommand* second = batch.data();
 
-  // Without the clear, DrainInto appends (returns only the new count).
-  EXPECT_FALSE(queue.TryPush(Submit(3)).has_value());
-  EXPECT_EQ(queue.DrainInto(&batch), 1u);
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[1].job.id, 3);
+  // Steady state: the batch and the queue trade the same two buffers at
+  // every drain, so the tick loop never allocates.
+  for (int64_t id = 3; id <= 8; ++id) {
+    EXPECT_FALSE(queue.TryPush(Submit(id)).has_value());
+    EXPECT_EQ(queue.DrainInto(&batch), 1u);
+    ASSERT_EQ(batch.size(), 1u);
+    EXPECT_EQ(batch[0].job.id, id);
+    EXPECT_EQ(batch.data(), id % 2 == 1 ? first : second);
+  }
 }
 
-TEST(EventQueueTest, ShardDepthTracksPerShardBacklog) {
+TEST(EventQueueTest, ExactBoundAtSmallCapacities) {
+  for (const size_t capacity : {size_t{1}, size_t{2}}) {
+    EventQueueConfig config;
+    config.capacity = capacity;
+    EventQueue queue(config);
+    int64_t next_id = 1;
+    for (int tick = 0; tick < 3; ++tick) {
+      const int64_t first_id = next_id;
+      for (size_t i = 0; i < capacity; ++i) {
+        EXPECT_FALSE(queue.TryPush(Submit(next_id++)).has_value()) << capacity;
+      }
+      const auto reject = queue.TryPush(Submit(next_id));
+      ASSERT_TRUE(reject.has_value()) << capacity;
+      EXPECT_EQ(*reject, RejectReason::kQueueFull);
+      const auto cmds = Drain(queue);
+      ASSERT_EQ(cmds.size(), capacity);
+      for (size_t i = 0; i < capacity; ++i) {
+        EXPECT_EQ(cmds[i].job.id, first_id + static_cast<int64_t>(i));
+      }
+    }
+  }
+}
+
+// Producers hammer one queue while a single consumer drains it; every
+// accepted command must come out exactly once and each producer's own
+// commands in push order. Run under TSan, this is the data-race check for
+// the serve ingress path.
+TEST(EventQueueTest, ConcurrentProducersDeliverEverythingExactlyOnceInOrder) {
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 20000;
   EventQueueConfig config;
-  config.capacity = 64;
-  config.shards = 4;
+  config.capacity = 1024;
   EventQueue queue(config);
-  for (int64_t id = 1; id <= 16; ++id) {
-    EXPECT_FALSE(queue.TryPush(Submit(id)).has_value());
+  std::atomic<int> producers_done{0};
+
+  std::vector<std::thread> producers;
+  producers.reserve(kProducers);
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&queue, &producers_done, p] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        const int64_t id = (static_cast<int64_t>(p) << 32) | i;
+        while (queue.TryPush(Submit(id)).has_value()) {
+          std::this_thread::yield();
+        }
+      }
+      producers_done.fetch_add(1, std::memory_order_release);
+    });
   }
-  size_t total = 0;
-  for (size_t shard = 0; shard < queue.shards(); ++shard) {
-    total += queue.shard_depth(shard);
+
+  std::vector<int64_t> got;
+  got.reserve(static_cast<size_t>(kProducers) * kPerProducer);
+  std::vector<ServeCommand> batch;
+  bool last_pass = false;
+  while (!last_pass) {
+    last_pass = producers_done.load(std::memory_order_acquire) == kProducers;
+    queue.DrainInto(&batch);
+    for (const ServeCommand& cmd : batch) {
+      got.push_back(cmd.job.id);
+    }
+    if (batch.empty()) {
+      std::this_thread::yield();
+    }
   }
-  EXPECT_EQ(total, 16u);
-  EXPECT_EQ(queue.size(), 16u);
-  EXPECT_EQ(queue.shard_depth(99), 0u);
+  for (std::thread& t : producers) {
+    t.join();
+  }
+
+  ASSERT_EQ(got.size(), static_cast<size_t>(kProducers) * kPerProducer);
+  std::vector<int64_t> next(kProducers, 0);
+  for (const int64_t id : got) {
+    const int p = static_cast<int>(id >> 32);
+    ASSERT_GE(p, 0);
+    ASSERT_LT(p, kProducers);
+    // Per-producer FIFO; together with the size check, exactly once.
+    ASSERT_EQ(id & 0xffffffff, next[p]);
+    ++next[p];
+  }
 }
 
 TEST(EventQueueTest, PublishBumpsViewEpoch) {
   EventQueue queue(EventQueueConfig{});
   const uint64_t before = queue.view_epoch();
-  queue.PublishClusterView(View(0, 0.0, false));
-  queue.PublishClusterView(View(1, 2.0, false));
+  queue.PublishClusterView(View(0, 0.0));
+  queue.PublishClusterView(View(1, 2.0));
   EXPECT_EQ(queue.view_epoch(), before + 2);
 }
 

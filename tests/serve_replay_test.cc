@@ -10,7 +10,9 @@
 
 #include <chrono>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "src/serve/controller.h"
 #include "src/serve/replay.h"
@@ -183,6 +185,108 @@ TEST(ServeReplayTest, ReconfigSessionReplaysBitIdentically) {
 
   EXPECT_EQ(live.finished_jobs, replayed.finished_jobs);
   EXPECT_DOUBLE_EQ(live.makespan, replayed.makespan);
+}
+
+// Every command of this script is queued before the loop starts, so all of
+// them land in the first tick: the batch must be applied -- and logged -- in
+// exactly the order it was pushed, and the log must still replay to the live
+// decisions.
+TEST(ServeReplayTest, SameTickBatchAppliesInArrivalOrder) {
+  SessionMeta meta;
+  SessionRuntime runtime = MakeSessionRuntime(meta);
+  std::stringstream log_stream;
+  SessionLog log(log_stream, meta);
+
+  Controller::Config config;
+  config.tick_virtual_seconds = 60.0;
+  config.tick_wall_seconds = 0.001;
+  Controller controller(runtime.cluster, runtime.sim, *runtime.scheduler, *runtime.oracle,
+                        &log, config);
+  std::vector<std::string> pushed;
+  const TrainingJob rotation[] = {BertJob(), WresJob(), LongMoeJob()};
+  for (int i = 0; i < 40; ++i) {
+    TrainingJob job = rotation[i % 3];
+    job.iterations = 5;
+    job.requested_type = GpuType::kA40;
+    const auto submit = controller.Submit(job);
+    ASSERT_TRUE(submit.ok) << i;
+    pushed.push_back("submit:" + std::to_string(submit.job_id));
+  }
+  ASSERT_FALSE(controller.Cancel(3).has_value());
+  ASSERT_FALSE(controller.Cancel(17).has_value());
+  ASSERT_FALSE(controller.FailNode(1).has_value());
+  ASSERT_FALSE(controller.RecoverNode(1).has_value());
+  pushed.insert(pushed.end(), {"cancel:3", "cancel:17", "fail_node:1", "recover_node:1"});
+  ASSERT_FALSE(controller.Shutdown(/*drain=*/true).has_value());
+  controller.Start();
+  controller.Join();
+  EXPECT_FALSE(controller.interrupted());
+  const SimResult live = controller.TakeResult();
+
+  // Rows after the header and the meta row, as kind:id, all at the first
+  // tick's virtual time.
+  std::vector<std::string> logged;
+  std::istringstream rows(log_stream.str());
+  std::string line;
+  std::getline(rows, line);  // header
+  std::getline(rows, line);  // meta
+  while (std::getline(rows, line)) {
+    std::vector<std::string> fields;
+    std::istringstream cells(line);
+    for (std::string cell; std::getline(cells, cell, ',');) {
+      fields.push_back(cell);
+    }
+    ASSERT_GE(fields.size(), 4u) << line;
+    EXPECT_EQ(fields[0], "60") << line;
+    const bool node_row = fields[1] == "fail_node" || fields[1] == "recover_node";
+    logged.push_back(fields[1] + ":" + (node_row ? fields[3] : fields[2]));
+  }
+  EXPECT_EQ(logged, pushed);
+
+  const SimResult replayed = ReplaySession(ReadSessionLog(log_stream));
+  std::ostringstream live_jobs, replay_jobs;
+  WriteJobRecordsCsv(live, live_jobs);
+  WriteJobRecordsCsv(replayed, replay_jobs);
+  EXPECT_EQ(live_jobs.str(), replay_jobs.str());
+  std::ostringstream live_events, replay_events;
+  WriteEventsCsv(live, live_events);
+  WriteEventsCsv(replayed, replay_events);
+  EXPECT_EQ(live_events.str(), replay_events.str());
+}
+
+// A daemon killed mid-append leaves a final row without its newline. Replay
+// drops that row with a warning and runs the complete prefix.
+TEST(ServeReplayTest, TornFinalRowReplaysTheCompletePrefix) {
+  SessionMeta meta;
+  const auto write_log = [&meta](int submits) {
+    std::ostringstream out;
+    SessionLog log(out, meta);
+    const TrainingJob jobs[] = {BertJob(), WresJob(), LongMoeJob()};
+    for (int i = 0; i < submits; ++i) {
+      TrainingJob job = jobs[i];
+      job.id = i + 1;
+      job.iterations = 20;
+      log.AppendSubmit(60.0 * (i + 1), job);
+    }
+    return out.str();
+  };
+  const std::string full = write_log(3);
+  std::stringstream torn(full.substr(0, full.size() - 7));
+  std::stringstream two_rows(write_log(2));
+
+  testing::internal::CaptureStderr();
+  const Session torn_session = ReadSessionLog(torn);
+  EXPECT_NE(testing::internal::GetCapturedStderr().find("session log truncated at line 5"),
+            std::string::npos);
+  ASSERT_EQ(torn_session.trace.size(), 2u);
+
+  const auto csvs = [](const SimResult& result) {
+    std::ostringstream out;
+    WriteJobRecordsCsv(result, out);
+    WriteEventsCsv(result, out);
+    return out.str();
+  };
+  EXPECT_EQ(csvs(ReplaySession(torn_session)), csvs(ReplaySession(ReadSessionLog(two_rows))));
 }
 
 TEST(ServeReplayTest, StatusesSettleAfterDrain) {

@@ -59,6 +59,30 @@ TEST_F(ServiceTest, MalformedJsonRejectedAsBadRequest) {
   EXPECT_FALSE(response.StringOr("message", "").empty());
 }
 
+// Raw control bytes, \v or \f as whitespace, and malformed UTF-8 are bad
+// requests, and the answer is plain ASCII even when the request line was
+// not valid UTF-8.
+TEST_F(ServiceTest, StrictJsonAnswersBadRequestInAscii) {
+  const std::string lines[] = {"{\"cmd\":\"a\x01" "b\"}", "\v{}", "\xff",
+                               "{\"cmd\":\"\xc3\x28\"}"};
+  for (const std::string& line : lines) {
+    const std::string answer = Handle(line);
+    for (const char c : answer) {
+      EXPECT_TRUE(c >= 0x20 && c <= 0x7e) << "non-ASCII byte in: " << answer;
+    }
+    JsonObject response;
+    std::string error;
+    ASSERT_TRUE(ParseJsonObject(answer, &response, &error)) << error;
+    EXPECT_EQ(response.StringOr("reason", ""), "bad_request") << answer;
+  }
+  EXPECT_EQ(Handle("\xff"),
+            R"({"message":"unexpected character '\\xff' at offset 0","ok":false,)"
+            R"("reason":"bad_request"})");
+  // Well-formed multi-byte UTF-8 still parses (and is echoed back intact).
+  EXPECT_EQ(Handle("{\"cmd\":\"\xc3\xa9\"}"),
+            "{\"message\":\"unknown cmd '\xc3\xa9'\",\"ok\":false,\"reason\":\"bad_request\"}");
+}
+
 TEST_F(ServiceTest, UnknownCommandRejected) {
   StartController();
   JsonObject response;

@@ -206,6 +206,14 @@ TEST(SessionLogDeathTest, UnknownFamilyAborts) {
   EXPECT_DEATH(ReadSessionLog(ss), "family");
 }
 
+TEST(SessionLogDeathTest, CutRowBeforeTheLastLineAborts) {
+  // Only the final line may be torn; a cut row followed by more rows is
+  // corruption, not an interrupted append.
+  std::stringstream ss(Header() + MetaRow() + "60,submit,1,-1,BERT,1.3,25\n" +
+                       "120,cancel,1,-1,,,,,,,,\n");
+  EXPECT_DEATH(ReadSessionLog(ss), "expected 12 fields");
+}
+
 TEST(SessionLogDeathTest, BadNumberAborts) {
   std::stringstream ss(Header() + MetaRow() + "abc,cancel,1,-1,,,,,,,,\n");
   EXPECT_DEATH(ReadSessionLog(ss), "bad time");

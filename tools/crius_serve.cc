@@ -69,7 +69,6 @@ int Run(int argc, const char* const* argv) {
   double tick_virtual = 60.0;
   double tick_wall = 0.02;
   int64_t queue_capacity = 256;
-  int64_t shards = 1;
   int64_t max_pending = 0;
   double starvation_wait = 0.0;
   double power_cap_watts = 0.0;
@@ -108,10 +107,7 @@ int Run(int argc, const char* const* argv) {
   flags.Double("tick-virtual-seconds", &tick_virtual,
                "virtual seconds the session clock advances per controller tick");
   flags.Double("tick-wall-seconds", &tick_wall, "wall-clock pause between ticks");
-  flags.Int("queue-capacity", &queue_capacity, "ingress command-queue capacity (total across shards)");
-  flags.Int("shards", &shards,
-            "lock-free ingress shards; the round loop merges them deterministically, so the "
-            "session log and --replay output are bit-identical across shard counts");
+  flags.Int("queue-capacity", &queue_capacity, "ingress command-queue capacity");
   flags.Int("max-pending", &max_pending,
             "reject submissions while this many jobs wait for GPUs (0 = no limit)");
   flags.Double("starvation-wait", &starvation_wait,
@@ -146,10 +142,6 @@ int Run(int argc, const char* const* argv) {
   }
   if (metrics_every_ticks <= 0) {
     std::fprintf(stderr, "crius_serve: --metrics-every-ticks must be > 0\n");
-    return 1;
-  }
-  if (shards < 1 || shards > 1024) {
-    std::fprintf(stderr, "crius_serve: --shards must be in 1..1024\n");
     return 1;
   }
 
@@ -213,7 +205,6 @@ int Run(int argc, const char* const* argv) {
   controller_config.metrics_csv = metrics_csv;
   controller_config.metrics_every_ticks = static_cast<int>(metrics_every_ticks);
   controller_config.queue.capacity = static_cast<size_t>(queue_capacity);
-  controller_config.queue.shards = static_cast<size_t>(shards);
   controller_config.queue.max_pending_jobs = static_cast<int>(max_pending);
   controller_config.queue.starvation_wait = starvation_wait;
   controller_config.queue.power_cap_watts = power_cap_watts;
