@@ -27,7 +27,6 @@
 #include <cstring>
 
 #include "bench/bench_util.h"
-#include "src/util/counters.h"
 #include "src/util/stats.h"
 #include "tests/fresh_crius_scheduler.h"
 
@@ -158,21 +157,10 @@ int main(int argc, char** argv) {
 
   // Incremental first: its oracle starts cold, so any cold-cache penalty lands
   // on the incremental side and the reported speedup is conservative.
-  // estimator.arena_bytes counts every estimate's scratch-arena footprint;
-  // the delta across the incremental run, amortized per round, is the
-  // steady-state allocation pressure of the estimation path.
-  const int64_t arena_before =
-      CounterRegistry::Global().GetCounter("estimator.arena_bytes").value();
   const std::vector<RoundSample> inc_samples = RunMode<CriusScheduler>(cluster, trace);
-  const int64_t arena_after =
-      CounterRegistry::Global().GetCounter("estimator.arena_bytes").value();
   const std::vector<RoundSample> full_samples = RunMode<FreshCriusScheduler>(cluster, trace);
   const ModeStats inc = Summarize(inc_samples);
   const ModeStats full = Summarize(full_samples);
-  const double round_alloc_bytes =
-      inc.rounds > 0 ? static_cast<double>(arena_after - arena_before) / inc.rounds : 0.0;
-  std::printf("estimator arena traffic: %.0f bytes/round over %zu incremental rounds\n",
-              round_alloc_bytes, inc.rounds);
 
   Table table("Per-round Schedule() latency, incremental vs full recompute");
   table.SetHeader({"mode", "rounds", "steady", "med all (ms)", "med steady (ms)",
@@ -217,10 +205,8 @@ int main(int argc, char** argv) {
     report.AddMetric("rounds", static_cast<double>(inc.rounds), "", "none");
     report.AddMetric("steady_rounds", static_cast<double>(inc.steady_rounds), "", "none");
     // Batch-estimation pipeline throughput (higher is better; machine-speed
-    // dependent, so the gate is loose) and per-round estimator allocation
-    // traffic (arena bytes are deterministic, gated tight).
+    // dependent, so the gate is loose).
     report.AddMetric("estimator_cells_per_sec", cells_per_sec, "cells/s", "higher", 0.5);
-    report.AddMetric("round_alloc_bytes", round_alloc_bytes, "B", "lower", 1.5);
     if (!EmitBenchReport(report, report_path)) {
       return 1;
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <utility>
+#include <vector>
 
 #include "src/util/check.h"
 #include "src/util/counters.h"
@@ -14,13 +15,6 @@ namespace crius {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// One profiled stage option (dp-only or tp-only); its times live in the
-// StageChain arrays at the same index.
-struct AssemblyOption {
-  int dp = 1;
-  int tp = 1;
-};
 
 // A plan's total, in the association the enumeration used:
 // ((sum + (B-1)*max_stage) + f*max_sync) + overhead.
@@ -66,28 +60,35 @@ double MinChainSum(const StageChain& chain, double cap_stage, double cap_sync) {
   return MinChainSum(chain, 0, cur, cap_stage, cap_sync);
 }
 
-// The values one column's maximum can take over complete chains, ascending
-// and deduplicated: every option's value except those below the largest
-// per-stage minimum, which every chain reaches. Returns the count.
-size_t CandidateMaxima(const StageChain& chain, const double* values, double* caps) {
+// Replaces *caps with the values one column's maximum can take over complete
+// chains, ascending and deduplicated: every option's value except those below
+// the largest per-stage minimum, which every chain reaches.
+void CandidateMaxima(const StageChain& chain, const double* values, std::vector<double>* caps) {
   double floor = 0.0;
   for (size_t s = 0; s < chain.num_stages; ++s) {
     const double stage_min =
         chain.opt_count[s] > 1 ? std::min(values[2 * s], values[2 * s + 1]) : values[2 * s];
     floor = std::max(floor, stage_min);
   }
-  size_t n = 0;
+  caps->clear();
   for (size_t s = 0; s < chain.num_stages; ++s) {
     for (int o = 0; o < chain.opt_count[s]; ++o) {
       const double v = values[2 * s + static_cast<size_t>(o)];
       if (v >= floor) {
-        caps[n++] = v;
+        caps->push_back(v);
       }
     }
   }
-  std::sort(caps, caps + n);
-  return static_cast<size_t>(std::unique(caps, caps + n) - caps);
+  std::sort(caps->begin(), caps->end());
+  caps->erase(std::unique(caps->begin(), caps->end()), caps->end());
 }
+
+// A cap pair on the two column maxima and the best plan total under it.
+struct CapPair {
+  double stage = 0.0;
+  double sync = 0.0;
+  double total = 0.0;
+};
 
 }  // namespace
 
@@ -113,35 +114,32 @@ CellEstimator::CellEstimator(const PerfModel* model, const CommProfile* comm, ui
 //      highest option index first): stage by stage, take the first option
 //      after which some completion still reaches the best total under a tight
 //      cap pair (one scoring exactly the best).
-double AssembleChain(const StageChain& chain, Arena* arena, int* choice) {
+double AssembleChain(const StageChain& chain, int* choice) {
   const size_t ns = chain.num_stages;
   CRIUS_CHECK(ns >= 1);
   for (size_t s = 0; s < ns; ++s) {
     CRIUS_CHECK(chain.opt_count[s] == 1 || chain.opt_count[s] == 2);
   }
 
-  double* caps_stage = arena->AllocateArray<double>(2 * ns);
-  double* caps_sync = arena->AllocateArray<double>(2 * ns);
-  const size_t num_stage_caps = CandidateMaxima(chain, chain.t_stage, caps_stage);
-  const size_t num_sync_caps = CandidateMaxima(chain, chain.t_dp_sync, caps_sync);
+  // Scratch kept per thread, so steady-state calls reuse its capacity;
+  // every call clears it before use.
+  thread_local std::vector<double> caps_stage;
+  thread_local std::vector<double> caps_sync;
+  thread_local std::vector<CapPair> pairs;
+  CandidateMaxima(chain, chain.t_stage, &caps_stage);
+  CandidateMaxima(chain, chain.t_dp_sync, &caps_sync);
 
   // Scores every cap pair in ascending order. A pair cannot beat the
   // uncapped min chain under its own caps, so the scan stops as soon as that
   // bound exceeds the best score.
-  struct CapPair {
-    double stage = 0.0;
-    double sync = 0.0;
-    double total = 0.0;
-  };
-  CapPair* pairs = arena->AllocateArray<CapPair>(num_stage_caps * num_sync_caps);
-  size_t num_pairs = 0;
+  pairs.clear();
   const double free_sum = MinChainSum(chain, kInf, kInf);
   double best_time = kInf;
-  for (size_t i = 0; i < num_stage_caps; ++i) {
+  for (size_t i = 0; i < caps_stage.size(); ++i) {
     if (PlanTotal(chain, free_sum, caps_stage[i], caps_sync[0]) > best_time) {
       break;
     }
-    for (size_t j = 0; j < num_sync_caps; ++j) {
+    for (size_t j = 0; j < caps_sync.size(); ++j) {
       if (PlanTotal(chain, free_sum, caps_stage[i], caps_sync[j]) > best_time) {
         break;
       }
@@ -151,17 +149,12 @@ double AssembleChain(const StageChain& chain, Arena* arena, int* choice) {
       }
       const CapPair pair{caps_stage[i], caps_sync[j],
                          PlanTotal(chain, sum, caps_stage[i], caps_sync[j])};
-      pairs[num_pairs++] = pair;
+      pairs.push_back(pair);
       best_time = std::min(best_time, pair.total);
     }
   }
   CRIUS_CHECK(best_time < kInf);
-  size_t num_tight = 0;
-  for (size_t k = 0; k < num_pairs; ++k) {
-    if (pairs[k].total == best_time) {
-      pairs[num_tight++] = pairs[k];
-    }
-  }
+  std::erase_if(pairs, [best_time](const CapPair& pair) { return pair.total != best_time; });
 
   // Tie walk (point 3).
   double prefix_sum = 0.0;
@@ -179,8 +172,7 @@ double AssembleChain(const StageChain& chain, Arena* arena, int* choice) {
       }
       const double stage_max = std::max(max_stage, chain.t_stage[i]);
       const double sync_max = std::max(max_sync, chain.t_dp_sync[i]);
-      for (size_t k = 0; k < num_tight; ++k) {
-        const CapPair& pair = pairs[k];
+      for (const CapPair& pair : pairs) {
         if (stage_max > pair.stage || sync_max > pair.sync) {
           continue;
         }
@@ -211,8 +203,6 @@ CellEstimate CellEstimator::Estimate(const JobContext& ctx, const Cell& cell) co
   CRIUS_COUNTER_INC("estimator.evaluations");
   CRIUS_SCOPED_TIMER_MS("estimator.eval_ms");
   const OpGraph& g = *ctx.graph;
-  Arena& arena = arena_;
-  arena.Reset();
 
   CellEstimate out;
   if (cell.nstages > std::min<int>(cell.ngpus, static_cast<int>(g.size()))) {
@@ -227,17 +217,17 @@ CellEstimate CellEstimator::Estimate(const JobContext& ctx, const Cell& cell) co
       static_cast<double>(ctx.global_batch) / static_cast<double>(num_microbatches);
 
   // --- Profile the two grid plans (dp-only / tp-only per stage) -------------
-  // At most two surviving options per stage; opts[2*s + oi] with opt_count[s]
+  // At most two surviving options per stage; opts_[2*s + oi] with opt_count_[s]
   // live entries, their times in the chain arrays at the same index.
-  AssemblyOption* opts = arena.AllocateArray<AssemblyOption>(2 * num_stages);
-  int* opt_count = arena.AllocateArray<int>(num_stages);
-  double* t_stage = arena.AllocateArray<double>(2 * num_stages);
-  double* t_dp_sync = arena.AllocateArray<double>(2 * num_stages);
+  opts_.resize(2 * num_stages);
+  opt_count_.resize(num_stages);
+  t_stage_.resize(2 * num_stages);
+  t_dp_sync_.resize(2 * num_stages);
   {
     CRIUS_TRACE_SPAN("estimator.grid_sample");
     for (size_t s = 0; s < num_stages; ++s) {
       const StageRange& range = ranges[s];
-      opt_count[s] = 0;
+      opt_count_[s] = 0;
       const int splits[2][2] = {{range.gpus, 1}, {1, range.gpus}};
       const int num_splits = range.gpus > 1 ? 2 : 1;
       for (int si = 0; si < num_splits; ++si) {
@@ -259,62 +249,60 @@ CellEstimate CellEstimator::Estimate(const JobContext& ctx, const Cell& cell) co
             t_comm += comm_->Estimate(CollectiveKind::kAllToAll, ctx.gpu_type, a2a_bytes, tp);
           }
         }
-        const size_t i = 2 * s + static_cast<size_t>(opt_count[s]);
-        opts[i] = AssemblyOption{dp, tp};
-        t_stage[i] = prof.t_compute + t_comm;
-        t_dp_sync[i] = 0.0;
+        const size_t i = 2 * s + static_cast<size_t>(opt_count_[s]);
+        opts_[i] = AssemblyOption{dp, tp};
+        t_stage_[i] = prof.t_compute + t_comm;
+        t_dp_sync_[i] = 0.0;
         if (dp > 1) {
           const double grad_bytes =
               g.ParamBytes(range.op_begin, range.op_end) / static_cast<double>(tp);
-          t_dp_sync[i] =
+          t_dp_sync_[i] =
               comm_->Estimate(CollectiveKind::kAllReduce, ctx.gpu_type, grad_bytes, dp);
         }
-        ++opt_count[s];
+        ++opt_count_[s];
       }
-      if (opt_count[s] == 0) {
+      if (opt_count_[s] == 0) {
         return out;  // infeasible Cell: some stage fits under no sampled plan
       }
     }
   }
 
   // --- Assemble the best of all 2^Ns combinations (Fig. 9) ----------------
-  int* offsets = arena.AllocateArray<int>(num_stages);
-  offsets[0] = 0;
-  for (size_t s = 1; s < num_stages; ++s) {
-    offsets[s] = offsets[s - 1] + ranges[s - 1].gpus;
-  }
-
-  // Boundary-time table bnd[s][prev_oi][cur_oi] for s >= 1: the inter-stage
+  // Boundary-time table bnd_[s][prev_oi][cur_oi] for s >= 1: the inter-stage
   // transfer cost is a pure function of (stage, previous option, option).
-  double* bnd = arena.AllocateArray<double>(4 * num_stages);
+  // `offset` is stage s's first GPU.
+  bnd_.resize(4 * num_stages);
+  int offset = 0;
   for (size_t s = 1; s < num_stages; ++s) {
+    offset += ranges[s - 1].gpus;
     const double bytes = g.BoundaryBytes(ranges[s].op_begin) * microbatch;
-    const bool cross_node = (offsets[s] % ctx.topo.gpus_per_node) == 0;
-    for (int po = 0; po < opt_count[s - 1]; ++po) {
-      const int tp_prev = opts[2 * (s - 1) + static_cast<size_t>(po)].tp;
-      for (int oi = 0; oi < opt_count[s]; ++oi) {
-        const int tp_next = opts[2 * s + static_cast<size_t>(oi)].tp;
+    const bool cross_node = (offset % ctx.topo.gpus_per_node) == 0;
+    for (int po = 0; po < opt_count_[s - 1]; ++po) {
+      const int tp_prev = opts_[2 * (s - 1) + static_cast<size_t>(po)].tp;
+      for (int oi = 0; oi < opt_count_[s]; ++oi) {
+        const int tp_next = opts_[2 * s + static_cast<size_t>(oi)].tp;
         const double slice = bytes / static_cast<double>(std::max(1, tp_prev));
         double t = comm_->EstimateSendRecv(ctx.gpu_type, slice, cross_node);
         if (tp_next != tp_prev && std::max(tp_prev, tp_next) > 1) {
           t += comm_->Estimate(CollectiveKind::kAllGather, ctx.gpu_type, bytes,
                                std::max(tp_prev, tp_next));
         }
-        bnd[4 * s + 2 * static_cast<size_t>(po) + static_cast<size_t>(oi)] = 2.0 * t;
+        bnd_[4 * s + 2 * static_cast<size_t>(po) + static_cast<size_t>(oi)] = 2.0 * t;
       }
     }
   }
 
   int plans = 1;
   for (size_t s = 0; s < num_stages; ++s) {
-    plans *= opt_count[s];
+    plans *= opt_count_[s];
   }
-  int* best_choice = arena.AllocateArray<int>(num_stages);
+  best_choice_.resize(num_stages);
   double best_time = 0.0;
   {
     CRIUS_TRACE_SPAN("estimator.assemble");
-    const StageChain chain{num_stages, opt_count, t_stage, t_dp_sync, bnd, num_microbatches};
-    best_time = AssembleChain(chain, &arena, best_choice);
+    const StageChain chain{num_stages,   opt_count_.data(), t_stage_.data(), t_dp_sync_.data(),
+                           bnd_.data(), num_microbatches};
+    best_time = AssembleChain(chain, best_choice_.data());
   }
   out.plans_assembled = plans;
 
@@ -325,8 +313,8 @@ CellEstimate CellEstimator::Estimate(const JobContext& ctx, const Cell& cell) co
   out.stage_prefers_tp.resize(num_stages);
   out.stage_tp_range.resize(num_stages);
   for (size_t s = 0; s < num_stages; ++s) {
-    const size_t best = 2 * s + static_cast<size_t>(best_choice[s]);
-    const AssemblyOption& opt = opts[best];
+    const size_t best = 2 * s + static_cast<size_t>(best_choice_[s]);
+    const AssemblyOption& opt = opts_[best];
     const bool is_tp = opt.tp > 1;
     StagePlan sp;
     sp.op_begin = ranges[s].op_begin;
@@ -345,7 +333,7 @@ CellEstimate CellEstimator::Estimate(const JobContext& ctx, const Cell& cell) co
     const int half_ceil = HalfHybridCeil(gpus);
     if (gpus == 1) {
       out.stage_tp_range[s] = {1, 1};
-    } else if (opt_count[s] >= 2) {
+    } else if (opt_count_[s] >= 2) {
       out.stage_tp_range[s] =
           is_tp ? std::make_pair(half_ceil, gpus) : std::make_pair(1, half_floor);
     } else if (!is_tp) {
@@ -368,7 +356,7 @@ CellEstimate CellEstimator::Estimate(const JobContext& ctx, const Cell& cell) co
         if (a2a_bytes > 0.0) {
           t += comm_->Estimate(CollectiveKind::kAllToAll, ctx.gpu_type, a2a_bytes, half_ceil);
         }
-        hybrid_wins = t < t_stage[best];
+        hybrid_wins = t < t_stage_[best];
       }
       // tp == 1 is known-OOM; the lower half starts at 2.
       out.stage_tp_range[s] =
@@ -379,7 +367,6 @@ CellEstimate CellEstimator::Estimate(const JobContext& ctx, const Cell& cell) co
   }
   CRIUS_HISTOGRAM_RECORD("estimator.plans_assembled", static_cast<double>(out.plans_assembled));
   CRIUS_HISTOGRAM_RECORD("estimator.profile_gpu_s", out.profile_gpu_seconds);
-  CRIUS_COUNTER_ADD("estimator.arena_bytes", static_cast<int64_t>(arena.bytes_served()));
   return out;
 }
 

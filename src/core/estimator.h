@@ -14,10 +14,9 @@
 //
 // Chain assembly (DESIGN.md §14): instead of visiting every combination, an
 // exact chain DP (AssembleChain) finds the same best plan and the same double
-// in time polynomial in Ns, with scratch carved from the estimator's arena,
-// so a steady-state Estimate call performs no heap allocation. The original
-// enumeration lives on in tests/estimator_reference.cc as the golden oracle
-// for the bit-identity test (tests/estimator_batch_test.cc).
+// in time polynomial in Ns. The original enumeration lives on in
+// tests/estimator_reference.cc as the golden oracle for the bit-identity test
+// (tests/estimator_batch_test.cc).
 
 #ifndef SRC_CORE_ESTIMATOR_H_
 #define SRC_CORE_ESTIMATOR_H_
@@ -29,7 +28,6 @@
 #include "src/core/comm_profile.h"
 #include "src/core/compute_profile.h"
 #include "src/parallel/plan.h"
-#include "src/util/arena.h"
 
 namespace crius {
 
@@ -77,8 +75,8 @@ struct StageChain {
 // num_microbatches and f is PerfModel::kDpSyncExposedFraction. Writes the
 // winning option per stage to choice[0, num_stages): among equal totals, the
 // combination a depth-first enumeration (stage 0 outermost, highest option
-// index first) reaches first. Scratch comes from `arena`, which is not reset.
-double AssembleChain(const StageChain& chain, Arena* arena, int* choice);
+// index first) reaches first.
+double AssembleChain(const StageChain& chain, int* choice);
 
 class CellEstimator {
  public:
@@ -88,18 +86,30 @@ class CellEstimator {
                 double compute_jitter = SingleDeviceProfiler::kMeasureJitter);
 
   // Estimates `cell` for the job in `ctx`. ctx.gpu_type must equal
-  // cell.gpu_type. All per-call assembly scratch comes from the estimator's
-  // arena (reset on entry); steady-state calls allocate nothing on the heap.
-  // An estimator belongs to one thread, like the oracle that owns it.
+  // cell.gpu_type. An estimator belongs to one thread, like the oracle that
+  // owns it.
   CellEstimate Estimate(const JobContext& ctx, const Cell& cell) const;
 
  private:
   const PerfModel* model_;
   const CommProfile* comm_;
   SingleDeviceProfiler profiler_;
-  // Estimate's scratch; mutable because reusing it is invisible to callers
-  // (every estimate resets it).
-  mutable Arena arena_;
+
+  // One profiled stage option (dp-only or tp-only); its times live in the
+  // chain arrays at the same index.
+  struct AssemblyOption {
+    int dp = 1;
+    int tp = 1;
+  };
+  // Estimate's per-call arrays, resized on each call (StageChain documents
+  // their layout); mutable because reusing their capacity is invisible to
+  // callers.
+  mutable std::vector<AssemblyOption> opts_;
+  mutable std::vector<int> opt_count_;
+  mutable std::vector<double> t_stage_;
+  mutable std::vector<double> t_dp_sync_;
+  mutable std::vector<double> bnd_;
+  mutable std::vector<int> best_choice_;
 };
 
 }  // namespace crius

@@ -17,7 +17,7 @@
 //
 // Threading contract: an oracle belongs to one thread. Nothing in it is
 // locked -- the caches, the batch staging buffers and the estimator's scratch
-// arena are plain members -- so callers that want parallelism build one
+// vectors are plain members -- so callers that want parallelism build one
 // oracle per thread (ext_robustness does, one per seed).
 //
 // Batch-first API (DESIGN.md §14): rankers hand a job's whole candidate Cell

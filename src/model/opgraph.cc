@@ -38,18 +38,10 @@ void OpGraph::Finalize() {
   CRIUS_CHECK(!finalized_);
   CRIUS_CHECK_MSG(!ops_.empty(), "OpGraph needs at least one operator");
   const size_t n = ops_.size();
-  // One arena block holds all six tables back to back; AllocateArray zeroes
-  // nothing, so write every slot (the loop below fills [1, n], slot 0 here).
-  prefix_len_ = n + 1;
-  double* block = arena_.AllocateArray<double>(6 * prefix_len_);
-  flops_prefix_ = block + 0 * prefix_len_;
-  param_prefix_ = block + 1 * prefix_len_;
-  act_prefix_ = block + 2 * prefix_len_;
-  act_mem_prefix_ = block + 3 * prefix_len_;
-  tp_prefix_ = block + 4 * prefix_len_;
-  a2a_prefix_ = block + 5 * prefix_len_;
-  flops_prefix_[0] = param_prefix_[0] = act_prefix_[0] = 0.0;
-  act_mem_prefix_[0] = tp_prefix_[0] = a2a_prefix_[0] = 0.0;
+  for (std::vector<double>* prefix : {&flops_prefix_, &param_prefix_, &act_prefix_,
+                                      &act_mem_prefix_, &tp_prefix_, &a2a_prefix_}) {
+    prefix->assign(n + 1, 0.0);
+  }
   for (size_t i = 0; i < n; ++i) {
     flops_prefix_[i + 1] = flops_prefix_[i] + ops_[i].fwd_flops_per_sample;
     param_prefix_[i + 1] = param_prefix_[i] + ops_[i].param_bytes;
@@ -68,9 +60,9 @@ const Operator& OpGraph::op(size_t i) const {
 
 namespace {
 
-double RangeSum(const double* prefix, size_t len, size_t begin, size_t end) {
+double RangeSum(const std::vector<double>& prefix, size_t begin, size_t end) {
   CRIUS_CHECK(begin <= end);
-  CRIUS_CHECK(end < len);
+  CRIUS_CHECK(end < prefix.size());
   return prefix[end] - prefix[begin];
 }
 
@@ -78,32 +70,32 @@ double RangeSum(const double* prefix, size_t len, size_t begin, size_t end) {
 
 double OpGraph::FwdFlops(size_t begin, size_t end) const {
   CRIUS_CHECK(finalized_);
-  return RangeSum(flops_prefix_, prefix_len_, begin, end);
+  return RangeSum(flops_prefix_, begin, end);
 }
 
 double OpGraph::ParamBytes(size_t begin, size_t end) const {
   CRIUS_CHECK(finalized_);
-  return RangeSum(param_prefix_, prefix_len_, begin, end);
+  return RangeSum(param_prefix_, begin, end);
 }
 
 double OpGraph::ActBytes(size_t begin, size_t end) const {
   CRIUS_CHECK(finalized_);
-  return RangeSum(act_prefix_, prefix_len_, begin, end);
+  return RangeSum(act_prefix_, begin, end);
 }
 
 double OpGraph::ActMemBytes(size_t begin, size_t end) const {
   CRIUS_CHECK(finalized_);
-  return RangeSum(act_mem_prefix_, prefix_len_, begin, end);
+  return RangeSum(act_mem_prefix_, begin, end);
 }
 
 double OpGraph::TpCommBytes(size_t begin, size_t end) const {
   CRIUS_CHECK(finalized_);
-  return RangeSum(tp_prefix_, prefix_len_, begin, end);
+  return RangeSum(tp_prefix_, begin, end);
 }
 
 double OpGraph::A2aBytes(size_t begin, size_t end) const {
   CRIUS_CHECK(finalized_);
-  return RangeSum(a2a_prefix_, prefix_len_, begin, end);
+  return RangeSum(a2a_prefix_, begin, end);
 }
 
 double OpGraph::BoundaryBytes(size_t i) const {

@@ -2,12 +2,7 @@
 //
 // Stage determination (§4.2) and the performance model repeatedly need sums of
 // FLOPs / bytes over contiguous operator ranges [begin, end); the graph keeps
-// prefix sums for all of them. The six prefix arrays live in one contiguous
-// arena block (DESIGN.md §14) instead of six separate vectors: Finalize makes
-// a single allocation and the lookup tables share cache lines. The arena
-// makes OpGraph move-only, which every user already respects (graphs are
-// built once, moved into the GetOpGraph cache, and handed out by const
-// reference).
+// prefix sums for all of them.
 
 #ifndef SRC_MODEL_OPGRAPH_H_
 #define SRC_MODEL_OPGRAPH_H_
@@ -15,7 +10,6 @@
 #include <vector>
 
 #include "src/model/op.h"
-#include "src/util/arena.h"
 
 namespace crius {
 
@@ -53,17 +47,13 @@ class OpGraph {
 
  private:
   std::vector<Operator> ops_;
-  // Prefix sums, all length size()+1, carved out of one arena block by
-  // Finalize. Raw pointers into arena_ stay valid across moves (the arena's
-  // blocks are heap-held).
-  Arena arena_;
-  size_t prefix_len_ = 0;
-  double* flops_prefix_ = nullptr;
-  double* param_prefix_ = nullptr;
-  double* act_prefix_ = nullptr;
-  double* act_mem_prefix_ = nullptr;
-  double* tp_prefix_ = nullptr;
-  double* a2a_prefix_ = nullptr;
+  // Prefix sums, all length size()+1 once Finalize has run.
+  std::vector<double> flops_prefix_;
+  std::vector<double> param_prefix_;
+  std::vector<double> act_prefix_;
+  std::vector<double> act_mem_prefix_;
+  std::vector<double> tp_prefix_;
+  std::vector<double> a2a_prefix_;
   bool finalized_ = false;
 };
 

@@ -48,10 +48,7 @@ Controller::~Controller() {
   if (started_.load(std::memory_order_acquire) && thread_.joinable()) {
     // Last-resort stop so a crashed owner does not hang the process; normal
     // teardown goes through Shutdown() + Join().
-    ServeCommand cmd;
-    cmd.kind = ServeCommand::Kind::kShutdown;
-    cmd.drain = false;
-    queue_.TryPush(std::move(cmd));
+    Push({.kind = ServeCommand::Kind::kShutdown, .drain = false});
     thread_.join();
   }
 }
@@ -103,49 +100,34 @@ std::optional<RejectReason> Controller::Cancel(int64_t job_id) {
       return RejectReason::kUnknownJob;
     }
   }
-  ServeCommand cmd;
-  cmd.kind = ServeCommand::Kind::kCancel;
-  cmd.job_id = job_id;
-  auto reject = queue_.TryPush(std::move(cmd));
-  if (!reject.has_value()) {
-    CRIUS_COUNTER_INC("serve.cancels");
-  }
-  return reject;
+  return Push({.kind = ServeCommand::Kind::kCancel, .job_id = job_id}, "serve.cancels");
 }
 
 std::optional<RejectReason> Controller::FailNode(int node_id) {
   if (node_id < 0 || node_id >= num_nodes_) {
     return RejectReason::kBadRequest;
   }
-  ServeCommand cmd;
-  cmd.kind = ServeCommand::Kind::kFailNode;
-  cmd.node_id = node_id;
-  auto reject = queue_.TryPush(std::move(cmd));
-  if (!reject.has_value()) {
-    CRIUS_COUNTER_INC("serve.fail_nodes");
-  }
-  return reject;
+  return Push({.kind = ServeCommand::Kind::kFailNode, .node_id = node_id}, "serve.fail_nodes");
 }
 
 std::optional<RejectReason> Controller::RecoverNode(int node_id) {
   if (node_id < 0 || node_id >= num_nodes_) {
     return RejectReason::kBadRequest;
   }
-  ServeCommand cmd;
-  cmd.kind = ServeCommand::Kind::kRecoverNode;
-  cmd.node_id = node_id;
-  auto reject = queue_.TryPush(std::move(cmd));
-  if (!reject.has_value()) {
-    CRIUS_COUNTER_INC("serve.recover_nodes");
-  }
-  return reject;
+  return Push({.kind = ServeCommand::Kind::kRecoverNode, .node_id = node_id},
+              "serve.recover_nodes");
 }
 
 std::optional<RejectReason> Controller::Shutdown(bool drain) {
-  ServeCommand cmd;
-  cmd.kind = ServeCommand::Kind::kShutdown;
-  cmd.drain = drain;
-  return queue_.TryPush(std::move(cmd));
+  return Push({.kind = ServeCommand::Kind::kShutdown, .drain = drain});
+}
+
+std::optional<RejectReason> Controller::Push(ServeCommand cmd, const char* accepted_counter) {
+  std::optional<RejectReason> reject = queue_.TryPush(std::move(cmd));
+  if (!reject.has_value() && accepted_counter != nullptr) {
+    CounterRegistry::Global().GetCounter(accepted_counter).Add(1);
+  }
+  return reject;
 }
 
 Controller::JobStatus Controller::Query(int64_t job_id) const {
@@ -178,14 +160,9 @@ Controller::Stats Controller::GetStats() const {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start_wall_).count();
   }
   const CounterRegistry& registry = CounterRegistry::Global();
-  static constexpr RejectReason kReasons[] = {
-      RejectReason::kQueueFull,      RejectReason::kClusterSaturated,
-      RejectReason::kStarvationGuard, RejectReason::kShuttingDown,
-      RejectReason::kInfeasible,      RejectReason::kUnknownJob,
-      RejectReason::kBadRequest,      RejectReason::kClusterPowerCap,
-  };
-  for (const RejectReason reason : kReasons) {
-    const std::string name = RejectReasonName(reason);
+  // Every reason EventQueue counts, so a new reason cannot go missing here.
+  for (size_t i = 0; i < kNumRejectReasons; ++i) {
+    const std::string name = RejectReasonName(static_cast<RejectReason>(i));
     const int64_t count = registry.CounterValue(
         CanonicalMetricName("serve.ingress.rejected_by_reason", {{"reason", name}}));
     if (count > 0) {

@@ -140,6 +140,9 @@ class Controller {
   SimResult TakeResult();
 
  private:
+  // Enqueues `cmd`; on success bumps the counter named `accepted_counter`,
+  // if one is given.
+  std::optional<RejectReason> Push(ServeCommand cmd, const char* accepted_counter = nullptr);
   void RunLoop();
   void ApplyCommand(const ServeCommand& cmd);
   void RefreshSnapshot();

@@ -85,7 +85,7 @@ struct ServeCommand {
   enum class Kind : uint8_t { kSubmit, kCancel, kFailNode, kRecoverNode, kShutdown };
 
   Kind kind = Kind::kSubmit;
-  TrainingJob job;    // kSubmit (id already assigned by the controller)
+  TrainingJob job{};  // kSubmit (id already assigned by the controller)
   int64_t job_id = -1;  // kCancel
   int node_id = -1;     // kFailNode / kRecoverNode
   bool drain = true;    // kShutdown: drain the system before exiting?

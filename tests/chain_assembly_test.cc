@@ -6,11 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "src/core/estimator.h"
-#include "src/util/arena.h"
 #include "src/util/rng.h"
 
 namespace crius {
@@ -100,15 +101,13 @@ TEST(ChainAssemblyTest, MatchesDepthFirstEnumerationOnTieHeavyChains) {
   constexpr uint64_t kSeed = 20260419;
   constexpr int kCases = 10000;
   Rng rng(kSeed, "chain_assembly_test");
-  Arena arena;
   for (int it = 0; it < kCases; ++it) {
     const ChainData data = RandomChain(rng);
     const StageChain chain = data.View();
     std::vector<int> want_choice;
     const double want = BruteForce(chain, &want_choice);
-    arena.Reset();
     std::vector<int> got_choice(chain.num_stages, -1);
-    const double got = AssembleChain(chain, &arena, got_choice.data());
+    const double got = AssembleChain(chain, got_choice.data());
     ASSERT_EQ(got, want) << "seed " << kSeed << " iteration " << it;
     ASSERT_EQ(got_choice, want_choice) << "seed " << kSeed << " iteration " << it;
   }
@@ -121,9 +120,8 @@ TEST(ChainAssemblyTest, AllEqualOptionsPickTheHighestIndexEverywhere) {
   data.t_dp_sync.assign(6, 0.5);
   data.boundary.assign(12, 0.25);
   data.num_microbatches = 12;
-  Arena arena;
   std::vector<int> choice(3, -1);
-  const double best = AssembleChain(data.View(), &arena, choice.data());
+  const double best = AssembleChain(data.View(), choice.data());
   EXPECT_EQ(best, 3.5 + 11.0 + 0.25 + PerfModel::kIterOverhead);
   EXPECT_EQ(choice, (std::vector<int>{1, 1, 1}));
 }
@@ -137,11 +135,99 @@ TEST(ChainAssemblyTest, SlowestStageCapBeatsTheSmallestSum) {
   data.t_dp_sync = {0.0, 0.0, 0.0, 0.0};
   data.boundary = {0.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0};  // from option 0 only
   data.num_microbatches = 8;
-  Arena arena;
   std::vector<int> choice(2, -1);
-  const double best = AssembleChain(data.View(), &arena, choice.data());
+  const double best = AssembleChain(data.View(), choice.data());
   EXPECT_EQ(best, 6.0 + 7.0 * 2.0 + PerfModel::kIterOverhead);
   EXPECT_EQ(choice, (std::vector<int>{0, 0}));
+}
+
+TEST(ChainAssemblyTest, SingleOptionStageRunsTheWholePipelineAlone) {
+  ChainData data;
+  data.opt_count = {1};
+  data.t_stage = {2.0, 0.0};
+  data.t_dp_sync = {1.0, 0.0};
+  data.boundary.assign(4, 0.0);
+  data.num_microbatches = 4;
+  std::vector<int> choice(1, -1);
+  const double best = AssembleChain(data.View(), choice.data());
+  EXPECT_EQ(best, (2.0 + 3.0 * 2.0) + PerfModel::kDpSyncExposedFraction * 1.0 +
+                      PerfModel::kIterOverhead);
+  EXPECT_EQ(choice, (std::vector<int>{0}));
+}
+
+// The scratch is reused across calls: a short chain assembled right after a
+// long one with larger values must not see the long chain's leftover caps.
+TEST(ChainAssemblyTest, ShortChainAfterALongOneIgnoresLeftoverScratch) {
+  ChainData long_chain;
+  const size_t ns = 16;
+  long_chain.opt_count.assign(ns, 2);
+  long_chain.t_stage.assign(2 * ns, 0.0);
+  long_chain.t_dp_sync.assign(2 * ns, 0.0);
+  long_chain.boundary.assign(4 * ns, 0.0);
+  for (size_t i = 0; i < 2 * ns; ++i) {
+    long_chain.t_stage[i] = 100.0 + static_cast<double>(i);
+    long_chain.t_dp_sync[i] = 50.0 + static_cast<double>(i);
+  }
+  long_chain.num_microbatches = 32;
+  std::vector<int> long_choice(ns, -1);
+  (void)AssembleChain(long_chain.View(), long_choice.data());
+
+  ChainData data;
+  data.opt_count = {2, 1};
+  data.t_stage = {2.0, 3.0, 2.0, 0.0};
+  data.t_dp_sync = {0.0, 0.0, 0.0, 0.0};
+  data.boundary = {0.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0};
+  data.num_microbatches = 8;
+  std::vector<int> want_choice;
+  const double want = BruteForce(data.View(), &want_choice);
+  std::vector<int> choice(2, -1);
+  EXPECT_EQ(AssembleChain(data.View(), choice.data()), want);
+  EXPECT_EQ(choice, want_choice);
+}
+
+// Each thread assembles with its own scratch, so concurrent calls agree with
+// the depth-first enumeration just as serial ones do.
+TEST(ChainAssemblyTest, ConcurrentCallsMatchDepthFirstEnumeration) {
+  constexpr int kThreads = 4;
+  constexpr int kCasesPerThread = 500;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &mismatches] {
+      Rng rng(20260419 + static_cast<uint64_t>(t), "chain_assembly_threads");
+      for (int it = 0; it < kCasesPerThread; ++it) {
+        const ChainData data = RandomChain(rng);
+        const StageChain chain = data.View();
+        std::vector<int> want_choice;
+        const double want = BruteForce(chain, &want_choice);
+        std::vector<int> got_choice(chain.num_stages, -1);
+        const double got = AssembleChain(chain, got_choice.data());
+        if (got != want || got_choice != want_choice) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(ChainAssemblyDeathTest, EmptyChainAborts) {
+  const StageChain chain;
+  int choice = -1;
+  EXPECT_DEATH(AssembleChain(chain, &choice), "ns >= 1");
+}
+
+TEST(ChainAssemblyDeathTest, OptionCountMustBeOneOrTwo) {
+  ChainData data;
+  data.opt_count = {3};
+  data.t_stage.assign(2, 1.0);
+  data.t_dp_sync.assign(2, 0.0);
+  data.boundary.assign(4, 0.0);
+  std::vector<int> choice(1, -1);
+  EXPECT_DEATH(AssembleChain(data.View(), choice.data()), "opt_count");
 }
 
 }  // namespace

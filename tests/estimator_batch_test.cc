@@ -112,11 +112,29 @@ TEST_F(EstimatorBatchTest, ScratchReuseDoesNotChangeResults) {
   const Cell a{GpuType::kA100, 8, 4};
   const Cell b{GpuType::kA100, 16, 8};
   const CellEstimate first_a = estimator_.Estimate(ctx, a);
-  // Interleave other work through the estimator's scratch arena, then
-  // re-estimate.
+  // Run a larger Cell through the estimator's scratch vectors, then
+  // re-estimate the smaller one: resizing leaves the larger call's values in
+  // the slots, so reading a slot this call did not write would change the
+  // result.
   (void)estimator_.Estimate(ctx, b);
   const CellEstimate again_a = estimator_.Estimate(ctx, a);
   ExpectBitIdentical(again_a, first_a, "scratch reuse");
+}
+
+// Same as above across models: a deeper graph's Cell fills more scratch slots
+// than the shallow one reads back.
+TEST_F(EstimatorBatchTest, ScratchReuseAcrossModelsDoesNotChangeResults) {
+  const JobContext small = model_.MakeContext({ModelFamily::kWideResNet, 1.0, 256},
+                                              GpuType::kA100);
+  const JobContext large = model_.MakeContext({ModelFamily::kMoe, 10.0, 256}, GpuType::kA100);
+  const Cell a{GpuType::kA100, 4, 2};
+  const Cell b{GpuType::kA100, 64, 16};
+  const CellEstimate first_a = estimator_.Estimate(small, a);
+  ExpectBitIdentical(first_a, EstimateCellReference(comm_, reference_profiler_, small, a),
+                     "reference");
+  (void)estimator_.Estimate(large, b);
+  const CellEstimate again_a = estimator_.Estimate(small, a);
+  ExpectBitIdentical(again_a, first_a, "scratch reuse across models");
 }
 
 class OracleBatchTest : public ::testing::Test {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+
 namespace crius {
 namespace {
 
@@ -65,6 +68,53 @@ TEST(OpGraphTest, ActMemDefaultsToActBytes) {
   g.Finalize();
   EXPECT_DOUBLE_EQ(g.ActMemBytes(0, 1), 9.0);   // defaulted
   EXPECT_DOUBLE_EQ(g.ActMemBytes(1, 2), 10.0);  // explicit
+}
+
+// The prefix sums are plain vectors, so a graph copies and moves with the
+// defaults and a copy owns its own storage.
+void ExpectSameQueries(const OpGraph& got, const OpGraph& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t b = 0; b <= want.size(); ++b) {
+    for (size_t e = b; e <= want.size(); ++e) {
+      EXPECT_EQ(got.FwdFlops(b, e), want.FwdFlops(b, e));
+      EXPECT_EQ(got.ParamBytes(b, e), want.ParamBytes(b, e));
+      EXPECT_EQ(got.ActBytes(b, e), want.ActBytes(b, e));
+      EXPECT_EQ(got.ActMemBytes(b, e), want.ActMemBytes(b, e));
+      EXPECT_EQ(got.TpCommBytes(b, e), want.TpCommBytes(b, e));
+      EXPECT_EQ(got.A2aBytes(b, e), want.A2aBytes(b, e));
+    }
+  }
+}
+
+TEST(OpGraphTest, CopyAnswersTheSameQueries) {
+  const OpGraph g = MakeGraph();
+  const OpGraph copy = g;
+  ExpectSameQueries(copy, g);
+}
+
+TEST(OpGraphTest, CopyOutlivesItsSource) {
+  const OpGraph want = MakeGraph();
+  auto source = std::make_unique<OpGraph>(MakeGraph());
+  const OpGraph copy = *source;
+  source.reset();
+  ExpectSameQueries(copy, want);
+}
+
+TEST(OpGraphTest, MoveKeepsThePrefixSums) {
+  const OpGraph want = MakeGraph();
+  OpGraph source = MakeGraph();
+  const OpGraph moved = std::move(source);
+  ExpectSameQueries(moved, want);
+}
+
+TEST(OpGraphTest, CopyAssignmentTakesTheOtherGraphsSums) {
+  const OpGraph want = MakeGraph();
+  OpGraph g;
+  g.Add(MakeOp(1.0, 1.0, 1.0));
+  g.Finalize();
+  g = want;
+  ExpectSameQueries(g, want);
+  EXPECT_DOUBLE_EQ(g.FwdFlops(0, 3), 60.0);
 }
 
 TEST(OpGraphDeathTest, QueriesRequireFinalize) {

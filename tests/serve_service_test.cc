@@ -211,6 +211,27 @@ TEST_F(ServiceTest, StatsIncludeRegistryEnrichment) {
   EXPECT_GE(response.NumberOr("uptime_seconds", -1.0), 0.0);
 }
 
+// Every RejectReason with a non-zero counter appears in stats, with its count
+// and in enum order.
+TEST_F(ServiceTest, StatsCountEveryRejectReason) {
+  CounterRegistry& registry = CounterRegistry::Global();
+  registry.Reset();
+  for (size_t i = 0; i < kNumRejectReasons; ++i) {
+    registry
+        .GetCounter("serve.ingress.rejected_by_reason",
+                    {{"reason", RejectReasonName(static_cast<RejectReason>(i))}})
+        .Add(static_cast<int64_t>(i) + 1);
+  }
+  const Controller::Stats stats = controller_->GetStats();
+  ASSERT_EQ(stats.rejected_by_reason.size(), kNumRejectReasons);
+  for (size_t i = 0; i < kNumRejectReasons; ++i) {
+    EXPECT_EQ(stats.rejected_by_reason[i].first,
+              RejectReasonName(static_cast<RejectReason>(i)));
+    EXPECT_EQ(stats.rejected_by_reason[i].second, static_cast<int64_t>(i) + 1);
+  }
+  registry.Reset();
+}
+
 TEST_F(ServiceTest, MetricsVerbReturnsParseableSnapshot) {
   // The registry is process-global; start from a clean slate so this test
   // sees only what the live controller records.

@@ -150,6 +150,11 @@ int Run(int argc, const char* const* argv) {
                  ThreadPool::kMaxThreads, static_cast<long long>(threads));
     return 1;
   }
+  if (queue_capacity < 1) {
+    std::fprintf(stderr, "crius_serve: --queue-capacity must be >= 1 (got %lld)\n",
+                 static_cast<long long>(queue_capacity));
+    return 1;
+  }
   ThreadPool::SetGlobalThreads(static_cast<int>(threads));
 
   if (!replay_path.empty()) {
