@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
 
   CriusScheduler throughput(&oracle, CriusConfig{});
   CriusScheduler fairness(&oracle,
-                          CriusConfig{.objective = CriusObjective::kMaxMinFairness});
+                          CriusConfig{.objective = {.fairness = 1.0}});
   struct Arm {
     const char* key;  // report-metric prefix
     Scheduler* scheduler;

@@ -1,9 +1,10 @@
 // Extension: energy/performance Pareto sweep (src/power).
 //
-// Runs the testbed trace under every combination of a multi-objective weight
-// vector (--objective-weights semantics: throughput,energy,fragmentation,
-// fairness consumed by CriusScheduler) and a DVFS state (nominal / balanced /
-// powersave, which scale both device draw and realized iteration time). The
+// Runs the testbed trace under every combination of a Crius objective weight
+// vector (CriusObjective, --objective-weights semantics: throughput, energy
+// (kW of a Cell's draw), fragmentation (GPU stranding left behind), fairness
+// (upscale water-filling)) and a DVFS state (nominal / balanced / powersave,
+// which scale both device draw and realized iteration time). The
 // power ledger integrates per-node draw over the simulated timeline, so each
 // cell reports total energy in kWh split useful/idle/lost, average JCT, and
 // Jain's fairness index — the three axes of the Pareto frontier.
@@ -35,20 +36,18 @@ namespace {
 
 struct WeightPoint {
   const char* label;
-  MultiObjectiveConfig multi;
+  CriusObjective objective;
 };
 
 SimResult RunOne(const Cluster& cluster, const std::vector<TrainingJob>& trace,
-                 const MultiObjectiveConfig& multi, const std::string& dvfs) {
+                 const CriusObjective& objective, const std::string& dvfs) {
   SimConfig config;
   config.power.enabled = true;
   config.power.dvfs = dvfs;
   // Fresh oracle per run: every (weights, dvfs) cell sees identical
   // profiling-noise draws, so deltas are the policy's, not cache warm-up.
   PerformanceOracle oracle(cluster, 42);
-  CriusConfig crius_config;
-  crius_config.multi = multi;
-  CriusScheduler scheduler(&oracle, crius_config);
+  CriusScheduler scheduler(&oracle, CriusConfig{.objective = objective});
   Simulator sim(cluster, config);
   return sim.Run(scheduler, oracle, trace);
 }
@@ -76,12 +75,12 @@ int main(int argc, char** argv) {
   const auto trace = GenerateTrace(cluster, trace_oracle, trace_config);
 
   std::vector<WeightPoint> weights = {
-      {"throughput", MultiObjectiveConfig{}},
-      {"energy", MultiObjectiveConfig{1.0, 0.5, 0.0, 0.0}},
+      {"throughput", CriusObjective{}},
+      {"energy", CriusObjective{1.0, 0.5, 0.0, 0.0}},
   };
   if (!smoke) {
-    weights.push_back({"fragmentation", MultiObjectiveConfig{1.0, 0.0, 0.5, 0.0}});
-    weights.push_back({"balanced", MultiObjectiveConfig{1.0, 0.3, 0.2, 0.3}});
+    weights.push_back({"fragmentation", CriusObjective{1.0, 0.0, 0.5, 0.0}});
+    weights.push_back({"balanced", CriusObjective{1.0, 0.3, 0.2, 0.3}});
   }
   const std::vector<std::string> dvfs_states =
       smoke ? std::vector<std::string>{"nominal", "powersave"}
@@ -93,7 +92,7 @@ int main(int argc, char** argv) {
   std::vector<std::vector<SimResult>> results(weights.size());
   for (size_t wi = 0; wi < weights.size(); ++wi) {
     for (const std::string& dvfs : dvfs_states) {
-      results[wi].push_back(RunOne(cluster, trace, weights[wi].multi, dvfs));
+      results[wi].push_back(RunOne(cluster, trace, weights[wi].objective, dvfs));
     }
   }
 

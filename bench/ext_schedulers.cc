@@ -17,7 +17,7 @@ void RunZoo(const char* label, Cluster cluster, const TraceConfig& config) {
   std::vector<std::unique_ptr<Scheduler>> scheds = MakeAllSchedulers(&oracle);
   scheds.insert(scheds.begin() + 2, std::make_unique<TiresiasScheduler>(&oracle));
   scheds.push_back(std::make_unique<CriusScheduler>(
-      &oracle, CriusConfig{.objective = CriusObjective::kMaxMinFairness}));
+      &oracle, CriusConfig{.objective = {.fairness = 1.0}}));
 
   Table table(std::string("Extended scheduler comparison -- ") + label);
   table.SetHeader({"scheduler", "avg JCT", "median JCT", "avg queue", "avg thr",

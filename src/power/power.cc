@@ -1,10 +1,6 @@
 #include "src/power/power.h"
 
-#include <cstdlib>
-#include <sstream>
-
 #include "src/util/check.h"
-#include "src/util/mathutil.h"
 
 namespace crius {
 
@@ -49,66 +45,6 @@ PowerModel PowerModel::Default(const std::string& dvfs_name) {
   model.idle_watts[static_cast<int>(GpuType::kV100)] = 40.0;
   model.dvfs = DvfsStateByName(dvfs_name);
   return model;
-}
-
-std::string MultiObjectiveConfig::ToString() const {
-  std::ostringstream oss;
-  oss << throughput << "," << energy << "," << fragmentation << "," << fairness;
-  return oss.str();
-}
-
-std::optional<MultiObjectiveConfig> MultiObjectiveConfig::Parse(const std::string& spec) {
-  std::array<double, 4> weights{};
-  size_t pos = 0;
-  for (int i = 0; i < 4; ++i) {
-    const size_t end = i < 3 ? spec.find(',', pos) : spec.size();
-    if (end == std::string::npos) {
-      return std::nullopt;
-    }
-    const std::string field = spec.substr(pos, end - pos);
-    if (field.empty()) {
-      return std::nullopt;
-    }
-    char* parse_end = nullptr;
-    weights[i] = std::strtod(field.c_str(), &parse_end);
-    if (parse_end == field.c_str() || *parse_end != '\0' || weights[i] < 0.0) {
-      return std::nullopt;
-    }
-    pos = end + 1;
-  }
-  MultiObjectiveConfig config;
-  config.throughput = weights[0];
-  config.energy = weights[1];
-  config.fragmentation = weights[2];
-  config.fairness = weights[3];
-  return config;
-}
-
-double JainIndex(const std::vector<double>& values) {
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  for (double v : values) {
-    sum += v;
-    sum_sq += v * v;
-  }
-  if (sum_sq <= 0.0) {
-    return 1.0;
-  }
-  return sum * sum / (static_cast<double>(values.size()) * sum_sq);
-}
-
-double StrandingScore(const std::array<int, kNumGpuTypes>& free_by_type) {
-  int free_total = 0;
-  int stranded = 0;
-  for (int t = 0; t < kNumGpuTypes; ++t) {
-    const int f = free_by_type[t];
-    if (f <= 0) {
-      continue;
-    }
-    free_total += f;
-    stranded += f - static_cast<int>(FloorPowerOfTwo(f));
-  }
-  return free_total > 0 ? static_cast<double>(stranded) / free_total : 0.0;
 }
 
 double CellWatts(const PowerModel& model, GpuType type, int ngpus) {

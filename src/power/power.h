@@ -1,6 +1,6 @@
-// Power & multi-objective subsystem (ROADMAP open item 1; DESIGN.md §15).
+// Power subsystem (DESIGN.md §15).
 //
-// Three pieces, all inert unless explicitly enabled:
+// Two pieces, both inert unless explicitly enabled:
 //
 //   * PowerModel -- per-GPU-type idle/active wattage (public TDP-class
 //     figures for the four Table-1 types) plus an optional discrete DVFS
@@ -17,11 +17,9 @@
 //     holds exactly: `lost` is defined as all active energy that did not
 //     yield surviving work (rolled-back iterations AND restart / checkpoint /
 //     straggler overhead), so the split is a partition by construction.
-//   * MultiObjectiveConfig -- a weight vector (throughput, energy,
-//     fragmentation, fairness) CriusScheduler folds into its placement and
-//     upscale passes alongside the existing CriusObjective. The default
-//     vector (1,0,0,0) is pinned to produce bit-identical decisions to the
-//     pre-existing throughput-only code path.
+//
+// CriusScheduler's energy objective weight (src/sched/crius_sched.h) ranks
+// Cells by CellWatts.
 //
 // The ledger is driven exclusively from the single-threaded SimEngine step
 // path (src/sim/engine.cc), so it needs no synchronization and its sums are
@@ -32,7 +30,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -88,37 +85,6 @@ struct PowerConfig {
   // meta row for replay identity.
   std::string dvfs = "nominal";
 };
-
-// Weight vector for CriusScheduler's multi-objective scoring. The energy,
-// fragmentation, and fairness terms are penalties/bonuses folded into the
-// pass-level score (and the per-move upscale rank); throughput is the
-// paper's original objective.
-struct MultiObjectiveConfig {
-  double throughput = 1.0;
-  double energy = 0.0;
-  double fragmentation = 0.0;
-  double fairness = 0.0;
-
-  // True for (1,0,0,0): the scheduler then takes the pre-existing
-  // throughput-only code paths, bit-identically.
-  bool IsDefault() const {
-    return throughput == 1.0 && energy == 0.0 && fragmentation == 0.0 && fairness == 0.0;
-  }
-  std::string ToString() const;
-  // Parses "thr,energy,frag,fair" (four comma-separated non-negative
-  // doubles, e.g. "1,0.5,0.2,0"). std::nullopt on malformed input.
-  static std::optional<MultiObjectiveConfig> Parse(const std::string& spec);
-};
-
-// Jain's fairness index over `values` (1.0 = perfectly even; 1.0 for empty
-// or all-zero inputs so degenerate rounds read as neutral).
-double JainIndex(const std::vector<double>& values);
-
-// Per-type GPU-stranding fragmentation score in [0, 1]: the fraction of free
-// GPUs that cannot serve a maximal power-of-two cell of their type
-// (free - FloorPowerOfTwo(free) per type, summed, over total free). 0 = every
-// free pool is exactly a power of two; higher = more stranded capacity.
-double StrandingScore(const std::array<int, kNumGpuTypes>& free_by_type);
 
 // DVFS-scaled active watts of an `ngpus`-device cell of `type`.
 double CellWatts(const PowerModel& model, GpuType type, int ngpus);

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <optional>
+#include <sstream>
 
 #include "src/util/check.h"
 #include "src/util/counters.h"
@@ -57,6 +60,37 @@ bool CandidateSizesDiffer(int requested, int cap_a, int cap_b) {
 
 }  // namespace
 
+std::string CriusObjective::ToString() const {
+  std::ostringstream oss;
+  oss << throughput << "," << energy << "," << fragmentation << "," << fairness;
+  return oss.str();
+}
+
+std::optional<CriusObjective> CriusObjective::Parse(const std::string& spec) {
+  std::array<double, 4> weights{};
+  size_t pos = 0;
+  for (int i = 0; i < 4; ++i) {
+    const size_t end = i < 3 ? spec.find(',', pos) : spec.size();
+    if (end == std::string::npos) {
+      return std::nullopt;
+    }
+    const std::string field = spec.substr(pos, end - pos);
+    if (field.empty()) {
+      return std::nullopt;
+    }
+    char* parse_end = nullptr;
+    weights[i] = std::strtod(field.c_str(), &parse_end);
+    // Non-finite weights (nan, inf, or an overflow such as 1e400) would make
+    // every rank non-finite and so no choice ever win.
+    if (parse_end == field.c_str() || *parse_end != '\0' || !std::isfinite(weights[i]) ||
+        weights[i] < 0.0) {
+      return std::nullopt;
+    }
+    pos = end + 1;
+  }
+  return CriusObjective{weights[0], weights[1], weights[2], weights[3]};
+}
+
 CriusScheduler::CriusScheduler(PerformanceOracle* oracle, CriusConfig config)
     : Scheduler(oracle), config_(config) {
   CRIUS_CHECK(config_.search_depth >= 0);
@@ -66,7 +100,7 @@ std::string CriusScheduler::name() const {
   if (config_.deadline_aware) {
     return "Crius-DDL";
   }
-  if (config_.objective == CriusObjective::kMaxMinFairness) {
+  if (config_.objective.fairness > 0.0) {
     return "Crius-Fair";
   }
   if (!config_.adaptivity_scaling && config_.heterogeneity_scaling) {
@@ -313,8 +347,9 @@ ScheduleDecision CriusScheduler::Schedule(const RoundContext& round) {
     return ScheduleOnce(now, jobs, cluster, config_.placement_order).first;
   }
   // Solver-lite: evaluate every ordering virtually and keep the outcome with
-  // the highest total estimated throughput; the first ordering wins ties.
-  std::pair<ScheduleDecision, double> best{ScheduleDecision{}, -1.0};
+  // the highest objective total; the first ordering wins ties.
+  std::pair<ScheduleDecision, double> best{ScheduleDecision{},
+                                           -std::numeric_limits<double>::infinity()};
   for (const CriusPlacementOrder order :
        {CriusPlacementOrder::kFifo, CriusPlacementOrder::kScoreDensity,
         CriusPlacementOrder::kSmallestFirst}) {
@@ -411,32 +446,31 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
     return finish <= *vj.state->job.deadline;
   };
 
-  // Multi-objective composite rank (src/power): weighted throughput minus the
-  // cell's power draw (kW) and the per-type GPU-stranding fragmentation the
-  // placement would leave behind. `free_after` must already have the cell
-  // taken out. The fairness weight does not appear here -- it acts on job
-  // choice (over-provisioning and upscale water-filling), not cell choice.
-  const bool multi = !config_.multi.IsDefault();
-  auto composite_rank = [&](double score, const Cell& cell, const FreeMap& free_after) {
-    const MultiObjectiveConfig& mo = config_.multi;
-    double rank = mo.throughput * score;
-    if (mo.energy > 0.0) {
-      rank -= mo.energy * CellWatts(power_model_, cell.gpu_type, cell.ngpus) / 1000.0;
+  // A Cell's rank under the objective: weighted throughput minus the Cell's
+  // draw (kW) and the GPU stranding left once `give` (if any) is released from
+  // `f` and `cell` placed into it; zero-weight terms are skipped. Without
+  // energy or fragmentation weight the rank is monotone in score, so the
+  // score order (and with it the FitIndex first fit) is exact.
+  const CriusObjective& objective = config_.objective;
+  const bool by_score = objective.energy == 0.0 && objective.fragmentation == 0.0;
+  auto cell_rank = [&](double score, const Cell& cell, const FreeMap& f, const Cell* give) {
+    double rank = objective.throughput * score;
+    if (objective.energy > 0.0) {
+      rank -= objective.energy * CellWatts(power_model_, cell.gpu_type, cell.ngpus) / 1000.0;
     }
-    if (mo.fragmentation > 0.0) {
-      rank -= mo.fragmentation * StrandingScore(free_after);
+    if (objective.fragmentation > 0.0) {
+      rank -= objective.fragmentation * StrandingScore(f, give, &cell);
     }
     return rank;
   };
 
   // Best feasible Cell for a queued job under `free`: the first fit in score
   // order, read off the job's FitIndex (which in deadline-aware mode covers
-  // only its deadline-feasible choices); or the best composite rank under a
-  // non-default weight vector, which depends on the free map the Cell leaves
-  // and so scans every choice (ties keep the earlier = higher-throughput
-  // choice, so selection stays deterministic).
+  // only its deadline-feasible choices); or, when the rank is not monotone in
+  // score, the best-ranked fitting choice (ties keep the earlier =
+  // higher-throughput choice, so selection stays deterministic).
   auto best_fitting = [&](const VirtualJob& vj, const FreeMap& f) -> const CellChoice* {
-    if (!multi) {
+    if (by_score) {
       const int i = vj.fit->FirstFit(vj.cells->choices, f);
       return i < 0 ? nullptr : &vj.cells->choices[i];
     }
@@ -446,15 +480,7 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
       if (!Fits(c.cell, f) || !meets_deadline(vj, c)) {
         continue;
       }
-      FreeMap f2 = f;
-      Take(c.cell, f2);
-      double rank = composite_rank(c.score, c.cell, f2);
-      if (config_.multi.fairness > 0.0) {
-        // DRF flavor: discourage holding GPUs beyond the requested share.
-        const int requested = std::max(1, vj.state->job.requested_gpus);
-        rank -= config_.multi.fairness *
-                static_cast<double>(std::max(0, c.cell.ngpus - requested)) / requested;
-      }
+      const double rank = cell_rank(c.score, c.cell, f, nullptr);
       if (rank > best_rank) {
         best_rank = rank;
         best = &c;
@@ -652,14 +678,13 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
   }
 
   // --- Upscale phase: feed leftover capacity back (Algorithm 1 line 11) -----
-  // kMaxThroughput picks the globally best relative gain; kMaxMinFairness
-  // water-fills, upgrading the worst-off placed job first.
+  // A move swaps a placed job's Cell for the alternative with the best
+  // relative rank gain; a fairness weight water-fills instead, upgrading the
+  // worst-off placed job first with its gain breaking ties.
   CRIUS_TRACE_SPAN("sched.upscale");
   int upscale_moves = 0;
   for (int moves = 0; moves < config_.max_upscale_moves; ++moves) {
-    double best_rank = !multi && config_.objective == CriusObjective::kMaxThroughput
-                           ? kMoveGainThreshold
-                           : -std::numeric_limits<double>::infinity();
+    double best_rank = -std::numeric_limits<double>::infinity();
     size_t best_vi = 0;
     const CellChoice* best_cell = nullptr;
     for (size_t vi = 0; vi < vjobs_.size(); ++vi) {
@@ -667,48 +692,33 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
       if (!vj.cell.has_value()) {
         continue;
       }
+      const Cell& held = *vj.cell;
       for (const CellChoice& alt : vj.cells->choices) {
-        if (!multi && alt.score <= vj.score) {
+        if (by_score && alt.score <= vj.score) {
           // choices are score-descending, so no later alternative improves
           // either; a job sitting at its best Cell exits after one compare.
-          // (Under a composite objective a lower-throughput Cell can still
-          // rank higher -- e.g. on energy -- so the scan must be exhaustive.)
+          // (Otherwise a lower-throughput Cell can still rank higher -- e.g.
+          // on energy -- so the scan must be exhaustive.)
           break;
         }
-        if (alt.cell == *vj.cell) {
+        if (alt.cell == held) {
           continue;
         }
-        FreeMap f2 = free;
-        Give(*vj.cell, f2);
-        if (!Fits(alt.cell, f2) || !meets_deadline(vj, alt)) {
+        // Fits once the held Cell is given back?
+        const int released = alt.cell.gpu_type == held.gpu_type ? held.ngpus : 0;
+        if (free[static_cast<int>(alt.cell.gpu_type)] + released < alt.cell.ngpus ||
+            !meets_deadline(vj, alt)) {
           continue;
         }
-        double rank = 0.0;
-        if (multi) {
-          // Composite gain of swapping the held Cell for `alt`; the same
-          // kMoveGainThreshold guards against churny marginal restarts.
-          FreeMap f3 = f2;
-          Take(alt.cell, f3);
-          const double gain = composite_rank(alt.score, alt.cell, f3) -
-                              composite_rank(vj.score, *vj.cell, free);
-          if (gain <= kMoveGainThreshold) {
-            continue;
-          }
-          // Fairness water-fills (most-deprived job first), like the coarse
-          // kMaxMinFairness objective but weighted.
-          rank = gain + config_.multi.fairness * -vj.score;
-        } else {
-          const double gain = (alt.score - vj.score) / std::max(vj.score, 1e-9);
-          if (gain <= kMoveGainThreshold) {
-            continue;  // a restart is never worth a marginal gain
-          }
-          if (config_.objective == CriusObjective::kMaxThroughput) {
-            rank = gain;
-          } else {
-            // Water-filling: most-deprived job first; its gain breaks ties.
-            rank = -vj.score + 1e-3 * gain;
-          }
+        // The held Cell's rank gives it back and takes it again: `free` as is.
+        const double gain = (cell_rank(alt.score, alt.cell, free, &held) -
+                             cell_rank(vj.score, held, free, &held)) /
+                            std::max(vj.score, 1e-9);
+        if (gain <= kMoveGainThreshold) {
+          continue;  // a restart is never worth a marginal gain
         }
+        const double rank =
+            objective.fairness > 0.0 ? -objective.fairness * vj.score + 1e-3 * gain : gain;
         if (rank > best_rank) {
           best_rank = rank;
           best_vi = vi;
@@ -731,7 +741,6 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
   // --- Emit ------------------------------------------------------------------
   double total_score = 0.0;
   double watts_sum = 0.0;
-  std::vector<double> placed_scores;
   for (const VirtualJob& vj : vjobs_) {
     if (!vj.cell.has_value()) {
       continue;
@@ -743,20 +752,18 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
     a.opportunistic = vj.opportunistic;
     decision.assignments[vj.state->job.id] = a;
     total_score += vj.score;
-    if (multi) {
+    if (objective.energy > 0.0) {
       watts_sum += CellWatts(power_model_, vj.cell->gpu_type, vj.cell->ngpus);
-      placed_scores.push_back(vj.score);
     }
   }
-  if (multi) {
-    // Pass-level composite, so kBestOfAll compares orderings under the same
-    // objective the per-cell ranks optimized: weighted throughput sum, minus
-    // the placement's power draw (kW) and leftover stranding, plus weighted
-    // Jain fairness over the placed jobs' estimated throughputs.
-    total_score = config_.multi.throughput * total_score -
-                  config_.multi.energy * watts_sum / 1000.0 -
-                  config_.multi.fragmentation * StrandingScore(free) +
-                  config_.multi.fairness * JainIndex(placed_scores);
+  // The pass's objective total, so kBestOfAll compares orderings under the
+  // objective the Cell ranks optimized.
+  total_score *= objective.throughput;
+  if (objective.energy > 0.0) {
+    total_score -= objective.energy * watts_sum / 1000.0;
+  }
+  if (objective.fragmentation > 0.0) {
+    total_score -= objective.fragmentation * StrandingScore(free);
   }
   return {std::move(decision), total_score};
 }

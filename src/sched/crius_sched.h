@@ -26,6 +26,8 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -37,20 +39,30 @@
 
 namespace crius {
 
-// Cluster-level objective Crius optimizes when ranking scheduling choices
-// (§6: "Crius is easy to adapt to other scheduling objectives").
-enum class CriusObjective : uint8_t {
-  // Maximize the sum of normalized estimated throughput (the paper's default).
-  kMaxThroughput,
-  // Max-min fairness: spare capacity goes to the job with the lowest
-  // normalized throughput (water-filling), Themis-style.
-  kMaxMinFairness,
+// The cluster objective Crius ranks scheduling choices by (§6: "Crius is easy
+// to adapt to other scheduling objectives"): one weight vector. A Cell's rank
+// is throughput*score - energy*kW - fragmentation*stranding left behind, with
+// zero-weight terms skipped; the default (1,0,0,0) is the paper's sum of
+// normalized estimated throughput. A fairness weight makes the upscale phase
+// water-fill (Themis-style max-min): spare capacity goes to the placed job
+// with the lowest normalized throughput first. Crius-Fair is (1,0,0,1).
+struct CriusObjective {
+  double throughput = 1.0;
+  double energy = 0.0;
+  double fragmentation = 0.0;
+  double fairness = 0.0;
+
+  // "throughput,energy,fragmentation,fairness", e.g. "1,0.5,0.2,0".
+  std::string ToString() const;
+  // Parses ToString's format: four finite non-negative numbers.
+  // std::nullopt on malformed input.
+  static std::optional<CriusObjective> Parse(const std::string& spec);
 };
 
 // Order in which queued jobs are offered placement. The paper's Algorithm 1
 // is FIFO; §6 notes solver-style enhancements are orthogonal -- kBestOfAll is
-// a cheap instance: run every ordering virtually and keep the one with the
-// highest total estimated throughput.
+// a cheap instance: run every ordering virtually and keep the one the
+// objective scores highest.
 enum class CriusPlacementOrder : uint8_t {
   kFifo,           // arrival order (the paper's policy)
   kScoreDensity,   // highest estimated-throughput-per-GPU first
@@ -61,8 +73,8 @@ enum class CriusPlacementOrder : uint8_t {
 struct CriusConfig {
   // Maximum job-scaling moves explored per scheduling choice (Fig. 21).
   int search_depth = 3;
-  // Cluster objective for the upscale phase.
-  CriusObjective objective = CriusObjective::kMaxThroughput;
+  // Ranking objective for placement, upscale and pass comparison.
+  CriusObjective objective{};
   // Queued-job placement order (deadline-aware mode always uses EDF).
   CriusPlacementOrder placement_order = CriusPlacementOrder::kFifo;
   // GPU-count scaling (§8.6 adaptivity scaling; false = Crius-NA).
@@ -75,12 +87,6 @@ struct CriusConfig {
   bool opportunistic = true;
   // Upper bound on upscale moves applied per round.
   int max_upscale_moves = 12;
-  // Multi-objective weights (src/power). Default (pure throughput) leaves
-  // every decision bit-identical to the single-objective scheduler; any other
-  // weight vector switches placement/upscale ranking to the composite score
-  // (throughput - energy - stranding-fragmentation + fairness) alongside the
-  // coarse `objective` above.
-  MultiObjectiveConfig multi;
 };
 
 class CriusScheduler : public Scheduler {
@@ -118,7 +124,8 @@ class CriusScheduler : public Scheduler {
   void SyncCellsCache(const RoundContext& round);
 
   // One full virtual-scheduling pass with a fixed queued-job order; also
-  // returns the decision's total estimated normalized throughput. Pure
+  // returns the decision's objective total: throughput*sum(score) -
+  // energy*sum(kW) - fragmentation*stranding of the final free map. Pure
   // function of (now, jobs, cluster, order) given the synced snapshot; the
   // pass scratch below is reset on entry.
   std::pair<ScheduleDecision, double> ScheduleOnce(double now,
@@ -127,8 +134,8 @@ class CriusScheduler : public Scheduler {
                                                    CriusPlacementOrder order);
 
   CriusConfig config_;
-  // Watt table backing the composite energy term; only read when
-  // config_.multi carries a non-zero energy weight.
+  // Watt table backing the energy term; only read under a non-zero energy
+  // weight.
   PowerModel power_model_ = PowerModel::Default();
   // Ranking memo: job id -> scored Cells. Every entry is valid for the
   // (cluster identity, health epoch) recorded below: each non-steady sync

@@ -48,11 +48,11 @@ std::unique_ptr<Scheduler> MakeNamedScheduler(const std::string& name,
     CriusConfig config;
     config.search_depth = options.search_depth;
     config.deadline_aware = options.deadline_aware;
-    config.multi = options.multi;
+    config.objective = options.objective;
     config.adaptivity_scaling = name != "crius-na";
     config.heterogeneity_scaling = name != "crius-nh";
     if (name == "crius-fair") {
-      config.objective = CriusObjective::kMaxMinFairness;
+      config.objective.fairness = 1.0;
     }
     if (name == "crius-solver") {
       config.placement_order = CriusPlacementOrder::kBestOfAll;

@@ -11,7 +11,7 @@
 #include <memory>
 #include <string>
 
-#include "src/power/power.h"
+#include "src/sched/crius_sched.h"
 #include "src/sched/scheduler.h"
 
 namespace crius {
@@ -21,9 +21,9 @@ namespace crius {
 struct SchedulerOptions {
   int search_depth = 3;
   bool deadline_aware = false;
-  // Multi-objective weights (--objective-weights); default = pure throughput,
-  // bit-identical to the single-objective scheduler.
-  MultiObjectiveConfig multi;
+  // Crius ranking objective (--objective-weights); crius-fair sets its
+  // fairness weight to 1.
+  CriusObjective objective{};
 };
 
 // The accepted names, for --help strings:

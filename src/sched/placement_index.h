@@ -36,6 +36,7 @@
 #include "src/hw/gpu.h"
 #include "src/sched/scheduler.h"
 #include "src/util/check.h"
+#include "src/util/mathutil.h"
 
 namespace crius {
 
@@ -53,6 +54,32 @@ inline void Take(const Cell& cell, FreeMap& free) {
 
 inline void Give(const Cell& cell, FreeMap& free) {
   free[static_cast<int>(cell.gpu_type)] += cell.ngpus;
+}
+
+// GPU-stranding fragmentation score in [0, 1] of `free` with `give` released
+// and `take` placed (either may be null): the fraction of free GPUs that
+// cannot serve a maximal power-of-two Cell of their type (free -
+// FloorPowerOfTwo(free) per type, summed, over total free). 0 = every free
+// pool is a power of two. Reads the map in place, so ranking a choice copies
+// nothing.
+inline double StrandingScore(const FreeMap& free, const Cell* give = nullptr,
+                             const Cell* take = nullptr) {
+  int free_total = 0;
+  int stranded = 0;
+  for (int t = 0; t < kNumGpuTypes; ++t) {
+    int f = free[t];
+    if (give != nullptr && static_cast<int>(give->gpu_type) == t) {
+      f += give->ngpus;
+    }
+    if (take != nullptr && static_cast<int>(take->gpu_type) == t) {
+      f -= take->ngpus;
+    }
+    if (f > 0) {
+      free_total += f;
+      stranded += f - static_cast<int>(FloorPowerOfTwo(f));
+    }
+  }
+  return free_total > 0 ? static_cast<double>(stranded) / free_total : 0.0;
 }
 
 struct CellChoice {

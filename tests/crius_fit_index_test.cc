@@ -11,7 +11,9 @@
 //     class once, picks exactly the move a brute-force scan over every victim
 //     and every alternative Cell picks, with the same tie-break (first victim,
 //     then lowest choice index), after every step of random sequences of
-//     search moves, rollbacks and placements.
+//     search moves, rollbacks and placements, and
+//   * StrandingScore with a Cell given back and one taken equals the score of
+//     the free map with both applied.
 // Every case is reproducible from (seed, iteration), printed on failure.
 
 #include <gtest/gtest.h>
@@ -527,6 +529,43 @@ TEST(CriusFitIndexTest, RoundingTieGoesToTheLowerVictimIndex) {
   const ScalingMove late = index.BestMove(free, 0.0, 1.0, best_fitting, &evaluated);
   EXPECT_EQ(late.victim, 0u);
   EXPECT_EQ(late.choice, 1);
+}
+
+TEST(StrandingScoreTest, PowerOfTwoPoolsScoreZero) {
+  EXPECT_DOUBLE_EQ(StrandingScore({0, 0, 0, 0}), 0.0);
+  EXPECT_DOUBLE_EQ(StrandingScore({8, 4, 2, 1}), 0.0);
+  // 3 free = biggest power-of-two cell is 2, one GPU stranded.
+  EXPECT_NEAR(StrandingScore({3, 0, 0, 0}), 1.0 / 3.0, 1e-12);
+  // 6 + 5 free: 2 + 1 stranded over 11.
+  EXPECT_NEAR(StrandingScore({6, 5, 0, 0}), 3.0 / 11.0, 1e-12);
+}
+
+TEST(StrandingScoreTest, GiveAndTakeMatchTheUpdatedMap) {
+  Rng rng(kSeed);
+  for (int iter = 0; iter < kIterations; ++iter) {
+    FreeMap free{};
+    for (int& f : free) {
+      f = static_cast<int>(rng.UniformInt(0, 16));
+    }
+    const Cell give{static_cast<GpuType>(rng.UniformInt(0, kNumGpuTypes - 1)),
+                    1 << rng.UniformInt(0, 3), 1};
+    FreeMap after = free;
+    Give(give, after);
+    const GpuType take_type = static_cast<GpuType>(rng.UniformInt(0, kNumGpuTypes - 1));
+    const int room = after[static_cast<int>(take_type)];
+    if (room < 1) {
+      continue;
+    }
+    const Cell take{take_type, static_cast<int>(rng.UniformInt(1, room)), 1};
+    FreeMap taken = free;
+    if (Fits(take, taken)) {
+      Take(take, taken);
+      EXPECT_EQ(StrandingScore(free, nullptr, &take), StrandingScore(taken)) << "iter " << iter;
+    }
+    EXPECT_EQ(StrandingScore(free, &give, nullptr), StrandingScore(after)) << "iter " << iter;
+    Take(take, after);
+    EXPECT_EQ(StrandingScore(free, &give, &take), StrandingScore(after)) << "iter " << iter;
+  }
 }
 
 }  // namespace

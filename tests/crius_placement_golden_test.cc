@@ -57,8 +57,8 @@ constexpr Variant kVariants[] = {
     {"crius_fair", "crius-fair", false, "", 0xcf0c0ed9e33530a0ull, 0x1b451fa68de7fd04ull},
     {"crius_solver", "crius-solver", false, "", 0xd6bf2030748b14caull, 0x8d8fdf0df209fad7ull},
     {"crius_ddl", "crius", true, "", 0x02bb75d984954753ull, 0x624f78dea04d02e4ull},
-    {"crius_weights", "crius", false, "1,0.2,0.5,0.3", 0xe80fe7e89c7329faull,
-     0x2278189c38ced763ull},
+    {"crius_weights", "crius", false, "1,0.2,0.5,0.3", 0x70732c8ec56cc15dull,
+     0xe09d92360130994eull},
 };
 
 struct RunResult {
@@ -124,10 +124,10 @@ RunResult RunVariant(const Variant& variant) {
   SchedulerOptions options;
   options.deadline_aware = variant.deadline_aware;
   if (variant.objective_weights[0] != '\0') {
-    const std::optional<MultiObjectiveConfig> multi =
-        MultiObjectiveConfig::Parse(variant.objective_weights);
-    EXPECT_TRUE(multi.has_value());
-    options.multi = multi.value_or(MultiObjectiveConfig{});
+    const std::optional<CriusObjective> objective =
+        CriusObjective::Parse(variant.objective_weights);
+    EXPECT_TRUE(objective.has_value());
+    options.objective = objective.value_or(CriusObjective{});
   }
   auto scheduler = MakeNamedScheduler(variant.scheduler, &oracle, options);
   AssignmentCounter counted(*scheduler);

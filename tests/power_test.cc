@@ -1,8 +1,8 @@
 // Tests for the power subsystem (src/power): DVFS states, the wattage model,
-// multi-objective weight parsing, the fairness/fragmentation helpers, the
-// joule ledger's arithmetic, and the two inertness pins — power accounting
+// the joule ledger's arithmetic, the two inertness pins — power accounting
 // off (the default) and nominal-DVFS power accounting on must both leave the
-// simulation's own outputs byte-identical to the seed.
+// simulation's own outputs byte-identical to the seed — and a Crius run under
+// energy-weighted objective weights.
 
 #include "src/power/power.h"
 
@@ -49,56 +49,6 @@ TEST(PowerModelTest, DvfsScalesActiveButNotIdle) {
   EXPECT_DOUBLE_EQ(powersave.ActiveWatts(GpuType::kA100), 400.0 * 0.62);
   EXPECT_DOUBLE_EQ(powersave.IdleWatts(GpuType::kA100), 55.0);
   EXPECT_DOUBLE_EQ(CellWatts(nominal, GpuType::kA40, 8), 8 * 300.0);
-}
-
-TEST(MultiObjectiveConfigTest, DefaultAndToString) {
-  MultiObjectiveConfig config;
-  EXPECT_TRUE(config.IsDefault());
-  config.energy = 0.5;
-  EXPECT_FALSE(config.IsDefault());
-  EXPECT_EQ(config.ToString(), "1,0.5,0,0");
-}
-
-TEST(MultiObjectiveConfigTest, ParseAcceptsWellFormedVectors) {
-  const auto parsed = MultiObjectiveConfig::Parse("1,0.5,0.2,0");
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_DOUBLE_EQ(parsed->throughput, 1.0);
-  EXPECT_DOUBLE_EQ(parsed->energy, 0.5);
-  EXPECT_DOUBLE_EQ(parsed->fragmentation, 0.2);
-  EXPECT_DOUBLE_EQ(parsed->fairness, 0.0);
-  // The default vector round-trips through ToString/Parse.
-  const auto identity = MultiObjectiveConfig::Parse(MultiObjectiveConfig{}.ToString());
-  ASSERT_TRUE(identity.has_value());
-  EXPECT_TRUE(identity->IsDefault());
-}
-
-TEST(MultiObjectiveConfigTest, ParseRejectsMalformedVectors) {
-  EXPECT_FALSE(MultiObjectiveConfig::Parse("").has_value());
-  EXPECT_FALSE(MultiObjectiveConfig::Parse("1,2,3").has_value());      // too few
-  EXPECT_FALSE(MultiObjectiveConfig::Parse("1,2,3,4,5").has_value());  // trailing garbage
-  EXPECT_FALSE(MultiObjectiveConfig::Parse("1,,3,4").has_value());     // empty field
-  EXPECT_FALSE(MultiObjectiveConfig::Parse("1,x,3,4").has_value());    // non-numeric
-  EXPECT_FALSE(MultiObjectiveConfig::Parse("1,-0.5,0,0").has_value()); // negative
-}
-
-TEST(JainIndexTest, EvenSkewedAndDegenerateInputs) {
-  EXPECT_DOUBLE_EQ(JainIndex({}), 1.0);
-  EXPECT_DOUBLE_EQ(JainIndex({0.0, 0.0}), 1.0);
-  EXPECT_DOUBLE_EQ(JainIndex({3.0, 3.0, 3.0}), 1.0);
-  // One user hogging everything: index collapses toward 1/n.
-  EXPECT_NEAR(JainIndex({1.0, 0.0, 0.0, 0.0}), 0.25, 1e-12);
-  const double skewed = JainIndex({4.0, 1.0, 1.0});
-  EXPECT_GT(skewed, 1.0 / 3.0);
-  EXPECT_LT(skewed, 1.0);
-}
-
-TEST(StrandingScoreTest, PowerOfTwoPoolsScoreZero) {
-  EXPECT_DOUBLE_EQ(StrandingScore({0, 0, 0, 0}), 0.0);
-  EXPECT_DOUBLE_EQ(StrandingScore({8, 4, 2, 1}), 0.0);
-  // 3 free = biggest power-of-two cell is 2, one GPU stranded.
-  EXPECT_NEAR(StrandingScore({3, 0, 0, 0}), 1.0 / 3.0, 1e-12);
-  // 6 + 5 free: 2 + 1 stranded over 11.
-  EXPECT_NEAR(StrandingScore({6, 5, 0, 0}), 3.0 / 11.0, 1e-12);
 }
 
 TEST(PowerLedgerTest, IntegratesActiveIdleAndUsefulExactly) {
@@ -251,26 +201,11 @@ TEST(PowerDvfsTest, PowersaveStretchesRunsAndSavesEnergy) {
   EXPECT_LT(slow.total_joules, fast.total_joules);
 }
 
-TEST(MultiObjectiveSchedulerTest, DefaultWeightsAreBitIdentical) {
+TEST(PowerObjectiveTest, WeightedObjectiveStillFinishesTheTrace) {
   Cluster cluster = MakeMotivationCluster();
   PerformanceOracle oracle(cluster, 42);
-  CriusScheduler plain(&oracle, CriusConfig{});
-  CriusConfig explicit_default_config;
-  explicit_default_config.multi = MultiObjectiveConfig{};
-  CriusScheduler explicit_default(&oracle, explicit_default_config);
-  Simulator sim_a(cluster, SimConfig{});
-  const SimResult a = sim_a.Run(plain, oracle, SmallTrace());
-  Simulator sim_b(cluster, SimConfig{});
-  const SimResult b = sim_b.Run(explicit_default, oracle, SmallTrace());
-  ExpectSameSimulation(a, b);
-}
-
-TEST(MultiObjectiveSchedulerTest, NonDefaultWeightsStillFinishTheTrace) {
-  Cluster cluster = MakeMotivationCluster();
-  PerformanceOracle oracle(cluster, 42);
-  CriusConfig config;
-  config.multi = *MultiObjectiveConfig::Parse("1,0.5,0.2,0.3");
-  CriusScheduler sched(&oracle, config);
+  CriusScheduler sched(&oracle,
+                       CriusConfig{.objective = *CriusObjective::Parse("1,0.5,0.2,0.3")});
   SimConfig sim_config;
   sim_config.power.enabled = true;
   Simulator sim(cluster, sim_config);

@@ -1,7 +1,7 @@
 // crius_benchdiff: compare a fresh BENCH_*.json run against a checked-in
 // baseline and fail on regressions beyond tolerance.
 //
-//   crius_benchdiff --baseline bench/baselines/BENCH_rounds.json \
+//   crius_benchdiff --baseline bench/baselines/BENCH_rounds.json
 //                   --fresh build/BENCH_rounds.json [--threshold 0.5]
 //
 // Per-metric `threshold` values stored in the baseline override --threshold,
@@ -17,8 +17,8 @@
 // unreadable baseline is fine in this mode — the fresh report is adopted
 // wholesale. Use after an intentional perf change:
 //
-//   crius_benchdiff --update-baselines \
-//                   --baseline bench/baselines/BENCH_rounds.json \
+//   crius_benchdiff --update-baselines
+//                   --baseline bench/baselines/BENCH_rounds.json
 //                   --fresh build/BENCH_rounds.json
 //
 // Exit codes: 0 = within tolerance, 1 = regression (or vanished metric),

@@ -134,8 +134,9 @@ int Run(int argc, const char* const* argv) {
                "DVFS state under --power: nominal | balanced | powersave (non-nominal "
                "states scale power draw down and iteration times up)");
   flags.String("objective-weights", &objective_weights,
-               "Crius multi-objective weights 'throughput,energy,fragmentation,fairness' "
-               "(e.g. '1,0.5,0,0'; default pure throughput, bit-identical decisions)");
+               "Crius ranking objective 'throughput,energy,fragmentation,fairness': four "
+               "finite non-negative weights (default 1,0,0,0; a fairness weight "
+               "water-fills, and crius-fair is crius with 1,0,0,1)");
   flags.String("power-csv", &power_csv,
                "write per-node energy totals to this CSV (implies --power)");
   flags.String("save-trace", &trace_out, "write the synthesized trace to this CSV");
@@ -197,16 +198,15 @@ int Run(int argc, const char* const* argv) {
   SchedulerOptions sched_options{.search_depth = static_cast<int>(search_depth),
                                  .deadline_aware = deadline_aware};
   if (!objective_weights.empty()) {
-    const std::optional<MultiObjectiveConfig> multi =
-        MultiObjectiveConfig::Parse(objective_weights);
-    if (!multi.has_value()) {
+    const std::optional<CriusObjective> objective = CriusObjective::Parse(objective_weights);
+    if (!objective.has_value()) {
       std::fprintf(stderr,
-                   "crius_sim: bad --objective-weights '%s' (want 4 non-negative numbers "
-                   "'throughput,energy,fragmentation,fairness')\n",
+                   "crius_sim: bad --objective-weights '%s' (want 4 finite non-negative "
+                   "numbers 'throughput,energy,fragmentation,fairness')\n",
                    objective_weights.c_str());
       return 1;
     }
-    sched_options.multi = *multi;
+    sched_options.objective = *objective;
   }
   auto scheduler = MakeNamedScheduler(scheduler_name, &oracle, sched_options);
   SimConfig sim_config;
