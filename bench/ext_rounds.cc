@@ -11,8 +11,8 @@
 //
 // Each mode gets a fresh PerformanceOracle so neither run benefits from the
 // other's warmed estimate caches; decisions are bit-identical either way
-// (tests/incremental_equivalence_test enforces that), so both runs schedule
-// the exact same rounds.
+// (the memo_vs_fresh rows of tests/golden_outputs_test enforce that), so both
+// runs schedule the exact same rounds.
 //
 // Modes:
 //   default   heavy week-long trace on the 1280-GPU simulated cluster -- the

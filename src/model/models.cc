@@ -21,6 +21,15 @@ const char* FamilyName(ModelFamily family) {
   return "?";
 }
 
+std::optional<ModelFamily> ParseModelFamily(const std::string& name) {
+  for (ModelFamily f : {ModelFamily::kWideResNet, ModelFamily::kBert, ModelFamily::kMoe}) {
+    if (name == FamilyName(f)) {
+      return f;
+    }
+  }
+  return std::nullopt;
+}
+
 std::string ModelSpec::Name() const {
   char buf[64];
   // Sizes like 0.76 print with two decimals, whole-ish sizes with one.

@@ -13,6 +13,7 @@
 #define SRC_MODEL_MODELS_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,10 @@ enum class ModelFamily : uint8_t {
 inline constexpr int kNumModelFamilies = 3;
 
 const char* FamilyName(ModelFamily family);
+
+// Inverse of FamilyName ("WRes" / "BERT" / "MoE", exact match); nullopt for
+// any other name, so each reader can report it in its own context.
+std::optional<ModelFamily> ParseModelFamily(const std::string& name);
 
 struct ModelSpec {
   ModelFamily family = ModelFamily::kBert;

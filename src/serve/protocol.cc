@@ -4,6 +4,7 @@
 #include <array>
 #include <climits>
 #include <cmath>
+#include <optional>
 #include <vector>
 
 namespace crius {
@@ -110,18 +111,12 @@ bool ParseSubmitJob(const JsonObject& request, TrainingJob* job, std::string* er
   *job = TrainingJob{};
 
   const std::string family = request.StringOr("family", "");
-  bool family_ok = false;
-  for (ModelFamily f : {ModelFamily::kWideResNet, ModelFamily::kBert, ModelFamily::kMoe}) {
-    if (family == FamilyName(f)) {
-      job->spec.family = f;
-      family_ok = true;
-      break;
-    }
-  }
-  if (!family_ok) {
+  const std::optional<ModelFamily> parsed = ParseModelFamily(family);
+  if (!parsed.has_value()) {
     *error = "unknown family '" + family + "'";
     return false;
   }
+  job->spec.family = *parsed;
 
   job->spec.params_billion = request.NumberOr("params_billion", -1.0);
   bool size_ok = false;

@@ -6,8 +6,8 @@
 // batch Simulator. Live loop and batch simulator share one SimEngine
 // (src/sim/engine.h), so for a session that ended with a drained shutdown the
 // replayed SimResult's job records and event log are bit-identical to the
-// live ones; serve_replay_test.cc and the CI smoke job compare the CSVs
-// byte-for-byte.
+// live ones; the live_* rows of golden_outputs_test.cc and the CI smoke job
+// compare the CSVs byte-for-byte.
 
 #ifndef SRC_SERVE_REPLAY_H_
 #define SRC_SERVE_REPLAY_H_

@@ -2,6 +2,7 @@
 
 #include <iomanip>
 #include <limits>
+#include <optional>
 #include <sstream>
 
 #include "src/util/check.h"
@@ -22,16 +23,6 @@ std::string FmtDouble(double v) {
   std::ostringstream oss;
   oss << std::setprecision(std::numeric_limits<double>::max_digits10) << v;
   return oss.str();
-}
-
-ModelFamily ParseFamilyField(const std::string& s, int line_no) {
-  for (ModelFamily f : {ModelFamily::kWideResNet, ModelFamily::kBert, ModelFamily::kMoe}) {
-    if (s == FamilyName(f)) {
-      return f;
-    }
-  }
-  CRIUS_UNREACHABLE("session log line " + std::to_string(line_no) + ": unknown family '" + s +
-                    "'");
 }
 
 bool ParseBoolField(const std::string& s, const char* what, int line_no) {
@@ -194,7 +185,11 @@ Session ReadSessionLog(std::istream& in) {
     } else if (kind == "submit") {
       TrainingJob job;
       job.id = reader.Int(2, "job_id");
-      job.spec.family = ParseFamilyField(reader.Field(4), reader.line_no());
+      const std::optional<ModelFamily> family = ParseModelFamily(reader.Field(4));
+      CRIUS_CHECK_MSG(family.has_value(), "session log line " << reader.line_no()
+                                                              << ": unknown family '"
+                                                              << reader.Field(4) << "'");
+      job.spec.family = *family;
       job.spec.params_billion = reader.Double(5, "params_billion");
       job.spec.global_batch = reader.Int(6, "global_batch");
       job.iterations = reader.Int(7, "iterations");

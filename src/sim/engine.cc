@@ -101,40 +101,30 @@ double SimEngine::ProjectedDrawWatts() const {
   return power_ != nullptr ? power_->CurrentDrawWatts() : 0.0;
 }
 
-void SimEngine::AddJob(const TrainingJob& job, double profiling_delay,
-                       double reference_throughput) {
-  CRIUS_CHECK_MSG(job_index_.find(job.id) == job_index_.end(),
-                  "duplicate job id " << job.id);
-  SimJob sj;
-  sj.state.job = job;
-  sj.state.phase = JobPhase::kQueued;
-  if (config_.charge_profiling) {
-    CRIUS_HISTOGRAM_RECORD("sim.profile_delay_s", profiling_delay);
-  }
-  sj.schedulable_at = job.submit_time + profiling_delay;
-  sj.reference_throughput = reference_throughput;
-  CRIUS_CHECK_MSG(sj.reference_throughput > 0.0,
-                  "trace job " << job.id << " infeasible everywhere");
-  job_index_[job.id] = jobs_.size();
-  arrivals_.emplace(job.submit_time, jobs_.size());
-  max_submit_ = std::max(max_submit_, job.submit_time);
-  jobs_.push_back(std::move(sj));
-}
-
 bool SimEngine::TryAddJob(const TrainingJob& job) {
   if (job_index_.find(job.id) != job_index_.end()) {
     return false;
   }
-  // Price admission against the pristine template: the batch prepass runs
-  // before any failure mutates the cluster, and a replayed session must
-  // derive the same schedulable_at and reference throughput.
-  const double reference = ReferenceThroughput(oracle_, cluster_template_, job);
-  if (reference <= 0.0) {
+  // Price admission against the pristine template: a live submission may
+  // arrive after failures mutated the working cluster, and a replayed session
+  // must derive the same schedulable_at and reference throughput.
+  SimJob sj;
+  sj.reference_throughput = ReferenceThroughput(oracle_, cluster_template_, job);
+  if (sj.reference_throughput <= 0.0) {
     return false;
   }
-  const double delay =
-      config_.charge_profiling ? scheduler_.ProfilingDelay(job, cluster_template_) : 0.0;
-  AddJob(job, delay, reference);
+  double delay = 0.0;
+  if (config_.charge_profiling) {
+    delay = scheduler_.ProfilingDelay(job, cluster_template_);
+    CRIUS_HISTOGRAM_RECORD("sim.profile_delay_s", delay);
+  }
+  sj.state.job = job;
+  sj.state.phase = JobPhase::kQueued;
+  sj.schedulable_at = job.submit_time + delay;
+  job_index_[job.id] = jobs_.size();
+  arrivals_.emplace(job.submit_time, jobs_.size());
+  max_submit_ = std::max(max_submit_, job.submit_time);
+  jobs_.push_back(std::move(sj));
   return true;
 }
 
@@ -257,19 +247,25 @@ void SimEngine::SettleSegmentFailed(SimJob& sj, double t) {
   CRIUS_HISTOGRAM_RECORD("sim.lost_iters_per_kill", lost);
 }
 
-// Kills a running job whose hardware failed: rolls progress back to the last
-// checkpoint, releases the grant, and requeues it for the recovery round.
-void SimEngine::KillJob(SimJob& sj, double at) {
-  SettleSegmentFailed(sj, at);
+// Returns a running job's GPUs to the cluster and the power ledger and clears
+// its placement. Callers settle the segment first and set the new phase.
+void SimEngine::ReleaseGrant(SimJob& sj) {
   cluster_.Release(sj.alloc);
   if (power_ != nullptr) {
     power_->OnRelease(sj.alloc);
   }
   sj.alloc = Allocation{};
-  sj.state.phase = JobPhase::kQueued;
   sj.state.ngpus = 0;
   sj.state.nstages = 0;
   sj.state.iter_time = 0.0;
+}
+
+// Kills a running job whose hardware failed: rolls progress back to the last
+// checkpoint, releases the grant, and requeues it for the recovery round.
+void SimEngine::KillJob(SimJob& sj, double at) {
+  SettleSegmentFailed(sj, at);
+  ReleaseGrant(sj);
+  sj.state.phase = JobPhase::kQueued;
   sj.failure_restart_pending = true;
   sj.killed_at = at;
   ++result_.failure_kills;
@@ -396,14 +392,7 @@ bool SimEngine::ApplyCancel(const JobCancelEvent& e, double at) {
   const bool was_running = sj.state.phase == JobPhase::kRunning;
   if (was_running) {
     SettleSegment(sj, at);
-    cluster_.Release(sj.alloc);
-    if (power_ != nullptr) {
-      power_->OnRelease(sj.alloc);
-    }
-    sj.alloc = Allocation{};
-    sj.state.ngpus = 0;
-    sj.state.nstages = 0;
-    sj.state.iter_time = 0.0;
+    ReleaseGrant(sj);
   }
   sj.state.phase = JobPhase::kDropped;
   ++terminal_;
@@ -483,15 +472,8 @@ void SimEngine::ApplyDecision(double at, const ScheduleDecision& decision) {
       }
       // Preempt / reschedule / migrate: release now, maybe restart below.
       SettleSegment(sj, at);
-      cluster_.Release(sj.alloc);
-      if (power_ != nullptr) {
-        power_->OnRelease(sj.alloc);
-      }
-      sj.alloc = Allocation{};
+      ReleaseGrant(sj);
       sj.state.phase = JobPhase::kQueued;
-      sj.state.ngpus = 0;
-      sj.state.nstages = 0;
-      sj.state.iter_time = 0.0;
       if (mig == nullptr && it == decision.assignments.end()) {
         Record(sj, at, SimEvent::Kind::kPreempt);
         round_events_.push_back(RoundEvent::JobPhaseChange(sj.state.job.id));
@@ -749,11 +731,7 @@ void SimEngine::ProcessNext() {
     if (sj.state.phase == JobPhase::kRunning &&
         sj.state.iters_done + kEps >= static_cast<double>(sj.state.job.iterations)) {
       SettleSegment(sj, now_);
-      cluster_.Release(sj.alloc);
-      if (power_ != nullptr) {
-        power_->OnRelease(sj.alloc);
-      }
-      sj.alloc = Allocation{};
+      ReleaseGrant(sj);
       sj.state.phase = JobPhase::kFinished;
       ++terminal_;
       sj.state.finish_time = now_;

@@ -21,9 +21,9 @@
 //    (no live jobs) processes nothing; once a submission arrives, the skipped
 //    round boundaries are processed late but at their own times, producing
 //    the same schedule/timeline rows the batch run produces eagerly.
-//  - Online admission (TryAddJob) prices ProfilingDelay and the reference
-//    throughput against the pristine cluster *template*, exactly like the
-//    batch prepass (which runs before any failure mutates the cluster), so a
+//  - Admission (TryAddJob) is one path for the batch prepass and live
+//    submissions: it prices ProfilingDelay and the reference throughput
+//    against the pristine cluster *template*, which no failure mutates, so a
 //    job admitted mid-session gets the same schedulable_at in the replay.
 //  - InjectFailure keeps the pending schedule in SortFailureSchedule's
 //    canonical (time, node, kind) order, so same-tick live commands apply in
@@ -38,8 +38,9 @@
 // (DESIGN.md "Live-set index") keeps those jobs in ascending jobs_ order, so
 // every per-step walk visits them in the order a scan of all jobs would and
 // the float sums, release order and event order are unchanged; arrivals wait
-// in a submit-time heap and profiling jobs in a short list. AddJob is
-// O(log n), and LiveJobs/MaxTime are O(1); only Finish walks every job.
+// in a submit-time heap and profiling jobs in a short list. TryAddJob is
+// O(log n) after pricing, and LiveJobs/MaxTime are O(1); only Finish walks
+// every job.
 
 #ifndef SRC_SIM_ENGINE_H_
 #define SRC_SIM_ENGINE_H_
@@ -65,15 +66,11 @@ class SimEngine {
   SimEngine(const Cluster& cluster_template, SimConfig config, Scheduler& scheduler,
             PerformanceOracle& oracle);
 
-  // Batch path: profiling delay and reference throughput were precomputed by
-  // the caller's parallel prepass. Aborts if the job is infeasible everywhere
-  // or its id collides with an existing job.
-  void AddJob(const TrainingJob& job, double profiling_delay, double reference_throughput);
-
-  // Online path: computes both quantities against the pristine cluster
-  // template (matching the batch prepass). Returns false — job not added —
-  // when the job is infeasible on every GPU type; the caller turns that into
-  // an admission rejection instead of an abort.
+  // The one admission path, for the batch prepass and live submissions alike:
+  // prices the job's profiling delay and reference throughput against the
+  // pristine cluster template. Returns false — job not added — when its id is
+  // taken or it is infeasible on every GPU type; the batch prepass aborts on
+  // that, the live controller turns it into an admission rejection.
   bool TryAddJob(const TrainingJob& job);
 
   // Queues a cluster-health change, keeping the pending schedule in canonical
@@ -171,6 +168,7 @@ class SimEngine {
   void RecordCluster(double time, SimEvent::Kind kind, int node_id, std::string detail);
   void SettleSegment(SimJob& sj, double t);
   void SettleSegmentFailed(SimJob& sj, double t);
+  void ReleaseGrant(SimJob& sj);
   void KillJob(SimJob& sj, double at);
   void RefreshSlowdowns(int node_id);
   bool ApplyFault(const FailureEvent& e, double at);

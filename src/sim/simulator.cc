@@ -81,15 +81,9 @@ SimResult Simulator::Run(Scheduler& scheduler, PerformanceOracle& oracle,
   {
     CRIUS_TRACE_SPAN_ARGS("sim.startup_prepass",
                           "{\"jobs\": " + std::to_string(trace.size()) + "}");
-    // The engine's working cluster copy (still pristine here) rather than the
-    // template: CriusScheduler keys its cells memo on Cluster::identity(), so
-    // warming against the copy the rounds will actually see keeps the prepass
-    // cache-priming effective.
-    const Cluster& cluster = engine.cluster();
     for (const TrainingJob& job : trace) {
-      const double delay =
-          config_.charge_profiling ? scheduler.ProfilingDelay(job, cluster) : 0.0;
-      engine.AddJob(job, delay, ReferenceThroughput(oracle, cluster, job));
+      CRIUS_CHECK_MSG(engine.TryAddJob(job),
+                      "trace job " << job.id << ": duplicate id or infeasible on every GPU type");
     }
   }
 

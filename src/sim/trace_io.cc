@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -10,21 +12,9 @@
 
 namespace crius {
 
-namespace {
-
-ModelFamily ParseFamily(const std::string& s, int line_no) {
-  for (ModelFamily f : {ModelFamily::kWideResNet, ModelFamily::kBert, ModelFamily::kMoe}) {
-    if (s == FamilyName(f)) {
-      return f;
-    }
-  }
-  CRIUS_UNREACHABLE("trace CSV line " + std::to_string(line_no) + ": unknown family '" + s +
-                    "'");
-}
-
-}  // namespace
-
 void WriteTraceCsv(const std::vector<TrainingJob>& trace, std::ostream& out) {
+  // Round-trip-exact doubles: --trace-file must replay the run that saved it.
+  const auto old_precision = out.precision(std::numeric_limits<double>::max_digits10);
   out << "id,family,params_billion,global_batch,iterations,submit_time,requested_gpus,"
          "requested_type,deadline\n";
   for (const TrainingJob& job : trace) {
@@ -36,6 +26,7 @@ void WriteTraceCsv(const std::vector<TrainingJob>& trace, std::ostream& out) {
     }
     out << '\n';
   }
+  out.precision(old_precision);
 }
 
 bool WriteTraceCsvFile(const std::vector<TrainingJob>& trace, const std::string& path) {
@@ -54,7 +45,11 @@ std::vector<TrainingJob> ReadTraceCsv(std::istream& in) {
     reader.ExpectFields(9);
     TrainingJob job;
     job.id = reader.Int(0, "id");
-    job.spec.family = ParseFamily(reader.Field(1), reader.line_no());
+    const std::optional<ModelFamily> family = ParseModelFamily(reader.Field(1));
+    CRIUS_CHECK_MSG(family.has_value(), "trace CSV line " << reader.line_no()
+                                                          << ": unknown family '"
+                                                          << reader.Field(1) << "'");
+    job.spec.family = *family;
     job.spec.params_billion = reader.Double(2, "params_billion");
     job.spec.global_batch = reader.Int(3, "global_batch");
     job.iterations = reader.Int(4, "iterations");

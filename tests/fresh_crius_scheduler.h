@@ -3,8 +3,9 @@
 // FreshCriusScheduler hands every call to a newly built CriusScheduler, so no
 // Cell ranking survives from one round to the next: each round re-ranks every
 // job from scratch, which is the literal Algorithm 1. The memoized scheduler
-// must make bit-identical decisions (tests/incremental_equivalence_test.cc);
-// bench/ext_rounds measures what the memo saves per round.
+// must make bit-identical decisions (the memo_vs_fresh rows of
+// tests/golden_outputs_test.cc); bench/ext_rounds measures what the memo saves
+// per round.
 
 #ifndef TESTS_FRESH_CRIUS_SCHEDULER_H_
 #define TESTS_FRESH_CRIUS_SCHEDULER_H_

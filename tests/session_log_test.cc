@@ -203,7 +203,7 @@ TEST(SessionLogDeathTest, UnknownKindAborts) {
 
 TEST(SessionLogDeathTest, UnknownFamilyAborts) {
   std::stringstream ss(Header() + MetaRow() + "60,submit,1,-1,GPT,1.3,256,10,8,A100,,\n");
-  EXPECT_DEATH(ReadSessionLog(ss), "family");
+  EXPECT_DEATH(ReadSessionLog(ss), "session log line 3: unknown family 'GPT'");
 }
 
 TEST(SessionLogDeathTest, CutRowBeforeTheLastLineAborts) {

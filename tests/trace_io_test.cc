@@ -64,9 +64,14 @@ TEST(TraceIoTest, SyntheticTraceRoundTrip) {
   WriteTraceCsv(trace, ss);
   const auto loaded = ReadTraceCsv(ss);
   ASSERT_EQ(loaded.size(), trace.size());
+  // Bit-exact doubles: a run on the saved trace must replay the run that saved
+  // it (the golden matrix's saved_trace row checks the CSVs).
   for (size_t i = 0; i < trace.size(); ++i) {
     EXPECT_EQ(loaded[i].spec.Key(), trace[i].spec.Key());
+    EXPECT_EQ(loaded[i].spec.params_billion, trace[i].spec.params_billion);
     EXPECT_EQ(loaded[i].iterations, trace[i].iterations);
+    EXPECT_EQ(loaded[i].submit_time, trace[i].submit_time);
+    EXPECT_EQ(loaded[i].deadline, trace[i].deadline);
   }
 }
 
@@ -106,7 +111,7 @@ TEST(TraceIoDeathTest, UnknownFamilyAborts) {
   std::stringstream ss(
       "id,family,params_billion,global_batch,iterations,submit_time,requested_gpus,"
       "requested_type,deadline\n0,GPT,1.3,128,10,0,4,A100,\n");
-  EXPECT_DEATH(ReadTraceCsv(ss), "unknown family");
+  EXPECT_DEATH(ReadTraceCsv(ss), "trace CSV line 2: unknown family 'GPT'");
 }
 
 TEST(TraceIoTest, JobRecordsCsvHasOneRowPerJob) {
