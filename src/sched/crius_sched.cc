@@ -8,6 +8,7 @@
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <utility>
 
 #include "src/util/check.h"
 #include "src/util/counters.h"
@@ -199,7 +200,7 @@ void CriusScheduler::SyncCellsCache(const RoundContext& round) {
   // the maintenance path below.
   if (cells_identity_ == identity && cells_epoch_ == epoch && round.events().empty() &&
       std::equal(jobs.begin(), jobs.end(), cells_snapshot_.begin(), cells_snapshot_.end(),
-                 [](const JobState* js, const std::pair<int64_t, const JobCells*>& entry) {
+                 [](const JobState* js, const std::pair<int64_t, MemoEntry*>& entry) {
                    return js->job.id == entry.first;
                  })) {
     CRIUS_COUNTER_INC("sched.cells_steady_rounds");
@@ -223,6 +224,7 @@ void CriusScheduler::SyncCellsCache(const RoundContext& round) {
       CRIUS_COUNTER_INC("sched.cells_cache_invalidations");
     }
     cells_memo_.clear();
+    move_classes_ = MoveClassIndex{};
     CRIUS_COUNTER_INC("sched.cells_full_reranks");
   } else if (epoch_moved) {
     // 1b. Dirty set: a health change re-ranks a job iff some type's
@@ -244,6 +246,7 @@ void CriusScheduler::SyncCellsCache(const RoundContext& round) {
         }
       }
       if (dirty) {
+        Unindex(it->second);
         cells_memo_.erase(it);
         CRIUS_COUNTER_INC("sched.cells_dirty_reranks");
       } else {
@@ -264,9 +267,20 @@ void CriusScheduler::SyncCellsCache(const RoundContext& round) {
     active_ids_.push_back(js->job.id);
   }
   std::sort(active_ids_.begin(), active_ids_.end());
-  const size_t evicted = std::erase_if(cells_memo_, [&](const auto& entry) {
-    return !std::binary_search(active_ids_.begin(), active_ids_.end(), entry.first);
-  });
+  // A job's placement state sits in its memo entry, so two jobs must not
+  // share one.
+  CRIUS_CHECK_MSG(std::adjacent_find(active_ids_.begin(), active_ids_.end()) == active_ids_.end(),
+                  "a scheduling round lists a job id twice");
+  size_t evicted = 0;
+  for (auto it = cells_memo_.begin(); it != cells_memo_.end();) {
+    if (std::binary_search(active_ids_.begin(), active_ids_.end(), it->first)) {
+      ++it;
+      continue;
+    }
+    Unindex(it->second);
+    it = cells_memo_.erase(it);
+    ++evicted;
+  }
   if (evicted > 0) {
     CRIUS_COUNTER_ADD("sched.cells_cache_evictions", static_cast<int64_t>(evicted));
   }
@@ -292,18 +306,23 @@ void CriusScheduler::SyncCellsCache(const RoundContext& round) {
     return;
   }
 
-  // 4. Rank the missing entries in round order (a repeated id keeps its
-  // first entry).
+  // 4. Rank the missing entries in round order.
   CRIUS_TRACE_SPAN_ARGS("sched.cells_warmup",
                         "{\"jobs\": " + std::to_string(missing_.size()) + "}");
   for (const size_t ji : missing_) {
-    std::pair<int64_t, const JobCells*>& slot = cells_snapshot_[ji];
-    slot.second =
-        &cells_memo_.try_emplace(slot.first, ComputeCells(jobs[ji]->job, cluster)).first->second;
+    std::pair<int64_t, MemoEntry*>& slot = cells_snapshot_[ji];
+    MemoEntry entry{ComputeCells(jobs[ji]->job, cluster)};
+    slot.second = &cells_memo_.try_emplace(slot.first, std::move(entry)).first->second;
   }
   estimator_ms.Record(std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t_maintained)
                           .count());
+}
+
+void CriusScheduler::Unindex(MemoEntry& entry) {
+  if (entry.placement.victim >= 0) {
+    move_classes_.Erase(entry.placement);
+  }
 }
 
 double CriusScheduler::ProfilingDelay(const TrainingJob& job, const Cluster& cluster) {
@@ -379,21 +398,29 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
   queued_order_.clear();
   for (size_t ji = 0; ji < jobs.size(); ++ji) {
     const JobState* js = jobs[ji];
+    MemoEntry& entry = *cells_snapshot_[ji].second;
     VirtualJob vj;
     vj.state = js;
-    vj.cells = cells_snapshot_[ji].second;
+    vj.cells = &entry.cells;
+    vj.placement = &entry.placement;
     vj.fit = &vj.cells->fit;
     if (js->phase == JobPhase::kRunning) {
-      Cell cell{js->gpu_type, js->ngpus, js->nstages};
-      double score = 0.0;
-      for (const CellChoice& c : vj.cells->choices) {
-        if (c.cell == cell) {
-          score = c.score;
-          break;
+      const Cell cell{js->gpu_type, js->ngpus, js->nstages};
+      JobPlacement& placed = entry.placement;
+      if (placed.held != cell) {
+        placed.held = cell;
+        placed.held_choice = -1;
+        for (size_t i = 0; i < vj.cells->choices.size(); ++i) {
+          if (vj.cells->choices[i].cell == cell) {
+            placed.held_choice = static_cast<int>(i);
+            break;
+          }
         }
       }
       vj.cell = cell;
-      vj.score = score;
+      vj.score = placed.held_choice < 0
+                     ? 0.0
+                     : vj.cells->choices[static_cast<size_t>(placed.held_choice)].score;
       vj.opportunistic = js->opportunistic;
       Take(cell, free);
     } else {
@@ -516,10 +543,11 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
   // Scaling-search work, added to the counters once per pass.
   int64_t moves_evaluated = 0;
   int64_t searches_placed = 0;
-  // The search's move classes, built at the pass's first search; from then on
-  // every placed job is indexed.
-  bool classes_built = false;
-  auto index_victim = [&](size_t vi) { move_classes_.Insert(vjobs_, vi, meets_deadline); };
+  const int64_t inserts_before = move_classes_.inserts();
+  // The search's move classes, synced to this pass at its first search; from
+  // then on every placed job is indexed.
+  bool classes_synced = false;
+  auto index_victim = [&](size_t vi) { move_classes_.Insert(vjobs_[vi], vi, meets_deadline); };
   {
     CRIUS_TRACE_SPAN("sched.place");
     for (size_t qi : queued_order_) {
@@ -533,7 +561,7 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
         vj.score = c->score;
         vj.opportunistic = some_job_pending;
         Take(c->cell, free);
-        if (classes_built) {
+        if (classes_synced) {
           index_victim(qi);
         }
         continue;
@@ -548,15 +576,19 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
       bool placed = false;
       if (searched_jobs < kMaxSearchJobs && config_.search_depth > 0) {
         ++searched_jobs;
-        if (!classes_built) {
-          move_classes_.Build(vjobs_, meets_deadline);
-          classes_built = true;
+        if (!classes_synced) {
+          // A deadline victim's members hold at `now` only.
+          move_classes_.Sync(vjobs_, meets_deadline, [&](const VirtualJob& v) {
+            return config_.deadline_aware && v.state->job.deadline.has_value();
+          });
+          classes_synced = true;
         }
         FreeMap trial_free = free;
         struct SavedVictim {
           size_t vi;
           std::optional<Cell> cell;
           double score;
+          MoveClassIndex::Victim indexed;
         };
         std::vector<SavedVictim> saved;
         double cumulative_delta = 0.0;
@@ -576,11 +608,11 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
           }
           VirtualJob& victim = vjobs_[move.victim];
           const CellChoice& new_cell = victim.cells->choices[move.choice];
-          saved.push_back(SavedVictim{move.victim, victim.cell, victim.score});
+          saved.push_back(SavedVictim{move.victim, victim.cell, victim.score,
+                                      move_classes_.Erase(*victim.placement)});
           Give(*victim.cell, trial_free);
           Take(new_cell.cell, trial_free);
           cumulative_delta += new_cell.score - victim.score;
-          move_classes_.Erase(move.victim);
           victim.cell = new_cell.cell;
           victim.score = new_cell.score;
           index_victim(move.victim);
@@ -603,10 +635,11 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
         } else {
           // Roll back all speculative moves.
           for (auto it = saved.rbegin(); it != saved.rend(); ++it) {
-            move_classes_.Erase(it->vi);
-            vjobs_[it->vi].cell = it->cell;
-            vjobs_[it->vi].score = it->score;
-            index_victim(it->vi);
+            VirtualJob& victim = vjobs_[it->vi];
+            move_classes_.Erase(*victim.placement);
+            victim.cell = it->cell;
+            victim.score = it->score;
+            move_classes_.Restore(*victim.placement, it->indexed);
           }
         }
       }
@@ -627,6 +660,7 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
     placed_searches.Add(searches_placed);
     failed_searches.Add(searched_jobs - searches_placed);
     CRIUS_COUNTER_ADD("sched.search_moves_evaluated", moves_evaluated);
+    CRIUS_COUNTER_ADD("sched.class_index_inserts", move_classes_.inserts() - inserts_before);
   }
 
   // --- Pending-job preemption of opportunistic jobs (§6.1) ------------------

@@ -133,6 +133,16 @@ class CriusScheduler : public Scheduler {
                                                    const Cluster& cluster,
                                                    CriusPlacementOrder order);
 
+  // A memoized ranking and the placement state kept with it.
+  struct MemoEntry {
+    JobCells cells;
+    JobPlacement placement;
+  };
+
+  // Erases the entry's job from move_classes_ if it is indexed; called before
+  // the entry leaves the memo.
+  void Unindex(MemoEntry& entry);
+
   CriusConfig config_;
   // Watt table backing the energy term; only read under a non-zero energy
   // weight.
@@ -146,7 +156,7 @@ class CriusScheduler : public Scheduler {
   // cannot keep rankings computed against hardware that no longer exists.
   // Only SyncCellsCache mutates it; node-based, so the snapshot's pointers
   // survive inserts.
-  std::unordered_map<int64_t, JobCells> cells_memo_;
+  std::unordered_map<int64_t, MemoEntry> cells_memo_;
   // Stamp of the previous round's sync, plus the per-type candidate-size caps
   // (FloorPowerOfTwo of usable capacity) observed then -- the inputs the
   // dirty-set predicate diffs against. Cluster identities start at 1, so
@@ -162,7 +172,7 @@ class CriusScheduler : public Scheduler {
   // round.jobs(): the ScheduleOnce passes read these pointers directly. The
   // id tags let the steady fast path confirm the round's jobs are exactly
   // last sync's, in order.
-  std::vector<std::pair<int64_t, const JobCells*>> cells_snapshot_;
+  std::vector<std::pair<int64_t, MemoEntry*>> cells_snapshot_;
   // Ranking scratch (ComputeCells, ProfilingDelay) and ScheduleOnce pass
   // scratch, reused so steady-state rounds reallocate nothing.
   std::vector<Cell> candidates_;
@@ -170,6 +180,10 @@ class CriusScheduler : public Scheduler {
   std::vector<VirtualJob> vjobs_;
   std::vector<size_t> queued_order_;
   std::vector<FitIndex> deadline_fits_;
+  // The scaling search's move classes over the placed jobs. They outlive the
+  // pass: each pass that searches syncs them to its own virtual state at its
+  // first search (MoveClassIndex::Sync), and a memo entry that leaves takes
+  // its victim with it. Cleared with the memo on a full re-rank.
   MoveClassIndex move_classes_;
 };
 

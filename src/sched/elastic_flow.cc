@@ -33,10 +33,12 @@ ScheduleDecision ElasticFlowScheduler::Schedule(const RoundContext& round) {
   ScheduleDecision decision;
 
   for (GpuType type : AllGpuTypes()) {
-    if (!cluster.HasType(type)) {
+    // A type with every GPU down is a pool of capacity 0: it places nothing,
+    // and drops nothing until its nodes recover.
+    const int capacity = cluster.HasType(type) ? cluster.UsableGpus(type) : 0;
+    if (capacity < 1) {
       continue;
     }
-    const int capacity = cluster.UsableGpus(type);
     const int cap_pow2 = static_cast<int>(FloorPowerOfTwo(capacity));
 
     std::vector<PoolJob> pool;

@@ -16,10 +16,10 @@
 //     (enables placement, throughput delta)? Everything an evaluation reads
 //     except the gain in score -- whether the move frees capacity, whether
 //     it fits, the free map it leaves and so the queued job's best fit --
-//     depends only on the held shape and the alternative's shape. A pass
-//     groups its victims into these (held, alternative) classes, and a
-//     search step evaluates each class once, on its best member
-//     (MoveGroups, MoveClassIndex).
+//     depends only on the held shape and the alternative's shape. The
+//     scheduler keeps the placed jobs grouped into these (held, alternative)
+//     classes across passes and rounds, and a search step evaluates each
+//     class once, on its best member (MoveGroups, MoveClassIndex).
 
 #ifndef SRC_SCHED_PLACEMENT_INDEX_H_
 #define SRC_SCHED_PLACEMENT_INDEX_H_
@@ -203,6 +203,16 @@ struct JobCells {
   MoveGroups moves;
 };
 
+// Placement state that outlives a pass. Its owner keeps it next to the job's
+// JobCells and drops it with them.
+struct JobPlacement {
+  int32_t victim = -1;  // slot in the MoveClassIndex; -1 while not indexed
+  // The last running Cell looked up in the choices, and its index there (-1
+  // if the ranking does not list it).
+  std::optional<Cell> held;
+  int held_choice = -1;
+};
+
 // Virtual placement of one job during a scheduling pass. `cells` points at
 // the job's memoized ranking, resolved once per round by the memo sync, so
 // the placement loops (including the density sort comparator) never look the
@@ -210,6 +220,7 @@ struct JobCells {
 struct VirtualJob {
   const JobState* state = nullptr;
   const JobCells* cells = nullptr;
+  JobPlacement* placement = nullptr;  // kept with *cells
   // The index best-fit lookups search: cells->fit, or in deadline-aware mode
   // an index over the queued job's deadline-feasible choices.
   const FitIndex* fit = nullptr;
@@ -220,8 +231,9 @@ struct VirtualJob {
   bool dropped = false;  // deadline admission dropped the job this pass
 };
 
-// One scaling-search step's pick. `choice` indexes the victim's choices; -1
-// means no move is admissible.
+// One scaling-search step's pick. `victim` is the victim's position in the
+// pass's jobs and `choice` indexes its choices; -1 means no move is
+// admissible.
 struct ScalingMove {
   size_t victim = 0;
   int choice = -1;
@@ -229,14 +241,13 @@ struct ScalingMove {
   bool enables = false;  // the queued job fits once the move is made
 };
 
-// The Algorithm-1 scaling search over one placement pass, indexed by move
-// class.
+// The Algorithm-1 scaling search, indexed by move class.
 //
 // A search step for a queued job under `trial_free` picks the move of a
 // placed job (victim) to another of its Cells that frees capacity and
 // maximizes (enables placement, delta), where delta = (alternative's score -
 // victim's score) + the queued job's best fit afterwards. Ties go to the
-// lowest victim index, then the lowest choice index. A move that does not
+// lowest victim position, then the lowest choice index. A move that does not
 // enable placement is only admissible while
 // cumulative_delta + delta + potential > 0.
 //
@@ -247,48 +258,98 @@ struct ScalingMove {
 // `enables` and the deficit test. Each victim contributes one member to each
 // of its classes (H, A): its first, highest-scoring choice of shape A that
 // keeps its deadline. A step evaluates each live class once, on its best
-// member (highest gain, then lowest victim index): delta = gain + mine is
+// member (highest gain, then lowest victim position): delta = gain + mine is
 // monotone in the gain, so no other member reaches a higher delta. A lower
-// gain can still round to the same delta, and then the lower victim index
-// must win. So each class also keeps an upper bound on its highest gain
-// strictly below the best, and when that bound rounds to the same delta the
-// class rescans its members (the tie guard).
+// gain can still round to the same delta, and then the lower position must
+// win. So each class also keeps an upper bound on its highest gain strictly
+// below the best, and when that bound rounds to the same delta the class
+// rescans its members (the tie guard).
 //
-// Maintenance: the pass inserts every placed job when it builds the index and
-// every job it places afterwards. A search move or rollback erases the victim
-// before its Cell changes and re-inserts it afterwards. Erasing a class's best
-// member marks the class stale, and a stale class recomputes its best from
-// the victims holding H when it is next evaluated.
+// The index lives as long as its owner; see Sync for how it follows the
+// passes. Within a pass, a search move erases the victim before its Cell
+// changes and re-inserts it afterwards, a rollback erases it and restores
+// the entry the move erased, and a job placed after the sync is inserted.
+// Erasing a class's best member marks the class stale, and
+// a stale class recomputes its best from the victims holding H when it is
+// next evaluated.
 class MoveClassIndex {
  public:
-  // Indexes every placed job of `vjobs`, forgetting any earlier pass.
-  // meets_deadline(victim, choice) filters the victims' alternatives and must
-  // not change during the pass.
-  template <typename MeetsDeadline>
-  void Build(const std::vector<VirtualJob>& vjobs, MeetsDeadline&& meets_deadline) {
-    held_.clear();
-    held_keys_.clear();
-    victims_.assign(vjobs.size(), Victim{});
-    members_.clear();
+  // A job's entry in the index, as Erase returns it for Restore.
+  struct Victim {
+    int held = -1;          // slot in held_; -1 while the slot is free
+    uint32_t pos = 0;       // in held_[held].victims
+    uint32_t position = 0;  // in the pass's jobs: the tie-break order
+    double score = 0.0;     // the held Cell's score, which the gains are relative to
+    uint32_t first = 0;     // the victim's members: members_[first, first + count)
+    uint32_t count = 0;
+  };
+
+  // Brings the index to the placed jobs of `vjobs`, by diff. Each job's
+  // victim slot is in its JobPlacement; a job that left `vjobs`, or whose
+  // JobCells were replaced, must have been erased already. Erases each
+  // indexed job that is no longer placed, whose held shape or score changed,
+  // or for which reindex(vj) holds (members that depend on more than the
+  // job's Cell and ranking, such as a deadline test at the current time).
+  // Inserts every placed job not indexed, and records each victim's position
+  // in `vjobs`, the tie-break order. If the surviving victims' relative order
+  // changed, every class recomputes its best on demand. meets_deadline(victim,
+  // choice) filters the victims' alternatives and must not change until the
+  // next sync.
+  template <typename MeetsDeadline, typename Reindex>
+  void Sync(const std::vector<VirtualJob>& vjobs, MeetsDeadline&& meets_deadline,
+            Reindex&& reindex) {
+    bool reordered = false;
+    int64_t last = -1;  // the previous survivor's old position
     for (size_t vi = 0; vi < vjobs.size(); ++vi) {
-      if (vjobs[vi].cell.has_value()) {
-        Insert(vjobs, vi, meets_deadline);
+      const VirtualJob& vj = vjobs[vi];
+      if (vj.placement->victim < 0) {
+        continue;
       }
+      Victim& v = victims_[static_cast<size_t>(vj.placement->victim)];
+      const Held& held = held_[static_cast<size_t>(v.held)];
+      if (!vj.cell.has_value() || vj.cell->gpu_type != held.type ||
+          vj.cell->ngpus != held.ngpus || vj.score != v.score || reindex(vj)) {
+        Erase(*vj.placement);
+        continue;
+      }
+      reordered = reordered || v.position < last;
+      last = v.position;
+      v.position = static_cast<uint32_t>(vi);
+    }
+    if (reordered) {
+      for (Held& held : held_) {
+        for (Class& cls : held.classes) {
+          cls.stale = true;
+        }
+      }
+    }
+    for (size_t vi = 0; vi < vjobs.size(); ++vi) {
+      if (vjobs[vi].cell.has_value() && vjobs[vi].placement->victim < 0) {
+        Insert(vjobs[vi], vi, meets_deadline);
+      }
+    }
+    // Every erase leaves its members behind; keep at most as many dead
+    // members as live ones.
+    if (2 * dead_ > members_.size()) {
+      Compact();
     }
   }
 
-  // Adds placed job vjobs[vi], which is not indexed, as a victim.
+  // Adds placed job `victim`, at `position` in the pass's jobs, which is not
+  // indexed.
   template <typename MeetsDeadline>
-  void Insert(const std::vector<VirtualJob>& vjobs, size_t vi, MeetsDeadline&& meets_deadline) {
-    const VirtualJob& victim = vjobs[vi];
+  void Insert(const VirtualJob& victim, size_t position, MeetsDeadline&& meets_deadline) {
     CRIUS_CHECK(victim.cell.has_value());
-    Victim& v = victims_[vi];
-    CRIUS_CHECK(v.held < 0);
+    const uint32_t slot = TakeSlot(*victim.placement);
+    ++inserts_;
+    Victim& v = victims_[slot];
     const Cell& held_cell = *victim.cell;
     v.held = HeldSlot(held_cell);
+    v.position = static_cast<uint32_t>(position);
+    v.score = victim.score;
     Held& held = held_[static_cast<size_t>(v.held)];
     v.pos = static_cast<uint32_t>(held.victims.size());
-    held.victims.push_back(static_cast<uint32_t>(vi));
+    held.victims.push_back(slot);
     v.first = static_cast<uint32_t>(members_.size());
     const std::vector<CellChoice>& choices = victim.cells->choices;
     for (const MoveGroups::Head& head : victim.cells->moves) {
@@ -314,28 +375,40 @@ class MoveClassIndex {
       const Member member{ClassSlot(held, head.type, head.ngpus), static_cast<uint8_t>(choice),
                           choices[static_cast<size_t>(choice)].score - victim.score};
       members_.push_back(member);
-      Class& cls = held.classes[member.cls];
-      if (cls.members++ == 0) {
-        cls.stale = false;
-        cls.gain = -std::numeric_limits<double>::infinity();
-        cls.second = -std::numeric_limits<double>::infinity();
-      }
-      if (!cls.stale) {
-        Offer(cls, static_cast<uint32_t>(vi), member);
-      }
+      Join(held, slot, member);
     }
     v.count = static_cast<uint32_t>(members_.size()) - v.first;
   }
 
-  // Removes victim vi, which must be indexed.
-  void Erase(size_t vi) {
-    Victim& v = victims_[vi];
-    CRIUS_CHECK(v.held >= 0);
+  // Re-adds a job that Erase removed, with the members it had then; `erased`
+  // is what that Erase returned. Valid until the next Sync, which may compact
+  // those members away. A failed search's rollback restores its victims this
+  // way instead of deriving their members again.
+  void Restore(JobPlacement& placement, const Victim& erased) {
+    const uint32_t slot = TakeSlot(placement);
+    Victim& v = victims_[slot];
+    v = erased;
+    Held& held = held_[static_cast<size_t>(v.held)];
+    v.pos = static_cast<uint32_t>(held.victims.size());
+    held.victims.push_back(slot);
+    dead_ -= v.count;
+    for (uint32_t i = v.first; i < v.first + v.count; ++i) {
+      Join(held, slot, members_[i]);
+    }
+  }
+
+  // Removes the job whose placement this is, which must be indexed, and
+  // returns its entry as it was.
+  Victim Erase(JobPlacement& placement) {
+    CRIUS_CHECK(placement.victim >= 0);
+    const auto slot = static_cast<uint32_t>(placement.victim);
+    Victim& v = victims_[slot];
+    const Victim erased = v;
     Held& held = held_[static_cast<size_t>(v.held)];
     for (uint32_t i = v.first; i < v.first + v.count; ++i) {
       Class& cls = held.classes[members_[i].cls];
       --cls.members;
-      if (cls.victim == vi) {
+      if (cls.victim == slot) {
         cls.stale = true;
       }
     }
@@ -344,6 +417,10 @@ class MoveClassIndex {
     victims_[moved].pos = v.pos;
     held.victims.pop_back();
     v.held = -1;
+    dead_ += v.count;
+    free_slots_.push_back(slot);
+    placement.victim = -1;
+    return erased;
   }
 
   // One search step: the best admissible move under `trial_free`.
@@ -378,22 +455,28 @@ class MoveClassIndex {
         if (!enables && cumulative_delta + delta + potential <= 0.0) {
           continue;
         }
-        uint32_t victim = cls.victim;
+        uint32_t slot = cls.victim;
         int choice = cls.choice;
         if (cls.second + mine_score == delta) {
-          victim = LowestTiedVictim(held, k, mine_score, delta);
-          choice = MemberOf(victim, k)->choice;
+          slot = LowestTiedVictim(held, k, mine_score, delta);
+          choice = MemberOf(slot, k)->choice;
         }
-        if (enables != best.enables ? enables
-            : delta != best.delta   ? delta > best.delta
-            : victim != best.victim ? victim < best.victim
-                                    : choice < best.choice) {
-          best = ScalingMove{victim, choice, delta, enables};
+        const size_t position = victims_[slot].position;
+        if (enables != best.enables  ? enables
+            : delta != best.delta    ? delta > best.delta
+            : position != best.victim ? position < best.victim
+                                      : choice < best.choice) {
+          best = ScalingMove{position, choice, delta, enables};
         }
       }
     }
     return best;
   }
+
+  // Insert calls so far (the sched.class_index_inserts work count).
+  int64_t inserts() const { return inserts_; }
+  // Members held, erased victims' included until compaction.
+  size_t stored_members() const { return members_.size(); }
 
  private:
   struct Member {
@@ -408,7 +491,7 @@ class MoveClassIndex {
     uint32_t members = 0;
     bool stale = true;  // the best member below was erased
     uint8_t choice = 0;
-    uint32_t victim = 0;
+    uint32_t victim = 0;  // slot
     double gain = 0.0;
     // At least the highest member gain strictly below `gain`; -inf if none.
     double second = 0.0;
@@ -417,20 +500,41 @@ class MoveClassIndex {
   struct Held {
     GpuType type = GpuType::kA100;
     int ngpus = 0;
-    std::vector<uint32_t> victims;
+    std::vector<uint32_t> victims;  // slots
     std::vector<Class> classes;
     std::vector<uint64_t> class_keys;  // ShapeKey of each class's A
   };
-  struct Victim {
-    int held = -1;       // slot in held_; -1 while not indexed
-    uint32_t pos = 0;    // in held_[held].victims
-    uint32_t first = 0;  // the victim's members: members_[first, first + count)
-    uint32_t count = 0;
-  };
-
   // A shape as one word, so slot lookups scan a dense key array.
   static uint64_t ShapeKey(GpuType type, int ngpus) {
     return (static_cast<uint64_t>(type) << 32) | static_cast<uint32_t>(ngpus);
+  }
+
+  // A free victim slot, now the placement's, which must not be indexed.
+  uint32_t TakeSlot(JobPlacement& placement) {
+    CRIUS_CHECK(placement.victim < 0);
+    uint32_t slot;
+    if (free_slots_.empty()) {
+      slot = static_cast<uint32_t>(victims_.size());
+      victims_.emplace_back();
+    } else {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+    }
+    placement.victim = static_cast<int32_t>(slot);
+    return slot;
+  }
+
+  // Adds the member of the victim in `slot` to its class.
+  void Join(Held& held, uint32_t slot, const Member& member) {
+    Class& cls = held.classes[member.cls];
+    if (cls.members++ == 0) {
+      cls.stale = false;
+      cls.gain = -std::numeric_limits<double>::infinity();
+      cls.second = -std::numeric_limits<double>::infinity();
+    }
+    if (!cls.stale) {
+      Offer(cls, slot, member);
+    }
   }
 
   int HeldSlot(const Cell& cell) {
@@ -458,9 +562,9 @@ class MoveClassIndex {
     return static_cast<uint16_t>(held.classes.size() - 1);
   }
 
-  // Victim vi's member of class k of its Held, or null.
-  const Member* MemberOf(uint32_t vi, size_t k) const {
-    const Victim& v = victims_[vi];
+  // The member of class k of the victim in `slot`, or null.
+  const Member* MemberOf(uint32_t slot, size_t k) const {
+    const Victim& v = victims_[slot];
     for (uint32_t i = v.first; i < v.first + v.count; ++i) {
       if (members_[i].cls == k) {
         return &members_[i];
@@ -469,12 +573,13 @@ class MoveClassIndex {
     return nullptr;
   }
 
-  static void Offer(Class& cls, uint32_t vi, const Member& member) {
-    if (member.gain > cls.gain || (member.gain == cls.gain && vi < cls.victim)) {
+  void Offer(Class& cls, uint32_t slot, const Member& member) const {
+    if (member.gain > cls.gain ||
+        (member.gain == cls.gain && victims_[slot].position < victims_[cls.victim].position)) {
       if (member.gain > cls.gain) {
         cls.second = cls.gain;
       }
-      cls.victim = vi;
+      cls.victim = slot;
       cls.choice = member.choice;
       cls.gain = member.gain;
     } else if (member.gain < cls.gain) {
@@ -486,30 +591,54 @@ class MoveClassIndex {
     Class& cls = held.classes[k];
     cls.gain = -std::numeric_limits<double>::infinity();
     cls.second = -std::numeric_limits<double>::infinity();
-    for (const uint32_t vi : held.victims) {
-      if (const Member* member = MemberOf(vi, k)) {
-        Offer(cls, vi, *member);
+    for (const uint32_t slot : held.victims) {
+      if (const Member* member = MemberOf(slot, k)) {
+        Offer(cls, slot, *member);
       }
     }
     cls.stale = false;
   }
 
-  // The lowest victim index whose member of class k reaches `delta`.
+  // The slot of the lowest-positioned victim whose member of class k reaches
+  // `delta`.
   uint32_t LowestTiedVictim(const Held& held, size_t k, double mine_score, double delta) const {
-    uint32_t lowest = std::numeric_limits<uint32_t>::max();
-    for (const uint32_t vi : held.victims) {
-      const Member* member = MemberOf(vi, k);
-      if (member != nullptr && member->gain + mine_score == delta) {
-        lowest = std::min(lowest, vi);
+    uint32_t lowest = 0;
+    uint32_t lowest_position = std::numeric_limits<uint32_t>::max();
+    for (const uint32_t slot : held.victims) {
+      const Member* member = MemberOf(slot, k);
+      if (member != nullptr && member->gain + mine_score == delta &&
+          victims_[slot].position < lowest_position) {
+        lowest = slot;
+        lowest_position = victims_[slot].position;
       }
     }
     return lowest;
   }
 
+  // Moves the live victims' members to the front of members_, dropping the
+  // dead ones.
+  void Compact() {
+    spare_.clear();
+    for (Victim& v : victims_) {
+      if (v.held >= 0) {
+        const auto first = static_cast<uint32_t>(spare_.size());
+        spare_.insert(spare_.end(), members_.begin() + v.first,
+                      members_.begin() + v.first + v.count);
+        v.first = first;
+      }
+    }
+    members_.swap(spare_);
+    dead_ = 0;
+  }
+
   std::vector<Held> held_;
   std::vector<uint64_t> held_keys_;  // ShapeKey of each Held's H
-  std::vector<Victim> victims_;      // by vjobs index
-  std::vector<Member> members_;      // every insert appends; Build clears
+  std::vector<Victim> victims_;      // by slot
+  std::vector<uint32_t> free_slots_;
+  std::vector<Member> members_;  // every insert appends; Compact drops the dead
+  std::vector<Member> spare_;    // Compact's scratch
+  size_t dead_ = 0;              // members_ entries of erased victims
+  int64_t inserts_ = 0;
 };
 
 }  // namespace crius

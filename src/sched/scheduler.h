@@ -144,7 +144,8 @@ struct RoundEvent {
 };
 
 // One scheduling round's input: the time, the schedulable jobs (queued +
-// running), the cluster, and the events since the previous round.
+// running, no id twice), the cluster, and the events since the previous
+// round.
 //
 // Event contract: `events` must be a COMPLETE account of the job and
 // cluster-health transitions since this scheduler's previous Schedule call --

@@ -11,7 +11,8 @@
 //     class once, picks exactly the move a brute-force scan over every victim
 //     and every alternative Cell picks, with the same tie-break (first victim,
 //     then lowest choice index), after every step of random sequences of
-//     search moves, rollbacks and placements, and
+//     search moves, rollbacks and placements, and a persistent index synced
+//     by diff across rounds of outside churn picks what a fresh one does, and
 //   * StrandingScore with a Cell given back and one taken equals the score of
 //     the free map with both applied.
 // Every case is reproducible from (seed, iteration), printed on failure.
@@ -20,7 +21,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <memory>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sched/placement_index.h"
@@ -185,8 +190,39 @@ TEST(CriusFitIndexTest, MoveGroupHeadsAreFirstOfEachTypeAndSize) {
 
 // --- Scaling moves ------------------------------------------------------------
 
+// For victims whose members depend on nothing but their Cell and ranking.
+bool NeverReindex(const VirtualJob&) { return false; }
+
+// A held Cell for a random placed job: 15% of the time one the ranking no
+// longer lists (score 0), else a random choice.
+void PlaceRandomly(Rng& rng, const JobCells& jc, std::optional<Cell>* cell, double* score) {
+  if (rng.Uniform() < 0.15) {
+    *cell = Cell{static_cast<GpuType>(rng.UniformInt(0, kNumGpuTypes - 1)),
+                 1 << rng.UniformInt(0, 7), 1};
+    *score = 0.0;
+  } else {
+    const int64_t last = static_cast<int64_t>(jc.choices.size()) - 1;
+    const CellChoice& held = jc.choices[static_cast<size_t>(rng.UniformInt(0, last))];
+    *cell = held.cell;
+    *score = held.score;
+  }
+}
+
+// Which of a job's choices keep its deadline: all of them, or under
+// `deadline_filtered` a random half 70% of the time.
+std::vector<bool> RandomDeadlines(Rng& rng, const JobCells& jc, bool deadline_filtered) {
+  std::vector<bool> ok(jc.choices.size(), true);
+  if (deadline_filtered && rng.Uniform() < 0.7) {
+    for (size_t i = 0; i < ok.size(); ++i) {
+      ok[i] = rng.Uniform() < 0.5;
+    }
+  }
+  return ok;
+}
+
 struct MoveCase {
   std::vector<JobCells> cells;  // owns what vjobs point at
+  std::vector<JobPlacement> placements;
   std::vector<VirtualJob> vjobs;
   size_t queued = 0;
   FreeMap trial_free{};
@@ -199,6 +235,7 @@ MoveCase RandomMoveCase(Rng& rng, Pruning pruning, bool deadline_filtered) {
   MoveCase mc;
   const int njobs = static_cast<int>(rng.UniformInt(2, 9));
   mc.cells.reserve(static_cast<size_t>(njobs));
+  mc.placements.resize(static_cast<size_t>(njobs));
   for (int j = 0; j < njobs; ++j) {
     mc.cells.push_back(RandomJobCells(rng, pruning));
   }
@@ -207,29 +244,14 @@ MoveCase RandomMoveCase(Rng& rng, Pruning pruning, bool deadline_filtered) {
     const JobCells& jc = mc.cells[static_cast<size_t>(j)];
     VirtualJob vj;
     vj.cells = &jc;
+    vj.placement = &mc.placements[static_cast<size_t>(j)];
     vj.fit = &jc.fit;
     const bool placed = static_cast<size_t>(j) != mc.queued && rng.Uniform() < 0.85;
     if (placed && !jc.choices.empty()) {
-      if (rng.Uniform() < 0.15) {
-        // A running Cell the ranking no longer lists scores 0.
-        vj.cell = Cell{static_cast<GpuType>(rng.UniformInt(0, kNumGpuTypes - 1)),
-                       1 << rng.UniformInt(0, 7), 1};
-        vj.score = 0.0;
-      } else {
-        const int64_t last = static_cast<int64_t>(jc.choices.size()) - 1;
-        const CellChoice& held = jc.choices[static_cast<size_t>(rng.UniformInt(0, last))];
-        vj.cell = held.cell;
-        vj.score = held.score;
-      }
+      PlaceRandomly(rng, jc, &vj.cell, &vj.score);
     }
     mc.vjobs.push_back(vj);
-    std::vector<bool> ok(jc.choices.size(), true);
-    if (deadline_filtered && rng.Uniform() < 0.7) {
-      for (size_t i = 0; i < ok.size(); ++i) {
-        ok[i] = rng.Uniform() < 0.5;
-      }
-    }
-    mc.deadline_ok.push_back(ok);
+    mc.deadline_ok.push_back(RandomDeadlines(rng, jc, deadline_filtered));
   }
   mc.trial_free = RandomFree(rng);
   mc.cumulative_delta = 0.125 * static_cast<double>(rng.UniformInt(-12, 4));
@@ -239,14 +261,17 @@ MoveCase RandomMoveCase(Rng& rng, Pruning pruning, bool deadline_filtered) {
 }
 
 // The reference: the scaling-search step before move groups, scanning every
-// victim and every alternative Cell in order.
-ScalingMove BruteForceMove(const MoveCase& mc) {
-  const std::vector<CellChoice>& mine_choices = mc.cells[mc.queued].choices;
+// victim and every alternative Cell in order. deadline_ok[vi][i] says whether
+// choice i of vjobs[vi] keeps its deadline.
+ScalingMove BruteForceMove(const std::vector<VirtualJob>& vjobs, size_t queued,
+                           const std::vector<std::vector<bool>>& deadline_ok,
+                           const FreeMap& trial_free, double cumulative_delta, double potential) {
+  const std::vector<CellChoice>& mine_choices = vjobs[queued].cells->choices;
   auto all = [](size_t) { return true; };
   ScalingMove best;
-  for (size_t vi = 0; vi < mc.vjobs.size(); ++vi) {
-    const VirtualJob& victim = mc.vjobs[vi];
-    if (vi == mc.queued || !victim.cell.has_value()) {
+  for (size_t vi = 0; vi < vjobs.size(); ++vi) {
+    const VirtualJob& victim = vjobs[vi];
+    if (vi == queued || !victim.cell.has_value()) {
       continue;
     }
     const std::vector<CellChoice>& choices = victim.cells->choices;
@@ -260,9 +285,9 @@ ScalingMove BruteForceMove(const MoveCase& mc) {
       if (!frees_capacity) {
         continue;
       }
-      FreeMap f2 = mc.trial_free;
+      FreeMap f2 = trial_free;
       Give(*victim.cell, f2);
-      if (!Fits(alt.cell, f2) || !mc.deadline_ok[vi][i]) {
+      if (!Fits(alt.cell, f2) || !deadline_ok[vi][i]) {
         continue;
       }
       Take(alt.cell, f2);
@@ -270,7 +295,7 @@ ScalingMove BruteForceMove(const MoveCase& mc) {
       const bool enables = mine >= 0;
       const double mine_score = enables ? mine_choices[static_cast<size_t>(mine)].score : 0.0;
       const double delta = alt.score - victim.score + mine_score;
-      if (!enables && mc.cumulative_delta + delta + mc.potential <= 0.0) {
+      if (!enables && cumulative_delta + delta + potential <= 0.0) {
         continue;
       }
       if ((enables && !best.enables) || ((enables == best.enables) && delta > best.delta)) {
@@ -281,20 +306,47 @@ ScalingMove BruteForceMove(const MoveCase& mc) {
   return best;
 }
 
+ScalingMove BruteForceMove(const MoveCase& mc) {
+  return BruteForceMove(mc.vjobs, mc.queued, mc.deadline_ok, mc.trial_free, mc.cumulative_delta,
+                        mc.potential);
+}
+
 // Moves vjobs[vi] to `cell` the way the placement pass does: erased from the
-// index before the change and re-inserted after it.
+// index before the change and re-inserted after it. Returns the erased entry.
 template <typename MeetsDeadline>
-void Reassign(std::vector<VirtualJob>& vjobs, size_t vi, std::optional<Cell> cell, double score,
-              MeetsDeadline&& meets_deadline, MoveClassIndex* index) {
-  index->Erase(vi);
+MoveClassIndex::Victim Reassign(std::vector<VirtualJob>& vjobs, size_t vi, const Cell& cell,
+                                double score, MeetsDeadline&& meets_deadline,
+                                MoveClassIndex* index) {
+  const MoveClassIndex::Victim erased = index->Erase(*vjobs[vi].placement);
   vjobs[vi].cell = cell;
   vjobs[vi].score = score;
-  index->Insert(vjobs, vi, meets_deadline);
+  index->Insert(vjobs[vi], vi, meets_deadline);
+  return erased;
+}
+
+// Rolls vjobs[vi] back to `cell` the way a failed search does: erased, then
+// restored to the entry Reassign erased.
+void RollBack(std::vector<VirtualJob>& vjobs, size_t vi, const Cell& cell, double score,
+              const MoveClassIndex::Victim& erased, MoveClassIndex* index) {
+  index->Erase(*vjobs[vi].placement);
+  vjobs[vi].cell = cell;
+  vjobs[vi].score = score;
+  index->Restore(*vjobs[vi].placement, erased);
+}
+
+// meets_deadline for an index over `vjobs`: deadline_ok by position.
+auto DeadlinesOf(const std::vector<VirtualJob>& vjobs,
+                 const std::vector<std::vector<bool>>& deadline_ok) {
+  return [&vjobs, &deadline_ok](const VirtualJob& victim, const CellChoice& choice) {
+    const auto vi = static_cast<size_t>(&victim - vjobs.data());
+    return static_cast<bool>(
+        deadline_ok[vi][static_cast<size_t>(&choice - victim.cells->choices.data())]);
+  };
 }
 
 // A random walk through one pass: from a random virtual state, each step
 // checks the index's pick against BruteForceMove and then applies the pick (a
-// search move), rolls back the moves made so far, places an unplaced job, or
+// search move), rolls back the moves made so far (Restore), places an unplaced job, or
 // moves a random victim to a random choice. The queued job, free map and
 // cumulative delta are redrawn between steps.
 void CheckMoveSequences(Pruning pruning, bool deadline_filtered) {
@@ -305,17 +357,14 @@ void CheckMoveSequences(Pruning pruning, bool deadline_filtered) {
   int enabling = 0;
   for (int iter = 0; iter < kIterations; ++iter) {
     MoveCase mc = RandomMoveCase(rng, pruning, deadline_filtered);
-    auto meets_deadline = [&](const VirtualJob& victim, const CellChoice& choice) {
-      const size_t vi = static_cast<size_t>(&victim - mc.vjobs.data());
-      return static_cast<bool>(
-          mc.deadline_ok[vi][static_cast<size_t>(&choice - victim.cells->choices.data())]);
-    };
+    const auto meets_deadline = DeadlinesOf(mc.vjobs, mc.deadline_ok);
     MoveClassIndex index;
-    index.Build(mc.vjobs, meets_deadline);
+    index.Sync(mc.vjobs, meets_deadline, NeverReindex);
     struct Saved {
       size_t vi;
-      std::optional<Cell> cell;
+      Cell cell;
       double score;
+      MoveClassIndex::Victim erased;
     };
     std::vector<Saved> saved;
     for (int step = 0; step < kSteps; ++step) {
@@ -351,12 +400,15 @@ void CheckMoveSequences(Pruning pruning, bool deadline_filtered) {
       const double op = rng.Uniform();
       if (op < 0.4 && want.choice >= 0) {
         VirtualJob& victim = mc.vjobs[want.victim];
-        saved.push_back(Saved{want.victim, victim.cell, victim.score});
+        const Cell held = *victim.cell;
+        const double held_score = victim.score;
         const CellChoice& alt = victim.cells->choices[static_cast<size_t>(want.choice)];
-        Reassign(mc.vjobs, want.victim, alt.cell, alt.score, meets_deadline, &index);
+        saved.push_back(Saved{want.victim, held, held_score,
+                              Reassign(mc.vjobs, want.victim, alt.cell, alt.score,
+                                       meets_deadline, &index)});
       } else if (op < 0.6 && !saved.empty()) {
         for (auto it = saved.rbegin(); it != saved.rend(); ++it) {
-          Reassign(mc.vjobs, it->vi, it->cell, it->score, meets_deadline, &index);
+          RollBack(mc.vjobs, it->vi, it->cell, it->score, it->erased, &index);
         }
         saved.clear();
       } else if (op < 0.8 && !unplaced.empty()) {
@@ -367,15 +419,17 @@ void CheckMoveSequences(Pruning pruning, bool deadline_filtered) {
             rng.UniformInt(0, static_cast<int64_t>(choices.size()) - 1))];
         mc.vjobs[vi].cell = c.cell;
         mc.vjobs[vi].score = c.score;
-        index.Insert(mc.vjobs, vi, meets_deadline);
+        index.Insert(mc.vjobs[vi], vi, meets_deadline);
       } else if (!placed.empty()) {
         const size_t vi = placed[static_cast<size_t>(
             rng.UniformInt(0, static_cast<int64_t>(placed.size()) - 1))];
         const std::vector<CellChoice>& choices = mc.cells[vi].choices;
         const CellChoice& c = choices[static_cast<size_t>(
             rng.UniformInt(0, static_cast<int64_t>(choices.size()) - 1))];
-        saved.push_back(Saved{vi, mc.vjobs[vi].cell, mc.vjobs[vi].score});
-        Reassign(mc.vjobs, vi, c.cell, c.score, meets_deadline, &index);
+        const Cell held = *mc.vjobs[vi].cell;
+        const double held_score = mc.vjobs[vi].score;
+        saved.push_back(Saved{vi, held, held_score,
+                              Reassign(mc.vjobs, vi, c.cell, c.score, meets_deadline, &index)});
       }
 
       // The next search: any unplaced job may be the queued one.
@@ -409,6 +463,272 @@ TEST(CriusFitIndexTest, ClassMovesMatchBruteForceWithDeadlineFilteredAlternative
   CheckMoveSequences(Pruning::kNone, true);
 }
 
+// One job of a multi-round case, at a stable address: its ranking, the
+// placement state the persistent index keeps with it, and its Cell between
+// passes.
+struct RoundJob {
+  JobCells cells;
+  JobPlacement placement;
+  std::optional<Cell> cell;
+  double score = 0.0;
+  std::vector<bool> deadline_ok;
+  // Its deadline test is redrawn every round, so every sync reindexes it.
+  bool time_dependent = false;
+};
+
+std::unique_ptr<RoundJob> RandomRoundJob(Rng& rng, double placed_probability,
+                                         bool deadline_filtered) {
+  auto job = std::make_unique<RoundJob>();
+  job->cells = RandomJobCells(rng, Pruning::kNone);
+  if (!job->cells.choices.empty() && rng.Uniform() < placed_probability) {
+    PlaceRandomly(rng, job->cells, &job->cell, &job->score);
+  }
+  job->deadline_ok = RandomDeadlines(rng, job->cells, deadline_filtered);
+  job->time_dependent = deadline_filtered && rng.Uniform() < 0.3;
+  return job;
+}
+
+// Between-round changes the persistent index only learns of at its next
+// sync, counted so the test can require each to be common.
+struct Churn {
+  int departures = 0;
+  int arrivals = 0;
+  int moved_outside = 0;
+  int replaced_cells = 0;
+  int swaps = 0;
+  int compactions = 0;
+};
+
+// Applies one round's worth of outside changes to `jobs`. As the scheduler
+// does when a memo entry leaves, a job that departs or whose JobCells are
+// replaced is erased from `index` first.
+void ChurnJobs(Rng& rng, bool deadline_filtered, std::vector<std::unique_ptr<RoundJob>>& jobs,
+               MoveClassIndex& index, Churn& churn) {
+  auto random_job = [&] {
+    return static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(jobs.size()) - 1));
+  };
+  auto unindex = [&](RoundJob& job) {
+    if (job.placement.victim >= 0) {
+      index.Erase(job.placement);
+    }
+  };
+  for (int64_t n = rng.UniformInt(0, 2); n > 0 && jobs.size() > 1; --n) {
+    const size_t j = random_job();
+    unindex(*jobs[j]);
+    jobs.erase(jobs.begin() + static_cast<std::ptrdiff_t>(j));
+    ++churn.departures;
+  }
+  for (int64_t n = rng.UniformInt(0, 2); n > 0; --n) {
+    const auto at = static_cast<std::ptrdiff_t>(
+        rng.UniformInt(0, static_cast<int64_t>(jobs.size())));
+    jobs.insert(jobs.begin() + at, RandomRoundJob(rng, 0.3, deadline_filtered));
+    ++churn.arrivals;
+  }
+  // Preemptions, upscales and starts the index did not see.
+  for (std::unique_ptr<RoundJob>& job : jobs) {
+    if (job->cells.choices.empty() || rng.Uniform() >= 0.25) {
+      continue;
+    }
+    if (job->cell.has_value() && rng.Uniform() < 0.3) {
+      job->cell.reset();
+      job->score = 0.0;
+    } else {
+      PlaceRandomly(rng, job->cells, &job->cell, &job->score);
+    }
+    ++churn.moved_outside;
+  }
+  if (rng.Uniform() < 0.3) {
+    RoundJob& job = *jobs[random_job()];
+    unindex(job);
+    job.cells = RandomJobCells(rng, Pruning::kNone);
+    job.placement = JobPlacement{};
+    job.cell.reset();
+    job.score = 0.0;
+    if (!job.cells.choices.empty() && rng.Uniform() < 0.7) {
+      PlaceRandomly(rng, job.cells, &job.cell, &job.score);
+    }
+    job.deadline_ok = RandomDeadlines(rng, job.cells, deadline_filtered);
+    ++churn.replaced_cells;
+  }
+  if (jobs.size() > 1 && rng.Uniform() < 0.3) {
+    std::swap(jobs[random_job()], jobs[random_job()]);
+    ++churn.swaps;
+  }
+  for (std::unique_ptr<RoundJob>& job : jobs) {
+    if (job->time_dependent) {
+      job->deadline_ok = RandomDeadlines(rng, job->cells, deadline_filtered);
+    }
+  }
+}
+
+// Multi-round sequences on one persistent index. Each round is a pass: the
+// persistent index syncs to the round's jobs by diff, a fresh index syncs from
+// empty, and a few search steps check both against BruteForceMove and each
+// other (the pick and the classes evaluated), applying search moves,
+// rollbacks and placements to both. Between rounds, ChurnJobs changes the
+// jobs behind the persistent index's back. Each iteration draws from its own
+// stream, so a failure reproduces from (seed, iteration).
+void CheckPersistentIndex(bool deadline_filtered) {
+  constexpr int kPersistentIterations = 400;
+  constexpr int kRounds = 10;
+  constexpr int kSteps = 4;
+  int checks = 0;
+  int moves_found = 0;
+  int enabling = 0;
+  Churn churn;
+  for (int iter = 0; iter < kPersistentIterations; ++iter) {
+    const uint64_t seed = kSeed + static_cast<uint64_t>(iter);
+    Rng rng(seed, "persistent_classes");
+    std::vector<std::unique_ptr<RoundJob>> jobs;
+    for (int64_t n = rng.UniformInt(3, 10); n > 0; --n) {
+      jobs.push_back(RandomRoundJob(rng, 0.8, deadline_filtered));
+    }
+    MoveClassIndex persistent;
+    for (int round = 0; round < kRounds; ++round) {
+      if (round > 0) {
+        ChurnJobs(rng, deadline_filtered, jobs, persistent, churn);
+      }
+      const std::string where = "seed " + std::to_string(seed) + " iteration " +
+                                std::to_string(iter) + " round " + std::to_string(round);
+      std::vector<VirtualJob> vjobs(jobs.size());
+      std::vector<VirtualJob> fresh_vjobs(jobs.size());
+      std::vector<JobPlacement> fresh_placements(jobs.size());
+      std::vector<std::vector<bool>> deadline_ok;
+      for (size_t j = 0; j < jobs.size(); ++j) {
+        RoundJob& job = *jobs[j];
+        vjobs[j].cells = &job.cells;
+        vjobs[j].fit = &job.cells.fit;
+        vjobs[j].placement = &job.placement;
+        vjobs[j].cell = job.cell;
+        vjobs[j].score = job.score;
+        fresh_vjobs[j] = vjobs[j];
+        fresh_vjobs[j].placement = &fresh_placements[j];
+        deadline_ok.push_back(job.deadline_ok);
+      }
+      const auto meets_deadline = DeadlinesOf(vjobs, deadline_ok);
+      const auto fresh_meets_deadline = DeadlinesOf(fresh_vjobs, deadline_ok);
+      const size_t stored_before = persistent.stored_members();
+      persistent.Sync(vjobs, meets_deadline, [&](const VirtualJob& vj) {
+        return jobs[static_cast<size_t>(&vj - vjobs.data())]->time_dependent;
+      });
+      MoveClassIndex fresh;
+      fresh.Sync(fresh_vjobs, fresh_meets_deadline, NeverReindex);
+      // Compaction keeps no more dead members than live ones.
+      ASSERT_LE(persistent.stored_members(), 2 * fresh.stored_members()) << where;
+      churn.compactions += persistent.stored_members() < stored_before ? 1 : 0;
+
+      // Search moves to roll back: the victim, its Cell and score before, and
+      // the persistent index's entry for it then.
+      struct Saved {
+        size_t vi;
+        CellChoice held;
+        MoveClassIndex::Victim erased;
+      };
+      std::vector<Saved> saved;
+      for (int step = 0; step < kSteps; ++step) {
+        std::vector<size_t> unplaced;
+        for (size_t vi = 0; vi < vjobs.size(); ++vi) {
+          if (!vjobs[vi].cell.has_value() && !vjobs[vi].cells->choices.empty()) {
+            unplaced.push_back(vi);
+          }
+        }
+        if (unplaced.empty()) {
+          break;
+        }
+        const size_t queued = unplaced[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(unplaced.size()) - 1))];
+        const JobCells& q = *vjobs[queued].cells;
+        auto best_fitting = [&](const FreeMap& free) -> const CellChoice* {
+          const int i = q.fit.FirstFit(q.choices, free);
+          return i < 0 ? nullptr : &q.choices[static_cast<size_t>(i)];
+        };
+        // Often no GPU free at all, so only a downscale of the held type can
+        // make room and the no-move outcome stays common with many victims.
+        const FreeMap trial_free = rng.Uniform() < 0.5 ? RandomFree(rng) : FreeMap{};
+        const double cumulative_delta = 0.125 * static_cast<double>(rng.UniformInt(-12, 4));
+        const double potential = q.choices.front().score;
+        int64_t evaluated = 0;
+        int64_t fresh_evaluated = 0;
+        const ScalingMove got = persistent.BestMove(trial_free, cumulative_delta, potential,
+                                                    best_fitting, &evaluated);
+        const ScalingMove fresh_got = fresh.BestMove(trial_free, cumulative_delta, potential,
+                                                     best_fitting, &fresh_evaluated);
+        const ScalingMove want = BruteForceMove(vjobs, queued, deadline_ok, trial_free,
+                                                cumulative_delta, potential);
+        const std::string at = where + " step " + std::to_string(step);
+        ++checks;
+        ASSERT_EQ(evaluated, fresh_evaluated) << at;
+        ASSERT_EQ(got.choice, want.choice) << at;
+        ASSERT_EQ(fresh_got.choice, want.choice) << at;
+        if (want.choice >= 0) {
+          ++moves_found;
+          enabling += want.enables ? 1 : 0;
+          ASSERT_EQ(got.victim, want.victim) << at;
+          ASSERT_EQ(got.enables, want.enables) << at;
+          ASSERT_EQ(got.delta, want.delta) << at;
+          ASSERT_EQ(fresh_got.victim, want.victim) << at;
+        }
+
+        // Apply the same change to both indexes: the search move, a rollback,
+        // or the queued job's placement.
+        const double op = rng.Uniform();
+        if (op < 0.5 && want.choice >= 0) {
+          const CellChoice& alt =
+              vjobs[want.victim].cells->choices[static_cast<size_t>(want.choice)];
+          const CellChoice held{*vjobs[want.victim].cell, vjobs[want.victim].score};
+          saved.push_back(Saved{want.victim, held,
+                                Reassign(vjobs, want.victim, alt.cell, alt.score, meets_deadline,
+                                         &persistent)});
+          Reassign(fresh_vjobs, want.victim, alt.cell, alt.score, fresh_meets_deadline, &fresh);
+        } else if (op < 0.7 && !saved.empty()) {
+          // The persistent index restores, the fresh one re-inserts.
+          for (auto it = saved.rbegin(); it != saved.rend(); ++it) {
+            RollBack(vjobs, it->vi, it->held.cell, it->held.score, it->erased, &persistent);
+            Reassign(fresh_vjobs, it->vi, it->held.cell, it->held.score, fresh_meets_deadline,
+                     &fresh);
+          }
+          saved.clear();
+        } else {
+          const CellChoice& c = q.choices[static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(q.choices.size()) - 1))];
+          for (std::vector<VirtualJob>* pass : {&vjobs, &fresh_vjobs}) {
+            (*pass)[queued].cell = c.cell;
+            (*pass)[queued].score = c.score;
+          }
+          persistent.Insert(vjobs[queued], queued, meets_deadline);
+          fresh.Insert(fresh_vjobs[queued], queued, fresh_meets_deadline);
+        }
+      }
+      // The pass's outcome is the next round's running state.
+      for (size_t j = 0; j < jobs.size(); ++j) {
+        jobs[j]->cell = vjobs[j].cell;
+        jobs[j]->score = vjobs[j].score;
+      }
+    }
+  }
+  // Both kinds of pick, the no-move outcome, and every kind of churn must be
+  // common.
+  EXPECT_GT(enabling, checks / 10);
+  EXPECT_GT(moves_found - enabling, checks / 20);
+  EXPECT_LT(moves_found, checks - checks / 20);
+  EXPECT_GT(churn.departures, kPersistentIterations);
+  EXPECT_GT(churn.arrivals, kPersistentIterations);
+  EXPECT_GT(churn.moved_outside, kPersistentIterations);
+  EXPECT_GT(churn.replaced_cells, kPersistentIterations);
+  EXPECT_GT(churn.swaps, kPersistentIterations);
+  EXPECT_GT(churn.compactions, kPersistentIterations);
+  std::printf("checks %d, moves %d (%d enabling); departures %d, arrivals %d, moved %d, "
+              "replaced %d, swaps %d, compactions %d\n",
+              checks, moves_found, enabling, churn.departures, churn.arrivals,
+              churn.moved_outside, churn.replaced_cells, churn.swaps, churn.compactions);
+}
+
+TEST(CriusFitIndexTest, PersistentIndexMatchesFreshAcrossRounds) { CheckPersistentIndex(false); }
+
+TEST(CriusFitIndexTest, PersistentIndexMatchesFreshAcrossRoundsWithDeadlines) {
+  CheckPersistentIndex(true);
+}
+
 TEST(CriusFitIndexTest, EqualDeltasBreakTiesByVictimThenChoiceIndex) {
   // Two victims, each holding an 8-GPU A100 Cell, each able to step down to
   // a 4-GPU A100 Cell or exchange to an 8-GPU A40 Cell of the same score:
@@ -424,6 +744,7 @@ TEST(CriusFitIndexTest, EqualDeltasBreakTiesByVictimThenChoiceIndex) {
   queued_cells.fit.Build(queued_cells.choices);
   queued_cells.moves.Build(queued_cells.choices);
 
+  std::vector<JobPlacement> placements(3);
   std::vector<VirtualJob> vjobs(3);
   for (size_t i = 0; i < 2; ++i) {
     vjobs[i].cells = &victim_cells;
@@ -433,6 +754,9 @@ TEST(CriusFitIndexTest, EqualDeltasBreakTiesByVictimThenChoiceIndex) {
   }
   vjobs[2].cells = &queued_cells;
   vjobs[2].fit = &queued_cells.fit;
+  for (size_t i = 0; i < 3; ++i) {
+    vjobs[i].placement = &placements[i];
+  }
 
   FreeMap free{};
   free[static_cast<int>(GpuType::kA40)] = 8;
@@ -442,7 +766,7 @@ TEST(CriusFitIndexTest, EqualDeltasBreakTiesByVictimThenChoiceIndex) {
     return i < 0 ? nullptr : &queued_cells.choices[static_cast<size_t>(i)];
   };
   MoveClassIndex index;
-  index.Build(vjobs, any_deadline);
+  index.Sync(vjobs, any_deadline, NeverReindex);
   int64_t evaluated = 0;
   const ScalingMove move = index.BestMove(free, 0.0, 1.0, best_fitting, &evaluated);
   EXPECT_EQ(move.victim, 0u);
@@ -452,14 +776,66 @@ TEST(CriusFitIndexTest, EqualDeltasBreakTiesByVictimThenChoiceIndex) {
   // One evaluation per class: (A100 x8 -> A40 x8) and (A100 x8 -> A100 x4).
   EXPECT_EQ(evaluated, 2);
 
-  // A deadline that rules the exchange out leaves the downscale.
+  // A deadline that rules the exchange out leaves the downscale, once the
+  // sync reindexes the victims under it.
   auto no_exchange = [](const VirtualJob&, const CellChoice& c) {
     return c.cell.gpu_type == GpuType::kA100;
   };
-  index.Build(vjobs, no_exchange);
+  index.Sync(vjobs, no_exchange, [](const VirtualJob&) { return true; });
   const ScalingMove downscale = index.BestMove(free, 0.0, 1.0, best_fitting, &evaluated);
   EXPECT_EQ(downscale.victim, 0u);
   EXPECT_EQ(downscale.choice, 2);
+}
+
+TEST(CriusFitIndexTest, SwappedVictimsSwapTheTieBreak) {
+  // Victims A and B hold the same 8-GPU A100 Cell with the same ranking, so
+  // their moves tie and the lower position wins. Once a sync sees them in the
+  // other order, the class's best must follow: position 0 is now B.
+  JobCells cells;
+  cells.choices = {CellChoice{Cell{GpuType::kA100, 8, 1}, 1.0},
+                   CellChoice{Cell{GpuType::kA100, 4, 1}, 0.5}};
+  cells.fit.Build(cells.choices);
+  cells.moves.Build(cells.choices);
+  JobCells queued_cells;
+  queued_cells.choices = {CellChoice{Cell{GpuType::kA100, 4, 1}, 1.0}};
+  queued_cells.fit.Build(queued_cells.choices);
+  queued_cells.moves.Build(queued_cells.choices);
+
+  std::vector<JobPlacement> placements(3);  // A, B, queued
+  auto pass = [&](size_t first, size_t second) {
+    std::vector<VirtualJob> vjobs(3);
+    for (const auto& [vi, job] : {std::pair{size_t{0}, first}, std::pair{size_t{1}, second}}) {
+      vjobs[vi].cells = &cells;
+      vjobs[vi].fit = &cells.fit;
+      vjobs[vi].placement = &placements[job];
+      vjobs[vi].cell = cells.choices[0].cell;
+      vjobs[vi].score = 1.0;
+    }
+    vjobs[2].cells = &queued_cells;
+    vjobs[2].fit = &queued_cells.fit;
+    vjobs[2].placement = &placements[2];
+    return vjobs;
+  };
+  auto any_deadline = [](const VirtualJob&, const CellChoice&) { return true; };
+  auto best_fitting = [&](const FreeMap& f) -> const CellChoice* {
+    const int i = queued_cells.fit.FirstFit(queued_cells.choices, f);
+    return i < 0 ? nullptr : &queued_cells.choices[static_cast<size_t>(i)];
+  };
+  MoveClassIndex index;
+  const FreeMap free{};
+  int64_t evaluated = 0;
+  const std::vector<VirtualJob> a_first = pass(0, 1);
+  index.Sync(a_first, any_deadline, NeverReindex);
+  EXPECT_EQ(index.BestMove(free, 0.0, 1.0, best_fitting, &evaluated).victim, 0u);
+  const int32_t slot_a = placements[0].victim;
+
+  const std::vector<VirtualJob> b_first = pass(1, 0);
+  index.Sync(b_first, any_deadline, NeverReindex);
+  EXPECT_EQ(placements[0].victim, slot_a);  // A survived the sync
+  const ScalingMove move = index.BestMove(free, 0.0, 1.0, best_fitting, &evaluated);
+  EXPECT_EQ(move.victim, 0u);
+  EXPECT_EQ(move.choice, 1);
+  EXPECT_EQ(evaluated, 2);
 }
 
 TEST(CriusFitIndexTest, RoundingTieGoesToTheLowerVictimIndex) {
@@ -484,12 +860,14 @@ TEST(CriusFitIndexTest, RoundingTieGoesToTheLowerVictimIndex) {
     jc->moves.Build(jc->choices);
   }
 
+  std::vector<JobPlacement> placements(3);
   std::vector<VirtualJob> vjobs(3);
   vjobs[0].cells = &low_gain;
   vjobs[1].cells = &high_gain;
   vjobs[2].cells = &queued_cells;
-  for (VirtualJob& vj : vjobs) {
-    vj.fit = &vj.cells->fit;
+  for (size_t i = 0; i < 3; ++i) {
+    vjobs[i].fit = &vjobs[i].cells->fit;
+    vjobs[i].placement = &placements[i];
   }
   for (size_t i = 0; i < 2; ++i) {
     vjobs[i].cell = Cell{GpuType::kA100, 8, 1};
@@ -502,7 +880,7 @@ TEST(CriusFitIndexTest, RoundingTieGoesToTheLowerVictimIndex) {
     return i < 0 ? nullptr : &queued_cells.choices[static_cast<size_t>(i)];
   };
   MoveClassIndex index;
-  index.Build(vjobs, any_deadline);
+  index.Sync(vjobs, any_deadline, NeverReindex);
   const FreeMap free{};
   int64_t evaluated = 0;
   const ScalingMove move = index.BestMove(free, 0.0, 1.0, best_fitting, &evaluated);
@@ -514,18 +892,18 @@ TEST(CriusFitIndexTest, RoundingTieGoesToTheLowerVictimIndex) {
 
   // The same pick once victim 1, the class's best member, has left and come
   // back, so the class recomputes its best.
-  index.Erase(1);
-  index.Insert(vjobs, 1, any_deadline);
+  index.Erase(placements[1]);
+  index.Insert(vjobs[1], 1, any_deadline);
   const ScalingMove again = index.BestMove(free, 0.0, 1.0, best_fitting, &evaluated);
   EXPECT_EQ(again.victim, 0u);
   EXPECT_EQ(again.choice, 1);
 
-  // And when victim 0 is placed only after the index was built, so it joins
-  // the class below its best member.
+  // And when victim 0 is placed only after the sync, so it joins the class
+  // below its best member.
   vjobs[0].cell.reset();
-  index.Build(vjobs, any_deadline);
+  index.Sync(vjobs, any_deadline, NeverReindex);
   vjobs[0].cell = Cell{GpuType::kA100, 8, 1};
-  index.Insert(vjobs, 0, any_deadline);
+  index.Insert(vjobs[0], 0, any_deadline);
   const ScalingMove late = index.BestMove(free, 0.0, 1.0, best_fitting, &evaluated);
   EXPECT_EQ(late.victim, 0u);
   EXPECT_EQ(late.choice, 1);

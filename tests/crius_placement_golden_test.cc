@@ -11,6 +11,11 @@
 // crius-solver runs exactly, so an algorithmic regression fails here instead
 // of hiding in wall-time noise.
 //
+// CriusMemoVsFreshTest runs the same scenario through a node failure, a
+// straggler and a recovery twice, once with the scheduler's ranking memo and
+// persistent class index and once with FreshCriusScheduler, which starts both
+// from scratch every round; the decisions and the search work must match.
+//
 // Every run has the global pool at 4 threads and must start no parallel
 // section on it: a simulation is single-threaded, so goldens and counts
 // recorded with a 1-thread pool hold unchanged.
@@ -23,6 +28,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -36,6 +42,7 @@
 #include "src/util/counters.h"
 #include "src/util/rng.h"
 #include "src/util/threadpool.h"
+#include "tests/fresh_crius_scheduler.h"
 
 namespace crius {
 namespace {
@@ -67,6 +74,7 @@ struct RunResult {
   int64_t searches_placed = 0;
   int64_t searches_failed = 0;
   int64_t moves_evaluated = 0;
+  int64_t class_index_inserts = 0;
   int64_t cells_considered = 0;
   int64_t sched_invocations = 0;
   int64_t assignments = 0;
@@ -106,8 +114,10 @@ class AssignmentCounter final : public Scheduler {
 // The scenario: the 1,280-GPU simulated cluster under a compressed heavy
 // Philly trace (600 jobs in two days at offered load 2.0), so queued jobs
 // regularly find no free fit and the scaling search runs. The global pool
-// gets 4 threads, which the run must leave unused.
-RunResult RunVariant(const Variant& variant) {
+// gets 4 threads, which the run must leave unused. `fresh` runs the variant's
+// configuration through FreshCriusScheduler.
+RunResult RunVariant(const Variant& variant, bool fresh = false,
+                     const std::vector<FailureEvent>& failures = {}) {
   ThreadPool::SetGlobalThreads(4);
   Cluster cluster = MakeNamedCluster("simulated");
   PerformanceOracle oracle(cluster, 42);
@@ -129,15 +139,22 @@ RunResult RunVariant(const Variant& variant) {
     EXPECT_TRUE(objective.has_value());
     options.objective = objective.value_or(CriusObjective{});
   }
-  auto scheduler = MakeNamedScheduler(variant.scheduler, &oracle, options);
+  std::unique_ptr<Scheduler> scheduler = MakeNamedScheduler(variant.scheduler, &oracle, options);
+  if (fresh) {
+    const auto* crius = dynamic_cast<const CriusScheduler*>(scheduler.get());
+    EXPECT_NE(crius, nullptr) << variant.scheduler;
+    scheduler = std::make_unique<FreshCriusScheduler>(&oracle, crius->config());
+  }
   AssignmentCounter counted(*scheduler);
   SimConfig sim_config;
   sim_config.record_events = true;
+  sim_config.failures = failures;
   Simulator sim(cluster, sim_config);
 
   const int64_t placed0 = CounterNow("sched.searches", {{"outcome", "placed"}});
   const int64_t failed0 = CounterNow("sched.searches", {{"outcome", "failed"}});
   const int64_t moves0 = CounterNow("sched.search_moves_evaluated");
+  const int64_t inserts0 = CounterNow("sched.class_index_inserts");
   const int64_t cells0 = CounterNow("sched.cells_considered");
   const int64_t invocations0 = CounterNow("sim.sched_invocations");
   const int64_t hits0 = CounterNow("oracle.batch_hits");
@@ -154,6 +171,7 @@ RunResult RunVariant(const Variant& variant) {
   run.searches_placed = CounterNow("sched.searches", {{"outcome", "placed"}}) - placed0;
   run.searches_failed = CounterNow("sched.searches", {{"outcome", "failed"}}) - failed0;
   run.moves_evaluated = CounterNow("sched.search_moves_evaluated") - moves0;
+  run.class_index_inserts = CounterNow("sched.class_index_inserts") - inserts0;
   run.cells_considered = CounterNow("sched.cells_considered") - cells0;
   run.sched_invocations = CounterNow("sim.sched_invocations") - invocations0;
   run.assignments = counted.assignments;
@@ -201,12 +219,15 @@ struct WorkCounts {
   int64_t assignments;
   int64_t batch_hits;
   int64_t batch_misses;
+  int64_t class_index_inserts;
 };
 
 // Recorded with a 1-thread pool from the class-indexed scaling search.
+// class_index_inserts was recorded with the persistent class index, which
+// re-inserts only the victims that changed since the previous search.
 constexpr WorkCounts kWorkCounts[] = {
-    {"crius", 38278, 458, 406, 20868, 3184, 215336, 38924, 2812},
-    {"crius_solver", 265969, 957, 3660, 20868, 3184, 208435, 38924, 2812},
+    {"crius", 38278, 458, 406, 20868, 3184, 215336, 38924, 2812, 2739},
+    {"crius_solver", 265969, 957, 3660, 20868, 3184, 208435, 38924, 2812, 12745},
 };
 
 class CriusWorkCountTest : public ::testing::TestWithParam<WorkCounts> {
@@ -225,10 +246,10 @@ TEST_P(CriusWorkCountTest, WorkCountsMatchExactly) {
   ASSERT_NE(variant, nullptr) << want.label;
   const RunResult run = RunVariant(*variant);
   std::printf("actual: {\"%s\", %" PRId64 ", %" PRId64 ", %" PRId64 ", %" PRId64 ", %" PRId64
-              ", %" PRId64 ", %" PRId64 ", %" PRId64 "}\n",
+              ", %" PRId64 ", %" PRId64 ", %" PRId64 ", %" PRId64 "}\n",
               want.label, run.moves_evaluated, run.searches_placed, run.searches_failed,
               run.cells_considered, run.sched_invocations, run.assignments, run.batch_hits,
-              run.batch_misses);
+              run.batch_misses, run.class_index_inserts);
   EXPECT_EQ(run.moves_evaluated, want.moves_evaluated) << "sched.search_moves_evaluated";
   EXPECT_EQ(run.searches_placed, want.searches_placed) << "sched.searches{outcome=placed}";
   EXPECT_EQ(run.searches_failed, want.searches_failed) << "sched.searches{outcome=failed}";
@@ -237,11 +258,70 @@ TEST_P(CriusWorkCountTest, WorkCountsMatchExactly) {
   EXPECT_EQ(run.assignments, want.assignments) << "sched.assignments";
   EXPECT_EQ(run.batch_hits, want.batch_hits) << "oracle.batch_hits";
   EXPECT_EQ(run.batch_misses, want.batch_misses) << "oracle.batch_misses";
+  EXPECT_EQ(run.class_index_inserts, want.class_index_inserts) << "sched.class_index_inserts";
   EXPECT_EQ(run.parallel_sections, 0) << "threadpool.parallel_sections";
 }
 
 INSTANTIATE_TEST_SUITE_P(CriusAndSolver, CriusWorkCountTest, ::testing::ValuesIn(kWorkCounts),
                          [](const ::testing::TestParamInfo<WorkCounts>& info) {
+                           return std::string(info.param.label);
+                         });
+
+struct MemoVsFresh {
+  const char* label;     // a kVariants entry
+  uint64_t jobs_hash;    // golden FNV-1a of the jobs CSV
+  uint64_t events_hash;  // golden FNV-1a of the events CSV
+};
+
+// crius (one pass per round), crius_solver (three passes per round, each
+// syncing the class index from the state the previous pass left) and
+// crius_ddl (deadline victims re-inserted at every sync). Recorded from the
+// scheduler that rebuilt the class index at every searching pass.
+constexpr MemoVsFresh kMemoVsFresh[] = {
+    {"crius", 0x01ca129cd5d7b9f7ull, 0x7ec8f894223587adull},
+    {"crius_solver", 0x0bbe54c1d8105040ull, 0xda940dd9445a2ee1ull},
+    {"crius_ddl", 0xd6126a36cbfb74bfull, 0xabb6fa6cc6de7e27ull},
+};
+
+class CriusMemoVsFreshTest : public ::testing::TestWithParam<MemoVsFresh> {
+ protected:
+  void TearDown() override { ThreadPool::SetGlobalThreads(1); }
+};
+
+TEST_P(CriusMemoVsFreshTest, MemoMatchesFreshThroughFailures) {
+  const MemoVsFresh& want = GetParam();
+  const Variant* variant = nullptr;
+  for (const Variant& v : kVariants) {
+    if (std::string(v.label) == want.label) {
+      variant = &v;
+    }
+  }
+  ASSERT_NE(variant, nullptr) << want.label;
+  const RunResult memo = RunVariant(*variant, /*fresh=*/false, FailStraggleRecover());
+  const RunResult fresh = RunVariant(*variant, /*fresh=*/true, FailStraggleRecover());
+  std::printf("actual: {\"%s\", 0x%016" PRIx64 "ull, 0x%016" PRIx64
+              "ull}  // searches %" PRId64 " placed / %" PRId64 " failed, %" PRId64 " moves\n",
+              want.label, memo.jobs_hash, memo.events_hash, memo.searches_placed,
+              memo.searches_failed, memo.moves_evaluated);
+  EXPECT_EQ(memo.jobs_hash, fresh.jobs_hash) << "jobs CSV";
+  EXPECT_EQ(memo.events_hash, fresh.events_hash) << "events CSV";
+  EXPECT_EQ(memo.jobs_hash, want.jobs_hash) << "jobs CSV";
+  EXPECT_EQ(memo.events_hash, want.events_hash) << "events CSV";
+  // The same searches, each evaluating the same classes.
+  EXPECT_EQ(memo.searches_placed, fresh.searches_placed);
+  EXPECT_EQ(memo.searches_failed, fresh.searches_failed);
+  EXPECT_EQ(memo.moves_evaluated, fresh.moves_evaluated);
+  EXPECT_EQ(memo.parallel_sections, 0) << "threadpool.parallel_sections";
+  EXPECT_EQ(fresh.parallel_sections, 0) << "threadpool.parallel_sections";
+
+  EXPECT_GE(memo.searches_placed + memo.searches_failed, 500);
+  EXPECT_GT(memo.searches_placed, 0);
+  EXPECT_GT(memo.searches_failed, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(SaturatedWithFailures, CriusMemoVsFreshTest,
+                         ::testing::ValuesIn(kMemoVsFresh),
+                         [](const ::testing::TestParamInfo<MemoVsFresh>& info) {
                            return std::string(info.param.label);
                          });
 

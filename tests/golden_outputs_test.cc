@@ -22,7 +22,9 @@
 //   rerun          crius through a node failure and recovery, twice.
 //   memo_vs_fresh  CriusScheduler vs FreshCriusScheduler (every round ranked
 //                  from scratch) through fail / straggle / recover, for the
-//                  default placement order and for kBestOfAll.
+//                  default placement order and for kBestOfAll. The saturated
+//                  version, where the scaling search runs hundreds of times,
+//                  is CriusMemoVsFreshTest in crius_placement_golden_test.
 //   saved_trace    the synthesized trace vs the same trace after WriteTraceCsv
 //                  and ReadTraceCsv (crius_sim --save-trace / --trace-file).
 //   live_*         a drained Controller session vs ReplaySession of its log.
@@ -249,16 +251,6 @@ struct Row {
   // and the row's CSVs must differ from it.
   std::function<Csvs()> contrast;
 };
-
-// Node 0 fails at 2 h (caps shrink: dirty re-ranks), node 1 straggles from
-// 2.5 h to 3.5 h (the epoch moves with no cap change: keep-only rounds), and
-// node 0 recovers at 4 h (caps grow): every branch of the memo's dirty path.
-std::vector<FailureEvent> FailStraggleRecover() {
-  return {FailureEvent{2.0 * kHour, FailureKind::kNodeFail, 0, 0, 1.0},
-          FailureEvent{2.5 * kHour, FailureKind::kStragglerStart, 1, 0, 1.8},
-          FailureEvent{3.5 * kHour, FailureKind::kStragglerEnd, 1, 0, 1.0},
-          FailureEvent{4.0 * kHour, FailureKind::kNodeRecover, 0, 0, 1.0}};
-}
 
 // The burst + failure scenario under FCFS, whose placements stay frozen
 // unless the reconfig engine moves them: 32 jobs, 30 min checkpoints, and

@@ -134,5 +134,27 @@ TEST_F(ElasticFlowTest, ShrinksRunningJobOnlyUnderContention) {
   EXPECT_LT(d.assignments.at(0).ngpus, 64);
 }
 
+TEST_F(ElasticFlowTest, TypeWithEveryGpuFailedPlacesNothing) {
+  // Every A100 is down: that pool places nothing (and strict mode drops
+  // nothing for it), while the A40 pool schedules as usual.
+  for (const NodeInfo& node : cluster_.nodes()) {
+    if (node.type == GpuType::kA100) {
+      cluster_.MarkFailed(node.id, 0);
+    }
+  }
+  ASSERT_EQ(cluster_.UsableGpus(GpuType::kA100), 0);
+  JobState* stranded = AddQueued(0, kSmall, 4, GpuType::kA100, 0.0);
+  stranded->job.deadline = 7.0 * kDay;
+  AddQueued(1, kSmall, 4, GpuType::kA40, 1.0);
+  for (ElasticFlowScheduler* scheduler : {&ls_, &strict_}) {
+    const ScheduleDecision d = scheduler->Schedule(Round(0.0));
+    CheckCapacity(d);
+    EXPECT_FALSE(d.assignments.count(0)) << scheduler->name();
+    EXPECT_TRUE(d.dropped.empty()) << scheduler->name();
+    ASSERT_TRUE(d.assignments.count(1)) << scheduler->name();
+    EXPECT_EQ(d.assignments.at(1).type, GpuType::kA40);
+  }
+}
+
 }  // namespace
 }  // namespace crius
