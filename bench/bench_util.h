@@ -11,11 +11,11 @@
 #include <string>
 #include <vector>
 
+#include "bench/benchdiff.h"
 #include "src/sched/baselines.h"
 #include "src/sched/crius_sched.h"
 #include "src/sim/simulator.h"
 #include "src/sim/trace.h"
-#include "src/util/benchdiff.h"
 #include "src/util/flags.h"
 #include "src/util/table.h"
 #include "src/util/threadpool.h"

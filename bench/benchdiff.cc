@@ -1,4 +1,4 @@
-#include "src/util/benchdiff.h"
+#include "bench/benchdiff.h"
 
 #include <cstdio>
 #include <fstream>

@@ -20,8 +20,8 @@
 // CLI in tools/crius_benchdiff.cc is a thin wrapper that renders the result
 // table and turns `regressed` into exit code 1.
 
-#ifndef SRC_UTIL_BENCHDIFF_H_
-#define SRC_UTIL_BENCHDIFF_H_
+#ifndef BENCH_BENCHDIFF_H_
+#define BENCH_BENCHDIFF_H_
 
 #include <map>
 #include <string>
@@ -95,4 +95,4 @@ BenchReport UpdateBaseline(const BenchReport& baseline, const BenchReport& fresh
 
 }  // namespace crius
 
-#endif  // SRC_UTIL_BENCHDIFF_H_
+#endif  // BENCH_BENCHDIFF_H_

@@ -1,4 +1,4 @@
-#include "src/util/chart.h"
+#include "bench/chart.h"
 
 #include <algorithm>
 #include <cmath>

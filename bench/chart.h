@@ -2,8 +2,8 @@
 // sparklines rendered in ASCII/Unicode. Fig. 16's throughput timeline reads
 // far better as a chart than as a table of buckets.
 
-#ifndef SRC_UTIL_CHART_H_
-#define SRC_UTIL_CHART_H_
+#ifndef BENCH_CHART_H_
+#define BENCH_CHART_H_
 
 #include <string>
 #include <vector>
@@ -39,4 +39,4 @@ std::vector<double> Resample(const std::vector<double>& values, int n);
 
 }  // namespace crius
 
-#endif  // SRC_UTIL_CHART_H_
+#endif  // BENCH_CHART_H_

@@ -1,5 +1,5 @@
 // Extension: validating the §5.1 closed-form pipeline-latency formula against
-// dependency-exact, event-driven execution (src/runtime/pipeline_engine).
+// dependency-exact, event-driven execution (bench/pipeline_engine).
 //
 // The engine executes the exact dependency recurrence
 // start(s,m) = max(finish(s,m-1), finish(s-1,m) + boundary(s)); for constant
@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "src/runtime/pipeline_engine.h"
+#include "bench/pipeline_engine.h"
 #include "src/util/stats.h"
 
 int main() {

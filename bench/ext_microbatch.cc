@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "src/runtime/pipeline_engine.h"
+#include "bench/pipeline_engine.h"
 
 int main() {
   using namespace crius;

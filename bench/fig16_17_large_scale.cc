@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "src/util/chart.h"
+#include "bench/chart.h"
 
 int main() {
   using namespace crius;

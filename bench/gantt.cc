@@ -1,9 +1,9 @@
-#include "src/runtime/gantt.h"
+#include "bench/gantt.h"
 
 #include <cstdio>
 #include <sstream>
 
-#include "src/runtime/pipeline_engine.h"
+#include "bench/pipeline_engine.h"
 #include "src/util/check.h"
 
 namespace crius {
@@ -21,12 +21,6 @@ char MicrobatchGlyph(int m) {
 }
 
 }  // namespace
-
-double PipelineBubbleFraction(const PerfModel& model, const JobContext& ctx,
-                              const ParallelPlan& plan) {
-  const PipelineEngine engine(&model);
-  return engine.Execute(ctx, plan).BubbleFraction();
-}
 
 std::string RenderPipelineGantt(const PerfModel& model, const JobContext& ctx,
                                 const ParallelPlan& plan, int width) {

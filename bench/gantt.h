@@ -3,7 +3,7 @@
 // Visualizes the §5.1 execution model: every stage processes B = 4 x S
 // microbatches; the first microbatch ripples through the stages (including
 // boundary transfers) and the steady state is paced by the slowest stage.
-// Used by examples and handy when debugging why a plan's bubble is large.
+// Printed by crius_plan and handy when debugging why a plan's bubble is large.
 //
 //   S0 |00112233445566778899AB........|
 //   S1 |..0011223344556677889..9AB....|
@@ -11,8 +11,8 @@
 // Each column is one time quantum; the glyph is the microbatch index being
 // computed ('.' = idle/bubble).
 
-#ifndef SRC_RUNTIME_GANTT_H_
-#define SRC_RUNTIME_GANTT_H_
+#ifndef BENCH_GANTT_H_
+#define BENCH_GANTT_H_
 
 #include <string>
 
@@ -26,10 +26,6 @@ namespace crius {
 std::string RenderPipelineGantt(const PerfModel& model, const JobContext& ctx,
                                 const ParallelPlan& plan, int width = 96);
 
-// Fraction of stage-time slots idle during one iteration (pipeline bubble).
-double PipelineBubbleFraction(const PerfModel& model, const JobContext& ctx,
-                              const ParallelPlan& plan);
-
 }  // namespace crius
 
-#endif  // SRC_RUNTIME_GANTT_H_
+#endif  // BENCH_GANTT_H_

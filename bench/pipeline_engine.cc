@@ -1,4 +1,4 @@
-#include "src/runtime/pipeline_engine.h"
+#include "bench/pipeline_engine.h"
 
 #include <algorithm>
 #include <ostream>

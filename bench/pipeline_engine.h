@@ -16,8 +16,8 @@
 //   * exporting Chrome-trace JSON (chrome://tracing / Perfetto) for real
 //     timeline inspection, the way production training stacks are profiled.
 
-#ifndef SRC_RUNTIME_PIPELINE_ENGINE_H_
-#define SRC_RUNTIME_PIPELINE_ENGINE_H_
+#ifndef BENCH_PIPELINE_ENGINE_H_
+#define BENCH_PIPELINE_ENGINE_H_
 
 #include <iosfwd>
 #include <vector>
@@ -80,4 +80,4 @@ void WriteChromeTrace(const IterationTrace& trace, const ParallelPlan& plan,
 
 }  // namespace crius
 
-#endif  // SRC_RUNTIME_PIPELINE_ENGINE_H_
+#endif  // BENCH_PIPELINE_ENGINE_H_

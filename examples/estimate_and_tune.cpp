@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "bench/gantt.h"
 #include "src/crius.h"
 
 int main() {

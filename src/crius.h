@@ -2,13 +2,16 @@
 //
 // Tools, examples, and external users include this file instead of reaching
 // into per-directory headers; the per-directory headers stay the unit of
-// ownership inside src/ itself. Exports, by layer:
+// ownership inside src/ itself. The library holds the scheduler, estimator,
+// simulator and serve daemon that the product binaries run. Bench reports,
+// terminal charts and the event-level pipeline model (which crius_plan links
+// for its Gantt and --chrome-trace) are bench/ libraries; test-only helpers
+// live in tests/. Exports, by layer:
 //
 //   util     -- flags, tables, counters/trace observability, stats, threadpool
 //   hw       -- GpuType, Cluster (incl. health state), interconnect topology
 //   model    -- ModelSpec, TrainingJob, op graphs, the paper's model zoo
 //   parallel -- parallelism plans, explorer, performance model, stage partition
-//   runtime  -- pipeline engine and Gantt rendering
 //   core     -- Cells, estimator/tuner, PerformanceOracle
 //   fault    -- failure injection, failure traces, checkpoint model
 //   sched    -- Scheduler API (RoundContext/RoundEvent), Crius + baselines
@@ -20,7 +23,6 @@
 #define SRC_CRIUS_H_
 
 // --- util -------------------------------------------------------------------
-#include "src/util/chart.h"
 #include "src/util/check.h"
 #include "src/util/counters.h"
 #include "src/util/csv.h"
@@ -50,10 +52,6 @@
 #include "src/parallel/perf_model.h"
 #include "src/parallel/plan.h"
 #include "src/parallel/stage_partition.h"
-
-// --- runtime ----------------------------------------------------------------
-#include "src/runtime/gantt.h"
-#include "src/runtime/pipeline_engine.h"
 
 // --- core -------------------------------------------------------------------
 #include "src/core/cell.h"

@@ -124,10 +124,7 @@ std::vector<MigrationAction> ReconfigPolicy::Propose(const RoundContext& round,
       continue;
     }
     const auto it = decision.assignments.find(js->job.id);
-    const bool kept = it != decision.assignments.end() && it->second.type == js->gpu_type &&
-                      it->second.ngpus == js->ngpus &&
-                      (it->second.nstages == 0 || it->second.nstages == js->nstages);
-    if (kept) {
+    if (it != decision.assignments.end() && KeepsGrant(it->second, *js)) {
       candidates.push_back(js);
     }
   }

@@ -119,14 +119,10 @@ std::string CriusScheduler::name() const {
 JobCells CriusScheduler::ComputeCells(const TrainingJob& job, const Cluster& cluster) {
   CRIUS_TRACE_SPAN("sched.cells_for");
   JobCells jc;
-  GenerateCellsInto(job, cluster, &candidates_);
-  const size_t considered = candidates_.size();
-  PruneAblatedCells(job, &candidates_);
+  const size_t considered = EstimateCandidates(job, cluster);
   CRIUS_COUNTER_ADD("sched.cells_considered", static_cast<int64_t>(considered));
   CRIUS_COUNTER_ADD("sched.cells_pruned",
                     static_cast<int64_t>(considered - candidates_.size()));
-  oracle_->EstimateCellBatch(
-      CellBatchRequest{&job.spec, candidates_.data(), candidates_.size()}, &batch_);
   int64_t infeasible = 0;
   jc.choices.reserve(candidates_.size());
   for (size_t i = 0; i < candidates_.size(); ++i) {
@@ -159,6 +155,15 @@ JobCells CriusScheduler::ComputeCells(const TrainingJob& job, const Cluster& clu
   jc.moves.Build(jc.choices);
   CRIUS_HISTOGRAM_RECORD("sched.cells_per_job", static_cast<double>(jc.choices.size()));
   return jc;
+}
+
+size_t CriusScheduler::EstimateCandidates(const TrainingJob& job, const Cluster& cluster) {
+  GenerateCellsInto(job, cluster, &candidates_);
+  const size_t generated = candidates_.size();
+  PruneAblatedCells(job, &candidates_);
+  oracle_->EstimateCellBatch(
+      CellBatchRequest{&job.spec, candidates_.data(), candidates_.size()}, &batch_);
+  return generated;
 }
 
 void CriusScheduler::PruneAblatedCells(const TrainingJob& job,
@@ -327,12 +332,9 @@ void CriusScheduler::Unindex(MemoEntry& entry) {
 
 double CriusScheduler::ProfilingDelay(const TrainingJob& job, const Cluster& cluster) {
   std::array<double, kNumGpuTypes> per_type{};
-  GenerateCellsInto(job, cluster, &candidates_);
   // Ablation variants never rank pruned Cells, so they must not be charged
   // the GPU-seconds to profile them either.
-  PruneAblatedCells(job, &candidates_);
-  oracle_->EstimateCellBatch(
-      CellBatchRequest{&job.spec, candidates_.data(), candidates_.size()}, &batch_);
+  EstimateCandidates(job, cluster);
   for (size_t i = 0; i < candidates_.size(); ++i) {
     per_type[static_cast<int>(candidates_[i].gpu_type)] +=
         batch_.estimates[i]->profile_gpu_seconds;

@@ -109,6 +109,11 @@ class CriusScheduler : public Scheduler {
   // oracle; writes only the candidate/batch scratch.
   JobCells ComputeCells(const TrainingJob& job, const Cluster& cluster);
 
+  // Generates `job`'s Cell candidates into `candidates_`, prunes them for the
+  // ablation flags and estimates the rest into `batch_`. Returns the number
+  // generated before pruning.
+  size_t EstimateCandidates(const TrainingJob& job, const Cluster& cluster);
+
   // §8.6 ablation pruning in place: Crius-NH keeps only the requested GPU
   // type, Crius-NA only the requested size. Order-preserving.
   void PruneAblatedCells(const TrainingJob& job, std::vector<Cell>* candidates) const;

@@ -68,6 +68,13 @@ struct Assignment {
   bool opportunistic = false;
 };
 
+// True when `a` restates the running grant of `js`: same GPU type and count,
+// and a stage count that is either unpinned (0) or the one it runs with.
+inline bool KeepsGrant(const Assignment& a, const JobState& js) {
+  return a.type == js.gpu_type && a.ngpus == js.ngpus &&
+         (a.nstages == 0 || a.nstages == js.nstages);
+}
+
 // How a live migration changes a running job's Cell (src/reconfig).
 enum class MigrationKind : uint8_t {
   kShrink,   // fewer GPUs, same type

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <map>
-#include <ostream>
+#include <string>
 #include <vector>
 
 namespace crius {
@@ -194,21 +193,6 @@ void AppendSimTrace(const SimResult& result, TraceRecorder& recorder) {
     // Jobs still live at the horizon keep their open span to the end.
     close_span(end);
   }
-}
-
-void WriteSimChromeTrace(const SimResult& result, std::ostream& out) {
-  TraceRecorder recorder;
-  AppendSimTrace(result, recorder);
-  recorder.WriteJson(out);
-}
-
-bool WriteSimChromeTraceFile(const SimResult& result, const std::string& path) {
-  std::ofstream out(path);
-  if (!out.is_open()) {
-    return false;
-  }
-  WriteSimChromeTrace(result, out);
-  return out.good();
 }
 
 }  // namespace crius

@@ -16,9 +16,6 @@
 #ifndef SRC_SIM_CHROME_EXPORT_H_
 #define SRC_SIM_CHROME_EXPORT_H_
 
-#include <iosfwd>
-#include <string>
-
 #include "src/sim/metrics.h"
 #include "src/util/trace.h"
 
@@ -27,10 +24,6 @@ namespace crius {
 // Appends the simulation's tracks to `recorder` (works on a disabled
 // recorder: explicit-timestamp events are always accepted).
 void AppendSimTrace(const SimResult& result, TraceRecorder& recorder);
-
-// Converts `result` alone into a standalone Chrome-trace JSON document.
-void WriteSimChromeTrace(const SimResult& result, std::ostream& out);
-bool WriteSimChromeTraceFile(const SimResult& result, const std::string& path);
 
 }  // namespace crius
 

@@ -462,11 +462,8 @@ void SimEngine::ApplyDecision(double at, const ScheduleDecision& decision) {
       if (mit != migrating.end()) {
         mig = mit->second;
       }
-      const bool keep = mig == nullptr && it != decision.assignments.end() &&
-                        it->second.type == sj.state.gpu_type &&
-                        it->second.ngpus == sj.state.ngpus &&
-                        (it->second.nstages == 0 || it->second.nstages == sj.state.nstages);
-      if (keep) {
+      if (mig == nullptr && it != decision.assignments.end() &&
+          KeepsGrant(it->second, sj.state)) {
         sj.state.opportunistic = it->second.opportunistic;
         continue;
       }

@@ -66,7 +66,6 @@ Simulator::Simulator(const Cluster& cluster, SimConfig config)
     }
     CRIUS_CHECK_MSG(false, "invalid SimConfig: " << joined.str());
   }
-  SortFailureSchedule(config_.failures);
 }
 
 SimResult Simulator::Run(Scheduler& scheduler, PerformanceOracle& oracle,

@@ -1,9 +1,7 @@
 #include "src/util/metrics_export.h"
 
-#include <cmath>
-#include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <map>
 
 #include "src/util/csv.h"
 #include "src/util/json.h"
@@ -11,8 +9,6 @@
 namespace crius {
 
 namespace {
-
-constexpr int kMetricsSchemaVersion = 1;
 
 Json LabelsToJson(const MetricLabels& labels) {
   Json obj = Json::Object();
@@ -48,53 +44,6 @@ Json HistToJson(const HistogramSample& sample) {
   obj.Set("p95", Json::Number(s.p95));
   obj.Set("p99", Json::Number(s.p99));
   return obj;
-}
-
-bool ParseLabels(const Json& entry, MetricLabels* labels, std::string* error) {
-  labels->clear();
-  const Json* obj = entry.Find("labels");
-  if (obj == nullptr) {
-    return true;
-  }
-  if (!obj->is_object()) {
-    *error = "labels must be an object";
-    return false;
-  }
-  for (const auto& [key, value] : obj->fields()) {
-    if (!value.is_string()) {
-      *error = "label value for '" + key + "' must be a string";
-      return false;
-    }
-    (*labels)[key] = value.str();
-  }
-  return true;
-}
-
-bool ParseScalars(const Json& root, const std::string& field,
-                  std::vector<MetricSample>* out, std::string* error) {
-  out->clear();
-  const Json* arr = root.Find(field);
-  if (arr == nullptr) {
-    return true;  // absent section == empty
-  }
-  if (!arr->is_array()) {
-    *error = "'" + field + "' must be an array";
-    return false;
-  }
-  for (const Json& entry : arr->items()) {
-    MetricSample sample;
-    sample.name = entry.StringOr("name", "");
-    if (sample.name.empty()) {
-      *error = "metric entry in '" + field + "' missing name";
-      return false;
-    }
-    if (!ParseLabels(entry, &sample.labels, error)) {
-      return false;
-    }
-    sample.value = entry.NumberOr("value", 0.0);
-    out->push_back(std::move(sample));
-  }
-  return true;
 }
 
 // Prometheus metric names allow [a-zA-Z_:][a-zA-Z0-9_:]*; our dotted names
@@ -174,66 +123,6 @@ std::string MetricsToJson(const MetricsSnapshot& snapshot, int indent) {
   return root.Serialize(indent);
 }
 
-bool ParseMetricsJson(const std::string& text, MetricsSnapshot* out, std::string* error) {
-  std::string local_error;
-  if (error == nullptr) {
-    error = &local_error;
-  }
-  Json root;
-  if (!Json::Parse(text, &root, error)) {
-    return false;
-  }
-  if (!root.is_object()) {
-    *error = "metrics document must be a JSON object";
-    return false;
-  }
-  const double schema = root.NumberOr("schema", 0.0);
-  if (schema != kMetricsSchemaVersion) {
-    *error = "unsupported metrics schema " + FormatJsonNumber(schema);
-    return false;
-  }
-  if (!ParseScalars(root, "counters", &out->counters, error) ||
-      !ParseScalars(root, "gauges", &out->gauges, error)) {
-    return false;
-  }
-  out->histograms.clear();
-  const Json* arr = root.Find("histograms");
-  if (arr == nullptr) {
-    return true;
-  }
-  if (!arr->is_array()) {
-    *error = "'histograms' must be an array";
-    return false;
-  }
-  for (const Json& entry : arr->items()) {
-    HistogramSample sample;
-    sample.name = entry.StringOr("name", "");
-    if (sample.name.empty()) {
-      *error = "histogram entry missing name";
-      return false;
-    }
-    if (!ParseLabels(entry, &sample.labels, error)) {
-      return false;
-    }
-    HistogramSnapshot& s = sample.value;
-    const double count = entry.NumberOr("count", 0.0);
-    if (!(count >= 0.0 && count <= 0x1p53) || count != std::trunc(count)) {
-      *error = "histogram '" + sample.name + "' count must be a whole number";
-      return false;
-    }
-    s.count = static_cast<size_t>(count);
-    s.sum = entry.NumberOr("sum", 0.0);
-    s.mean = entry.NumberOr("mean", 0.0);
-    s.min = entry.NumberOr("min", 0.0);
-    s.max = entry.NumberOr("max", 0.0);
-    s.p50 = entry.NumberOr("p50", 0.0);
-    s.p95 = entry.NumberOr("p95", 0.0);
-    s.p99 = entry.NumberOr("p99", 0.0);
-    out->histograms.push_back(std::move(sample));
-  }
-  return true;
-}
-
 std::string MetricsToPrometheus(const MetricsSnapshot& snapshot) {
   std::string out;
   std::string last_typed;  // emit one TYPE line per base name
@@ -268,25 +157,6 @@ std::string MetricsToPrometheus(const MetricsSnapshot& snapshot) {
            FormatJsonNumber(static_cast<double>(s.count)) + "\n";
   }
   return out;
-}
-
-bool WriteMetricsJsonFile(const std::string& path, const MetricsSnapshot& snapshot) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      return false;
-    }
-    out << MetricsToJson(snapshot, 2) << "\n";
-    if (!out) {
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
 }
 
 namespace {

@@ -3,10 +3,10 @@
 // Three output shapes, all deterministic given the snapshot (entries arrive
 // sorted by canonical metric name, numbers render via FormatJsonNumber):
 //
-//   * MetricsToJson / ParseMetricsJson -- nested JSON document, one entry per
-//     metric with its labels spelled out. Round-trips exactly: the serve
-//     daemon's `metrics` verb ships this over the wire and crius_client /
-//     tests parse it back into a MetricsSnapshot.
+//   * MetricsToJson -- nested JSON document, one entry per metric with its
+//     labels spelled out. The serve daemon's `metrics` verb ships this over
+//     the wire; the tests' reader (tests/metrics_json_util.h) parses it back
+//     into an equal MetricsSnapshot.
 //   * MetricsToPrometheus -- Prometheus text exposition format (counters as
 //     `# TYPE x counter`, gauges as gauge, histograms as summary with
 //     quantile labels plus _sum/_count). Base names are sanitized to the
@@ -27,6 +27,9 @@
 
 namespace crius {
 
+// The "schema" field of a MetricsToJson document.
+inline constexpr int kMetricsSchemaVersion = 1;
+
 // Serializes the snapshot as a JSON document:
 //   {"schema":1,"counters":[{"name":...,"labels":{...},"value":...}],
 //    "gauges":[...],"histograms":[{"name":...,"labels":{...},
@@ -35,16 +38,8 @@ namespace crius {
 // `indent < 0` gives compact single-line output.
 std::string MetricsToJson(const MetricsSnapshot& snapshot, int indent = -1);
 
-// Inverse of MetricsToJson. Returns false with a message in *error on
-// malformed input or schema mismatch.
-bool ParseMetricsJson(const std::string& text, MetricsSnapshot* out, std::string* error);
-
 // Prometheus text exposition format (version 0.0.4).
 std::string MetricsToPrometheus(const MetricsSnapshot& snapshot);
-
-// Writes MetricsToJson(snapshot, 2) to `path` atomically (temp file +
-// rename). Returns false on I/O failure.
-bool WriteMetricsJsonFile(const std::string& path, const MetricsSnapshot& snapshot);
 
 // Appends periodic wide-row CSV snapshots to a file. Column set is locked in
 // by the first Append(); later-born metrics are ignored so every row parses

@@ -1,8 +1,8 @@
 // Tests for the BENCH_*.json perf-trajectory format and the
 // baseline-vs-fresh comparison behind tools/crius_benchdiff
-// (src/util/benchdiff.h).
+// (bench/benchdiff.h).
 
-#include "src/util/benchdiff.h"
+#include "bench/benchdiff.h"
 
 #include <gtest/gtest.h>
 

@@ -1,7 +1,8 @@
-#include "src/runtime/gantt.h"
+#include "bench/gantt.h"
 
 #include <gtest/gtest.h>
 
+#include "bench/pipeline_engine.h"
 #include "src/parallel/stage_partition.h"
 
 namespace crius {
@@ -18,6 +19,10 @@ class GanttTest : public ::testing::Test {
       plan.stages.push_back(StagePlan{r.op_begin, r.op_end, r.gpus, r.gpus, 1});
     }
     return plan;
+  }
+
+  double Bubble(const JobContext& ctx, const ParallelPlan& plan) {
+    return PipelineEngine(&model_).Execute(ctx, plan).BubbleFraction();
   }
 
   Cluster cluster_;
@@ -53,14 +58,14 @@ TEST_F(GanttTest, SingleStageHasNoBubble) {
   const JobContext ctx = model_.MakeContext(ModelSpec{ModelFamily::kBert, 1.3, 128},
                                             GpuType::kA100);
   const ParallelPlan plan = MakePlan(ctx, 4, 1);
-  EXPECT_NEAR(PipelineBubbleFraction(model_, ctx, plan), 0.0, 1e-9);
+  EXPECT_NEAR(Bubble(ctx, plan), 0.0, 1e-9);
 }
 
 TEST_F(GanttTest, DeeperPipelinesHaveBubbles) {
   const JobContext ctx = model_.MakeContext(ModelSpec{ModelFamily::kBert, 2.6, 128},
                                             GpuType::kA40);
-  const double b2 = PipelineBubbleFraction(model_, ctx, MakePlan(ctx, 8, 2));
-  const double b8 = PipelineBubbleFraction(model_, ctx, MakePlan(ctx, 8, 8));
+  const double b2 = Bubble(ctx, MakePlan(ctx, 8, 2));
+  const double b8 = Bubble(ctx, MakePlan(ctx, 8, 8));
   EXPECT_GT(b2, 0.0);
   EXPECT_LT(b2, 1.0);
   EXPECT_GT(b8, 0.0);
@@ -71,7 +76,7 @@ TEST_F(GanttTest, BubbleNearGpipeFormula) {
   const JobContext ctx = model_.MakeContext(ModelSpec{ModelFamily::kBert, 6.7, 128},
                                             GpuType::kA100);
   const ParallelPlan plan = MakePlan(ctx, 4, 4);
-  const double bubble = PipelineBubbleFraction(model_, ctx, plan);
+  const double bubble = Bubble(ctx, plan);
   const double ideal = 3.0 / (16.0 + 3.0);
   EXPECT_NEAR(bubble, ideal, 0.08);
 }

@@ -8,14 +8,16 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/util/counters.h"
+#include "tests/metrics_json_util.h"
 
 namespace crius {
 namespace {
+
+using test::ParseMetricsJson;
 
 class MetricsExportTest : public ::testing::Test {
  protected:
@@ -171,21 +173,6 @@ TEST_F(MetricsExportTest, LabelOrderingIsDeterministic) {
   EXPECT_EQ(MetricsToJson(registry.Snapshot()), MetricsToJson(registry.Snapshot()));
 }
 
-TEST_F(MetricsExportTest, WriteMetricsJsonFileRoundTrips) {
-  const std::string path = ::testing::TempDir() + "/crius_metrics_export_test.json";
-  std::remove(path.c_str());
-  ASSERT_TRUE(WriteMetricsJsonFile(path, MakeSnapshot()));
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  MetricsSnapshot parsed;
-  std::string error;
-  ASSERT_TRUE(ParseMetricsJson(buffer.str(), &parsed, &error)) << error;
-  EXPECT_EQ(parsed.counters.size(), 2u);
-  std::remove(path.c_str());
-}
-
 TEST_F(MetricsExportTest, CsvWriterLocksHeaderOnFirstAppend) {
   const std::string path = ::testing::TempDir() + "/crius_metrics_export_test.csv";
   std::remove(path.c_str());
@@ -223,6 +210,18 @@ TEST_F(MetricsExportTest, CsvWriterLocksHeaderOnFirstAppend) {
   EXPECT_EQ(lines[1], "10,1,1,5,5");
   EXPECT_EQ(lines[2], "20,2,0,0,0");  // c.late dropped, histogram vanished -> 0
   std::remove(path.c_str());
+}
+
+TEST_F(MetricsExportTest, CsvWriterReportsUnopenablePath) {
+  const std::string path =
+      ::testing::TempDir() + "/crius_metrics_export_test_missing_dir/metrics.csv";
+  MetricsCsvWriter writer(path);
+  MetricsSnapshot snapshot;
+  snapshot.counters.push_back({"c.one", {}, 1.0});
+  EXPECT_FALSE(writer.Append(10.0, snapshot));
+  // A failed open locks no header: the column set is still open.
+  EXPECT_TRUE(writer.columns().empty());
+  EXPECT_FALSE(writer.Append(20.0, snapshot));
 }
 
 }  // namespace

@@ -95,9 +95,7 @@ TEST_P(ModelZooTest, BatchScalingIsMonotoneInThroughput) {
   Explorer explorer(&model());
   const JobContext probe = model().MakeContext(spec, GpuType::kA100);
   const ExploreResult feasible = explorer.FullExplore(probe, 32);
-  if (!feasible.best.has_value()) {
-    GTEST_SKIP() << "needs more than 32 A100s";
-  }
+  ASSERT_TRUE(feasible.best.has_value()) << spec.Key() << " needs more than 32 A100s";
   double prev_thr = 0.0;
   for (int64_t batch : batches) {
     ModelSpec with_batch = spec;

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <tuple>
+#include <vector>
 
 #include "src/core/estimator.h"
 #include "src/util/mathutil.h"
@@ -31,6 +32,17 @@ class ModelSweepTest : public ::testing::TestWithParam<SweepParam> {
   Cluster cluster_;
   PerfModel model_;
 };
+
+// Gradient sync is compared at two replication degrees, so from 4 GPUs up.
+class GradientSyncSweepTest : public ModelSweepTest {};
+
+// The (model, GPU type, GPU count) grid over `gpus`.
+auto SweepGrid(const std::vector<int>& gpus) {
+  return ::testing::Combine(::testing::ValuesIn(SweepSpecs()),
+                            ::testing::Values(GpuType::kA100, GpuType::kA40, GpuType::kA10,
+                                              GpuType::kV100),
+                            ::testing::ValuesIn(gpus));
+}
 
 TEST_P(ModelSweepTest, TensorShardingMonotonicallyReducesMemory) {
   const auto& [spec, type, ngpus] = GetParam();
@@ -61,11 +73,8 @@ TEST_P(ModelSweepTest, StageTimesArePositiveAndFinite) {
   }
 }
 
-TEST_P(ModelSweepTest, GradientSyncGrowsWithReplication) {
+TEST_P(GradientSyncSweepTest, GradientSyncGrowsWithReplication) {
   const auto& [spec, type, ngpus] = GetParam();
-  if (ngpus < 4) {
-    GTEST_SKIP();
-  }
   const JobContext ctx = model_.MakeContext(spec, type);
   const StageRange range{0, ctx.graph->size(), ngpus};
   const StageEval d2 = model_.EvalStage(ctx, range, 2, ngpus / 2, 1);
@@ -122,9 +131,6 @@ TEST_P(ModelSweepTest, EstimatorAgreesWithGroundTruthWithinBand) {
 
 TEST_P(ModelSweepTest, ThroughputNeverDecreasesWithMoreGpus) {
   const auto& [spec, type, ngpus] = GetParam();
-  if (ngpus < 2) {
-    GTEST_SKIP();
-  }
   const JobContext ctx = model_.MakeContext(spec, type);
   Explorer explorer(&model_);
   const ExploreResult small = explorer.FullExplore(ctx, ngpus / 2);
@@ -137,12 +143,8 @@ TEST_P(ModelSweepTest, ThroughputNeverDecreasesWithMoreGpus) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, ModelSweepTest,
-    ::testing::Combine(::testing::ValuesIn(SweepSpecs()),
-                       ::testing::Values(GpuType::kA100, GpuType::kA40, GpuType::kA10,
-                                         GpuType::kV100),
-                       ::testing::Values(2, 8, 32)));
+INSTANTIATE_TEST_SUITE_P(Sweep, ModelSweepTest, SweepGrid({2, 8, 32}));
+INSTANTIATE_TEST_SUITE_P(Sweep, GradientSyncSweepTest, SweepGrid({8, 32}));
 
 }  // namespace
 }  // namespace crius

@@ -2,13 +2,15 @@
 // validation: the §5.1 closed-form latency formula agrees with
 // dependency-exact execution across the plan space.
 
-#include "src/runtime/pipeline_engine.h"
+#include "bench/pipeline_engine.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <tuple>
+#include <vector>
 
 #include "src/parallel/explorer.h"
 #include "src/parallel/stage_partition.h"
@@ -80,22 +82,51 @@ TEST_F(PipelineEngineTest, StageTimesMatchModel) {
 
 using ValidateParam = std::tuple<ModelSpec, GpuType, int, int>;  // spec, type, gpus, stages
 
+struct Planner {
+  Cluster cluster = MakeSimulatedCluster();
+  PerfModel model{cluster};
+  Explorer explorer{&model};
+};
+
+Planner& SharedPlanner() {
+  static Planner planner;
+  return planner;
+}
+
+// The (model, type, gpus, stages) grid points the explorer can plan: at most
+// one stage per GPU and per operator, and some plan within the stage count
+// fits in memory.
+std::vector<ValidateParam> PlannableGrid() {
+  Planner& p = SharedPlanner();
+  std::vector<ValidateParam> params;
+  for (const ModelSpec& spec : {ModelSpec{ModelFamily::kBert, 1.3, 128},
+                                ModelSpec{ModelFamily::kBert, 6.7, 128},
+                                ModelSpec{ModelFamily::kWideResNet, 2.0, 256},
+                                ModelSpec{ModelFamily::kMoe, 10.0, 256}}) {
+    for (GpuType type : {GpuType::kA100, GpuType::kA40, GpuType::kV100}) {
+      const JobContext ctx = p.model.MakeContext(spec, type);
+      for (int ngpus : {4, 16}) {
+        for (int nstages : {1, 2, 4, 8}) {
+          if (nstages <= std::min<int>(ngpus, static_cast<int>(ctx.graph->size())) &&
+              p.explorer.ExploreWithinStages(ctx, ngpus, nstages).best.has_value()) {
+            params.emplace_back(spec, type, ngpus, nstages);
+          }
+        }
+      }
+    }
+  }
+  return params;
+}
+
 class FormulaValidationTest : public ::testing::TestWithParam<ValidateParam> {};
 
 TEST_P(FormulaValidationTest, ClosedFormTracksEventLevelExecution) {
   const auto& [spec, type, ngpus, nstages] = GetParam();
-  static Cluster cluster = MakeSimulatedCluster();
-  static PerfModel model(cluster);
-  static Explorer explorer(&model);
-  const JobContext ctx = model.MakeContext(spec, type);
-  if (nstages > std::min<int>(ngpus, static_cast<int>(ctx.graph->size()))) {
-    GTEST_SKIP();
-  }
-  const ExploreResult r = explorer.ExploreWithinStages(ctx, ngpus, nstages);
-  if (!r.best.has_value()) {
-    GTEST_SKIP() << "infeasible";
-  }
-  const PipelineEngine engine(&model);
+  Planner& p = SharedPlanner();
+  const JobContext ctx = p.model.MakeContext(spec, type);
+  const ExploreResult r = p.explorer.ExploreWithinStages(ctx, ngpus, nstages);
+  ASSERT_TRUE(r.best.has_value());
+  const PipelineEngine engine(&p.model);
   const IterationTrace trace = engine.Execute(ctx, r.best->plan);
   // For constant per-microbatch stage times the §5.1 closed form is an
   // identity of the dependency recurrence, so the two paths must agree to
@@ -106,14 +137,7 @@ TEST_P(FormulaValidationTest, ClosedFormTracksEventLevelExecution) {
                        << r.best->iter_time;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, FormulaValidationTest,
-    ::testing::Combine(::testing::Values(ModelSpec{ModelFamily::kBert, 1.3, 128},
-                                         ModelSpec{ModelFamily::kBert, 6.7, 128},
-                                         ModelSpec{ModelFamily::kWideResNet, 2.0, 256},
-                                         ModelSpec{ModelFamily::kMoe, 10.0, 256}),
-                       ::testing::Values(GpuType::kA100, GpuType::kA40, GpuType::kV100),
-                       ::testing::Values(4, 16), ::testing::Values(1, 2, 4, 8)));
+INSTANTIATE_TEST_SUITE_P(Sweep, FormulaValidationTest, ::testing::ValuesIn(PlannableGrid()));
 
 // --- Chrome trace export -------------------------------------------------------
 

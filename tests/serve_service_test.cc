@@ -11,11 +11,13 @@
 #include "src/serve/client.h"
 #include "src/serve/replay.h"
 #include "src/util/counters.h"
-#include "src/util/metrics_export.h"
+#include "tests/metrics_json_util.h"
 
 namespace crius {
 namespace serve {
 namespace {
+
+using test::ParseMetricsJson;
 
 class ServiceTest : public ::testing::Test {
  protected:

@@ -39,6 +39,13 @@ int CountKind(const SimResult& r, SimEvent::Kind kind, int64_t job_id = -1) {
   return n;
 }
 
+// The simulation's tracks alone, as one standalone Chrome-trace document.
+void WriteSimChromeTrace(const SimResult& result, std::ostream& out) {
+  TraceRecorder recorder;
+  AppendSimTrace(result, recorder);
+  recorder.WriteJson(out);
+}
+
 TEST(SimEventsTest, DisabledByDefault) {
   Cluster cluster = MakeMotivationCluster();
   PerformanceOracle oracle(cluster, 42);

@@ -26,7 +26,7 @@
 
 #include <cstdio>
 
-#include "src/util/benchdiff.h"
+#include "bench/benchdiff.h"
 #include "src/util/flags.h"
 
 namespace crius {

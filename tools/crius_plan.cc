@@ -12,6 +12,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "bench/gantt.h"
+#include "bench/pipeline_engine.h"
 #include "src/crius.h"
 
 namespace crius {
