@@ -43,7 +43,7 @@ const std::string& GpuName(GpuType type) {
   return GpuSpecOf(type).name;
 }
 
-GpuType ParseGpuType(const std::string& name) {
+std::optional<GpuType> FindGpuType(const std::string& name) {
   for (GpuType t : AllGpuTypes()) {
     const std::string& n = GpuName(t);
     if (n.size() == name.size()) {
@@ -62,7 +62,13 @@ GpuType ParseGpuType(const std::string& name) {
       }
     }
   }
-  CRIUS_UNREACHABLE("unknown GPU type name: " + name);
+  return std::nullopt;
+}
+
+GpuType ParseGpuType(const std::string& name) {
+  const std::optional<GpuType> type = FindGpuType(name);
+  CRIUS_CHECK_MSG(type.has_value(), "unknown GPU type name: " << name);
+  return *type;
 }
 
 bool HasNvLink(GpuType type) {

@@ -11,6 +11,7 @@
 #define SRC_HW_GPU_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -68,7 +69,11 @@ const GpuSpec& GpuSpecOf(GpuType type);
 // Short display name, e.g. "A100".
 const std::string& GpuName(GpuType type);
 
-// Parses "A100" / "a40" / ... Aborts on unknown names.
+// Parses "A100" / "a40" / ... (case-insensitive); std::nullopt on unknown
+// names.
+std::optional<GpuType> FindGpuType(const std::string& name);
+
+// FindGpuType for trusted names: aborts on unknown ones.
 GpuType ParseGpuType(const std::string& name);
 
 // True if the GPU's intra-node link is NVLink.

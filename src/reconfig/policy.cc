@@ -82,13 +82,15 @@ std::vector<MigrationAction> ReconfigPolicy::Propose(const RoundContext& round,
   const Cluster& cluster = round.cluster();
 
   // Capacity left after the scheduler's own decision: usable minus every
-  // assignment (kept running jobs and fresh starts alike). A migrating job
-  // credits its current grant back before taking the target's.
+  // grant of its resolved target (kept running jobs and fresh starts alike).
+  // A migrating job credits its current grant back before taking the
+  // target's.
+  const std::map<int64_t, Assignment> target = ResolvedTarget(round, decision);
   std::array<int, kNumGpuTypes> free{};
   for (GpuType type : AllGpuTypes()) {
     free[static_cast<int>(type)] = cluster.UsableGpus(type);
   }
-  for (const auto& [id, a] : decision.assignments) {
+  for (const auto& [id, a] : target) {
     (void)id;
     free[static_cast<int>(a.type)] -= a.ngpus;
   }
@@ -102,8 +104,7 @@ std::vector<MigrationAction> ReconfigPolicy::Propose(const RoundContext& round,
   if (config_.defer_growth_to_queue) {
     const JobState* oldest = nullptr;
     for (const JobState* js : round.jobs()) {
-      if (js->phase != JobPhase::kQueued ||
-          decision.assignments.find(js->job.id) != decision.assignments.end()) {
+      if (js->phase != JobPhase::kQueued || target.find(js->job.id) != target.end()) {
         continue;
       }
       if (oldest == nullptr || js->job.submit_time < oldest->job.submit_time ||
@@ -123,8 +124,8 @@ std::vector<MigrationAction> ReconfigPolicy::Propose(const RoundContext& round,
     if (js->phase != JobPhase::kRunning) {
       continue;
     }
-    const auto it = decision.assignments.find(js->job.id);
-    if (it != decision.assignments.end() && KeepsGrant(it->second, *js)) {
+    const auto it = target.find(js->job.id);
+    if (it != target.end() && KeepsGrant(it->second, *js)) {
       candidates.push_back(js);
     }
   }

@@ -91,8 +91,8 @@ class ReconfigPolicy {
   // Jobs the decision restarts, preempts, or drops already pay a placement
   // change this round and are skipped. Returns actions in ascending job-id
   // order; capacity accounting starts from cluster usable capacity minus the
-  // decision's assignments, so folding the actions into the decision can
-  // never oversubscribe a GPU type.
+  // grants of the decision's resolved target (ResolvedTarget), so folding the
+  // actions into the decision can never oversubscribe a GPU type.
   std::vector<MigrationAction> Propose(const RoundContext& round,
                                        const ScheduleDecision& decision);
 

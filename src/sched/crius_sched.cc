@@ -723,42 +723,55 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
     double best_rank = -std::numeric_limits<double>::infinity();
     size_t best_vi = 0;
     const CellChoice* best_cell = nullptr;
+    // Ranks `alt`, which fits once vj's held Cell is given back and meets its
+    // deadline, as vj's upscale.
+    auto consider = [&](size_t vi, const VirtualJob& vj, const CellChoice& alt) {
+      const Cell& held = *vj.cell;
+      // The held Cell's rank gives it back and takes it again: `free` as is.
+      const double gain = (cell_rank(alt.score, alt.cell, free, &held) -
+                           cell_rank(vj.score, held, free, &held)) /
+                          std::max(vj.score, 1e-9);
+      if (gain <= kMoveGainThreshold) {
+        return;  // a restart is never worth a marginal gain
+      }
+      const double rank =
+          objective.fairness > 0.0 ? -objective.fairness * vj.score + 1e-3 * gain : gain;
+      if (rank > best_rank) {
+        best_rank = rank;
+        best_vi = vi;
+        best_cell = &alt;
+      }
+    };
     for (size_t vi = 0; vi < vjobs_.size(); ++vi) {
-      VirtualJob& vj = vjobs_[vi];
+      const VirtualJob& vj = vjobs_[vi];
       if (!vj.cell.has_value()) {
         continue;
       }
       const Cell& held = *vj.cell;
+      FreeMap released = free;
+      Give(held, released);
+      // With a rank monotone in score, the gain and so the rank only fall
+      // along the score-descending choices: the job's best upscale is its
+      // first fit once the held Cell is given back, if that beats the held
+      // score. The FitIndex covers the deadline when it was built over the
+      // deadline-feasible choices.
+      if (by_score && (!config_.deadline_aware || !vj.state->job.deadline.has_value() ||
+                       vj.fit != &vj.cells->fit)) {
+        const int i = vj.fit->FirstFit(vj.cells->choices, released);
+        if (i >= 0 && vj.cells->choices[i].score > vj.score &&
+            vj.cells->choices[i].cell != held) {
+          consider(vi, vj, vj.cells->choices[i]);
+        }
+        continue;
+      }
+      // Otherwise a lower-throughput Cell can still rank higher (e.g. on
+      // energy), so the scan is exhaustive.
       for (const CellChoice& alt : vj.cells->choices) {
         if (by_score && alt.score <= vj.score) {
-          // choices are score-descending, so no later alternative improves
-          // either; a job sitting at its best Cell exits after one compare.
-          // (Otherwise a lower-throughput Cell can still rank higher -- e.g.
-          // on energy -- so the scan must be exhaustive.)
-          break;
+          break;  // no later alternative improves either
         }
-        if (alt.cell == held) {
-          continue;
-        }
-        // Fits once the held Cell is given back?
-        const int released = alt.cell.gpu_type == held.gpu_type ? held.ngpus : 0;
-        if (free[static_cast<int>(alt.cell.gpu_type)] + released < alt.cell.ngpus ||
-            !meets_deadline(vj, alt)) {
-          continue;
-        }
-        // The held Cell's rank gives it back and takes it again: `free` as is.
-        const double gain = (cell_rank(alt.score, alt.cell, free, &held) -
-                             cell_rank(vj.score, held, free, &held)) /
-                            std::max(vj.score, 1e-9);
-        if (gain <= kMoveGainThreshold) {
-          continue;  // a restart is never worth a marginal gain
-        }
-        const double rank =
-            objective.fairness > 0.0 ? -objective.fairness * vj.score + 1e-3 * gain : gain;
-        if (rank > best_rank) {
-          best_rank = rank;
-          best_vi = vi;
-          best_cell = &alt;
+        if (alt.cell != held && Fits(alt.cell, released) && meets_deadline(vj, alt)) {
+          consider(vi, vj, alt);
         }
       }
     }
@@ -775,18 +788,22 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
   CRIUS_HISTOGRAM_RECORD("sched.upscale_moves", static_cast<double>(upscale_moves));
 
   // --- Emit ------------------------------------------------------------------
+  // Only the changes: starts, re-placed running jobs and preemptions. The
+  // objective total still sums every placed job.
   double total_score = 0.0;
   double watts_sum = 0.0;
   for (const VirtualJob& vj : vjobs_) {
+    const JobState& js = *vj.state;
     if (!vj.cell.has_value()) {
+      if (js.phase == JobPhase::kRunning) {
+        decision.preempted.push_back(js.job.id);
+      }
       continue;
     }
-    Assignment a;
-    a.type = vj.cell->gpu_type;
-    a.ngpus = vj.cell->ngpus;
-    a.nstages = vj.cell->nstages;
-    a.opportunistic = vj.opportunistic;
-    decision.assignments[vj.state->job.id] = a;
+    const Assignment a{vj.cell->gpu_type, vj.cell->ngpus, vj.cell->nstages, vj.opportunistic};
+    if (js.phase != JobPhase::kRunning || a != HeldGrant(js)) {
+      decision.assignments.emplace(js.job.id, a);
+    }
     total_score += vj.score;
     if (objective.energy > 0.0) {
       watts_sum += CellWatts(power_model_, vj.cell->gpu_type, vj.cell->ngpus);

@@ -30,7 +30,8 @@ ScheduleDecision ElasticFlowScheduler::Schedule(const RoundContext& round) {
   const double now = round.now();
   const std::vector<const JobState*>& jobs = round.jobs();
   const Cluster& cluster = round.cluster();
-  ScheduleDecision decision;
+  std::map<int64_t, Assignment> target;
+  std::vector<int64_t> dropped;
 
   for (GpuType type : AllGpuTypes()) {
     // A type with every GPU down is a pool of capacity 0: it places nothing,
@@ -116,9 +117,9 @@ ScheduleDecision ElasticFlowScheduler::Schedule(const RoundContext& round) {
         }
         if (ok) {
           admitted.push_back(pj);
-        } else {
-          decision.dropped.push_back(pj.state->job.id);
-        }
+        } else if (pj.state->phase == JobPhase::kQueued) {
+          dropped.push_back(pj.state->job.id);
+        }  // a running job left out of the target is preempted instead
       }
       pool = std::move(admitted);
     }
@@ -199,9 +200,11 @@ ScheduleDecision ElasticFlowScheduler::Schedule(const RoundContext& round) {
       Assignment a;
       a.type = type;
       a.ngpus = pj.alloc;
-      decision.assignments[pj.state->job.id] = a;
+      target[pj.state->job.id] = a;
     }
   }
+  ScheduleDecision decision = DiffAgainstRound(round, target);
+  decision.dropped = std::move(dropped);
   return decision;
 }
 

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <array>
+#include <map>
 
 #include "src/sched/baselines.h"
 
@@ -8,7 +9,7 @@ namespace crius {
 ScheduleDecision FcfsScheduler::Schedule(const RoundContext& round) {
   const std::vector<const JobState*>& jobs = round.jobs();
   const Cluster& cluster = round.cluster();
-  ScheduleDecision decision;
+  std::map<int64_t, Assignment> target;
   std::array<int, kNumGpuTypes> free{};
   for (GpuType type : AllGpuTypes()) {
     free[static_cast<int>(type)] = cluster.UsableGpus(type);
@@ -21,7 +22,7 @@ ScheduleDecision FcfsScheduler::Schedule(const RoundContext& round) {
       Assignment a;
       a.type = js->gpu_type;
       a.ngpus = js->ngpus;
-      decision.assignments[js->job.id] = a;
+      target[js->job.id] = a;
       free[static_cast<int>(js->gpu_type)] -= js->ngpus;
     } else {
       queued.push_back(js);
@@ -45,10 +46,10 @@ ScheduleDecision FcfsScheduler::Schedule(const RoundContext& round) {
     Assignment a;
     a.type = type;
     a.ngpus = js->job.requested_gpus;
-    decision.assignments[js->job.id] = a;
+    target[js->job.id] = a;
     free[static_cast<int>(type)] -= a.ngpus;
   }
-  return decision;
+  return DiffAgainstRound(round, target);
 }
 
 }  // namespace crius

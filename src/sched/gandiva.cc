@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <array>
+#include <map>
 
 #include "src/sched/baselines.h"
 #include "src/util/rng.h"
@@ -13,7 +14,6 @@ namespace crius {
 ScheduleDecision GandivaScheduler::Schedule(const RoundContext& round) {
   const std::vector<const JobState*>& jobs = round.jobs();
   const Cluster& cluster = round.cluster();
-  ScheduleDecision decision;
   std::array<int, kNumGpuTypes> free{};
   for (GpuType type : AllGpuTypes()) {
     free[static_cast<int>(type)] = cluster.UsableGpus(type);
@@ -104,8 +104,7 @@ ScheduleDecision GandivaScheduler::Schedule(const RoundContext& round) {
     free[static_cast<int>(type)] -= a.ngpus;
   }
 
-  decision.assignments = std::move(placed);
-  return decision;
+  return DiffAgainstRound(round, placed);
 }
 
 }  // namespace crius

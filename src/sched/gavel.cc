@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <array>
+#include <map>
 
 #include "src/sched/baselines.h"
 
@@ -13,7 +14,7 @@ namespace crius {
 ScheduleDecision GavelScheduler::Schedule(const RoundContext& round) {
   const std::vector<const JobState*>& jobs = round.jobs();
   const Cluster& cluster = round.cluster();
-  ScheduleDecision decision;
+  std::map<int64_t, Assignment> target;
   std::array<int, kNumGpuTypes> free{};
   for (GpuType type : AllGpuTypes()) {
     free[static_cast<int>(type)] = cluster.UsableGpus(type);
@@ -92,10 +93,10 @@ ScheduleDecision GavelScheduler::Schedule(const RoundContext& round) {
     Assignment a;
     a.type = best_type;
     a.ngpus = n;
-    decision.assignments[js->job.id] = a;
+    target[js->job.id] = a;
     free[static_cast<int>(best_type)] -= n;
   }
-  return decision;
+  return DiffAgainstRound(round, target);
 }
 
 }  // namespace crius

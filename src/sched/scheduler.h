@@ -3,12 +3,14 @@
 // The simulator (src/sim) drives a Scheduler with a RoundContext each
 // scheduling round (and on job departures, per Algorithm 1): the current set
 // of active jobs, the cluster, and the typed RoundEvents that happened since
-// the previous round. The scheduler returns a target assignment per job: GPU
-// type + count, plus -- for Crius -- the Cell's pipeline-stage count. The
-// simulator applies the diff (restarts, allocations) and runs every scheduled
-// job with adaptive parallelism (§8.1's fair-comparison setup). The event
-// delta lets incremental schedulers re-rank only what changed instead of
-// re-solving from scratch every round.
+// the previous round. The scheduler answers with the placement *changes* of
+// Algorithm 1 (a ScheduleDecision): the jobs to start or re-place, each with
+// its GPU type + count plus -- for Crius -- the Cell's pipeline-stage count,
+// and the running jobs to preempt. A running job the decision does not name
+// keeps its grant. The simulator applies the changes (restarts, allocations)
+// and runs every scheduled job with adaptive parallelism (§8.1's
+// fair-comparison setup). The event delta lets incremental schedulers re-rank
+// only what changed instead of re-solving from scratch every round.
 
 #ifndef SRC_SCHED_SCHEDULER_H_
 #define SRC_SCHED_SCHEDULER_H_
@@ -66,10 +68,19 @@ struct Assignment {
   int nstages = 0;
   // Marks the job as opportunistic (may be preempted for a pending job).
   bool opportunistic = false;
+
+  bool operator==(const Assignment&) const = default;
 };
 
+// The grant a running job holds, as an Assignment.
+inline Assignment HeldGrant(const JobState& js) {
+  return Assignment{js.gpu_type, js.ngpus, js.nstages, js.opportunistic};
+}
+
 // True when `a` restates the running grant of `js`: same GPU type and count,
-// and a stage count that is either unpinned (0) or the one it runs with.
+// and a stage count that is either unpinned (0) or the one it runs with. The
+// engine applies such an entry without a restart: it only takes the entry's
+// opportunistic flag.
 inline bool KeepsGrant(const Assignment& a, const JobState& js) {
   return a.type == js.gpu_type && a.ngpus == js.ngpus &&
          (a.nstages == 0 || a.nstages == js.nstages);
@@ -98,12 +109,20 @@ struct MigrationAction {
   double gain_seconds = 0.0;
 };
 
-// One scheduling round's outcome: job id -> assignment. Jobs absent from the
-// map stay (or become) queued. `dropped` lists jobs rejected for good.
+// One scheduling round's outcome, as a delta against the round's jobs
+// (DESIGN.md §7b "Decision deltas"):
+//   - `assignments` lists only the jobs whose grant changes: a queued job's
+//     start, or a running job's resize, type swap, stage re-split or
+//     opportunistic-flag flip;
+//   - `preempted` lists the running jobs to stop (they become queued);
+//   - `dropped` lists queued jobs rejected for good.
+// No job appears in two of these lists. A running job in none of them keeps
+// its grant, and a queued job in none of them stays queued.
 // `migrations` re-places running jobs live (each target overrides the job's
-// entry in `assignments`); empty unless a ReconfigPolicy is active.
+// entry in `assignments`, if any); empty unless a ReconfigPolicy is active.
 struct ScheduleDecision {
   std::map<int64_t, Assignment> assignments;
+  std::vector<int64_t> preempted;
   std::vector<int64_t> dropped;
   std::vector<MigrationAction> migrations;
 };
@@ -189,10 +208,10 @@ class Scheduler {
 
   virtual std::string name() const = 0;
 
-  // Computes the target placement of all round.jobs() (queued + running)
-  // given the cluster's total capacity. The returned assignments must respect
-  // per-type capacity, and no job may appear in both `assignments` and
-  // `dropped`; the simulator validates.
+  // Decides the placement changes for round.jobs() (queued + running) given
+  // the cluster's usable capacity. The resolved target (ResolvedTarget) must
+  // respect per-type capacity, and the decision must follow the delta
+  // contract above; the simulator validates.
   virtual ScheduleDecision Schedule(const RoundContext& round) = 0;
 
   // One-time profiling delay charged when `job` first becomes schedulable
@@ -207,6 +226,20 @@ class Scheduler {
  protected:
   PerformanceOracle* oracle_;
 };
+
+// The full target a decision resolves to over `round`: every running job it
+// neither preempts nor re-assigns keeps its HeldGrant, and every job in
+// `assignments` takes its entry.
+std::map<int64_t, Assignment> ResolvedTarget(const RoundContext& round,
+                                             const ScheduleDecision& decision);
+
+// The delta that turns `round` into the full `target` (job id -> grant, round
+// jobs only): assignments for the queued jobs it places and the running jobs
+// whose grant it changes, preemptions for the running jobs it leaves out. A
+// scheduler that computes a full target returns it through this, so that
+// ResolvedTarget(round, DiffAgainstRound(round, target)) == target.
+ScheduleDecision DiffAgainstRound(const RoundContext& round,
+                                  const std::map<int64_t, Assignment>& target);
 
 // Reference throughput used to normalize a job's contribution to cluster
 // throughput: its ground-truth adaptive throughput on the requested GPUs of

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <array>
+#include <map>
 
 #include "src/sched/baselines.h"
 #include "src/util/units.h"
@@ -23,7 +24,6 @@ int QueueLevel(double attained_gpu_seconds) {
 ScheduleDecision TiresiasScheduler::Schedule(const RoundContext& round) {
   const std::vector<const JobState*>& jobs = round.jobs();
   const Cluster& cluster = round.cluster();
-  ScheduleDecision decision;
 
   // Attained GPU-service so far, in GPU-seconds. Tiresias tracks executed
   // GPU-time; completed iterations times the per-iteration GPU-time at the
@@ -60,6 +60,7 @@ ScheduleDecision TiresiasScheduler::Schedule(const RoundContext& round) {
   });
 
   // Preemptive gang admission in priority order at the requested shape.
+  std::map<int64_t, Assignment> target;
   std::array<int, kNumGpuTypes> free{};
   for (GpuType type : AllGpuTypes()) {
     free[static_cast<int>(type)] = cluster.UsableGpus(type);
@@ -74,10 +75,10 @@ ScheduleDecision TiresiasScheduler::Schedule(const RoundContext& round) {
     Assignment a;
     a.type = type;
     a.ngpus = n;
-    decision.assignments[js->job.id] = a;
+    target[js->job.id] = a;
     free[static_cast<int>(type)] -= n;
   }
-  return decision;
+  return DiffAgainstRound(round, target);
 }
 
 }  // namespace crius

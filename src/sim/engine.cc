@@ -405,81 +405,119 @@ bool SimEngine::ApplyCancel(const JobCancelEvent& e, double at) {
   return was_running;
 }
 
-// Applies one scheduling decision at time `at`.
+// Applies one scheduling decision at time `at`: a delta that names only the
+// jobs whose grant changes (DESIGN.md §7b "Decision deltas"), so the work
+// follows the changes, not the visible jobs.
 void SimEngine::ApplyDecision(double at, const ScheduleDecision& decision) {
-  // Reject contradictory decisions outright: a job both assigned and
-  // dropped would be started and then torn down in the same round, which is
-  // never what a scheduler means.
-  for (int64_t id : decision.dropped) {
-    CRIUS_CHECK_MSG(decision.assignments.find(id) == decision.assignments.end(),
-                    scheduler_.name() << " decision both assigns and drops job " << id);
+  // Every named job, mapped to its slot in jobs_. `source` says which list
+  // named it; a job may be named once, except that a migration overrides the
+  // job's entry in `assignments`.
+  enum Source : uint8_t { kAssign, kMigrate, kPreempt, kDrop };
+  struct Change {
+    size_t index;
+    Source source;
+    const Assignment* assignment;      // kAssign
+    const MigrationAction* migration;  // kMigrate, or kAssign overridden
+  };
+  std::vector<Change> changes;
+  changes.reserve(decision.assignments.size() + decision.preempted.size() +
+                  decision.dropped.size() + decision.migrations.size());
+  // The jobs RunScheduler showed the scheduler: announced (visible at some
+  // round, so in active_ until terminal) and still queued or running.
+  auto visible_slot = [&](int64_t id) {
+    const auto it = job_index_.find(id);
+    CRIUS_CHECK_MSG(it != job_index_.end() && jobs_[it->second].announced &&
+                        (jobs_[it->second].state.phase == JobPhase::kQueued ||
+                         jobs_[it->second].state.phase == JobPhase::kRunning),
+                    scheduler_.name() << " decision names job " << id
+                                      << ", which is not visible");
+    return it->second;
+  };
+  for (const auto& [id, a] : decision.assignments) {
+    changes.push_back(Change{visible_slot(id), kAssign, &a, nullptr});
   }
-
-  // Migrations target *running* jobs only, at most once per job per round; a
-  // migration's target overrides the job's entry in `assignments`.
-  std::map<int64_t, const MigrationAction*> migrating;
+  for (int64_t id : decision.preempted) {
+    const size_t i = visible_slot(id);
+    CRIUS_CHECK_MSG(jobs_[i].state.phase == JobPhase::kRunning,
+                    scheduler_.name() << " decision preempts job " << id
+                                      << ", which is not running");
+    changes.push_back(Change{i, kPreempt, nullptr, nullptr});
+  }
   for (const MigrationAction& m : decision.migrations) {
-    CRIUS_CHECK_MSG(std::find(decision.dropped.begin(), decision.dropped.end(), m.job_id) ==
-                        decision.dropped.end(),
-                    "decision both migrates and drops job " << m.job_id);
-    CRIUS_CHECK_MSG(JobById(m.job_id).state.phase == JobPhase::kRunning,
+    const size_t i = visible_slot(m.job_id);
+    CRIUS_CHECK_MSG(jobs_[i].state.phase == JobPhase::kRunning,
                     "migration of non-running job " << m.job_id);
-    const bool inserted = migrating.emplace(m.job_id, &m).second;
-    CRIUS_CHECK_MSG(inserted, "duplicate migration for job " << m.job_id);
+    changes.push_back(Change{i, kMigrate, nullptr, &m});
   }
-
-  // Drops first.
+  // Drops apply here, before any release, in the decision's order.
   for (int64_t id : decision.dropped) {
-    SimJob& sj = JobById(id);
-    if (sj.state.phase == JobPhase::kQueued) {
-      sj.state.phase = JobPhase::kDropped;
-      ++terminal_;
-      Record(sj, at, SimEvent::Kind::kDrop);
-      round_events_.push_back(RoundEvent::JobDrop(sj.state.job.id));
-    }
+    const size_t i = visible_slot(id);
+    SimJob& sj = jobs_[i];
+    CRIUS_CHECK_MSG(sj.state.phase == JobPhase::kQueued,
+                    scheduler_.name() << " decision drops job " << id
+                                      << ", which is not queued");
+    changes.push_back(Change{i, kDrop, nullptr, nullptr});
+    sj.state.phase = JobPhase::kDropped;
+    ++terminal_;
+    Record(sj, at, SimEvent::Kind::kDrop);
+    round_events_.push_back(RoundEvent::JobDrop(id));
   }
+  // Slot order is active_ order, so releases, allocations and events happen
+  // in the order a walk over every visible job would make them.
+  std::sort(changes.begin(), changes.end(), [](const Change& a, const Change& b) {
+    return a.index != b.index ? a.index < b.index : a.source < b.source;
+  });
+  size_t kept = 0;
+  for (size_t k = 0; k < changes.size(); ++k) {
+    Change& c = changes[k];
+    if (kept > 0 && changes[kept - 1].index == c.index) {
+      Change& prev = changes[kept - 1];
+      const int64_t id = jobs_[c.index].state.job.id;
+      CRIUS_CHECK_MSG(c.source != kDrop || prev.source != kAssign,
+                      scheduler_.name() << " decision both assigns and drops job " << id);
+      CRIUS_CHECK_MSG(prev.source == kAssign && c.source == kMigrate && prev.migration == nullptr,
+                      scheduler_.name() << " decision lists job " << id << " twice");
+      prev.migration = c.migration;
+      continue;
+    }
+    changes[kept++] = c;
+  }
+  changes.resize(kept);
 
-  // Releases: running jobs whose assignment vanished or changed, plus jobs
+  // Releases: preempted jobs, running jobs whose grant changes, and jobs
   // being migrated (their current grant is released so the new Cell can be
-  // allocated from the freed capacity). active_ holds only jobs
-  // PromoteArrivals has made visible, the set the scheduler was shown, so any
-  // of them it assigns starts here.
+  // allocated from the freed capacity). A running job whose entry keeps its
+  // grant only takes the entry's opportunistic flag.
   struct StartItem {
     size_t index;
     Assignment assignment;
     const MigrationAction* migration;  // null for plain starts/restarts
   };
   std::vector<StartItem> to_start;
-  for (size_t i : active_) {
-    SimJob& sj = jobs_[i];
-    if (sj.state.phase != JobPhase::kRunning && sj.state.phase != JobPhase::kQueued) {
+  for (const Change& c : changes) {
+    if (c.source == kDrop) {
       continue;
     }
-    const auto it = decision.assignments.find(sj.state.job.id);
-    const MigrationAction* mig = nullptr;
+    SimJob& sj = jobs_[c.index];
     if (sj.state.phase == JobPhase::kRunning) {
-      const auto mit = migrating.find(sj.state.job.id);
-      if (mit != migrating.end()) {
-        mig = mit->second;
-      }
-      if (mig == nullptr && it != decision.assignments.end() &&
-          KeepsGrant(it->second, sj.state)) {
-        sj.state.opportunistic = it->second.opportunistic;
+      if (c.migration == nullptr && c.assignment != nullptr &&
+          KeepsGrant(*c.assignment, sj.state)) {
+        sj.state.opportunistic = c.assignment->opportunistic;
         continue;
       }
       // Preempt / reschedule / migrate: release now, maybe restart below.
       SettleSegment(sj, at);
       ReleaseGrant(sj);
       sj.state.phase = JobPhase::kQueued;
-      if (mig == nullptr && it == decision.assignments.end()) {
+      if (c.source == kPreempt) {
         Record(sj, at, SimEvent::Kind::kPreempt);
         round_events_.push_back(RoundEvent::JobPhaseChange(sj.state.job.id));
       }
     }
-    if (mig != nullptr) {
-      to_start.push_back(StartItem{i, mig->target, mig});
-    } else if (it != decision.assignments.end()) {
-      to_start.push_back(StartItem{i, it->second, nullptr});
+    if (c.migration != nullptr) {
+      to_start.push_back(StartItem{c.index, c.migration->target, c.migration});
+    } else if (c.assignment != nullptr) {
+      to_start.push_back(StartItem{c.index, *c.assignment, nullptr});
     }
   }
 

@@ -56,6 +56,8 @@ struct Variant {
   uint64_t events_hash;           // golden FNV-1a of the events CSV
 };
 
+void PrintTo(const Variant& v, std::ostream* os) { *os << v.label; }
+
 // Recorded from the linear-scan scheduler.
 constexpr Variant kVariants[] = {
     {"crius", "crius", false, "", 0x0ae91316f77a6910ull, 0xc5fcb1760199de6dull},
@@ -87,8 +89,9 @@ int64_t CounterNow(const std::string& name, const MetricLabels& labels = {}) {
   return CounterRegistry::Global().CounterValue(CanonicalMetricName(name, labels));
 }
 
-// Delegates to `inner` and sums the assignment entries of every decision
-// (the count perfbench reports as sched.assignments).
+// Delegates to `inner` and sums the placed jobs of every decision's resolved
+// target. (perfbench's sched.assignments counts the decisions' change
+// entries instead.)
 class AssignmentCounter final : public Scheduler {
  public:
   explicit AssignmentCounter(Scheduler& inner) : Scheduler(nullptr), inner_(inner) {}
@@ -97,7 +100,7 @@ class AssignmentCounter final : public Scheduler {
 
   ScheduleDecision Schedule(const RoundContext& round) override {
     ScheduleDecision decision = inner_.Schedule(round);
-    assignments += static_cast<int64_t>(decision.assignments.size());
+    assignments += static_cast<int64_t>(ResolvedTarget(round, decision).size());
     return decision;
   }
 
@@ -222,6 +225,8 @@ struct WorkCounts {
   int64_t class_index_inserts;
 };
 
+void PrintTo(const WorkCounts& w, std::ostream* os) { *os << w.label; }
+
 // Recorded with a 1-thread pool from the class-indexed scaling search.
 // class_index_inserts was recorded with the persistent class index, which
 // re-inserts only the victims that changed since the previous search.
@@ -255,7 +260,7 @@ TEST_P(CriusWorkCountTest, WorkCountsMatchExactly) {
   EXPECT_EQ(run.searches_failed, want.searches_failed) << "sched.searches{outcome=failed}";
   EXPECT_EQ(run.cells_considered, want.cells_considered) << "sched.cells_considered";
   EXPECT_EQ(run.sched_invocations, want.sched_invocations) << "sim.sched_invocations";
-  EXPECT_EQ(run.assignments, want.assignments) << "sched.assignments";
+  EXPECT_EQ(run.assignments, want.assignments) << "placed jobs";
   EXPECT_EQ(run.batch_hits, want.batch_hits) << "oracle.batch_hits";
   EXPECT_EQ(run.batch_misses, want.batch_misses) << "oracle.batch_misses";
   EXPECT_EQ(run.class_index_inserts, want.class_index_inserts) << "sched.class_index_inserts";
@@ -272,6 +277,8 @@ struct MemoVsFresh {
   uint64_t jobs_hash;    // golden FNV-1a of the jobs CSV
   uint64_t events_hash;  // golden FNV-1a of the events CSV
 };
+
+void PrintTo(const MemoVsFresh& m, std::ostream* os) { *os << m.label; }
 
 // crius (one pass per round), crius_solver (three passes per round, each
 // syncing the class index from the state the previous pass left) and

@@ -60,6 +60,8 @@ struct Case {
   uint64_t timeline_hash;  // golden FNV-1a of the timeline CSV
 };
 
+void PrintTo(const Case& c, std::ostream* os) { *os << c.label; }
+
 // Recorded from the scan-every-job engine.
 constexpr Case kCases[] = {
     {"crius", "crius", Extra::kNone, false,

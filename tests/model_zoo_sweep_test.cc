@@ -10,6 +10,7 @@
 
 #include "src/core/estimator.h"
 #include "src/parallel/explorer.h"
+#include "tests/param_print.h"
 
 namespace crius {
 namespace {

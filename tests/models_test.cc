@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/util/units.h"
+#include "tests/param_print.h"
 
 namespace crius {
 namespace {

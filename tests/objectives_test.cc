@@ -123,13 +123,13 @@ class FairnessSchedTest : public SchedTestBase {
   // Ids of the running jobs whose Cell the round changed.
   std::vector<int64_t> MovedJobs(const CriusConfig& config) {
     CriusScheduler sched(&oracle_, config);
-    const ScheduleDecision d = sched.Schedule(Round(0.0));
+    const Resolved d = Resolve(sched, Round(0.0));
     CheckCapacity(d);
     std::vector<int64_t> moved;
     for (const auto& state : states_) {
-      const auto it = d.assignments.find(state->job.id);
-      EXPECT_NE(it, d.assignments.end()) << "job " << state->job.id << " lost its Cell";
-      if (it != d.assignments.end() &&
+      const auto it = d.target.find(state->job.id);
+      EXPECT_NE(it, d.target.end()) << "job " << state->job.id << " lost its Cell";
+      if (it != d.target.end() &&
           (it->second.ngpus != state->ngpus || it->second.type != state->gpu_type)) {
         moved.push_back(state->job.id);
       }
@@ -163,9 +163,9 @@ TEST_F(FairnessSchedTest, BothObjectivesRespectCapacity) {
     for (int i = 0; i < 50; ++i) {
       AddQueued(i, kSmall, 16, GpuType::kA100, static_cast<double>(i));
     }
-    const ScheduleDecision d = sched.Schedule(Round(0.0));
+    const Resolved d = Resolve(sched, Round(0.0));
     CheckCapacity(d);
-    EXPECT_GT(d.assignments.size(), 5u);
+    EXPECT_GT(d.target.size(), 5u);
   }
 }
 

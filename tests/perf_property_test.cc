@@ -11,6 +11,7 @@
 #include "src/core/estimator.h"
 #include "src/util/mathutil.h"
 #include "src/parallel/explorer.h"
+#include "tests/param_print.h"
 
 namespace crius {
 namespace {

@@ -14,6 +14,7 @@
 
 #include "src/parallel/explorer.h"
 #include "src/parallel/stage_partition.h"
+#include "tests/param_print.h"
 
 namespace crius {
 namespace {

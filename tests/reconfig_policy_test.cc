@@ -49,14 +49,6 @@ class ReconfigPolicyTest : public ::testing::Test {
     return static_cast<double>(spec.global_batch) / best;
   }
 
-  static ScheduleDecision KeepDecision(const std::vector<JobState>& jobs) {
-    ScheduleDecision decision;
-    for (const JobState& js : jobs) {
-      decision.assignments[js.job.id] = Assignment{js.gpu_type, js.ngpus, js.nstages, false};
-    }
-    return decision;
-  }
-
   ReconfigConfig EnabledConfig() {
     ReconfigConfig config;
     config.enabled = true;
@@ -73,13 +65,13 @@ TEST_F(ReconfigPolicyTest, DisabledPolicyProposesNothing) {
   std::vector<JobState> jobs = {MakeRunning(1, 8, 4)};
   const RoundContext round(0.0, {&jobs[0]}, cluster_,
                            {RoundEvent::NodeRecover(0, GpuType::kA40)});
-  EXPECT_TRUE(policy.Propose(round, KeepDecision(jobs)).empty());
+  EXPECT_TRUE(policy.Propose(round, ScheduleDecision{}).empty());
 }
 
 TEST_F(ReconfigPolicyTest, QuietRoundsDoNotTrigger) {
   ReconfigPolicy policy(&oracle_, EnabledConfig());
   std::vector<JobState> jobs = {MakeRunning(1, 8, 4)};
-  const ScheduleDecision decision = KeepDecision(jobs);
+  const ScheduleDecision decision{};  // every job keeps its grant
   // No events at all, and a single arrival below the burst threshold: the
   // shrunken job stays put even though growing it would clearly pay.
   EXPECT_TRUE(policy.Propose(RoundContext(0.0, {&jobs[0]}, cluster_), decision).empty());
@@ -97,7 +89,7 @@ TEST_F(ReconfigPolicyTest, GrowsAShrunkenJobWhenTheGainBeatsTheCost) {
   std::vector<JobState> jobs = {MakeRunning(1, 8, 4)};
   const RoundContext round(0.0, {&jobs[0]}, cluster_,
                            {RoundEvent::JobDeparture(99)});
-  const auto actions = policy.Propose(round, KeepDecision(jobs));
+  const auto actions = policy.Propose(round, ScheduleDecision{});
   ASSERT_EQ(actions.size(), 1u);
   const MigrationAction& action = actions[0];
   EXPECT_EQ(action.job_id, 1);
@@ -114,7 +106,7 @@ TEST_F(ReconfigPolicyTest, GrowsAShrunkenJobWhenTheGainBeatsTheCost) {
 TEST_F(ReconfigPolicyTest, HealthEventsAndArrivalBurstsTrigger) {
   ReconfigPolicy policy(&oracle_, EnabledConfig());
   std::vector<JobState> jobs = {MakeRunning(1, 8, 4)};
-  const ScheduleDecision decision = KeepDecision(jobs);
+  const ScheduleDecision decision{};  // every job keeps its grant
   EXPECT_FALSE(policy
                    .Propose(RoundContext(0.0, {&jobs[0]}, cluster_,
                                          {RoundEvent::NodeRecover(3, GpuType::kA40)}),
@@ -135,7 +127,7 @@ TEST_F(ReconfigPolicyTest, CooldownBlocksBackToBackMigrationsOfOneJob) {
   config.cooldown = 900.0;
   ReconfigPolicy policy(&oracle_, config);
   std::vector<JobState> jobs = {MakeRunning(1, 8, 4)};
-  const ScheduleDecision decision = KeepDecision(jobs);
+  const ScheduleDecision decision{};  // every job keeps its grant
   const std::vector<RoundEvent> trigger = {RoundEvent::JobDeparture(99)};
   EXPECT_EQ(policy.Propose(RoundContext(0.0, {&jobs[0]}, cluster_, trigger), decision).size(),
             1u);
@@ -155,18 +147,18 @@ TEST_F(ReconfigPolicyTest, HysteresisAndRelativeGainDampMarginalMoves) {
   ReconfigPolicy policy(&oracle_, config);
   std::vector<JobState> jobs = {MakeRunning(1, 8, 4)};
   const RoundContext round(0.0, {&jobs[0]}, cluster_, {RoundEvent::JobDeparture(99)});
-  EXPECT_TRUE(policy.Propose(round, KeepDecision(jobs)).empty());
+  EXPECT_TRUE(policy.Propose(round, ScheduleDecision{}).empty());
 
   // A nearly-done job: the absolute gain cannot clear cost + margin.
   ReconfigPolicy fresh_policy(&oracle_, EnabledConfig());
   jobs[0].iters_done = static_cast<double>(jobs[0].job.iterations) - 1.0;
-  EXPECT_TRUE(fresh_policy.Propose(round, KeepDecision(jobs)).empty());
+  EXPECT_TRUE(fresh_policy.Propose(round, ScheduleDecision{}).empty());
 }
 
 TEST_F(ReconfigPolicyTest, RespectsCapacityLeftByTheDecision) {
   ReconfigPolicy policy(&oracle_, EnabledConfig());
   std::vector<JobState> jobs = {MakeRunning(1, 8, 4)};
-  ScheduleDecision decision = KeepDecision(jobs);
+  ScheduleDecision decision{};  // every job keeps its grant
   // A phantom assignment soaks up every other GPU of both types: no candidate
   // larger than the job's own grant is reachable, and the same-size type swap
   // has no capacity either.
@@ -177,7 +169,7 @@ TEST_F(ReconfigPolicyTest, RespectsCapacityLeftByTheDecision) {
   const RoundContext round(0.0, {&jobs[0]}, cluster_, {RoundEvent::JobDeparture(97)});
   // Sanity: without the phantom grants the same round does migrate the job.
   ReconfigPolicy unconstrained(&oracle_, EnabledConfig());
-  ASSERT_FALSE(unconstrained.Propose(round, KeepDecision(jobs)).empty());
+  ASSERT_FALSE(unconstrained.Propose(round, ScheduleDecision{}).empty());
   EXPECT_TRUE(policy.Propose(round, decision).empty());
 }
 
@@ -188,7 +180,7 @@ TEST_F(ReconfigPolicyTest, PerRoundCapKeepsLowestJobIdsFirst) {
   std::vector<JobState> jobs = {MakeRunning(5, 8, 4), MakeRunning(2, 8, 4)};
   const RoundContext round(0.0, {&jobs[0], &jobs[1]}, cluster_,
                            {RoundEvent::JobDeparture(99)});
-  const auto actions = policy.Propose(round, KeepDecision(jobs));
+  const auto actions = policy.Propose(round, ScheduleDecision{});
   ASSERT_EQ(actions.size(), 1u);
   EXPECT_EQ(actions[0].job_id, 2);  // ascending-id scan: job 2 wins the slot
 }
@@ -198,7 +190,7 @@ TEST_F(ReconfigPolicyTest, SkipsJobsStillInsideARestartWindow) {
   std::vector<JobState> jobs = {MakeRunning(1, 8, 4)};
   jobs[0].blocked_until = 100.0;  // mid-restore at now == 0
   const RoundContext round(0.0, {&jobs[0]}, cluster_, {RoundEvent::JobDeparture(99)});
-  EXPECT_TRUE(policy.Propose(round, KeepDecision(jobs)).empty());
+  EXPECT_TRUE(policy.Propose(round, ScheduleDecision{}).empty());
 }
 
 TEST_F(ReconfigPolicyTest, ProposalsAreDeterministic) {
@@ -207,8 +199,8 @@ TEST_F(ReconfigPolicyTest, ProposalsAreDeterministic) {
                            {RoundEvent::JobDeparture(99)});
   ReconfigPolicy a(&oracle_, EnabledConfig());
   ReconfigPolicy b(&oracle_, EnabledConfig());
-  const auto actions_a = a.Propose(round, KeepDecision(jobs));
-  const auto actions_b = b.Propose(round, KeepDecision(jobs));
+  const auto actions_a = a.Propose(round, ScheduleDecision{});
+  const auto actions_b = b.Propose(round, ScheduleDecision{});
   ASSERT_EQ(actions_a.size(), actions_b.size());
   for (size_t i = 0; i < actions_a.size(); ++i) {
     EXPECT_EQ(actions_a[i].job_id, actions_b[i].job_id);

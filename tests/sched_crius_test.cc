@@ -30,10 +30,10 @@ TEST_F(CriusSchedTest, Names) {
 TEST_F(CriusSchedTest, AssignmentsCarryCells) {
   CriusScheduler sched = Make();
   AddQueued(0, kMedium, 4, GpuType::kA100, 0.0);
-  const ScheduleDecision d = sched.Schedule(Round(0.0));
+  const Resolved d = Resolve(sched, Round(0.0));
   CheckCapacity(d);
-  ASSERT_TRUE(d.assignments.count(0));
-  const Assignment& a = d.assignments.at(0);
+  ASSERT_TRUE(d.target.count(0));
+  const Assignment& a = d.target.at(0);
   EXPECT_GT(a.nstages, 0);  // Crius schedules Cells, not bare shapes
   EXPECT_GT(a.ngpus, 0);
 }
@@ -42,28 +42,28 @@ TEST_F(CriusSchedTest, UpscalesLoneJobWithFreeResources) {
   // With an empty 1,280-GPU cluster, the 2 x N_G Cell should win.
   CriusScheduler sched = Make();
   AddQueued(0, kSmall, 4, GpuType::kA100, 0.0);
-  const ScheduleDecision d = sched.Schedule(Round(0.0));
-  ASSERT_TRUE(d.assignments.count(0));
-  EXPECT_GE(d.assignments.at(0).ngpus, 4);
+  const Resolved d = Resolve(sched, Round(0.0));
+  ASSERT_TRUE(d.target.count(0));
+  EXPECT_GE(d.target.at(0).ngpus, 4);
 }
 
 TEST_F(CriusSchedTest, NaPinsGpuCount) {
   CriusScheduler sched = Make(CriusConfig{.adaptivity_scaling = false});
   AddQueued(0, kSmall, 4, GpuType::kA100, 0.0);
   AddQueued(1, kMedium, 8, GpuType::kA40, 1.0);
-  const ScheduleDecision d = sched.Schedule(Round(0.0));
-  ASSERT_TRUE(d.assignments.count(0));
-  ASSERT_TRUE(d.assignments.count(1));
-  EXPECT_EQ(d.assignments.at(0).ngpus, 4);
-  EXPECT_EQ(d.assignments.at(1).ngpus, 8);
+  const Resolved d = Resolve(sched, Round(0.0));
+  ASSERT_TRUE(d.target.count(0));
+  ASSERT_TRUE(d.target.count(1));
+  EXPECT_EQ(d.target.at(0).ngpus, 4);
+  EXPECT_EQ(d.target.at(1).ngpus, 8);
 }
 
 TEST_F(CriusSchedTest, NhPinsGpuType) {
   CriusScheduler sched = Make(CriusConfig{.heterogeneity_scaling = false});
   AddQueued(0, kSmall, 4, GpuType::kV100, 0.0);
-  const ScheduleDecision d = sched.Schedule(Round(0.0));
-  ASSERT_TRUE(d.assignments.count(0));
-  EXPECT_EQ(d.assignments.at(0).type, GpuType::kV100);
+  const Resolved d = Resolve(sched, Round(0.0));
+  ASSERT_TRUE(d.target.count(0));
+  EXPECT_EQ(d.target.at(0).type, GpuType::kV100);
 }
 
 TEST_F(CriusSchedTest, DownscalesRunningJobsToAdmitNewOne) {
@@ -111,13 +111,13 @@ TEST_F(CriusSchedTest, DownscalesRunningJobsToAdmitNewOne) {
   for (const auto& s : states) {
     views.push_back(s.get());
   }
-  const ScheduleDecision d = sched.Schedule(RoundFor(10.0, views, testbed));
+  const Resolved d = Resolve(sched, RoundFor(10.0, views, testbed));
   // The queued job got in...
-  ASSERT_TRUE(d.assignments.count(1));
+  ASSERT_TRUE(d.target.count(1));
   // ...which is only possible if some running job shrank or moved.
   int used_a40 = 0;
   int used_a10 = 0;
-  for (const auto& [id, a] : d.assignments) {
+  for (const auto& [id, a] : d.target) {
     if (a.type == GpuType::kA40) {
       used_a40 += a.ngpus;
     } else {
@@ -159,8 +159,8 @@ TEST_F(CriusSchedTest, ZeroSearchDepthDisablesScaling) {
   for (const auto& s : states) {
     views.push_back(s.get());
   }
-  const ScheduleDecision d = sched.Schedule(RoundFor(0.0, views, testbed));
-  EXPECT_FALSE(d.assignments.count(9));  // no moves allowed, no room
+  const Resolved d = Resolve(sched, RoundFor(0.0, views, testbed));
+  EXPECT_FALSE(d.target.count(9));  // no moves allowed, no room
 }
 
 TEST_F(CriusSchedTest, DeadlineAwareDropsImpossibleJobs) {
@@ -169,9 +169,9 @@ TEST_F(CriusSchedTest, DeadlineAwareDropsImpossibleJobs) {
   hopeless->job.deadline = 30.0;
   JobState* fine = AddQueued(1, kSmall, 4, GpuType::kA100, 0.0, /*iterations=*/50);
   fine->job.deadline = 30.0 * kDay;
-  const ScheduleDecision d = sched.Schedule(Round(0.0));
-  EXPECT_EQ(d.dropped, std::vector<int64_t>{0});
-  EXPECT_TRUE(d.assignments.count(1));
+  const Resolved d = Resolve(sched, Round(0.0));
+  EXPECT_EQ(d.decision.dropped, std::vector<int64_t>{0});
+  EXPECT_TRUE(d.target.count(1));
 }
 
 TEST_F(CriusSchedTest, OpportunisticJobsYieldToPendingLargeJob) {
@@ -206,11 +206,11 @@ TEST_F(CriusSchedTest, OpportunisticJobsYieldToPendingLargeJob) {
   for (const auto& s : states) {
     views.push_back(s.get());
   }
-  const ScheduleDecision d = sched.Schedule(RoundFor(0.0, views, small));
+  const Resolved d = Resolve(sched, RoundFor(0.0, views, small));
   // Either the big job runs (possibly after preempting) or, if it fits only
   // pending, the later jobs that DID start are marked opportunistic.
-  if (!d.assignments.count(0)) {
-    for (const auto& [id, a] : d.assignments) {
+  if (!d.target.count(0)) {
+    for (const auto& [id, a] : d.target) {
       EXPECT_TRUE(a.opportunistic) << "job " << id;
     }
   } else {
@@ -233,10 +233,10 @@ TEST_F(CriusSchedTest, ProfilingDelayBounded) {
 TEST_F(CriusSchedTest, KeepsRunningJobWhenNothingBetter) {
   CriusScheduler sched = Make();
   AddRunning(0, kMedium, 8, GpuType::kA100, /*nstages=*/1);
-  const ScheduleDecision d = sched.Schedule(Round(0.0));
-  ASSERT_TRUE(d.assignments.count(0));
+  const Resolved d = Resolve(sched, Round(0.0));
+  ASSERT_TRUE(d.target.count(0));
   // With an empty cluster it may upscale, but never below the current shape.
-  EXPECT_GE(d.assignments.at(0).ngpus, 4);
+  EXPECT_GE(d.target.at(0).ngpus, 4);
 }
 
 TEST_F(CriusSchedTest, CapacityRespectedUnderPressure) {
@@ -244,9 +244,9 @@ TEST_F(CriusSchedTest, CapacityRespectedUnderPressure) {
   for (int i = 0; i < 80; ++i) {
     AddQueued(i, kMedium, 16, GpuType::kA100, static_cast<double>(i));
   }
-  const ScheduleDecision d = sched.Schedule(Round(0.0));
+  const Resolved d = Resolve(sched, Round(0.0));
   CheckCapacity(d);
-  EXPECT_GT(d.assignments.size(), 10u);
+  EXPECT_GT(d.target.size(), 10u);
 }
 
 TEST_F(CriusSchedTest, Deterministic) {
@@ -255,14 +255,14 @@ TEST_F(CriusSchedTest, Deterministic) {
   for (int i = 0; i < 10; ++i) {
     AddQueued(i, kMedium, 8, GpuType::kA40, static_cast<double>(i));
   }
-  const ScheduleDecision da = a.Schedule(Round(0.0));
-  const ScheduleDecision db = b.Schedule(Round(0.0));
-  ASSERT_EQ(da.assignments.size(), db.assignments.size());
-  for (const auto& [id, assign] : da.assignments) {
-    ASSERT_TRUE(db.assignments.count(id));
-    EXPECT_EQ(db.assignments.at(id).type, assign.type);
-    EXPECT_EQ(db.assignments.at(id).ngpus, assign.ngpus);
-    EXPECT_EQ(db.assignments.at(id).nstages, assign.nstages);
+  const Resolved da = Resolve(a, Round(0.0));
+  const Resolved db = Resolve(b, Round(0.0));
+  ASSERT_EQ(da.target.size(), db.target.size());
+  for (const auto& [id, assign] : da.target) {
+    ASSERT_TRUE(db.target.count(id));
+    EXPECT_EQ(db.target.at(id).type, assign.type);
+    EXPECT_EQ(db.target.at(id).ngpus, assign.ngpus);
+    EXPECT_EQ(db.target.at(id).nstages, assign.nstages);
   }
 }
 
@@ -327,12 +327,12 @@ TEST_F(CriusSchedTest, MultiMoveSearchFreesRoomAcrossVictims) {
     CriusConfig config;
     config.search_depth = depth;
     CriusScheduler sched(&oracle, config);
-    const ScheduleDecision d = sched.Schedule(RoundFor(0.0, views, small));
+    const Resolved d = Resolve(sched, RoundFor(0.0, views, small));
     CheckCapacityFor(small, d);
     if (depth == 1) {
-      EXPECT_FALSE(d.assignments.count(9)) << "depth 1 cannot free 16 GPUs";
+      EXPECT_FALSE(d.target.count(9)) << "depth 1 cannot free 16 GPUs";
     } else {
-      EXPECT_TRUE(d.assignments.count(9)) << "depth " << depth << " should place the job";
+      EXPECT_TRUE(d.target.count(9)) << "depth " << depth << " should place the job";
     }
   }
 }
@@ -350,25 +350,25 @@ TEST_F(CriusSchedTest, PlacementOrdersAreValidAndDeterministic) {
     config.placement_order = order;
     CriusScheduler a(&oracle_, config);
     CriusScheduler b(&oracle_, config);
-    const ScheduleDecision da = a.Schedule(Round(0.0));
-    const ScheduleDecision db = b.Schedule(Round(0.0));
+    const Resolved da = Resolve(a, Round(0.0));
+    const Resolved db = Resolve(b, Round(0.0));
     CheckCapacity(da);
-    ASSERT_EQ(da.assignments.size(), db.assignments.size());
-    for (const auto& [id, assign] : da.assignments) {
-      ASSERT_TRUE(db.assignments.count(id));
-      EXPECT_EQ(db.assignments.at(id).ngpus, assign.ngpus);
+    ASSERT_EQ(da.target.size(), db.target.size());
+    for (const auto& [id, assign] : da.target) {
+      ASSERT_TRUE(db.target.count(id));
+      EXPECT_EQ(db.target.at(id).ngpus, assign.ngpus);
     }
   }
 }
 
 namespace {
-// Exact equality of two decisions, field by field.
-void ExpectSameDecision(const ScheduleDecision& a, const ScheduleDecision& b) {
-  EXPECT_EQ(a.dropped, b.dropped);
-  ASSERT_EQ(a.assignments.size(), b.assignments.size());
-  for (const auto& [id, assign] : a.assignments) {
-    ASSERT_TRUE(b.assignments.count(id)) << "job " << id;
-    const Assignment& other = b.assignments.at(id);
+// Exact equality of two decisions' drops and resolved targets, field by field.
+void ExpectSameDecision(const Resolved& a, const Resolved& b) {
+  EXPECT_EQ(a.decision.dropped, b.decision.dropped);
+  ASSERT_EQ(a.target.size(), b.target.size());
+  for (const auto& [id, assign] : a.target) {
+    ASSERT_TRUE(b.target.count(id)) << "job " << id;
+    const Assignment& other = b.target.at(id);
     EXPECT_EQ(other.type, assign.type) << "job " << id;
     EXPECT_EQ(other.ngpus, assign.ngpus) << "job " << id;
     EXPECT_EQ(other.nstages, assign.nstages) << "job " << id;
@@ -417,12 +417,12 @@ TEST_F(CriusSchedTest, FailedScalingSearchLeavesNoSideEffects) {
     CriusConfig config;
     config.search_depth = depth;
     CriusScheduler sched(&oracle, config);
-    return sched.Schedule(RoundFor(0.0, views, small));
+    return Resolve(sched, RoundFor(0.0, views, small));
   };
 
-  const ScheduleDecision with_failed_search = decide(1);
-  const ScheduleDecision no_search = decide(0);
-  EXPECT_FALSE(with_failed_search.assignments.count(9));
+  const Resolved with_failed_search = decide(1);
+  const Resolved no_search = decide(0);
+  EXPECT_FALSE(with_failed_search.target.count(9));
   ExpectSameDecision(with_failed_search, no_search);
 }
 
@@ -434,8 +434,8 @@ TEST_F(CriusSchedTest, RepeatedScheduleIsIdempotent) {
     AddQueued(i, (i % 2) ? kMedium : kSmall, (i % 3) ? 16 : 4, GpuType::kA100,
               static_cast<double>(i));
   }
-  const ScheduleDecision first = sched.Schedule(Round(0.0));
-  const ScheduleDecision second = sched.Schedule(Round(0.0));
+  const Resolved first = Resolve(sched, Round(0.0));
+  const Resolved second = Resolve(sched, Round(0.0));
   ExpectSameDecision(first, second);
 }
 
@@ -460,24 +460,24 @@ TEST_F(CriusSchedTest, ClusterHealthChangeInvalidatesCellCache) {
 
   c.MarkFailed(2, 0);
   c.MarkFailed(3, 0);  // 8 usable
-  const ScheduleDecision degraded = survivor.Schedule(RoundFor(0.0, views, c));
-  ASSERT_TRUE(degraded.assignments.count(0));
-  EXPECT_LE(degraded.assignments.at(0).ngpus, 8) << "placed beyond usable capacity";
+  const Resolved degraded = Resolve(survivor, RoundFor(0.0, views, c));
+  ASSERT_TRUE(degraded.target.count(0));
+  EXPECT_LE(degraded.target.at(0).ngpus, 8) << "placed beyond usable capacity";
 
   c.MarkRecovered(2, 0);
   c.MarkRecovered(3, 0);
   const int64_t invalidations_before =
       CounterRegistry::Global().CounterValue("sched.cells_cache_invalidations");
-  const ScheduleDecision after_recovery = survivor.Schedule(RoundFor(300.0, views, c));
+  const Resolved after_recovery = Resolve(survivor, RoundFor(300.0, views, c));
   EXPECT_EQ(CounterRegistry::Global().CounterValue("sched.cells_cache_invalidations"),
             invalidations_before + 1);
 
   CriusScheduler fresh(&oracle, CriusConfig{});
-  const ScheduleDecision fresh_decision = fresh.Schedule(RoundFor(300.0, views, c));
+  const Resolved fresh_decision = Resolve(fresh, RoundFor(300.0, views, c));
   ExpectSameDecision(after_recovery, fresh_decision);
   // And the re-ranking actually uses the recovered capacity.
-  ASSERT_TRUE(after_recovery.assignments.count(0));
-  EXPECT_GE(after_recovery.assignments.at(0).ngpus, degraded.assignments.at(0).ngpus);
+  ASSERT_TRUE(after_recovery.target.count(0));
+  EXPECT_GE(after_recovery.target.at(0).ngpus, degraded.target.at(0).ngpus);
 }
 
 TEST_F(CriusSchedTest, CompletedJobsEvictedFromCellCache) {
@@ -514,14 +514,14 @@ TEST_F(CriusSchedTest, SameSizeJobSwapEvictsInSameRound) {
       CounterRegistry::Global().CounterValue("sched.cells_cache_evictions");
   const int64_t steady_before =
       CounterRegistry::Global().CounterValue("sched.cells_steady_rounds");
-  const ScheduleDecision swapped = sched.Schedule(Round(300.0));
+  const Resolved swapped = Resolve(sched, Round(300.0));
   EXPECT_EQ(CounterRegistry::Global().CounterValue("sched.cells_cache_evictions"),
             evictions_before + 1);
   EXPECT_EQ(CounterRegistry::Global().CounterValue("sched.cells_steady_rounds"), steady_before);
 
   CriusScheduler fresh = Make();
-  ExpectSameDecision(swapped, fresh.Schedule(Round(300.0)));
-  ASSERT_TRUE(swapped.assignments.count(4));
+  ExpectSameDecision(swapped, Resolve(fresh, Round(300.0)));
+  ASSERT_TRUE(swapped.target.count(4));
 }
 
 int64_t Counter(const char* name) { return CounterRegistry::Global().CounterValue(name); }
@@ -560,8 +560,9 @@ class CellMemoTest : public ::testing::Test {
   }
 
   // Decision of a scheduler that has never seen an earlier round.
-  ScheduleDecision Fresh(const RoundContext& round) {
-    return CriusScheduler(&oracle_, CriusConfig{}).Schedule(round);
+  Resolved Fresh(const RoundContext& round) {
+    CriusScheduler fresh(&oracle_, CriusConfig{});
+    return Resolve(fresh, round);
   }
 
   Cluster cluster_;
@@ -572,12 +573,12 @@ class CellMemoTest : public ::testing::Test {
 
 TEST_F(CellMemoTest, UnchangedRoundTakesSteadyPath) {
   CriusScheduler sched(&oracle_, CriusConfig{});
-  const ScheduleDecision first = sched.Schedule(Round(0.0, cluster_));
+  const Resolved first = Resolve(sched, Round(0.0, cluster_));
 
   const int64_t steady = Counter("sched.cells_steady_rounds");
   const int64_t full = Counter("sched.cells_full_reranks");
   const int64_t considered = Counter("sched.cells_considered");
-  const ScheduleDecision second = sched.Schedule(Round(300.0, cluster_));
+  const Resolved second = Resolve(sched, Round(300.0, cluster_));
   EXPECT_EQ(Counter("sched.cells_steady_rounds"), steady + 1);
   EXPECT_EQ(Counter("sched.cells_full_reranks"), full);
   EXPECT_EQ(Counter("sched.cells_considered"), considered) << "a steady round re-ranked";
@@ -594,7 +595,7 @@ TEST_F(CellMemoTest, ReorderedJobsReuseEntriesWithoutRerank) {
   const int64_t steady = Counter("sched.cells_steady_rounds");
   const int64_t evictions = Counter("sched.cells_cache_evictions");
   const int64_t considered = Counter("sched.cells_considered");
-  const ScheduleDecision reordered = sched.Schedule(Round(300.0, cluster_, {}, reversed));
+  const Resolved reordered = Resolve(sched, Round(300.0, cluster_, {}, reversed));
   EXPECT_EQ(Counter("sched.cells_steady_rounds"), steady);
   EXPECT_EQ(Counter("sched.cells_cache_evictions"), evictions);
   EXPECT_EQ(Counter("sched.cells_considered"), considered) << "a current entry was re-ranked";
@@ -613,7 +614,7 @@ TEST_F(CellMemoTest, SlowdownEpochKeepsEveryEntry) {
   const int64_t dirty = Counter("sched.cells_dirty_reranks");
   const int64_t full = Counter("sched.cells_full_reranks");
   const int64_t considered = Counter("sched.cells_considered");
-  const ScheduleDecision slowed = sched.Schedule(Round(300.0, cluster_, events));
+  const Resolved slowed = Resolve(sched, Round(300.0, cluster_, events));
   EXPECT_EQ(Counter("sched.cells_kept_incremental"), kept + 2);
   EXPECT_EQ(Counter("sched.cells_dirty_reranks"), dirty);
   EXPECT_EQ(Counter("sched.cells_full_reranks"), full);
@@ -635,14 +636,14 @@ TEST_F(CellMemoTest, CapacityDropReranksOnlyDirtyEntries) {
   const int64_t dirty = Counter("sched.cells_dirty_reranks");
   const int64_t full = Counter("sched.cells_full_reranks");
   const int64_t invalidations = Counter("sched.cells_cache_invalidations");
-  const ScheduleDecision degraded = sched.Schedule(Round(300.0, cluster_, events));
+  const Resolved degraded = Resolve(sched, Round(300.0, cluster_, events));
   EXPECT_EQ(Counter("sched.cells_kept_incremental"), kept + 1);
   EXPECT_EQ(Counter("sched.cells_dirty_reranks"), dirty + 1);
   EXPECT_EQ(Counter("sched.cells_full_reranks"), full);
   EXPECT_EQ(Counter("sched.cells_cache_invalidations"), invalidations);
   ExpectSameDecision(degraded, Fresh(Round(300.0, cluster_, events)));
-  ASSERT_TRUE(degraded.assignments.count(1));
-  EXPECT_LE(degraded.assignments.at(1).ngpus, 8) << "placed beyond usable capacity";
+  ASSERT_TRUE(degraded.target.count(1));
+  EXPECT_LE(degraded.target.at(1).ngpus, 8) << "placed beyond usable capacity";
 }
 
 TEST_F(CellMemoTest, DifferentClusterObjectForcesFullRerank) {
@@ -657,7 +658,7 @@ TEST_F(CellMemoTest, DifferentClusterObjectForcesFullRerank) {
   const int64_t full = Counter("sched.cells_full_reranks");
   const int64_t invalidations = Counter("sched.cells_cache_invalidations");
   const int64_t steady = Counter("sched.cells_steady_rounds");
-  const ScheduleDecision moved = sched.Schedule(Round(300.0, other));
+  const Resolved moved = Resolve(sched, Round(300.0, other));
   EXPECT_EQ(Counter("sched.cells_full_reranks"), full + 1);
   EXPECT_EQ(Counter("sched.cells_cache_invalidations"), invalidations + 1);
   EXPECT_EQ(Counter("sched.cells_steady_rounds"), steady);
@@ -709,11 +710,11 @@ TEST_F(CriusSchedTest, SmallestFirstPlacesSmallJobsUnderPressure) {
   CriusConfig config;
   config.placement_order = CriusPlacementOrder::kSmallestFirst;
   CriusScheduler sched(&oracle, config);
-  const ScheduleDecision d = sched.Schedule(RoundFor(0.0, views, testbed));
+  const Resolved d = Resolve(sched, RoundFor(0.0, views, testbed));
   CheckCapacityFor(testbed, d);
   int small_placed = 0;
   for (int i = 1; i < 12; ++i) {
-    small_placed += d.assignments.count(i);
+    small_placed += d.target.count(i);
   }
   EXPECT_EQ(small_placed, 11);
 }

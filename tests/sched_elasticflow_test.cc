@@ -27,18 +27,18 @@ TEST_F(ElasticFlowTest, Names) {
 
 TEST_F(ElasticFlowTest, StaysOnRequestedType) {
   AddQueued(0, kSmall, 8, GpuType::kV100, 0.0);
-  const ScheduleDecision d = ls_.Schedule(Round(0.0));
-  ASSERT_TRUE(d.assignments.count(0));
-  EXPECT_EQ(d.assignments.at(0).type, GpuType::kV100);  // heterogeneity-blind
+  const Resolved d = Resolve(ls_, Round(0.0));
+  ASSERT_TRUE(d.target.count(0));
+  EXPECT_EQ(d.target.at(0).type, GpuType::kV100);  // heterogeneity-blind
 }
 
 TEST_F(ElasticFlowTest, GrowsAllocationsWithSpareCapacity) {
   // A lone small job in an empty pool gets more than its 1-GPU min share.
   AddQueued(0, kSmall, 2, GpuType::kA100, 0.0);
-  const ScheduleDecision d = ls_.Schedule(Round(0.0));
+  const Resolved d = Resolve(ls_, Round(0.0));
   CheckCapacity(d);
-  ASSERT_TRUE(d.assignments.count(0));
-  EXPECT_GT(d.assignments.at(0).ngpus, 1);
+  ASSERT_TRUE(d.target.count(0));
+  EXPECT_GT(d.target.at(0).ngpus, 1);
 }
 
 TEST_F(ElasticFlowTest, ShrinksTowardMinSharesUnderLoad) {
@@ -47,9 +47,9 @@ TEST_F(ElasticFlowTest, ShrinksTowardMinSharesUnderLoad) {
   for (int i = 0; i < 60; ++i) {
     AddQueued(i, kSmall, 16, GpuType::kA40, static_cast<double>(i));
   }
-  const ScheduleDecision d = ls_.Schedule(Round(0.0));
+  const Resolved d = Resolve(ls_, Round(0.0));
   CheckCapacity(d);
-  EXPECT_GT(d.assignments.size(), 20u);
+  EXPECT_GT(d.target.size(), 20u);
 }
 
 TEST_F(ElasticFlowTest, OverestimatesLargeModelMinShare) {
@@ -59,9 +59,9 @@ TEST_F(ElasticFlowTest, OverestimatesLargeModelMinShare) {
   DpView view(&oracle_);
   EXPECT_FALSE(view.MinShare(kBert26, GpuType::kA100, 256).has_value());
   AddQueued(0, kBert26, 8, GpuType::kA100, 0.0);
-  const ScheduleDecision d = ls_.Schedule(Round(0.0));
-  ASSERT_TRUE(d.assignments.count(0));
-  EXPECT_EQ(d.assignments.at(0).ngpus, 8);  // inelastic fallback
+  const Resolved d = Resolve(ls_, Round(0.0));
+  ASSERT_TRUE(d.target.count(0));
+  EXPECT_EQ(d.target.at(0).ngpus, 8);  // inelastic fallback
 }
 
 TEST_F(ElasticFlowTest, MinShareComesFromDpMemory) {
@@ -78,10 +78,10 @@ TEST_F(ElasticFlowTest, PoolsAreIndependent) {
     AddQueued(i, kSmall, 16, GpuType::kA40, static_cast<double>(i));
   }
   AddQueued(100, kSmall, 4, GpuType::kA10, 0.0);
-  const ScheduleDecision d = ls_.Schedule(Round(0.0));
+  const Resolved d = Resolve(ls_, Round(0.0));
   CheckCapacity(d);
-  ASSERT_TRUE(d.assignments.count(100));
-  EXPECT_EQ(d.assignments.at(100).type, GpuType::kA10);
+  ASSERT_TRUE(d.target.count(100));
+  EXPECT_EQ(d.target.at(100).type, GpuType::kA10);
 }
 
 TEST_F(ElasticFlowTest, StrictModeDropsHopelessDeadlines) {
@@ -89,9 +89,9 @@ TEST_F(ElasticFlowTest, StrictModeDropsHopelessDeadlines) {
   hopeless->job.deadline = 60.0;  // a minute for a multi-day job
   JobState* fine = AddQueued(1, kSmall, 4, GpuType::kA100, 0.0, /*iterations=*/100);
   fine->job.deadline = 7.0 * kDay;
-  const ScheduleDecision d = strict_.Schedule(Round(0.0));
-  EXPECT_EQ(d.dropped, std::vector<int64_t>{0});
-  EXPECT_TRUE(d.assignments.count(1));
+  const Resolved d = Resolve(strict_, Round(0.0));
+  EXPECT_EQ(d.decision.dropped, std::vector<int64_t>{0});
+  EXPECT_TRUE(d.target.count(1));
 }
 
 TEST_F(ElasticFlowTest, StrictModeRaisesShareToMeetDeadline) {
@@ -100,16 +100,16 @@ TEST_F(ElasticFlowTest, StrictModeRaisesShareToMeetDeadline) {
   const auto thr1 = oracle_.DpOnlyIterTime(kSmall, GpuType::kA100, 1);
   ASSERT_TRUE(thr1.has_value());
   job->job.deadline = 3000.0 * (*thr1) / 4.0;  // 1 GPU would take 4x too long
-  const ScheduleDecision d = strict_.Schedule(Round(0.0));
-  ASSERT_TRUE(d.assignments.count(0));
-  EXPECT_GT(d.assignments.at(0).ngpus, 1);
+  const Resolved d = Resolve(strict_, Round(0.0));
+  ASSERT_TRUE(d.target.count(0));
+  EXPECT_GT(d.target.at(0).ngpus, 1);
 }
 
 TEST_F(ElasticFlowTest, LooseModeNeverDrops) {
   JobState* hopeless = AddQueued(0, kSmall, 4, GpuType::kA100, 0.0, /*iterations=*/2000000);
   hopeless->job.deadline = 60.0;
-  const ScheduleDecision d = ls_.Schedule(Round(0.0));
-  EXPECT_TRUE(d.dropped.empty());
+  const Resolved d = Resolve(ls_, Round(0.0));
+  EXPECT_TRUE(d.decision.dropped.empty());
 }
 
 TEST_F(ElasticFlowTest, HysteresisKeepsRunningAllocation) {
@@ -117,9 +117,9 @@ TEST_F(ElasticFlowTest, HysteresisKeepsRunningAllocation) {
   // GPUs would idle) nor regrown for gains below the threshold.
   ElasticFlowScheduler cautious(&oracle_, ElasticFlowConfig{.scale_gain_threshold = 0.30});
   JobState* running = AddRunning(0, kSmall, 64, GpuType::kA100);
-  const ScheduleDecision d = cautious.Schedule(Round(0.0));
-  ASSERT_TRUE(d.assignments.count(0));
-  EXPECT_EQ(d.assignments.at(0).ngpus, running->ngpus);
+  const Resolved d = Resolve(cautious, Round(0.0));
+  ASSERT_TRUE(d.target.count(0));
+  EXPECT_EQ(d.target.at(0).ngpus, running->ngpus);
 }
 
 TEST_F(ElasticFlowTest, ShrinksRunningJobOnlyUnderContention) {
@@ -128,10 +128,10 @@ TEST_F(ElasticFlowTest, ShrinksRunningJobOnlyUnderContention) {
   for (int i = 1; i <= 40; ++i) {
     AddQueued(i, kSmall, 16, GpuType::kA100, static_cast<double>(i));
   }
-  const ScheduleDecision d = ls_.Schedule(Round(0.0));
+  const Resolved d = Resolve(ls_, Round(0.0));
   CheckCapacity(d);
-  ASSERT_TRUE(d.assignments.count(0));
-  EXPECT_LT(d.assignments.at(0).ngpus, 64);
+  ASSERT_TRUE(d.target.count(0));
+  EXPECT_LT(d.target.at(0).ngpus, 64);
 }
 
 TEST_F(ElasticFlowTest, TypeWithEveryGpuFailedPlacesNothing) {
@@ -147,12 +147,12 @@ TEST_F(ElasticFlowTest, TypeWithEveryGpuFailedPlacesNothing) {
   stranded->job.deadline = 7.0 * kDay;
   AddQueued(1, kSmall, 4, GpuType::kA40, 1.0);
   for (ElasticFlowScheduler* scheduler : {&ls_, &strict_}) {
-    const ScheduleDecision d = scheduler->Schedule(Round(0.0));
+    const Resolved d = Resolve(*scheduler, Round(0.0));
     CheckCapacity(d);
-    EXPECT_FALSE(d.assignments.count(0)) << scheduler->name();
-    EXPECT_TRUE(d.dropped.empty()) << scheduler->name();
-    ASSERT_TRUE(d.assignments.count(1)) << scheduler->name();
-    EXPECT_EQ(d.assignments.at(1).type, GpuType::kA40);
+    EXPECT_FALSE(d.target.count(0)) << scheduler->name();
+    EXPECT_TRUE(d.decision.dropped.empty()) << scheduler->name();
+    ASSERT_TRUE(d.target.count(1)) << scheduler->name();
+    EXPECT_EQ(d.target.at(1).type, GpuType::kA40);
   }
 }
 

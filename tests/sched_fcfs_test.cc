@@ -19,29 +19,29 @@ TEST_F(FcfsTest, SchedulesInArrivalOrder) {
   AddQueued(0, kSmall, 16, GpuType::kA40, /*submit=*/10.0);
   AddQueued(1, kSmall, 16, GpuType::kA40, /*submit=*/5.0);
   AddQueued(2, kSmall, 16, GpuType::kA40, /*submit=*/20.0);
-  const ScheduleDecision d = sched_.Schedule(Round(100.0));
+  const Resolved d = Resolve(sched_, Round(100.0));
   CheckCapacity(d);
   // 32 A40 GPUs fit exactly the two earliest arrivals.
-  EXPECT_EQ(d.assignments.size(), 2u);
-  EXPECT_TRUE(d.assignments.count(1));
-  EXPECT_TRUE(d.assignments.count(0));
-  EXPECT_FALSE(d.assignments.count(2));
+  EXPECT_EQ(d.target.size(), 2u);
+  EXPECT_TRUE(d.target.count(1));
+  EXPECT_TRUE(d.target.count(0));
+  EXPECT_FALSE(d.target.count(2));
 }
 
 TEST_F(FcfsTest, HeadOfLineBlocking) {
   AddQueued(0, kSmall, 32, GpuType::kA40, 0.0);  // takes the whole pool
   AddQueued(1, kSmall, 32, GpuType::kA40, 1.0);  // blocked head
   AddQueued(2, kSmall, 2, GpuType::kA40, 2.0);   // would fit, but FIFO blocks it
-  const ScheduleDecision d = sched_.Schedule(Round(0.0));
-  EXPECT_EQ(d.assignments.size(), 1u);
-  EXPECT_TRUE(d.assignments.count(0));
+  const Resolved d = Resolve(sched_, Round(0.0));
+  EXPECT_EQ(d.target.size(), 1u);
+  EXPECT_TRUE(d.target.count(0));
 }
 
 TEST_F(FcfsTest, UsesRequestedShapeVerbatim) {
   AddQueued(0, kMedium, 8, GpuType::kA10, 0.0);
-  const ScheduleDecision d = sched_.Schedule(Round(0.0));
-  ASSERT_TRUE(d.assignments.count(0));
-  const Assignment& a = d.assignments.at(0);
+  const Resolved d = Resolve(sched_, Round(0.0));
+  ASSERT_TRUE(d.target.count(0));
+  const Assignment& a = d.target.at(0);
   EXPECT_EQ(a.type, GpuType::kA10);
   EXPECT_EQ(a.ngpus, 8);
   EXPECT_EQ(a.nstages, 0);  // framework picks the plan
@@ -50,26 +50,26 @@ TEST_F(FcfsTest, UsesRequestedShapeVerbatim) {
 TEST_F(FcfsTest, NeverTouchesRunningJobs) {
   JobState* running = AddRunning(0, kSmall, 16, GpuType::kA40);
   AddQueued(1, kSmall, 16, GpuType::kA40, 1.0);
-  const ScheduleDecision d = sched_.Schedule(Round(0.0));
+  const Resolved d = Resolve(sched_, Round(0.0));
   CheckCapacity(d);
-  ASSERT_TRUE(d.assignments.count(0));
-  EXPECT_EQ(d.assignments.at(0).ngpus, running->ngpus);
-  EXPECT_EQ(d.assignments.at(0).type, running->gpu_type);
-  EXPECT_TRUE(d.assignments.count(1));
+  ASSERT_TRUE(d.target.count(0));
+  EXPECT_EQ(d.target.at(0).ngpus, running->ngpus);
+  EXPECT_EQ(d.target.at(0).type, running->gpu_type);
+  EXPECT_TRUE(d.target.count(1));
 }
 
 TEST_F(FcfsTest, RespectsRunningCapacity) {
   AddRunning(0, kSmall, 32, GpuType::kA40);
   AddQueued(1, kSmall, 2, GpuType::kA40, 1.0);
-  const ScheduleDecision d = sched_.Schedule(Round(0.0));
-  EXPECT_FALSE(d.assignments.count(1));  // pool exhausted by the running job
+  const Resolved d = Resolve(sched_, Round(0.0));
+  EXPECT_FALSE(d.target.count(1));  // pool exhausted by the running job
 }
 
 TEST_F(FcfsTest, NoDrops) {
   AddQueued(0, kSmall, 64, GpuType::kA40, 0.0);  // can never fit (pool is 32)
-  const ScheduleDecision d = sched_.Schedule(Round(0.0));
-  EXPECT_TRUE(d.dropped.empty());
-  EXPECT_TRUE(d.assignments.empty());
+  const Resolved d = Resolve(sched_, Round(0.0));
+  EXPECT_TRUE(d.decision.dropped.empty());
+  EXPECT_TRUE(d.target.empty());
 }
 
 TEST_F(FcfsTest, Name) {

@@ -16,19 +16,19 @@ class GandivaTest : public SchedTestBase {
 
 TEST_F(GandivaTest, PlacesOnAnyTypeWithRoom) {
   AddQueued(0, kSmall, 4, GpuType::kA100, 0.0);
-  const ScheduleDecision d = sched_.Schedule(Round(0.0));
+  const Resolved d = Resolve(sched_, Round(0.0));
   CheckCapacity(d);
-  ASSERT_TRUE(d.assignments.count(0));
-  EXPECT_EQ(d.assignments.at(0).ngpus, 4);  // never scales counts
+  ASSERT_TRUE(d.target.count(0));
+  EXPECT_EQ(d.target.at(0).ngpus, 4);  // never scales counts
 }
 
 TEST_F(GandivaTest, NeverScalesGpuCounts) {
   for (int i = 0; i < 10; ++i) {
     AddQueued(i, kSmall, 8, GpuType::kA40, static_cast<double>(i));
   }
-  const ScheduleDecision d = sched_.Schedule(Round(0.0));
+  const Resolved d = Resolve(sched_, Round(0.0));
   CheckCapacity(d);
-  for (const auto& [id, a] : d.assignments) {
+  for (const auto& [id, a] : d.target) {
     EXPECT_EQ(a.ngpus, 8) << "job " << id;
   }
 }
@@ -38,11 +38,11 @@ TEST_F(GandivaTest, MigratesRunningJobToClearlyBetterType) {
   // introspection observes the gap and migrates when A100s are free.
   const ModelSpec bert26{ModelFamily::kBert, 2.6, 128};
   AddRunning(0, bert26, 4, GpuType::kV100);
-  const ScheduleDecision d = sched_.Schedule(Round(0.0));
+  const Resolved d = Resolve(sched_, Round(0.0));
   CheckCapacity(d);
-  ASSERT_TRUE(d.assignments.count(0));
-  EXPECT_EQ(d.assignments.at(0).type, GpuType::kA100);
-  EXPECT_EQ(d.assignments.at(0).ngpus, 4);
+  ASSERT_TRUE(d.target.count(0));
+  EXPECT_EQ(d.target.at(0).type, GpuType::kA100);
+  EXPECT_EQ(d.target.at(0).ngpus, 4);
 }
 
 TEST_F(GandivaTest, MigrationLimitedPerRound) {
@@ -50,9 +50,9 @@ TEST_F(GandivaTest, MigrationLimitedPerRound) {
   AddRunning(0, bert26, 4, GpuType::kV100);
   AddRunning(1, bert26, 4, GpuType::kV100);
   AddRunning(2, bert26, 4, GpuType::kV100);
-  const ScheduleDecision d = sched_.Schedule(Round(0.0));
+  const Resolved d = Resolve(sched_, Round(0.0));
   int migrated = 0;
-  for (const auto& [id, a] : d.assignments) {
+  for (const auto& [id, a] : d.target) {
     if (a.type != GpuType::kV100) {
       ++migrated;
     }
@@ -74,25 +74,25 @@ TEST_F(GandivaTest, LimitedBackfillStopsAfterManyBlocked) {
     AddQueued(i, kSmall, 64, GpuType::kA100, static_cast<double>(i));  // all blocked
   }
   AddQueued(50, kSmall, 1, GpuType::kA100, 50.0);  // would fit on V100 leftovers
-  const ScheduleDecision d = sched_.Schedule(Round(0.0));
-  EXPECT_FALSE(d.assignments.count(50));
+  const Resolved d = Resolve(sched_, Round(0.0));
+  EXPECT_FALSE(d.target.count(50));
 }
 
 TEST_F(GandivaTest, SkipsShapesThatCannotLaunch) {
   // MoE-27B cannot start on 2 GPUs of any type; Gandiva leaves it queued.
   AddQueued(0, ModelSpec{ModelFamily::kMoe, 27.0, 256}, 2, GpuType::kA100, 0.0);
-  const ScheduleDecision d = sched_.Schedule(Round(0.0));
-  EXPECT_FALSE(d.assignments.count(0));
+  const Resolved d = Resolve(sched_, Round(0.0));
+  EXPECT_FALSE(d.target.count(0));
 }
 
 TEST_F(GandivaTest, DeterministicTypePick) {
   AddQueued(7, kSmall, 2, GpuType::kA40, 0.0);
-  const ScheduleDecision a = sched_.Schedule(Round(0.0));
+  const Resolved a = Resolve(sched_, Round(0.0));
   GandivaScheduler fresh(&oracle_);
-  const ScheduleDecision b = fresh.Schedule(Round(0.0));
-  ASSERT_TRUE(a.assignments.count(7));
-  ASSERT_TRUE(b.assignments.count(7));
-  EXPECT_EQ(a.assignments.at(7).type, b.assignments.at(7).type);
+  const Resolved b = Resolve(fresh, Round(0.0));
+  ASSERT_TRUE(a.target.count(7));
+  ASSERT_TRUE(b.target.count(7));
+  EXPECT_EQ(a.target.at(7).type, b.target.at(7).type);
 }
 
 }  // namespace

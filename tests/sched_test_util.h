@@ -1,16 +1,33 @@
-// Shared helpers for scheduler unit tests: builds JobState populations and
-// validates capacity invariants of ScheduleDecisions.
+// Shared helpers for scheduler unit tests: builds JobState populations,
+// resolves decisions to the full target they stand for, and validates its
+// capacity invariants.
 
 #ifndef TESTS_SCHED_TEST_UTIL_H_
 #define TESTS_SCHED_TEST_UTIL_H_
 
 #include <array>
+#include <map>
 #include <memory>
 #include <vector>
 
 #include "src/sched/scheduler.h"
 
 namespace crius {
+
+// A scheduler's decision and the full target it resolves to over its round:
+// scheduler tests assert on the target, which names every placed job.
+struct Resolved {
+  ScheduleDecision decision;
+  std::map<int64_t, Assignment> target;
+};
+
+// Runs one round of `scheduler` and resolves its decision (ResolvedTarget)
+// while the round's jobs are alive.
+inline Resolved Resolve(Scheduler& scheduler, const RoundContext& round) {
+  ScheduleDecision decision = scheduler.Schedule(round);
+  std::map<int64_t, Assignment> target = ResolvedTarget(round, decision);
+  return Resolved{std::move(decision), std::move(target)};
+}
 
 class SchedTestBase : public ::testing::Test {
  protected:
@@ -61,10 +78,11 @@ class SchedTestBase : public ::testing::Test {
     return RoundContext(now, std::move(jobs), cluster);
   }
 
-  // Asserts the decision never oversubscribes any GPU type of `cluster`.
-  static void CheckCapacityFor(const Cluster& cluster, const ScheduleDecision& decision) {
+  // Asserts the resolved target never oversubscribes any GPU type of
+  // `cluster`.
+  static void CheckCapacityFor(const Cluster& cluster, const Resolved& resolved) {
     std::array<int, kNumGpuTypes> used{};
-    for (const auto& [id, a] : decision.assignments) {
+    for (const auto& [id, a] : resolved.target) {
       ASSERT_GT(a.ngpus, 0) << "job " << id;
       used[static_cast<int>(a.type)] += a.ngpus;
     }
@@ -74,9 +92,7 @@ class SchedTestBase : public ::testing::Test {
     }
   }
 
-  void CheckCapacity(const ScheduleDecision& decision) {
-    CheckCapacityFor(cluster_, decision);
-  }
+  void CheckCapacity(const Resolved& resolved) { CheckCapacityFor(cluster_, resolved); }
 
   Cluster cluster_;
   PerformanceOracle oracle_;

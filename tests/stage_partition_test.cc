@@ -8,6 +8,7 @@
 
 #include "src/model/models.h"
 #include "src/util/mathutil.h"
+#include "tests/param_print.h"
 
 namespace crius {
 namespace {

@@ -11,6 +11,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
+#include <string>
 
 #include "bench/gantt.h"
 #include "bench/pipeline_engine.h"
@@ -19,9 +21,16 @@
 namespace crius {
 namespace {
 
-ModelSpec ParseModelName(const std::string& name, int64_t batch) {
-  for (ModelFamily family :
-       {ModelFamily::kWideResNet, ModelFamily::kBert, ModelFamily::kMoe}) {
+constexpr ModelFamily kFamilies[] = {ModelFamily::kWideResNet, ModelFamily::kBert,
+                                     ModelFamily::kMoe};
+// Largest --gpus value. It also bounds the default cluster, which is built
+// with twice the GPUs.
+constexpr int64_t kMaxGpus = 4096;
+
+// The Table-2 model named `name` at `batch` (0 or less = the family's first
+// batch size); std::nullopt for an unknown name.
+std::optional<ModelSpec> FindModel(const std::string& name, int64_t batch) {
+  for (ModelFamily family : kFamilies) {
     for (double size : SupportedSizes(family)) {
       ModelSpec spec{family, size, batch > 0 ? batch : SupportedBatches(family)[0]};
       if (spec.Name() == name) {
@@ -29,14 +38,39 @@ ModelSpec ParseModelName(const std::string& name, int64_t batch) {
       }
     }
   }
-  std::string known;
-  for (ModelFamily family :
-       {ModelFamily::kWideResNet, ModelFamily::kBert, ModelFamily::kMoe}) {
-    for (double size : SupportedSizes(family)) {
-      known += " " + ModelSpec{family, size, 1}.Name();
+  return std::nullopt;
+}
+
+// Checks --model, --type and --gpus before anything is built from them, so
+// a bad value exits 1 naming the flag and its allowed values.
+bool ValidateFlags(const std::string& model_name, const std::string& type_name, int64_t gpus) {
+  bool ok = true;
+  if (!FindModel(model_name, 0).has_value()) {
+    std::string known;
+    for (ModelFamily family : kFamilies) {
+      for (double size : SupportedSizes(family)) {
+        known += " " + ModelSpec{family, size, 1}.Name();
+      }
     }
+    std::fprintf(stderr, "crius_plan: unknown --model '%s' (known:%s)\n", model_name.c_str(),
+                 known.c_str());
+    ok = false;
   }
-  CRIUS_UNREACHABLE("unknown model '" + name + "'; known:" + known);
+  if (!FindGpuType(type_name).has_value()) {
+    std::string known;
+    for (GpuType type : AllGpuTypes()) {
+      known += (known.empty() ? "" : " | ") + GpuName(type);
+    }
+    std::fprintf(stderr, "crius_plan: unknown --type '%s' (want %s)\n", type_name.c_str(),
+                 known.c_str());
+    ok = false;
+  }
+  if (gpus < 1 || gpus > kMaxGpus || !IsPowerOfTwo(gpus)) {
+    std::fprintf(stderr, "crius_plan: bad --gpus %lld (want a power of two from 1 to %lld)\n",
+                 static_cast<long long>(gpus), static_cast<long long>(kMaxGpus));
+    ok = false;
+  }
+  return ok;
 }
 
 int Run(int argc, const char* const* argv) {
@@ -80,11 +114,15 @@ int Run(int argc, const char* const* argv) {
     SetLogLevel(*parsed);
   }
 
+  if (!ValidateFlags(model_name, type_name, gpus)) {
+    return 1;
+  }
+
   if (!trace_json.empty()) {
     TraceRecorder::Global().SetEnabled(true);
   }
 
-  const GpuType type = ParseGpuType(type_name);
+  const GpuType type = *FindGpuType(type_name);
   Cluster cluster;
   if (cluster_spec.empty()) {
     const int per_node = type == GpuType::kA100 ? 4 : (type == GpuType::kV100 ? 16 : 2);
@@ -92,9 +130,14 @@ int Run(int argc, const char* const* argv) {
     cluster.AddNodes(type, nodes, per_node);
   } else {
     cluster = ParseClusterSpec(cluster_spec);
+    if (!cluster.HasType(type)) {
+      std::fprintf(stderr, "crius_plan: --cluster '%s' has no %s GPUs (--type)\n",
+                   cluster_spec.c_str(), GpuName(type).c_str());
+      return 1;
+    }
   }
   PerformanceOracle oracle(cluster, static_cast<uint64_t>(seed));
-  const ModelSpec spec = ParseModelName(model_name, batch);
+  const ModelSpec spec = *FindModel(model_name, batch);
   const JobContext ctx = oracle.perf_model().MakeContext(spec, type);
 
   std::printf("%s, global batch %lld, on %lldx %s (%d GPUs/node)\n", spec.Name().c_str(),
