@@ -239,7 +239,7 @@ Cluster MakeMotivationCluster() {
   return c;
 }
 
-Cluster ParseClusterSpec(const std::string& spec) {
+bool ParseClusterSpec(const std::string& spec, Cluster* out, std::string* error) {
   Cluster c;
   size_t pos = 0;
   while (pos < spec.size()) {
@@ -250,44 +250,73 @@ Cluster ParseClusterSpec(const std::string& spec) {
     const std::string part = spec.substr(pos, end - pos);
     const size_t colon = part.find(':');
     const size_t x = part.find('x', colon == std::string::npos ? 0 : colon);
-    CRIUS_CHECK_MSG(colon != std::string::npos && x != std::string::npos && x > colon + 1,
-                    "bad cluster spec part '" << part << "' (want TYPE:NODESxGPUS)");
-    const GpuType type = ParseGpuType(part.substr(0, colon));
-    const std::string nodes_str = part.substr(colon + 1, x - colon - 1);
-    const std::string gpus_str = part.substr(x + 1);
-    auto parse_positive = [&part](const std::string& s, const char* what) {
+    if (colon == std::string::npos || x == std::string::npos || x <= colon + 1) {
+      *error = "bad cluster spec part '" + part + "' (want TYPE:NODESxGPUS)";
+      return false;
+    }
+    const std::string type_name = part.substr(0, colon);
+    const std::optional<GpuType> type = FindGpuType(type_name);
+    if (!type.has_value()) {
+      *error = "unknown GPU type name: " + type_name;
+      return false;
+    }
+    // A positive int spelled out in full, or 0 for anything else.
+    auto parse_positive = [](const std::string& s) {
       size_t parsed = 0;
       int v = 0;
-      bool ok = true;
       try {
         v = std::stoi(s, &parsed);
       } catch (const std::exception&) {
-        ok = false;
+        return 0;
       }
-      CRIUS_CHECK_MSG(ok && parsed == s.size() && v > 0, "bad " << what << " in '" << part
-                                                                << "'");
-      return v;
+      return parsed == s.size() && v > 0 ? v : 0;
     };
-    const int num_nodes = parse_positive(nodes_str, "node count");
-    const int gpus_per_node = parse_positive(gpus_str, "GPUs-per-node");
-    c.AddNodes(type, num_nodes, gpus_per_node);
+    const int num_nodes = parse_positive(part.substr(colon + 1, x - colon - 1));
+    if (num_nodes == 0) {
+      *error = "bad node count in '" + part + "'";
+      return false;
+    }
+    const int gpus_per_node = parse_positive(part.substr(x + 1));
+    if (gpus_per_node == 0) {
+      *error = "bad GPUs-per-node in '" + part + "'";
+      return false;
+    }
+    c.AddNodes(*type, num_nodes, gpus_per_node);
     pos = end + 1;
   }
-  CRIUS_CHECK_MSG(c.TotalGpus() > 0, "empty cluster spec");
+  if (c.TotalGpus() == 0) {
+    *error = "empty cluster spec";
+    return false;
+  }
+  *out = std::move(c);
+  return true;
+}
+
+Cluster ParseClusterSpec(const std::string& spec) {
+  Cluster c;
+  std::string error;
+  CRIUS_CHECK_MSG(ParseClusterSpec(spec, &c, &error), error);
   return c;
 }
 
-Cluster MakeNamedCluster(const std::string& spec) {
+bool MakeNamedCluster(const std::string& spec, Cluster* out, std::string* error) {
   if (spec == "testbed") {
-    return MakePhysicalTestbed();
+    *out = MakePhysicalTestbed();
+  } else if (spec == "simulated") {
+    *out = MakeSimulatedCluster();
+  } else if (spec == "motivation") {
+    *out = MakeMotivationCluster();
+  } else {
+    return ParseClusterSpec(spec, out, error);
   }
-  if (spec == "simulated") {
-    return MakeSimulatedCluster();
-  }
-  if (spec == "motivation") {
-    return MakeMotivationCluster();
-  }
-  return ParseClusterSpec(spec);
+  return true;
+}
+
+Cluster MakeNamedCluster(const std::string& spec) {
+  Cluster c;
+  std::string error;
+  CRIUS_CHECK_MSG(MakeNamedCluster(spec, &c, &error), error);
+  return c;
 }
 
 std::string ClusterSpecString(const Cluster& cluster) {

@@ -152,12 +152,18 @@ Cluster MakeMotivationCluster();
 // Parses a cluster description of the form "A100:80x4,A40:160x2" (type :
 // node-count x gpus-per-node, comma separated). Aborts on malformed specs.
 Cluster ParseClusterSpec(const std::string& spec);
+// The fallible form: on a malformed spec returns false with *error naming the
+// bad part, and leaves *out untouched.
+bool ParseClusterSpec(const std::string& spec, Cluster* out, std::string* error);
 
 // Resolves a --cluster flag value: the named presets ("testbed", "simulated",
 // "motivation") or any ParseClusterSpec string. One implementation shared by
 // crius_sim, crius_serve, and the session replay path, so every entry point
-// accepts the same vocabulary.
+// accepts the same vocabulary. Aborts on malformed specs.
 Cluster MakeNamedCluster(const std::string& spec);
+// The fallible form, for validating a flag up front: false with *error as
+// ParseClusterSpec sets it.
+bool MakeNamedCluster(const std::string& spec, Cluster* out, std::string* error);
 
 // Renders a cluster back into the ParseClusterSpec format.
 std::string ClusterSpecString(const Cluster& cluster);

@@ -45,15 +45,15 @@ std::array<int, kNumGpuTypes> CandidateCaps(const Cluster& cluster) {
   return caps;
 }
 
-// True when the §6.1 candidate GPU sizes ({N_G/2, N_G, 2*N_G} clipped to the
-// cap) for a job requesting `requested` GPUs differ between caps a and b.
-bool CandidateSizesDiffer(int requested, int cap_a, int cap_b) {
-  for (const int ngpus : {requested / 2, requested, requested * 2}) {
-    if (ngpus < 1) {
-      continue;
-    }
-    if ((ngpus <= cap_a) != (ngpus <= cap_b)) {
-      return true;
+// True when the §6.1 candidate GPU sizes ({N_G/2, N_G, 2*N_G} clipped to each
+// type's cap) for a job requesting `requested` GPUs differ between caps a and b.
+bool CandidateSizesDiffer(int requested, const std::array<int, kNumGpuTypes>& a,
+                          const std::array<int, kNumGpuTypes>& b) {
+  for (int t = 0; t < kNumGpuTypes; ++t) {
+    for (const int ngpus : {requested / 2, requested, requested * 2}) {
+      if (ngpus >= 1 && (ngpus <= a[t]) != (ngpus <= b[t])) {
+        return true;
+      }
     }
   }
   return false;
@@ -229,80 +229,95 @@ void CriusScheduler::SyncCellsCache(const RoundContext& round) {
       CRIUS_COUNTER_INC("sched.cells_cache_invalidations");
     }
     cells_memo_.clear();
+    cells_snapshot_.clear();  // its pointers went with the memo
     move_classes_ = MoveClassIndex{};
     CRIUS_COUNTER_INC("sched.cells_full_reranks");
-  } else if (epoch_moved) {
-    // 1b. Dirty set: a health change re-ranks a job iff some type's
-    // candidate-size cap crossed one of the job's three §6.1 candidate sizes
-    // -- only then does GenerateCells emit a different Cell set. Slowdown-only
-    // epochs change no caps, so every entry survives. Clean entries are kept;
-    // dirty ones are erased and re-ranked by the warm-up below.
-    for (const JobState* js : jobs) {
-      const auto it = cells_memo_.find(js->job.id);
-      if (it == cells_memo_.end()) {
-        continue;
-      }
-      bool dirty = false;
-      for (int t = 0; t < kNumGpuTypes; ++t) {
-        if (caps[t] != cells_caps_[t] &&
-            CandidateSizesDiffer(js->job.requested_gpus, cells_caps_[t], caps[t])) {
-          dirty = true;
-          break;
-        }
-      }
-      if (dirty) {
-        Unindex(it->second);
-        cells_memo_.erase(it);
-        CRIUS_COUNTER_INC("sched.cells_dirty_reranks");
-      } else {
-        CRIUS_COUNTER_INC("sched.cells_kept_incremental");
+  }
+
+  // 2. Merge walk of the round's jobs against last sync's snapshot. The
+  // engine lists its jobs in slot order every round, so a job is usually the
+  // next unconsumed snapshot entry and reuses it with no hash. Only a mismatch looks the id up: a hit resumes the walk after that
+  // entry's old position; a miss is an arrival and goes to missing_, as does
+  // an entry the dirty test erases. Every resolved entry takes this sync's
+  // stamp, so an entry resolved twice means the round lists its job twice:
+  // a job's placement state sits in its memo entry, so two jobs must not
+  // share one.
+  ++sync_stamp_;
+  std::vector<std::pair<int64_t, MemoEntry*>>& last = last_snapshot_;
+  last.swap(cells_snapshot_);
+  cells_snapshot_.clear();
+  missing_.clear();
+  int64_t lookups = 0;
+  size_t resolved = 0;  // entries of `last` this walk consumed
+  size_t cursor = 0;    // the next unconsumed entry of `last`
+  for (size_t ji = 0; ji < jobs.size(); ++ji) {
+    const TrainingJob& job = jobs[ji]->job;
+    MemoEntry* entry = nullptr;
+    // The next cursor never waits on the entry's own load when the orders
+    // agree, so the walk does not serialize on memo-node cache misses.
+    if (cursor < last.size() && last[cursor].first == job.id) {
+      entry = last[cursor++].second;
+    } else {
+      ++lookups;
+      const auto it = cells_memo_.find(job.id);
+      if (it != cells_memo_.end()) {
+        entry = &it->second;
+        cursor = entry->pos + 1;
       }
     }
+    if (entry != nullptr) {
+      CRIUS_CHECK_MSG(entry->stamp != sync_stamp_, "a scheduling round lists a job id twice");
+      entry->stamp = sync_stamp_;
+      ++resolved;
+      // Dirty set: after a health change, a kept entry is re-ranked iff some
+      // type's candidate-size cap crossed one of the job's three §6.1
+      // candidate sizes -- only then does GenerateCells emit a different Cell
+      // set. Slowdown-only epochs change no caps, so every entry survives.
+      if (epoch_moved) {
+        if (CandidateSizesDiffer(job.requested_gpus, cells_caps_, caps)) {
+          // Erased now and re-ranked by the warm-up below.
+          last[entry->pos].second = nullptr;
+          Unindex(*entry);
+          cells_memo_.erase(job.id);
+          ++lookups;
+          entry = nullptr;
+          CRIUS_COUNTER_INC("sched.cells_dirty_reranks");
+        } else {
+          CRIUS_COUNTER_INC("sched.cells_kept_incremental");
+        }
+      }
+    }
+    if (entry == nullptr) {
+      missing_.push_back(ji);
+    } else {
+      entry->pos = ji;
+    }
+    cells_snapshot_.emplace_back(job.id, entry);
   }
   cells_identity_ = identity;
   cells_epoch_ = epoch;
   cells_caps_ = caps;
 
-  // 2. Evict entries for jobs that left the system (completed, killed, or
-  // dropped): without this the memo grows without bound over a trace. The
-  // event delta names departures and drops, but the sweep also covers callers
-  // that pass no events.
-  active_ids_.clear();
-  for (const JobState* js : jobs) {
-    active_ids_.push_back(js->job.id);
-  }
-  std::sort(active_ids_.begin(), active_ids_.end());
-  // A job's placement state sits in its memo entry, so two jobs must not
-  // share one.
-  CRIUS_CHECK_MSG(std::adjacent_find(active_ids_.begin(), active_ids_.end()) == active_ids_.end(),
-                  "a scheduling round lists a job id twice");
-  size_t evicted = 0;
-  for (auto it = cells_memo_.begin(); it != cells_memo_.end();) {
-    if (std::binary_search(active_ids_.begin(), active_ids_.end(), it->first)) {
-      ++it;
-      continue;
+  // 3. Evict the entries of last sync's jobs the walk left unstamped: they
+  // left the system (completed, killed, or dropped). Without this the memo
+  // grows without bound over a trace. The memo holds exactly last sync's
+  // jobs, so when the walk resolved all of them nothing departed.
+  if (resolved < last.size()) {
+    size_t evicted = 0;
+    for (const auto& [id, entry] : last) {
+      if (entry != nullptr && entry->stamp != sync_stamp_) {
+        Unindex(*entry);
+        cells_memo_.erase(id);
+        ++lookups;
+        ++evicted;
+      }
     }
-    Unindex(it->second);
-    it = cells_memo_.erase(it);
-    ++evicted;
-  }
-  if (evicted > 0) {
-    CRIUS_COUNTER_ADD("sched.cells_cache_evictions", static_cast<int64_t>(evicted));
-  }
-
-  // 3. Resolve every job's ranking into the positional snapshot, collecting
-  // the missing ones (arrivals + dirtied).
-  cells_snapshot_.clear();
-  missing_.clear();
-  for (size_t ji = 0; ji < jobs.size(); ++ji) {
-    const auto it = cells_memo_.find(jobs[ji]->job.id);
-    if (it == cells_memo_.end()) {
-      missing_.push_back(ji);
-      cells_snapshot_.emplace_back(jobs[ji]->job.id, nullptr);
-    } else {
-      cells_snapshot_.emplace_back(jobs[ji]->job.id, &it->second);
+    if (evicted > 0) {
+      CRIUS_COUNTER_ADD("sched.cells_cache_evictions", static_cast<int64_t>(evicted));
     }
   }
+  // The warm-up below inserts each missing entry: one more lookup apiece.
+  CRIUS_COUNTER_ADD("sched.memo_lookups", lookups + static_cast<int64_t>(missing_.size()));
   const auto t_maintained = std::chrono::steady_clock::now();
   restamp_ms.Record(
       std::chrono::duration<double, std::milli>(t_maintained - t_enter).count());
@@ -316,8 +331,11 @@ void CriusScheduler::SyncCellsCache(const RoundContext& round) {
                         "{\"jobs\": " + std::to_string(missing_.size()) + "}");
   for (const size_t ji : missing_) {
     std::pair<int64_t, MemoEntry*>& slot = cells_snapshot_[ji];
-    MemoEntry entry{ComputeCells(jobs[ji]->job, cluster)};
-    slot.second = &cells_memo_.try_emplace(slot.first, std::move(entry)).first->second;
+    MemoEntry entry{sync_stamp_, ji, ComputeCells(jobs[ji]->job, cluster), {}};
+    const auto [it, inserted] = cells_memo_.try_emplace(slot.first, std::move(entry));
+    // Two missing jobs with one id (an arrival listed twice) meet here.
+    CRIUS_CHECK_MSG(inserted, "a scheduling round lists a job id twice");
+    slot.second = &it->second;
   }
   estimator_ms.Record(std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t_maintained)

@@ -124,8 +124,10 @@ class CriusScheduler : public Scheduler {
   // per-type capacity cap crossed one of the job's three candidate sizes) are
   // re-ranked; the rest are kept. Falls back to a full re-rank when the
   // cluster identity changed or the epoch moved with an empty-handed event
-  // delta. Always evicts entries for jobs no longer in the round, ranks the
-  // missing entries, and rebuilds `cells_snapshot_`.
+  // delta. Otherwise one merge walk of the round's jobs against last sync's
+  // snapshot resolves every kept entry, hashing only where the two orders
+  // disagree; then it evicts the entries the walk left unstamped, ranks the
+  // missing ones, and leaves `cells_snapshot_` aligned with the round.
   void SyncCellsCache(const RoundContext& round);
 
   // One full virtual-scheduling pass with a fixed queued-job order; also
@@ -140,6 +142,11 @@ class CriusScheduler : public Scheduler {
 
   // A memoized ranking and the placement state kept with it.
   struct MemoEntry {
+    // The sync that last resolved this entry, and the entry's position in
+    // that sync's snapshot: the merge walk resumes after `pos` when it finds
+    // the entry by lookup.
+    uint64_t stamp = 0;
+    size_t pos = 0;
     JobCells cells;
     JobPlacement placement;
   };
@@ -169,15 +176,20 @@ class CriusScheduler : public Scheduler {
   uint64_t cells_identity_ = 0;
   uint64_t cells_epoch_ = 0;
   std::array<int, kNumGpuTypes> cells_caps_{};
-  // Round-maintenance scratch, reused across rounds so steady-state sync does
-  // no heap allocation.
-  std::vector<int64_t> active_ids_;
-  std::vector<size_t> missing_;  // positions in round.jobs()
+  // Numbers the non-steady syncs; an entry stamped with the current one has
+  // been resolved by this sync.
+  uint64_t sync_stamp_ = 0;
   // The round's rankings resolved once per sync, positionally aligned with
   // round.jobs(): the ScheduleOnce passes read these pointers directly. The
   // id tags let the steady fast path confirm the round's jobs are exactly
-  // last sync's, in order.
+  // last sync's, in order, and let the next sync's merge walk match its jobs
+  // to these entries without hashing. Its ids are exactly the memo's keys.
   std::vector<std::pair<int64_t, MemoEntry*>> cells_snapshot_;
+  // Round-maintenance scratch, reused across rounds so steady-state sync does
+  // no heap allocation: last sync's snapshot while the walk consumes it, and
+  // the positions in round.jobs() that need ranking.
+  std::vector<std::pair<int64_t, MemoEntry*>> last_snapshot_;
+  std::vector<size_t> missing_;
   // Ranking scratch (ComputeCells, ProfilingDelay) and ScheduleOnce pass
   // scratch, reused so steady-state rounds reallocate nothing.
   std::vector<Cell> candidates_;

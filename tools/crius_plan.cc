@@ -41,9 +41,10 @@ std::optional<ModelSpec> FindModel(const std::string& name, int64_t batch) {
   return std::nullopt;
 }
 
-// Checks --model, --type and --gpus before anything is built from them, so
-// a bad value exits 1 naming the flag and its allowed values.
-bool ValidateFlags(const std::string& model_name, const std::string& type_name, int64_t gpus) {
+// Checks --model, --type, --gpus and --batch before anything is built from
+// them, so a bad value exits 1 naming the flag and its allowed values.
+bool ValidateFlags(const std::string& model_name, const std::string& type_name, int64_t gpus,
+                   int64_t batch) {
   bool ok = true;
   if (!FindModel(model_name, 0).has_value()) {
     std::string known;
@@ -68,6 +69,13 @@ bool ValidateFlags(const std::string& model_name, const std::string& type_name, 
   if (gpus < 1 || gpus > kMaxGpus || !IsPowerOfTwo(gpus)) {
     std::fprintf(stderr, "crius_plan: bad --gpus %lld (want a power of two from 1 to %lld)\n",
                  static_cast<long long>(gpus), static_cast<long long>(kMaxGpus));
+    ok = false;
+  }
+  if (batch < 0) {
+    std::fprintf(stderr,
+                 "crius_plan: bad --batch %lld (want a positive global batch size, or 0 for the "
+                 "family default)\n",
+                 static_cast<long long>(batch));
     ok = false;
   }
   return ok;
@@ -114,7 +122,7 @@ int Run(int argc, const char* const* argv) {
     SetLogLevel(*parsed);
   }
 
-  if (!ValidateFlags(model_name, type_name, gpus)) {
+  if (!ValidateFlags(model_name, type_name, gpus, batch)) {
     return 1;
   }
 
@@ -129,7 +137,12 @@ int Run(int argc, const char* const* argv) {
     const int nodes = std::max(1, static_cast<int>(gpus) * 2 / per_node);
     cluster.AddNodes(type, nodes, per_node);
   } else {
-    cluster = ParseClusterSpec(cluster_spec);
+    std::string error;
+    if (!ParseClusterSpec(cluster_spec, &cluster, &error)) {
+      std::fprintf(stderr, "crius_plan: bad --cluster '%s': %s\n", cluster_spec.c_str(),
+                   error.c_str());
+      return 1;
+    }
     if (!cluster.HasType(type)) {
       std::fprintf(stderr, "crius_plan: --cluster '%s' has no %s GPUs (--type)\n",
                    cluster_spec.c_str(), GpuName(type).c_str());

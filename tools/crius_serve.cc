@@ -155,6 +155,15 @@ int Run(int argc, const char* const* argv) {
                  static_cast<long long>(queue_capacity));
     return 1;
   }
+  {
+    Cluster cluster;
+    std::string error;
+    if (!MakeNamedCluster(cluster_spec, &cluster, &error)) {
+      std::fprintf(stderr, "crius_serve: bad --cluster '%s': %s\n", cluster_spec.c_str(),
+                   error.c_str());
+      return 1;
+    }
+  }
   ThreadPool::SetGlobalThreads(static_cast<int>(threads));
 
   if (!replay_path.empty()) {

@@ -161,6 +161,13 @@ int Run(int argc, const char* const* argv) {
     }
     SetLogLevel(*parsed);
   }
+  Cluster cluster;
+  std::string cluster_error;
+  if (!MakeNamedCluster(cluster_spec, &cluster, &cluster_error)) {
+    std::fprintf(stderr, "crius_sim: bad --cluster '%s': %s\n", cluster_spec.c_str(),
+                 cluster_error.c_str());
+    return 1;
+  }
 
   if (!trace_json.empty()) {
     TraceRecorder::Global().SetEnabled(true);
@@ -169,7 +176,6 @@ int Run(int argc, const char* const* argv) {
   // CSV/Chrome-trace outputs are still flushed below before exiting 128+sig.
   InstallShutdownHandler();
 
-  Cluster cluster = MakeNamedCluster(cluster_spec);
   PerformanceOracle oracle(cluster, static_cast<uint64_t>(seed));
 
   std::vector<TrainingJob> trace;
