@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -13,6 +14,7 @@
 #include "src/util/check.h"
 #include "src/util/counters.h"
 #include "src/util/mathutil.h"
+#include "src/util/rng.h"
 #include "src/util/trace.h"
 
 namespace crius {
@@ -28,7 +30,7 @@ constexpr int kMaxSearchJobs = 8;
 
 // Per-type candidate-size cap, exactly as GenerateCellsUpTo derives it:
 // FloorPowerOfTwo of the usable capacity, 0 when the type is absent or fully
-// failed. Cached Cell rankings are a pure function of the job and these caps
+// failed. Cell rankings are a pure function of the job and these caps
 // (slowdowns are applied at execution time, never in the oracle's what-if
 // estimates), so diffing caps across rounds identifies exactly the entries a
 // health change can dirty.
@@ -45,18 +47,23 @@ std::array<int, kNumGpuTypes> CandidateCaps(const Cluster& cluster) {
   return caps;
 }
 
-// True when the §6.1 candidate GPU sizes ({N_G/2, N_G, 2*N_G} clipped to each
-// type's cap) for a job requesting `requested` GPUs differ between caps a and b.
-bool CandidateSizesDiffer(int requested, const std::array<int, kNumGpuTypes>& a,
-                          const std::array<int, kNumGpuTypes>& b) {
+// The §6.1 candidate-size set of a job requesting `requested` GPUs under
+// `caps`: bit 3t+k says size k of {N_G/2, N_G, 2*N_G} fits type t's cap. It
+// fixes the Cells GenerateCells emits, so it keys the ranking store, and a
+// job's ranking is dirty exactly when its set differs under old and new caps.
+uint32_t CandidateSizes(int requested, const std::array<int, kNumGpuTypes>& caps) {
+  static_assert(3 * kNumGpuTypes <= 32);
+  uint32_t sizes = 0;
   for (int t = 0; t < kNumGpuTypes; ++t) {
+    int k = 0;
     for (const int ngpus : {requested / 2, requested, requested * 2}) {
-      if (ngpus >= 1 && (ngpus <= a[t]) != (ngpus <= b[t])) {
-        return true;
+      if (ngpus >= 1 && ngpus <= caps[t]) {
+        sizes |= 1u << (3 * t + k);
       }
+      ++k;
     }
   }
-  return false;
+  return sizes;
 }
 
 }  // namespace
@@ -116,28 +123,64 @@ std::string CriusScheduler::name() const {
   return "Crius";
 }
 
-JobCells CriusScheduler::ComputeCells(const TrainingJob& job, const Cluster& cluster) {
+size_t CriusScheduler::RankingKeyHash::operator()(const RankingKey& key) const {
+  uint64_t h = HashCombine(static_cast<uint64_t>(key.family), key.params_bits);
+  h = HashCombine(h, static_cast<uint64_t>(key.global_batch));
+  h = HashCombine(h, static_cast<uint64_t>(key.requested_gpus));
+  h = HashCombine(h, static_cast<uint64_t>(key.requested_type));
+  return static_cast<size_t>(HashCombine(h, key.sizes));
+}
+
+const CriusScheduler::Ranking& CriusScheduler::RankingFor(
+    const TrainingJob& job, const Cluster& cluster, const std::array<int, kNumGpuTypes>& caps) {
+  const RankingKey key{job.spec.family, std::bit_cast<uint64_t>(job.spec.params_billion),
+                       job.spec.global_batch, job.requested_gpus, job.requested_type,
+                       CandidateSizes(job.requested_gpus, caps)};
+  const auto it = rankings_.find(key);
+  if (it != rankings_.end()) {
+    return it->second;
+  }
+  return rankings_.emplace(key, ComputeCells(job, cluster)).first->second;
+}
+
+CriusScheduler::Ranking CriusScheduler::ComputeCells(const TrainingJob& job,
+                                                     const Cluster& cluster) {
   CRIUS_TRACE_SPAN("sched.cells_for");
-  JobCells jc;
+  CRIUS_COUNTER_INC("sched.rankings_computed");
+  Ranking ranking;
+  JobCells& jc = ranking.cells;
   const size_t considered = EstimateCandidates(job, cluster);
   CRIUS_COUNTER_ADD("sched.cells_considered", static_cast<int64_t>(considered));
   CRIUS_COUNTER_ADD("sched.cells_pruned",
                     static_cast<int64_t>(considered - candidates_.size()));
-  int64_t infeasible = 0;
-  jc.choices.reserve(candidates_.size());
+  // §8.2: Cells are profiled on one GPU per type, in parallel across types;
+  // ablation variants never rank pruned Cells, so they are not charged the
+  // GPU-seconds to profile them either.
+  std::array<double, kNumGpuTypes> profile_per_type{};
+  size_t feasible = 0;
+  for (size_t i = 0; i < candidates_.size(); ++i) {
+    profile_per_type[static_cast<int>(candidates_[i].gpu_type)] +=
+        batch_.estimates[i]->profile_gpu_seconds;
+    feasible += batch_.throughput[i] > 0.0 ? 1 : 0;
+  }
+  // Crius bounds the profiling total at 30 minutes (§8.2).
+  ranking.profiling_delay =
+      std::min(*std::max_element(profile_per_type.begin(), profile_per_type.end()), 1800.0);
+  if (feasible < candidates_.size()) {
+    CRIUS_COUNTER_ADD("sched.cells_infeasible",
+                      static_cast<int64_t>(candidates_.size() - feasible));
+  }
+  // Exact size: the store keeps every ranking for the scheduler's lifetime.
+  jc.choices.reserve(feasible);
   for (size_t i = 0; i < candidates_.size(); ++i) {
     const double thr = batch_.throughput[i];
     if (thr <= 0.0) {
-      ++infeasible;
       continue;  // infeasible Cell
     }
     jc.choices.push_back(CellChoice{candidates_[i], thr});
     if (candidates_[i].ngpus == job.requested_gpus) {
       jc.ref_throughput = std::max(jc.ref_throughput, thr);
     }
-  }
-  if (infeasible > 0) {
-    CRIUS_COUNTER_ADD("sched.cells_infeasible", infeasible);
   }
   if (jc.ref_throughput <= 0.0 && !jc.choices.empty()) {
     for (const CellChoice& c : jc.choices) {
@@ -154,7 +197,7 @@ JobCells CriusScheduler::ComputeCells(const TrainingJob& job, const Cluster& clu
   jc.fit.Build(jc.choices);
   jc.moves.Build(jc.choices);
   CRIUS_HISTOGRAM_RECORD("sched.cells_per_job", static_cast<double>(jc.choices.size()));
-  return jc;
+  return ranking;
 }
 
 size_t CriusScheduler::EstimateCandidates(const TrainingJob& job, const Cluster& cluster) {
@@ -218,8 +261,11 @@ void CriusScheduler::SyncCellsCache(const RoundContext& round) {
   // object as last round and -- when the health epoch moved -- an event delta
   // that actually reports the health changes (the RoundContext contract). An
   // empty-handed delta or a cluster identity change (the first round, or
-  // different hardware; cached rankings are meaningless) forces the full
-  // re-rank, which is always correct.
+  // different hardware; the memo's job-to-ranking map is meaningless) forces
+  // the full re-rank, which is always correct. The full re-rank clears the
+  // memo but keeps the ranking store: a ranking reads the cluster only
+  // through the candidate-size set in its key, and the oracle is fixed per
+  // scheduler, so every stored ranking is still exact for its key.
   const bool identity_moved = cells_identity_ != identity;
   const bool epoch_moved = cells_epoch_ != epoch;
   const bool full = identity_moved || (epoch_moved && !round.has_health_events());
@@ -236,9 +282,10 @@ void CriusScheduler::SyncCellsCache(const RoundContext& round) {
 
   // 2. Merge walk of the round's jobs against last sync's snapshot. The
   // engine lists its jobs in slot order every round, so a job is usually the
-  // next unconsumed snapshot entry and reuses it with no hash. Only a mismatch looks the id up: a hit resumes the walk after that
-  // entry's old position; a miss is an arrival and goes to missing_, as does
-  // an entry the dirty test erases. Every resolved entry takes this sync's
+  // next unconsumed snapshot entry and reuses it with no hash. Only a
+  // mismatch looks the id up: a hit resumes the walk after that entry's old
+  // position; a miss is an arrival and goes to missing_, as does an entry the
+  // dirty test unranks. Every resolved entry takes this sync's
   // stamp, so an entry resolved twice means the round lists its job twice:
   // a job's placement state sits in its memo entry, so two jobs must not
   // share one.
@@ -269,28 +316,27 @@ void CriusScheduler::SyncCellsCache(const RoundContext& round) {
       CRIUS_CHECK_MSG(entry->stamp != sync_stamp_, "a scheduling round lists a job id twice");
       entry->stamp = sync_stamp_;
       ++resolved;
-      // Dirty set: after a health change, a kept entry is re-ranked iff some
-      // type's candidate-size cap crossed one of the job's three §6.1
-      // candidate sizes -- only then does GenerateCells emit a different Cell
-      // set. Slowdown-only epochs change no caps, so every entry survives.
+      entry->pos = ji;
+      // Dirty set: after a health change, a kept entry is re-ranked iff the
+      // job's §6.1 candidate-size set changed -- only then does GenerateCells
+      // emit a different Cell set. Slowdown-only epochs change no caps, so
+      // every entry survives.
       if (epoch_moved) {
-        if (CandidateSizesDiffer(job.requested_gpus, cells_caps_, caps)) {
-          // Erased now and re-ranked by the warm-up below.
-          last[entry->pos].second = nullptr;
+        if (CandidateSizes(job.requested_gpus, cells_caps_) !=
+            CandidateSizes(job.requested_gpus, caps)) {
+          // Its placement state indexes the old ranking; the warm-up below
+          // points it at the new one.
           Unindex(*entry);
-          cells_memo_.erase(job.id);
-          ++lookups;
-          entry = nullptr;
+          entry->placement = JobPlacement{};
+          missing_.push_back(ji);
           CRIUS_COUNTER_INC("sched.cells_dirty_reranks");
         } else {
           CRIUS_COUNTER_INC("sched.cells_kept_incremental");
         }
       }
-    }
-    if (entry == nullptr) {
-      missing_.push_back(ji);
     } else {
-      entry->pos = ji;
+      missing_.push_back(ji);
+      ++lookups;  // the warm-up below inserts its entry
     }
     cells_snapshot_.emplace_back(job.id, entry);
   }
@@ -305,7 +351,7 @@ void CriusScheduler::SyncCellsCache(const RoundContext& round) {
   if (resolved < last.size()) {
     size_t evicted = 0;
     for (const auto& [id, entry] : last) {
-      if (entry != nullptr && entry->stamp != sync_stamp_) {
+      if (entry->stamp != sync_stamp_) {
         Unindex(*entry);
         cells_memo_.erase(id);
         ++lookups;
@@ -316,8 +362,7 @@ void CriusScheduler::SyncCellsCache(const RoundContext& round) {
       CRIUS_COUNTER_ADD("sched.cells_cache_evictions", static_cast<int64_t>(evicted));
     }
   }
-  // The warm-up below inserts each missing entry: one more lookup apiece.
-  CRIUS_COUNTER_ADD("sched.memo_lookups", lookups + static_cast<int64_t>(missing_.size()));
+  CRIUS_COUNTER_ADD("sched.memo_lookups", lookups);
   const auto t_maintained = std::chrono::steady_clock::now();
   restamp_ms.Record(
       std::chrono::duration<double, std::milli>(t_maintained - t_enter).count());
@@ -326,16 +371,22 @@ void CriusScheduler::SyncCellsCache(const RoundContext& round) {
     return;
   }
 
-  // 4. Rank the missing entries in round order.
+  // 4. Resolve the missing rankings in round order: insert each arrival's
+  // entry and point it, or a dirty entry, at the store's ranking for the
+  // job's current candidate sizes. Only a store miss computes one.
   CRIUS_TRACE_SPAN_ARGS("sched.cells_warmup",
                         "{\"jobs\": " + std::to_string(missing_.size()) + "}");
   for (const size_t ji : missing_) {
     std::pair<int64_t, MemoEntry*>& slot = cells_snapshot_[ji];
-    MemoEntry entry{sync_stamp_, ji, ComputeCells(jobs[ji]->job, cluster), {}};
-    const auto [it, inserted] = cells_memo_.try_emplace(slot.first, std::move(entry));
-    // Two missing jobs with one id (an arrival listed twice) meet here.
-    CRIUS_CHECK_MSG(inserted, "a scheduling round lists a job id twice");
-    slot.second = &it->second;
+    if (slot.second == nullptr) {
+      const auto [it, inserted] = cells_memo_.try_emplace(slot.first);
+      // Two missing jobs with one id (an arrival listed twice) meet here.
+      CRIUS_CHECK_MSG(inserted, "a scheduling round lists a job id twice");
+      slot.second = &it->second;
+      slot.second->stamp = sync_stamp_;
+      slot.second->pos = ji;
+    }
+    slot.second->cells = &RankingFor(jobs[ji]->job, cluster, caps).cells;
   }
   estimator_ms.Record(std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t_maintained)
@@ -349,21 +400,7 @@ void CriusScheduler::Unindex(MemoEntry& entry) {
 }
 
 double CriusScheduler::ProfilingDelay(const TrainingJob& job, const Cluster& cluster) {
-  std::array<double, kNumGpuTypes> per_type{};
-  // Ablation variants never rank pruned Cells, so they must not be charged
-  // the GPU-seconds to profile them either.
-  EstimateCandidates(job, cluster);
-  for (size_t i = 0; i < candidates_.size(); ++i) {
-    per_type[static_cast<int>(candidates_[i].gpu_type)] +=
-        batch_.estimates[i]->profile_gpu_seconds;
-  }
-  // Heterogeneous GPU types profile in parallel, one device each (§6.1);
-  // Crius bounds the total at 30 minutes (§8.2).
-  double delay = 0.0;
-  for (double t : per_type) {
-    delay = std::max(delay, t);
-  }
-  return std::min(delay, 1800.0);
+  return RankingFor(job, cluster, CandidateCaps(cluster)).profiling_delay;
 }
 
 ScheduleDecision CriusScheduler::Schedule(const RoundContext& round) {
@@ -421,7 +458,7 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
     MemoEntry& entry = *cells_snapshot_[ji].second;
     VirtualJob vj;
     vj.state = js;
-    vj.cells = &entry.cells;
+    vj.cells = entry.cells;
     vj.placement = &entry.placement;
     vj.fit = &vj.cells->fit;
     if (js->phase == JobPhase::kRunning) {

@@ -104,10 +104,41 @@ class CriusScheduler : public Scheduler {
   const CriusConfig& config() const { return config_; }
 
  private:
-  // The scored Cell candidates for `job` under the ablation flags: a pure
-  // function of (job, cluster health). Reads no scheduler state besides the
-  // oracle; writes only the candidate/batch scratch.
-  JobCells ComputeCells(const TrainingJob& job, const Cluster& cluster);
+  // A job shape's ranking: its scored Cells and the §8.2 profiling delay of
+  // the same candidates, both from one EstimateCandidates call.
+  struct Ranking {
+    JobCells cells;
+    double profiling_delay = 0.0;
+  };
+
+  // The ranking store's key: everything a ranking reads. A Cell estimate is a
+  // pure function of (model, GPU type, count, stages) and the oracle is fixed
+  // per scheduler, so a ranking depends only on the model config, the
+  // requested shape and the §6.1 candidate-size set (CandidateSizes). The
+  // requested type is in the key because Crius-NH prunes by it.
+  struct RankingKey {
+    ModelFamily family = ModelFamily::kBert;
+    uint64_t params_bits = 0;  // ModelSpec::params_billion's bit pattern
+    int64_t global_batch = 0;
+    int requested_gpus = 0;
+    GpuType requested_type = GpuType::kA100;
+    uint32_t sizes = 0;  // CandidateSizes under the caps the ranking was made for
+
+    bool operator==(const RankingKey&) const = default;
+  };
+  struct RankingKeyHash {
+    size_t operator()(const RankingKey& key) const;
+  };
+
+  // The stored ranking for `job` under the candidate-size caps `caps` of
+  // `cluster`, computed on a miss.
+  const Ranking& RankingFor(const TrainingJob& job, const Cluster& cluster,
+                            const std::array<int, kNumGpuTypes>& caps);
+
+  // The ranking of `job` under the ablation flags: a pure function of (job,
+  // cluster health). Reads no scheduler state besides the oracle; writes only
+  // the candidate/batch scratch.
+  Ranking ComputeCells(const TrainingJob& job, const Cluster& cluster);
 
   // Generates `job`'s Cell candidates into `candidates_`, prunes them for the
   // ablation flags and estimates the rest into `batch_`. Returns the number
@@ -122,12 +153,13 @@ class CriusScheduler : public Scheduler {
   // health epoch moved AND the round's event delta reports the health
   // changes, only entries whose §6.1 candidate-size set actually changed (a
   // per-type capacity cap crossed one of the job's three candidate sizes) are
-  // re-ranked; the rest are kept. Falls back to a full re-rank when the
-  // cluster identity changed or the epoch moved with an empty-handed event
-  // delta. Otherwise one merge walk of the round's jobs against last sync's
-  // snapshot resolves every kept entry, hashing only where the two orders
-  // disagree; then it evicts the entries the walk left unstamped, ranks the
-  // missing ones, and leaves `cells_snapshot_` aligned with the round.
+  // re-ranked -- pointed at the store's ranking for the new set; the rest are
+  // kept. Falls back to a full re-rank when the cluster identity changed or
+  // the epoch moved with an empty-handed event delta. Otherwise one merge
+  // walk of the round's jobs against last sync's snapshot resolves every kept
+  // entry, hashing only where the two orders disagree; then it evicts the
+  // entries the walk left unstamped, ranks the missing ones, and leaves
+  // `cells_snapshot_` aligned with the round.
   void SyncCellsCache(const RoundContext& round);
 
   // One full virtual-scheduling pass with a fixed queued-job order; also
@@ -140,14 +172,15 @@ class CriusScheduler : public Scheduler {
                                                    const Cluster& cluster,
                                                    CriusPlacementOrder order);
 
-  // A memoized ranking and the placement state kept with it.
+  // A job's ranking, shared through the store, and the placement state kept
+  // with it, which is the job's own.
   struct MemoEntry {
     // The sync that last resolved this entry, and the entry's position in
     // that sync's snapshot: the merge walk resumes after `pos` when it finds
     // the entry by lookup.
     uint64_t stamp = 0;
     size_t pos = 0;
-    JobCells cells;
+    const JobCells* cells = nullptr;  // into rankings_
     JobPlacement placement;
   };
 
@@ -159,7 +192,15 @@ class CriusScheduler : public Scheduler {
   // Watt table backing the energy term; only read under a non-zero energy
   // weight.
   PowerModel power_model_ = PowerModel::Default();
-  // Ranking memo: job id -> scored Cells. Every entry is valid for the
+  // Ranking store: one ranking per job shape, never erased, shared by every
+  // job of that shape and by ProfilingDelay. It survives a full re-rank
+  // (cluster identity change) because a ranking reads the cluster only
+  // through the candidate-size set in its key, and the oracle is fixed per
+  // scheduler. Bounded by model configs x requested shapes x candidate-size
+  // sets (484 keys on the philly-week run, about 1 KB each). Node-based, so
+  // the memo's pointers survive inserts.
+  std::unordered_map<RankingKey, Ranking, RankingKeyHash> rankings_;
+  // Ranking memo: job id -> its ranking. Every entry is valid for the
   // (cluster identity, health epoch) recorded below: each non-steady sync
   // either clears the map or re-ranks the entries the epoch change dirtied,
   // and evicts departed jobs. The identity nonce catches a scheduler being
@@ -190,8 +231,8 @@ class CriusScheduler : public Scheduler {
   // the positions in round.jobs() that need ranking.
   std::vector<std::pair<int64_t, MemoEntry*>> last_snapshot_;
   std::vector<size_t> missing_;
-  // Ranking scratch (ComputeCells, ProfilingDelay) and ScheduleOnce pass
-  // scratch, reused so steady-state rounds reallocate nothing.
+  // Ranking scratch (ComputeCells) and ScheduleOnce pass scratch, reused so
+  // steady-state rounds reallocate nothing.
   std::vector<Cell> candidates_;
   CellBatchResult batch_;
   std::vector<VirtualJob> vjobs_;

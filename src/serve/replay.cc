@@ -18,22 +18,40 @@ SimConfig SimConfigFromMeta(const SessionMeta& meta) {
   return config;
 }
 
-SessionRuntime MakeSessionRuntime(const SessionMeta& meta) {
-  SessionRuntime runtime;
-  runtime.cluster = MakeNamedCluster(meta.cluster_spec);
-  runtime.oracle = std::make_unique<PerformanceOracle>(runtime.cluster, meta.seed);
-  CRIUS_CHECK_MSG(IsKnownScheduler(meta.scheduler),
-                  "session meta names unknown scheduler '" << meta.scheduler << "'");
+bool MakeSessionRuntime(const SessionMeta& meta, SessionRuntime* out, std::string* error) {
+  Cluster cluster;
+  std::string cluster_error;
+  if (!MakeNamedCluster(meta.cluster_spec, &cluster, &cluster_error)) {
+    *error = "session meta cluster '" + meta.cluster_spec + "': " + cluster_error;
+    return false;
+  }
+  if (!IsKnownScheduler(meta.scheduler)) {
+    *error = "session meta scheduler '" + meta.scheduler + "': unknown scheduler";
+    return false;
+  }
+  out->cluster = std::move(cluster);
+  out->oracle = std::make_unique<PerformanceOracle>(out->cluster, meta.seed);
   SchedulerOptions options;
   options.search_depth = meta.search_depth;
   options.deadline_aware = meta.deadline_aware;
-  runtime.scheduler = MakeNamedScheduler(meta.scheduler, runtime.oracle.get(), options);
-  runtime.sim = SimConfigFromMeta(meta);
+  out->scheduler = MakeNamedScheduler(meta.scheduler, out->oracle.get(), options);
+  out->sim = SimConfigFromMeta(meta);
+  return true;
+}
+
+SessionRuntime MakeSessionRuntime(const SessionMeta& meta) {
+  SessionRuntime runtime;
+  std::string error;
+  CRIUS_CHECK_MSG(MakeSessionRuntime(meta, &runtime, &error), error);
   return runtime;
 }
 
 SimResult ReplaySession(const Session& session) {
   SessionRuntime runtime = MakeSessionRuntime(session.meta);
+  return ReplaySession(session, runtime);
+}
+
+SimResult ReplaySession(const Session& session, SessionRuntime& runtime) {
   runtime.sim.failures = session.failures;
   runtime.sim.cancels = session.cancels;
   Simulator simulator(runtime.cluster, runtime.sim);

@@ -35,13 +35,19 @@ struct SessionRuntime {
 // half of the replay-identity check.
 SimConfig SimConfigFromMeta(const SessionMeta& meta);
 
-// Builds cluster + oracle + scheduler + SimConfig from the meta row. Aborts
-// on unknown cluster specs or scheduler names (the meta row was written by
-// crius_serve, so a mismatch means a corrupt or hand-edited log).
+// Builds cluster + oracle + scheduler + SimConfig from the meta row. Returns
+// false with *error naming the meta field ("session meta cluster 'A100:0x4':
+// bad node count in 'A100:0x4'", "session meta scheduler 'x': unknown
+// scheduler") on a malformed cluster spec or an unknown scheduler name: a
+// corrupt or hand-edited log.
+bool MakeSessionRuntime(const SessionMeta& meta, SessionRuntime* out, std::string* error);
+// The same, aborting with that message (meta rows the caller built itself).
 SessionRuntime MakeSessionRuntime(const SessionMeta& meta);
 
-// Replays a parsed session through Simulator::Run.
+// Replays a parsed session through Simulator::Run, on the runtime its meta
+// row describes or on `runtime` (built from that meta row).
 SimResult ReplaySession(const Session& session);
+SimResult ReplaySession(const Session& session, SessionRuntime& runtime);
 SimResult ReplaySessionFile(const std::string& path);
 
 }  // namespace crius

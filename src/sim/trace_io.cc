@@ -1,22 +1,140 @@
 #include "src/sim/trace_io.h"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <unordered_set>
 #include <vector>
 
+#include "src/model/models.h"
 #include "src/util/check.h"
 #include "src/util/csv.h"
+#include "src/util/mathutil.h"
 
 namespace crius {
+
+namespace {
+
+constexpr char kTraceHeader[] =
+    "id,family,params_billion,global_batch,iterations,submit_time,requested_gpus,"
+    "requested_type,deadline";
+constexpr size_t kTraceFields = 9;
+
+// Parses one data row's fields into *job; false with *error naming the field.
+bool ParseTraceRow(const std::vector<std::string>& f, TrainingJob* job, std::string* error) {
+  if (f.size() != kTraceFields) {
+    *error = "expected " + std::to_string(kTraceFields) + " fields, got " +
+             std::to_string(f.size());
+    return false;
+  }
+  const std::optional<ModelFamily> family = ParseModelFamily(f[1]);
+  if (!family.has_value()) {
+    *error = "unknown family '" + f[1] + "'";
+    return false;
+  }
+  job->spec.family = *family;
+  int64_t requested_gpus = 0;
+  if (!csv::ToInt(f[0], "id", &job->id, error) ||
+      !csv::ToDouble(f[2], "params_billion", &job->spec.params_billion, error) ||
+      !csv::ToInt(f[3], "global_batch", &job->spec.global_batch, error) ||
+      !csv::ToInt(f[4], "iterations", &job->iterations, error) ||
+      !csv::ToDouble(f[5], "submit_time", &job->submit_time, error) ||
+      !csv::ToInt(f[6], "requested_gpus", &requested_gpus, error)) {
+    return false;
+  }
+  // The rest of the program aborts on these: reject them here instead.
+  const std::vector<double>& sizes = SupportedSizes(job->spec.family);
+  if (std::none_of(sizes.begin(), sizes.end(), [&](double size) {
+        return std::abs(size - job->spec.params_billion) < 1e-9;
+      })) {
+    *error = "unsupported params_billion " + f[2] + " for " + f[1];
+    return false;
+  }
+  if (job->spec.global_batch < 1) {
+    *error = "global_batch " + f[3] + " is not positive";
+    return false;
+  }
+  // A job submitted at nan or inf never becomes visible.
+  if (!std::isfinite(job->submit_time)) {
+    *error = "submit_time " + f[5] + " is not finite";
+    return false;
+  }
+  if (requested_gpus < 1 || requested_gpus > (1 << 30) ||
+      !IsPowerOfTwo(requested_gpus)) {
+    *error = "requested_gpus " + f[6] + " is not a power of two";
+    return false;
+  }
+  job->requested_gpus = static_cast<int>(requested_gpus);
+  const std::optional<GpuType> type = FindGpuType(f[7]);
+  if (!type.has_value()) {
+    *error = "unknown requested_type '" + f[7] + "'";
+    return false;
+  }
+  job->requested_type = *type;
+  if (!f[8].empty()) {
+    double deadline = 0.0;
+    if (!csv::ToDouble(f[8], "deadline", &deadline, error)) {
+      return false;
+    }
+    job->deadline = deadline;
+  }
+  return true;
+}
+
+// `context` starts every error: "trace CSV", or "trace CSV <path>". On an
+// error *out is left empty.
+bool ReadTrace(std::istream& in, const std::string& context, std::vector<TrainingJob>* out,
+               std::string* error) {
+  out->clear();
+  std::string line;
+  int line_no = 0;
+  bool header_seen = false;
+  std::unordered_set<int64_t> ids;
+  while (std::getline(in, line)) {
+    ++line_no;
+    if (!line.empty() && line.back() == '\r') {
+      line.pop_back();
+    }
+    if (line.empty()) {
+      continue;
+    }
+    std::string what;
+    if (!header_seen) {
+      header_seen = true;
+      if (line == kTraceHeader) {
+        continue;
+      }
+      what = "bad header '" + line + "' (want '" + kTraceHeader + "')";
+    } else {
+      TrainingJob job;
+      if (ParseTraceRow(csv::SplitLine(line), &job, &what)) {
+        if (ids.insert(job.id).second) {
+          out->push_back(std::move(job));
+          continue;
+        }
+        what = "duplicate id " + std::to_string(job.id);
+      }
+    }
+    *error = context + " line " + std::to_string(line_no) + ": " + what;
+    out->clear();
+    return false;
+  }
+  if (!header_seen) {
+    *error = context + ": missing header row";
+    return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 void WriteTraceCsv(const std::vector<TrainingJob>& trace, std::ostream& out) {
   // Round-trip-exact doubles: --trace-file must replay the run that saved it.
   const auto old_precision = out.precision(std::numeric_limits<double>::max_digits10);
-  out << "id,family,params_billion,global_batch,iterations,submit_time,requested_gpus,"
-         "requested_type,deadline\n";
+  out << kTraceHeader << '\n';
   for (const TrainingJob& job : trace) {
     out << job.id << ',' << FamilyName(job.spec.family) << ',' << job.spec.params_billion
         << ',' << job.spec.global_batch << ',' << job.iterations << ',' << job.submit_time
@@ -38,36 +156,32 @@ bool WriteTraceCsvFile(const std::vector<TrainingJob>& trace, const std::string&
   return out.good();
 }
 
+bool ReadTraceCsv(std::istream& in, std::vector<TrainingJob>* out, std::string* error) {
+  return ReadTrace(in, "trace CSV", out, error);
+}
+
+bool ReadTraceCsvFile(const std::string& path, std::vector<TrainingJob>* out,
+                      std::string* error) {
+  std::ifstream in(path);
+  if (!in.is_open()) {
+    *error = "cannot open trace file " + path;
+    return false;
+  }
+  return ReadTrace(in, "trace CSV " + path, out, error);
+}
+
 std::vector<TrainingJob> ReadTraceCsv(std::istream& in) {
   std::vector<TrainingJob> trace;
-  csv::Reader reader(in, "trace CSV", "id,");
-  while (reader.Next()) {
-    reader.ExpectFields(9);
-    TrainingJob job;
-    job.id = reader.Int(0, "id");
-    const std::optional<ModelFamily> family = ParseModelFamily(reader.Field(1));
-    CRIUS_CHECK_MSG(family.has_value(), "trace CSV line " << reader.line_no()
-                                                          << ": unknown family '"
-                                                          << reader.Field(1) << "'");
-    job.spec.family = *family;
-    job.spec.params_billion = reader.Double(2, "params_billion");
-    job.spec.global_batch = reader.Int(3, "global_batch");
-    job.iterations = reader.Int(4, "iterations");
-    job.submit_time = reader.Double(5, "submit_time");
-    job.requested_gpus = static_cast<int>(reader.Int(6, "requested_gpus"));
-    job.requested_type = ParseGpuType(reader.Field(7));
-    if (!reader.Field(8).empty()) {
-      job.deadline = reader.Double(8, "deadline");
-    }
-    trace.push_back(job);
-  }
+  std::string error;
+  CRIUS_CHECK_MSG(ReadTraceCsv(in, &trace, &error), error);
   return trace;
 }
 
 std::vector<TrainingJob> ReadTraceCsvFile(const std::string& path) {
-  std::ifstream in(path);
-  CRIUS_CHECK_MSG(in.is_open(), "cannot open trace file " << path);
-  return ReadTraceCsv(in);
+  std::vector<TrainingJob> trace;
+  std::string error;
+  CRIUS_CHECK_MSG(ReadTraceCsvFile(path, &trace, &error), error);
+  return trace;
 }
 
 void WriteJobRecordsCsv(const SimResult& result, std::ostream& out) {

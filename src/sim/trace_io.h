@@ -8,7 +8,7 @@
 // Trace CSV columns:
 //   id,family,params_billion,global_batch,iterations,submit_time,
 //   requested_gpus,requested_type,deadline
-// (deadline empty when absent). Header row required.
+// (deadline empty when absent). This header row is required.
 
 #ifndef SRC_SIM_TRACE_IO_H_
 #define SRC_SIM_TRACE_IO_H_
@@ -26,8 +26,17 @@ namespace crius {
 void WriteTraceCsv(const std::vector<TrainingJob>& trace, std::ostream& out);
 bool WriteTraceCsvFile(const std::vector<TrainingJob>& trace, const std::string& path);
 
-// Parses a trace CSV. Aborts with a diagnostic on malformed rows (a corrupt
-// workload file is an operator error worth failing loudly on).
+// Parses a trace CSV into *out. The header must be exactly the one
+// WriteTraceCsv writes. On malformed input returns false, empties *out and
+// sets *error to a
+// message naming the line and the field, e.g. "trace CSV line 7: bad deadline
+// 'abc'"; the file form names the file too ("trace CSV jobs.csv line 7:
+// ...") and reports a file it cannot open.
+bool ReadTraceCsv(std::istream& in, std::vector<TrainingJob>* out, std::string* error);
+bool ReadTraceCsvFile(const std::string& path, std::vector<TrainingJob>* out,
+                      std::string* error);
+
+// The same, aborting with that message (tests and in-process round trips).
 std::vector<TrainingJob> ReadTraceCsv(std::istream& in);
 std::vector<TrainingJob> ReadTraceCsvFile(const std::string& path);
 

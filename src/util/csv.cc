@@ -1,6 +1,7 @@
 #include "src/util/csv.h"
 
 #include <cmath>
+#include <exception>
 #include <istream>
 #include <ostream>
 
@@ -72,26 +73,56 @@ void WriteRow(std::ostream& out, const std::vector<std::string>& fields) {
   out << '\n';
 }
 
-double ParseDouble(const std::string& s, const char* what, int line_no, const char* context) {
-  CRIUS_CHECK_MSG(!s.empty(), context << " line " << line_no << ": empty " << what);
+bool ToDouble(const std::string& s, const char* what, double* out, std::string* error) {
+  if (s.empty()) {
+    *error = std::string("empty ") + what;
+    return false;
+  }
   size_t pos = 0;
   double v = 0.0;
-  bool ok = true;
   try {
     v = std::stod(s, &pos);
   } catch (const std::exception&) {
-    ok = false;
+    pos = 0;
   }
-  CRIUS_CHECK_MSG(ok && pos == s.size(),
-                  context << " line " << line_no << ": bad " << what << " '" << s << "'");
+  if (pos != s.size()) {
+    *error = std::string("bad ") + what + " '" + s + "'";
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+bool ToInt(const std::string& s, const char* what, int64_t* out, std::string* error) {
+  double v = 0.0;
+  if (!ToDouble(s, what, &v, error)) {
+    return false;
+  }
+  if (v != std::floor(v)) {
+    *error = std::string("non-integer ") + what;
+    return false;
+  }
+  // Converting a double outside int64_t is undefined; |v| < 2^63 is safe.
+  if (!(std::fabs(v) < 9223372036854775808.0)) {
+    *error = std::string("out-of-range ") + what + " '" + s + "'";
+    return false;
+  }
+  *out = static_cast<int64_t>(v);
+  return true;
+}
+
+double ParseDouble(const std::string& s, const char* what, int line_no, const char* context) {
+  double v = 0.0;
+  std::string error;
+  CRIUS_CHECK_MSG(ToDouble(s, what, &v, &error), context << " line " << line_no << ": " << error);
   return v;
 }
 
 int64_t ParseInt(const std::string& s, const char* what, int line_no, const char* context) {
-  const double v = ParseDouble(s, what, line_no, context);
-  CRIUS_CHECK_MSG(v == std::floor(v),
-                  context << " line " << line_no << ": non-integer " << what);
-  return static_cast<int64_t>(v);
+  int64_t v = 0;
+  std::string error;
+  CRIUS_CHECK_MSG(ToInt(s, what, &v, &error), context << " line " << line_no << ": " << error);
+  return v;
 }
 
 Reader::Reader(std::istream& in, std::string context, std::string header_prefix)

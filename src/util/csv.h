@@ -9,8 +9,9 @@
 // log needs for its free-form meta field; the numeric-only schemas emit the
 // same bytes as before because unremarkable fields are never quoted.
 //
-// Parse failures abort with a "<context> line N: ..." diagnostic via
-// CRIUS_CHECK: a corrupt operator-supplied CSV is worth failing loudly on.
+// The Parse* helpers and Reader abort with a "<context> line N: ..."
+// diagnostic via CRIUS_CHECK; the To* helpers return the same message as a
+// status, for readers that report bad input instead (the trace CSV).
 
 #ifndef SRC_UTIL_CSV_H_
 #define SRC_UTIL_CSV_H_
@@ -40,6 +41,12 @@ void WriteRow(std::ostream& out, const std::vector<std::string>& fields);
 //   "trace CSV line 7: bad params_billion 'abc'".
 double ParseDouble(const std::string& s, const char* what, int line_no, const char* context);
 int64_t ParseInt(const std::string& s, const char* what, int line_no, const char* context);
+
+// The non-aborting checks behind them: `s` must be one whole number (for
+// ToInt, an integral one). On failure *out is untouched and `error` says why,
+// e.g. "bad deadline 'abc'", "empty iterations" or "non-integer id".
+bool ToDouble(const std::string& s, const char* what, double* out, std::string* error);
+bool ToInt(const std::string& s, const char* what, int64_t* out, std::string* error);
 
 // Line-oriented CSV reader: skips blank lines, tracks line numbers, and
 // validates the header row (the first non-blank line must start with

@@ -15,15 +15,24 @@
 //
 // The death test checks that a round listing one job id twice aborts,
 // whether the id is a kept job's or an arrival's.
+//
+// CriusRankingStoreTest covers the ranking store the memo points into (one
+// ranking per model config, requested shape and candidate-size set): one
+// long-lived scheduler per configuration, whose store outlives every
+// sequence, must match FreshCriusScheduler's profiling delay for every job
+// and its resolved target after every round, over jobs drawn from all model
+// configs while node failures and recoveries move the candidate-size caps.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/model/models.h"
 #include "src/sched/crius_sched.h"
 #include "src/util/counters.h"
 #include "src/util/rng.h"
@@ -71,11 +80,19 @@ CriusConfig ConfigFor(int64_t pick) {
 }
 
 // One random sequence: the jobs a round shows, in their order, and the
-// cluster's health, both mutated between rounds.
+// cluster's health, both mutated between rounds. Arrivals draw their model
+// from `specs` and their requested size from `sizes`; job ids start at
+// `first_id`.
 class Sequence {
  public:
-  Sequence(Cluster& cluster, Rng& rng, bool deadlines)
-      : cluster_(cluster), rng_(rng), deadlines_(deadlines) {}
+  Sequence(Cluster& cluster, Rng& rng, bool deadlines, std::span<const ModelSpec> specs = kSpecs,
+           std::span<const int> sizes = kSizes, int64_t first_id = 0)
+      : cluster_(cluster),
+        rng_(rng),
+        deadlines_(deadlines),
+        specs_(specs),
+        sizes_(sizes),
+        next_id_(first_id) {}
 
   ~Sequence() {
     // Hand the shared cluster to the next sequence healthy.
@@ -87,14 +104,17 @@ class Sequence {
 
   std::vector<const JobState*> Jobs() const { return {jobs_.begin(), jobs_.end()}; }
   std::vector<RoundEvent> TakeEvents() { return std::exchange(events_, {}); }
+  // The id the next arrival takes.
+  int64_t next_id() const { return next_id_; }
 
   // A new job with a fresh id at a random position of the order.
   void Arrive(double now, int requested_gpus = 0, size_t at = SIZE_MAX) {
     auto state = std::make_unique<JobState>();
     state->job.id = next_id_++;
-    state->job.spec = kSpecs[rng_.UniformInt(0, std::size(kSpecs) - 1)];
+    state->job.spec = specs_[static_cast<size_t>(rng_.UniformInt(0, specs_.size() - 1))];
     state->job.requested_gpus =
-        requested_gpus > 0 ? requested_gpus : kSizes[rng_.UniformInt(0, std::size(kSizes) - 1)];
+        requested_gpus > 0 ? requested_gpus
+                           : sizes_[static_cast<size_t>(rng_.UniformInt(0, sizes_.size() - 1))];
     state->job.requested_type = kTypes[rng_.UniformInt(0, std::size(kTypes) - 1)];
     state->job.submit_time = now;
     state->job.iterations = rng_.UniformInt(500, 20000);
@@ -239,7 +259,9 @@ class Sequence {
   Cluster& cluster_;
   Rng& rng_;
   bool deadlines_;
-  int64_t next_id_ = 0;
+  std::span<const ModelSpec> specs_;
+  std::span<const int> sizes_;
+  int64_t next_id_;
   std::vector<std::unique_ptr<JobState>> owned_;  // every job ever shown
   std::vector<JobState*> jobs_;
   std::vector<RoundEvent> events_;
@@ -371,6 +393,144 @@ TEST_F(CriusMemoDeathTest, DuplicateJobIdAborts) {
   arrival_twice.push_back(arrival);
   EXPECT_DEATH(sched.Schedule(RoundFor(300.0, arrival_twice, cluster_)),
                "a scheduling round lists a job id twice");
+}
+
+// The ranking-store configurations: crius, NA, NH, the solver, deadline-aware
+// and a weighted objective.
+CriusConfig StoreConfigFor(int64_t pick) {
+  switch (pick) {
+    case 0:
+      return CriusConfig{};
+    case 1:
+      return CriusConfig{.adaptivity_scaling = false};
+    case 2:
+      return CriusConfig{.heterogeneity_scaling = false};
+    case 3:
+      return CriusConfig{.placement_order = CriusPlacementOrder::kBestOfAll};
+    case 4:
+      return CriusConfig{.deadline_aware = true};
+    default:
+      return CriusConfig{.objective = *CriusObjective::Parse("1,0.2,0.5,0.3")};
+  }
+}
+
+constexpr uint64_t kStoreSeed = 20261020;
+constexpr int kStoreIterations = 300;
+constexpr int kStoreConfigs = 6;
+constexpr int kStoreSizes[] = {1, 2, 4, 8, 16};
+
+TEST(CriusRankingStoreTest, StoreMatchesFreshOverRandomRounds) {
+  const std::vector<ModelSpec> specs = AllModelConfigs();
+  const int64_t dirty_before = Counter("sched.cells_dirty_reranks");
+  const int64_t full_before = Counter("sched.cells_full_reranks");
+  int64_t kept_computed = 0;  // rankings the long-lived schedulers computed
+  int64_t delays_checked = 0;
+  int64_t rounds_run = 0;
+  Cluster cluster = MakeMemoCluster();
+  const Cluster pristine = MakeMemoCluster();  // the engine prices admission on its template
+  PerformanceOracle oracle(cluster, 42);
+  // One scheduler per configuration for the whole test: its store outlives
+  // every sequence, every health change and every full re-rank.
+  std::vector<std::unique_ptr<CriusScheduler>> kept;
+  for (int c = 0; c < kStoreConfigs; ++c) {
+    kept.push_back(std::make_unique<CriusScheduler>(&oracle, StoreConfigFor(c)));
+  }
+  int64_t next_id = 0;  // job ids stay unique across sequences
+  for (int iteration = 0; iteration < kStoreIterations; ++iteration) {
+    SCOPED_TRACE("seed " + std::to_string(kStoreSeed) + ", iteration " +
+                 std::to_string(iteration));
+    Rng rng(kStoreSeed + static_cast<uint64_t>(iteration));
+    const int pick = static_cast<int>(rng.UniformInt(0, kStoreConfigs - 1));
+    const CriusConfig config = StoreConfigFor(pick);
+    CriusScheduler& memo = *kept[static_cast<size_t>(pick)];
+    FreshCriusScheduler fresh(&oracle, config);
+    Sequence seq(cluster, rng, config.deadline_aware, specs, kStoreSizes, next_id);
+    for (int i = static_cast<int>(rng.UniformInt(3, 10)); i > 0; --i) {
+      seq.Arrive(0.0);
+    }
+    const int rounds = static_cast<int>(rng.UniformInt(6, 12));
+    for (int r = 0; r < rounds; ++r) {
+      SCOPED_TRACE("round " + std::to_string(r));
+      const double now = 300.0 * r;
+      for (const JobState* js : seq.Jobs()) {
+        for (const Cluster* priced : {&pristine, static_cast<const Cluster*>(&cluster)}) {
+          const int64_t computed = Counter("sched.rankings_computed");
+          const double delay = memo.ProfilingDelay(js->job, *priced);
+          kept_computed += Counter("sched.rankings_computed") - computed;
+          ASSERT_EQ(delay, fresh.ProfilingDelay(js->job, *priced)) << "job " << js->job.id;
+          ++delays_checked;
+        }
+      }
+      const RoundContext round(now, seq.Jobs(), cluster, seq.TakeEvents());
+      const int64_t computed = Counter("sched.rankings_computed");
+      const Resolved got = Resolve(memo, round);
+      kept_computed += Counter("sched.rankings_computed") - computed;
+      const Resolved want = Resolve(fresh, round);
+      ASSERT_EQ(got.decision.dropped, want.decision.dropped);
+      ASSERT_EQ(got.target, want.target);
+      seq.Apply(got);
+      ++rounds_run;
+      for (int m = static_cast<int>(rng.UniformInt(1, 3)); m > 0; --m) {
+        seq.Mutate(now);
+      }
+    }
+    next_id = seq.next_id();
+  }
+  // The sequences must have moved the caps under kept entries and re-ranked
+  // in full past the first rounds (FreshCriusScheduler re-ranks in full every
+  // round), and the store must have served most pricings from rankings it
+  // already held.
+  EXPECT_GT(Counter("sched.cells_dirty_reranks") - dirty_before, 0);
+  EXPECT_GT(Counter("sched.cells_full_reranks") - full_before - rounds_run, kStoreConfigs);
+  EXPECT_LT(kept_computed * 4, delays_checked);
+}
+
+class CriusRankingStoreUnitTest : public SchedTestBase {
+ protected:
+  CriusRankingStoreUnitTest() : SchedTestBase(MakeMemoCluster()) {}
+
+  // The rankings `sched` computes while pricing `job` and running one round
+  // over the fixture's jobs.
+  int64_t ComputedFor(CriusScheduler& sched, const JobState& js, double now) {
+    const int64_t before = Counter("sched.rankings_computed");
+    sched.ProfilingDelay(js.job, cluster_);
+    sched.Schedule(RoundFor(now, Views(), cluster_));
+    return Counter("sched.rankings_computed") - before;
+  }
+};
+
+// Two jobs with one key share one ranking, for the profiling delay and for
+// the round alike; a different requested size computes its own. Under NH
+// the requested type prunes the Cells, so a different type computes its own
+// too. A cap change moves the key; recovery moves it back to the stored one.
+TEST_F(CriusRankingStoreUnitTest, OneRankingPerKey) {
+  const ModelSpec spec = kSpecs[1];
+  for (const bool nh : {false, true}) {
+    SCOPED_TRACE(nh ? "crius-nh" : "crius");
+    states_.clear();
+    CriusScheduler sched(&oracle_, CriusConfig{.heterogeneity_scaling = !nh});
+    const int64_t base = nh ? 100 : 0;
+    EXPECT_EQ(ComputedFor(sched, *AddQueued(base + 0, spec, 8, GpuType::kA100), 0.0), 1);
+    EXPECT_EQ(ComputedFor(sched, *AddQueued(base + 1, spec, 8, GpuType::kA100, 5.0, 777), 300.0),
+              0)
+        << "same key";
+    EXPECT_EQ(ComputedFor(sched, *AddQueued(base + 2, spec, 4, GpuType::kA100), 600.0), 1)
+        << "another requested size";
+    if (nh) {
+      EXPECT_EQ(ComputedFor(sched, *AddQueued(base + 3, spec, 8, GpuType::kV100), 900.0), 1)
+          << "NH prunes by the requested type";
+    }
+    // A100 is four 4-GPU nodes: one failure drops its cap from 16 to 8, which
+    // takes the 16-GPU A100 candidate from every 8-GPU job: one ranking for
+    // the two A100 jobs' shared new key, and under NH one for the V100 job,
+    // whose set covers every type although NH prunes the A100 Cells.
+    cluster_.MarkFailed(0, 0);
+    const JobState& first = *states_.front();
+    EXPECT_EQ(ComputedFor(sched, first, 1200.0), nh ? 2 : 1)
+        << "the failure moved the candidate sizes";
+    cluster_.MarkRecovered(0, 0);
+    EXPECT_EQ(ComputedFor(sched, first, 1500.0), 0) << "recovery restores a stored key";
+  }
 }
 
 }  // namespace

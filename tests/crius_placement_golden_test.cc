@@ -78,6 +78,7 @@ struct RunResult {
   int64_t moves_evaluated = 0;
   int64_t class_index_inserts = 0;
   int64_t memo_lookups = 0;
+  int64_t rankings_computed = 0;
   int64_t cells_considered = 0;
   int64_t sched_invocations = 0;
   int64_t assignments = 0;
@@ -160,6 +161,7 @@ RunResult RunVariant(const Variant& variant, bool fresh = false,
   const int64_t moves0 = CounterNow("sched.search_moves_evaluated");
   const int64_t inserts0 = CounterNow("sched.class_index_inserts");
   const int64_t lookups0 = CounterNow("sched.memo_lookups");
+  const int64_t rankings0 = CounterNow("sched.rankings_computed");
   const int64_t cells0 = CounterNow("sched.cells_considered");
   const int64_t invocations0 = CounterNow("sim.sched_invocations");
   const int64_t hits0 = CounterNow("oracle.batch_hits");
@@ -178,6 +180,7 @@ RunResult RunVariant(const Variant& variant, bool fresh = false,
   run.moves_evaluated = CounterNow("sched.search_moves_evaluated") - moves0;
   run.class_index_inserts = CounterNow("sched.class_index_inserts") - inserts0;
   run.memo_lookups = CounterNow("sched.memo_lookups") - lookups0;
+  run.rankings_computed = CounterNow("sched.rankings_computed") - rankings0;
   run.cells_considered = CounterNow("sched.cells_considered") - cells0;
   run.sched_invocations = CounterNow("sim.sched_invocations") - invocations0;
   run.assignments = counted.assignments;
@@ -227,6 +230,7 @@ struct WorkCounts {
   int64_t batch_misses;
   int64_t class_index_inserts;
   int64_t memo_lookups;
+  int64_t rankings_computed;
 };
 
 void PrintTo(const WorkCounts& w, std::ostream* os) { *os << w.label; }
@@ -237,9 +241,13 @@ void PrintTo(const WorkCounts& w, std::ostream* os) { *os << w.label; }
 // memo_lookups was recorded with the merge-walk memo sync, which hashes a job
 // id only where the round's order and last round's snapshot disagree, to
 // insert an arrival, or to evict a departure (about four per job).
+// rankings_computed, cells_considered and batch_hits were recorded with the
+// ranking store, which ranks each job shape once for both admission's
+// profiling delay and the memo warm-up; cells_considered counts per computed
+// ranking.
 constexpr WorkCounts kWorkCounts[] = {
-    {"crius", 38278, 458, 406, 20868, 3184, 215336, 38924, 2812, 2739, 2391},
-    {"crius_solver", 265969, 957, 3660, 20868, 3184, 208435, 38924, 2812, 12745, 2392},
+    {"crius", 38278, 458, 406, 11376, 3184, 215336, 8564, 2812, 2739, 2391, 304},
+    {"crius_solver", 265969, 957, 3660, 11376, 3184, 208435, 8564, 2812, 12745, 2392, 304},
 };
 
 class CriusWorkCountTest : public ::testing::TestWithParam<WorkCounts> {
@@ -258,10 +266,10 @@ TEST_P(CriusWorkCountTest, WorkCountsMatchExactly) {
   ASSERT_NE(variant, nullptr) << want.label;
   const RunResult run = RunVariant(*variant);
   std::printf("actual: {\"%s\", %" PRId64 ", %" PRId64 ", %" PRId64 ", %" PRId64 ", %" PRId64
-              ", %" PRId64 ", %" PRId64 ", %" PRId64 ", %" PRId64 ", %" PRId64 "}\n",
+              ", %" PRId64 ", %" PRId64 ", %" PRId64 ", %" PRId64 ", %" PRId64 ", %" PRId64 "}\n",
               want.label, run.moves_evaluated, run.searches_placed, run.searches_failed,
               run.cells_considered, run.sched_invocations, run.assignments, run.batch_hits,
-              run.batch_misses, run.class_index_inserts, run.memo_lookups);
+              run.batch_misses, run.class_index_inserts, run.memo_lookups, run.rankings_computed);
   EXPECT_EQ(run.moves_evaluated, want.moves_evaluated) << "sched.search_moves_evaluated";
   EXPECT_EQ(run.searches_placed, want.searches_placed) << "sched.searches{outcome=placed}";
   EXPECT_EQ(run.searches_failed, want.searches_failed) << "sched.searches{outcome=failed}";
@@ -272,6 +280,7 @@ TEST_P(CriusWorkCountTest, WorkCountsMatchExactly) {
   EXPECT_EQ(run.batch_misses, want.batch_misses) << "oracle.batch_misses";
   EXPECT_EQ(run.class_index_inserts, want.class_index_inserts) << "sched.class_index_inserts";
   EXPECT_EQ(run.memo_lookups, want.memo_lookups) << "sched.memo_lookups";
+  EXPECT_EQ(run.rankings_computed, want.rankings_computed) << "sched.rankings_computed";
   EXPECT_EQ(run.parallel_sections, 0) << "threadpool.parallel_sections";
 }
 

@@ -146,6 +146,26 @@ TEST(ServeReplayTest, TornFinalRowReplaysTheCompletePrefix) {
   EXPECT_EQ(csvs(ReplaySession(torn_session)), csvs(ReplaySession(ReadSessionLog(two_rows))));
 }
 
+// A meta row naming a malformed cluster or an unknown scheduler is an error
+// naming the field, not an abort; the aborting form still builds good rows.
+TEST(ServeReplayTest, MalformedMetaIsAnError) {
+  SessionMeta bad_cluster;
+  bad_cluster.cluster_spec = "A100:0x4";
+  SessionRuntime runtime;
+  std::string error;
+  EXPECT_FALSE(MakeSessionRuntime(bad_cluster, &runtime, &error));
+  EXPECT_EQ(error, "session meta cluster 'A100:0x4': bad node count in 'A100:0x4'");
+  EXPECT_EQ(runtime.scheduler, nullptr);
+
+  SessionMeta bad_scheduler;
+  bad_scheduler.scheduler = "nope";
+  EXPECT_FALSE(MakeSessionRuntime(bad_scheduler, &runtime, &error));
+  EXPECT_EQ(error, "session meta scheduler 'nope': unknown scheduler");
+
+  ASSERT_TRUE(MakeSessionRuntime(SessionMeta{}, &runtime, &error)) << error;
+  EXPECT_EQ(runtime.scheduler->name(), MakeSessionRuntime(SessionMeta{}).scheduler->name());
+}
+
 TEST(ServeReplayTest, StatusesSettleAfterDrain) {
   SessionMeta meta;
   SessionRuntime runtime = MakeSessionRuntime(meta);

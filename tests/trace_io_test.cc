@@ -4,6 +4,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "src/core/oracle.h"
 #include "src/sim/trace.h"
@@ -96,8 +97,88 @@ TEST(TraceIoDeathTest, MissingHeaderAborts) {
 }
 
 TEST(TraceIoDeathTest, WrongArityAborts) {
-  std::stringstream ss("id,family,x\n0,BERT,1.3\n");
+  std::stringstream ss(
+      "id,family,params_billion,global_batch,iterations,submit_time,requested_gpus,"
+      "requested_type,deadline\n0,BERT,1.3\n");
   EXPECT_DEATH(ReadTraceCsv(ss), "expected 9 fields");
+}
+
+constexpr char kHeader[] =
+    "id,family,params_billion,global_batch,iterations,submit_time,requested_gpus,"
+    "requested_type,deadline\n";
+
+// The status form reports what the aborting form dies of, naming the line and
+// the field, and leaves no partial trace behind.
+TEST(TraceIoTest, StatusFormNamesLineAndField) {
+  const struct {
+    const char* rows;   // appended to the full header; nullptr reads `input` alone
+    const char* input;
+    const char* error;
+  } kCases[] = {
+      {nullptr, "", "trace CSV: missing header row"},
+      {nullptr, "id,family,params_billion,global_batch,iterations,submit_time\n",
+       "trace CSV line 1: bad header 'id,family,params_billion,global_batch,iterations,"
+       "submit_time' (want 'id,family,"},
+      {"0,BERT,1.3,128,100,0,4,A100,abc\n", nullptr, "trace CSV line 2: bad deadline 'abc'"},
+      {"0,BERT,1.3,128,100,0,4,A100,\n1,BERT,1.3,12", nullptr,
+       "trace CSV line 3: expected 9 fields, got 4"},
+      {"\n0,BERT,1.3,128,,0,4,A100,\n", nullptr, "trace CSV line 3: empty iterations"},
+      {"0.5,BERT,1.3,128,100,0,4,A100,\n", nullptr, "trace CSV line 2: non-integer id"},
+      {"0,BERT,1.3,1e300,100,0,4,A100,\n", nullptr,
+       "trace CSV line 2: out-of-range global_batch '1e300'"},
+      {"0,BERT,1.3,128,100,0,3,A100,\n", nullptr,
+       "trace CSV line 2: requested_gpus 3 is not a power of two"},
+      {"0,BERT,1.3,128,100,0,4,H100,\n", nullptr,
+       "trace CSV line 2: unknown requested_type 'H100'"},
+      {"0,GPT,1.3,128,100,0,4,A100,\n", nullptr, "trace CSV line 2: unknown family 'GPT'"},
+      {"0,BERT,1.5,128,100,0,4,A100,\n", nullptr,
+       "trace CSV line 2: unsupported params_billion 1.5 for BERT"},
+      {"0,BERT,1.3,0,100,0,4,A100,\n", nullptr, "trace CSV line 2: global_batch 0 is not positive"},
+      {"0,BERT,1.3,128,100,nan,4,A100,\n", nullptr,
+       "trace CSV line 2: submit_time nan is not finite"},
+      {"7,BERT,1.3,128,100,0,4,A100,\n7,BERT,1.3,128,100,5,4,A100,\n", nullptr,
+       "trace CSV line 3: duplicate id 7"},
+  };
+  for (const auto& c : kCases) {
+    std::string csv = c.rows != nullptr ? kHeader : c.input;
+    if (c.rows != nullptr) {
+      csv += c.rows;
+    }
+    SCOPED_TRACE(csv);
+    std::stringstream ss(csv);
+    std::vector<TrainingJob> trace = SampleTrace();
+    std::string error;
+    EXPECT_FALSE(ReadTraceCsv(ss, &trace, &error));
+    EXPECT_EQ(error.substr(0, std::string(c.error).size()), c.error);
+    EXPECT_TRUE(trace.empty());
+  }
+}
+
+// A final row without its newline still loads when it is whole; the header
+// may end in CRLF.
+TEST(TraceIoTest, StatusFormAcceptsWholeRows) {
+  std::stringstream ss;
+  ss << std::string_view(kHeader).substr(0, sizeof(kHeader) - 2) << "\r\n"
+     << "0,BERT,1.3,128,100,0,4,A100,50.5";
+  std::vector<TrainingJob> trace;
+  std::string error;
+  ASSERT_TRUE(ReadTraceCsv(ss, &trace, &error)) << error;
+  ASSERT_EQ(trace.size(), 1u);
+  EXPECT_EQ(trace[0].deadline, 50.5);
+}
+
+TEST(TraceIoTest, FileStatusFormNamesTheFile) {
+  const std::string path = ::testing::TempDir() + "/crius_trace_io_bad.csv";
+  {
+    std::ofstream out(path);
+    out << kHeader << "0,BERT,1.3,128,100,zero,4,A100,\n";
+  }
+  std::vector<TrainingJob> trace;
+  std::string error;
+  EXPECT_FALSE(ReadTraceCsvFile(path, &trace, &error));
+  EXPECT_EQ(error, "trace CSV " + path + " line 2: bad submit_time 'zero'");
+  EXPECT_FALSE(ReadTraceCsvFile(path + ".missing", &trace, &error));
+  EXPECT_EQ(error, "cannot open trace file " + path + ".missing");
 }
 
 TEST(TraceIoDeathTest, BadNumbersAbort) {

@@ -167,7 +167,14 @@ int Run(int argc, const char* const* argv) {
   ThreadPool::SetGlobalThreads(static_cast<int>(threads));
 
   if (!replay_path.empty()) {
-    const SimResult result = ReplaySessionFile(replay_path);
+    const Session session = ReadSessionLogFile(replay_path);
+    SessionRuntime runtime;
+    std::string error;
+    if (!MakeSessionRuntime(session.meta, &runtime, &error)) {
+      std::fprintf(stderr, "crius_serve: %s in %s\n", error.c_str(), replay_path.c_str());
+      return 1;
+    }
+    const SimResult result = ReplaySession(session, runtime);
     PrintSummary("replay", result);
     WriteResultCsvs(result, jobs_csv, timeline_csv, events_csv);
     if (counters) {

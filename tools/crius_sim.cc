@@ -180,7 +180,11 @@ int Run(int argc, const char* const* argv) {
 
   std::vector<TrainingJob> trace;
   if (!trace_file.empty()) {
-    trace = ReadTraceCsvFile(trace_file);
+    std::string error;
+    if (!ReadTraceCsvFile(trace_file, &trace, &error)) {
+      std::fprintf(stderr, "crius_sim: %s\n", error.c_str());
+      return 1;
+    }
     std::printf("Loaded %zu jobs from %s\n", trace.size(), trace_file.c_str());
   } else {
     TraceConfig config = MakeTraceConfig(trace_style);
