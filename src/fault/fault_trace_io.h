@@ -26,9 +26,18 @@ void WriteFailureTraceCsv(const std::vector<FailureEvent>& events, std::ostream&
 bool WriteFailureTraceCsvFile(const std::vector<FailureEvent>& events,
                               const std::string& path);
 
-// Parses a failure-trace CSV, returning the events in canonical order. Aborts
-// with a diagnostic on malformed rows (a corrupt fault scenario is an operator
-// error worth failing loudly on).
+// Parses a failure-trace CSV into *out, in canonical order. The header must
+// be exactly the one WriteFailureTraceCsv writes. On malformed input returns
+// false, empties *out and sets *error to a message naming the line and the
+// field, e.g. "failure trace line 3: unknown kind 'explode'"; the file form
+// names the file too ("failure trace faults.csv line 3: ...") and reports a
+// file it cannot open. Rejected besides malformed fields: a negative or
+// non-finite time, a negative node id and a straggler slowdown below 1.
+bool ReadFailureTraceCsv(std::istream& in, std::vector<FailureEvent>* out, std::string* error);
+bool ReadFailureTraceCsvFile(const std::string& path, std::vector<FailureEvent>* out,
+                             std::string* error);
+
+// The same, aborting with that message (tests and in-process round trips).
 std::vector<FailureEvent> ReadFailureTraceCsv(std::istream& in);
 std::vector<FailureEvent> ReadFailureTraceCsvFile(const std::string& path);
 

@@ -600,11 +600,14 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
   // Scaling-search work, added to the counters once per pass.
   int64_t moves_evaluated = 0;
   int64_t searches_placed = 0;
+  int64_t memo_hits = 0;
   const int64_t inserts_before = move_classes_.inserts();
   // The search's move classes, synced to this pass at its first search; from
   // then on every placed job is indexed.
   bool classes_synced = false;
   auto index_victim = [&](size_t vi) { move_classes_.Insert(vjobs_[vi], vi, meets_deadline); };
+  // What this pass's failed searches learned since its last placement.
+  failed_chain_.Clear();
   {
     CRIUS_TRACE_SPAN("sched.place");
     for (size_t qi : queued_order_) {
@@ -621,6 +624,7 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
         if (classes_synced) {
           index_victim(qi);
         }
+        failed_chain_.Clear();
         continue;
       }
 
@@ -640,33 +644,42 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
           });
           classes_synced = true;
         }
-        FreeMap trial_free = free;
-        struct SavedVictim {
-          size_t vi;
-          std::optional<Cell> cell;
-          double score;
-          MoveClassIndex::Victim indexed;
-        };
-        std::vector<SavedVictim> saved;
-        double cumulative_delta = 0.0;
         // The best score vj could realize if capacity were freed; bounds the
         // deficit any intermediate move is allowed to dig.
         const int top = vj.fit->first();
         const double vj_potential =
             top < 0 ? 0.0 : std::max(0.0, vj.cells->choices[top].score);
         auto mine_after = [&](const FreeMap& f) { return best_fitting(vj, f); };
-
-        for (int depth = 0; depth < config_.search_depth && !placed; ++depth) {
-          const ScalingMove move = move_classes_.BestMove(trial_free, cumulative_delta,
-                                                         vj_potential, mine_after,
-                                                         &moves_evaluated);
+        // A search the pass's failed-chain memo decides makes no moves.
+        size_t replayable = 0;
+        const bool must_fail = failed_chain_.MustFail(
+            config_.search_depth, vj_potential,
+            [&](const FreeMap& f) { return mine_after(f) == nullptr; }, &replayable);
+        memo_hits += must_fail ? 1 : 0;
+        FreeMap trial_free = free;
+        search_saved_.clear();
+        double cumulative_delta = 0.0;
+        for (int depth = 0; !must_fail && depth < config_.search_depth && !placed; ++depth) {
+          const auto step = static_cast<size_t>(depth);
+          ScalingMove move;
+          if (step < replayable) {
+            move = failed_chain_.pick(step);
+          } else {
+            const bool extends = failed_chain_.Extends(step);
+            move = move_classes_.BestMove(trial_free, cumulative_delta, vj_potential, mine_after,
+                                          &moves_evaluated,
+                                          extends ? &search_envelope_ : nullptr);
+            if (extends) {
+              failed_chain_.Record(step, move, cumulative_delta, search_envelope_);
+            }
+          }
           if (move.choice < 0 || (move.enables && cumulative_delta + move.delta <= 0.0)) {
             break;  // no move, or completing the chain would lower throughput
           }
           VirtualJob& victim = vjobs_[move.victim];
           const CellChoice& new_cell = victim.cells->choices[move.choice];
-          saved.push_back(SavedVictim{move.victim, victim.cell, victim.score,
-                                      move_classes_.Erase(*victim.placement)});
+          search_saved_.push_back(SavedVictim{move.victim, victim.cell, victim.score,
+                                              move_classes_.Erase(*victim.placement)});
           Give(*victim.cell, trial_free);
           Take(new_cell.cell, trial_free);
           cumulative_delta += new_cell.score - victim.score;
@@ -689,9 +702,10 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
         if (placed) {
           ++searches_placed;
           free = trial_free;
+          failed_chain_.Clear();
         } else {
           // Roll back all speculative moves.
-          for (auto it = saved.rbegin(); it != saved.rend(); ++it) {
+          for (auto it = search_saved_.rbegin(); it != search_saved_.rend(); ++it) {
             VirtualJob& victim = vjobs_[it->vi];
             move_classes_.Erase(*victim.placement);
             victim.cell = it->cell;
@@ -717,6 +731,7 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
     placed_searches.Add(searches_placed);
     failed_searches.Add(searched_jobs - searches_placed);
     CRIUS_COUNTER_ADD("sched.search_moves_evaluated", moves_evaluated);
+    CRIUS_COUNTER_ADD("sched.search_memo_hits", memo_hits);
     CRIUS_COUNTER_ADD("sched.class_index_inserts", move_classes_.inserts() - inserts_before);
   }
 

@@ -238,6 +238,18 @@ class CriusScheduler : public Scheduler {
   std::vector<VirtualJob> vjobs_;
   std::vector<size_t> queued_order_;
   std::vector<FitIndex> deadline_fits_;
+  // A scaling search's moves, which a failed search rolls back.
+  struct SavedVictim {
+    size_t vi = 0;
+    std::optional<Cell> cell;
+    double score = 0.0;
+    MoveClassIndex::Victim indexed;
+  };
+  std::vector<SavedVictim> search_saved_;
+  // The pass's failed-chain memo, cleared at every placement, and the
+  // envelope of the search step that extends it.
+  FailedChain failed_chain_;
+  FreeMap search_envelope_{};
   // The scaling search's move classes over the placed jobs. They outlive the
   // pass: each pass that searches syncs them to its own virtual state at its
   // first search (MoveClassIndex::Sync), and a memo entry that leaves takes

@@ -425,11 +425,18 @@ class MoveClassIndex {
 
   // One search step: the best admissible move under `trial_free`.
   // best_fitting(free) returns the queued job's best-fitting choice under
-  // `free`, or null. Each evaluated class adds one to *evaluated.
+  // `free`, or null. Each evaluated class adds one to *evaluated. A non-null
+  // `envelope` receives the pointwise max of the free maps the evaluated
+  // classes leave (every entry INT_MIN if none is evaluated): which classes
+  // are evaluated, and what they leave, does not depend on the queued job.
   template <typename BestFitting>
   ScalingMove BestMove(const FreeMap& trial_free, double cumulative_delta, double potential,
-                       BestFitting&& best_fitting, int64_t* evaluated) {
+                       BestFitting&& best_fitting, int64_t* evaluated,
+                       FreeMap* envelope = nullptr) {
     ScalingMove best;
+    if (envelope != nullptr) {
+      envelope->fill(std::numeric_limits<int>::min());
+    }
     for (Held& held : held_) {
       if (held.victims.empty()) {
         continue;
@@ -446,6 +453,11 @@ class MoveClassIndex {
         }
         FreeMap after = released;
         after[static_cast<int>(cls.type)] -= cls.ngpus;
+        if (envelope != nullptr) {
+          for (int t = 0; t < kNumGpuTypes; ++t) {
+            (*envelope)[t] = std::max((*envelope)[t], after[t]);
+          }
+        }
         const CellChoice* mine = best_fitting(after);
         ++*evaluated;
         const bool enables = mine != nullptr;
@@ -639,6 +651,88 @@ class MoveClassIndex {
   std::vector<Member> spare_;    // Compact's scratch
   size_t dead_ = 0;              // members_ entries of erased victims
   int64_t inserts_ = 0;
+};
+
+// The failed-chain memo: what one pass's failed scaling searches learned,
+// so a later search of the same pass that must fail the same way is decided
+// without running MoveClassIndex::BestMove (DESIGN.md §14 "Failed-chain
+// memo").
+//
+// Holds the chain of picks a failed search made that did not enable its job
+// -- step k's pick, the cumulative delta before it, and its envelope: the
+// pointwise max of the free maps every class evaluated at step k leaves. It
+// is valid while the pass state (free map, placed Cells, class index) is the
+// one the chain started from, so the owner clears it whenever the pass places
+// a job. Why a job j that fits nothing under step k's envelope takes step k
+// of the chain whenever it is admissible:
+//   1. A failed search's rollback restores the pass state, so every search
+//      between two placements starts from the same state, and a search that
+//      has taken steps 0..k-1 of the chain is at the chain's state k.
+//   2. Which classes a step evaluates and the free maps they leave depend on
+//      the state alone. Fitting nothing is monotone in the free map, so j
+//      fits nothing under any of them: no class enables j.
+//   3. With no class enabling, a class's delta is its gain (job-independent),
+//      and BestMove's pick is the (delta, position, choice) maximum among the
+//      admissible classes. Admissibility (cumulative + delta + potential > 0)
+//      is upward-closed in delta, so the pick is the maximum of all evaluated
+//      classes -- the recorded pick, which enabled nothing either -- when it
+//      is admissible for j's potential, and no move otherwise.
+//   4. After a pick that enables nothing the search cannot place j.
+// So j's search fails if, along the chain, it reaches a step whose pick is
+// inadmissible for j, or takes `search_depth` steps. Otherwise (a step whose
+// envelope j fits, or the end of the chain) the search runs, and replays the
+// steps before that one without BestMove.
+class FailedChain {
+ public:
+  void Clear() { steps_.clear(); }
+
+  // Whether a search of `search_depth` steps for a job with `potential` (the
+  // bound BestMove's admissibility test adds) must fail. fits_nothing(free)
+  // says whether the job fits no choice under `free`. When it returns false,
+  // *replayable is the number of leading steps the search takes as recorded
+  // (step(k).move for k < *replayable).
+  template <typename FitsNothing>
+  bool MustFail(int search_depth, double potential, FitsNothing&& fits_nothing,
+                size_t* replayable) const {
+    for (size_t k = 0;; ++k) {
+      if (k == static_cast<size_t>(search_depth)) {
+        return true;  // search_depth moves, none of which places the job
+      }
+      if (k == steps_.size() || !fits_nothing(steps_[k].envelope)) {
+        *replayable = k;
+        return false;
+      }
+      // BestMove's admissibility test, in its order of operations.
+      if (steps_[k].cumulative_delta + steps_[k].move.delta + potential <= 0.0) {
+        return true;  // no admissible move
+      }
+    }
+  }
+
+  // The pick recorded at step k.
+  const ScalingMove& pick(size_t k) const { return steps_[k].move; }
+
+  // Whether step k of a search on the chain extends it; the caller then asks
+  // BestMove for the step's envelope and passes it to Record.
+  bool Extends(size_t k) const { return k == steps_.size(); }
+
+  // Records the pick `move` that a search made at step k, with
+  // `cumulative_delta` before it, under `envelope` (see BestMove). Keeps only
+  // a pick that extends the chain and enables nothing.
+  void Record(size_t k, const ScalingMove& move, double cumulative_delta,
+              const FreeMap& envelope) {
+    if (Extends(k) && move.choice >= 0 && !move.enables) {
+      steps_.push_back(Step{move, cumulative_delta, envelope});
+    }
+  }
+
+ private:
+  struct Step {
+    ScalingMove move;
+    double cumulative_delta = 0.0;
+    FreeMap envelope{};
+  };
+  std::vector<Step> steps_;  // cleared, never shrunk: reused across passes
 };
 
 }  // namespace crius

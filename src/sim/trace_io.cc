@@ -86,47 +86,29 @@ bool ParseTraceRow(const std::vector<std::string>& f, TrainingJob* job, std::str
 
 // `context` starts every error: "trace CSV", or "trace CSV <path>". On an
 // error *out is left empty.
-bool ReadTrace(std::istream& in, const std::string& context, std::vector<TrainingJob>* out,
-               std::string* error) {
+bool ReadTrace(std::istream& in, const std::string& context, const TraceJobCheck& check,
+               std::vector<TrainingJob>* out, std::string* error) {
   out->clear();
-  std::string line;
-  int line_no = 0;
-  bool header_seen = false;
   std::unordered_set<int64_t> ids;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') {
-      line.pop_back();
-    }
-    if (line.empty()) {
-      continue;
-    }
-    std::string what;
-    if (!header_seen) {
-      header_seen = true;
-      if (line == kTraceHeader) {
-        continue;
-      }
-      what = "bad header '" + line + "' (want '" + kTraceHeader + "')";
-    } else {
-      TrainingJob job;
-      if (ParseTraceRow(csv::SplitLine(line), &job, &what)) {
-        if (ids.insert(job.id).second) {
-          out->push_back(std::move(job));
-          continue;
+  const bool ok = csv::ReadRows(
+      in, context, kTraceHeader,
+      [&](const std::vector<std::string>& fields, std::string* what) {
+        TrainingJob job;
+        if (!ParseTraceRow(fields, &job, what) || (check && !check(job, what))) {
+          return false;
         }
-        what = "duplicate id " + std::to_string(job.id);
-      }
-    }
-    *error = context + " line " + std::to_string(line_no) + ": " + what;
+        if (!ids.insert(job.id).second) {
+          *what = "duplicate id " + std::to_string(job.id);
+          return false;
+        }
+        out->push_back(std::move(job));
+        return true;
+      },
+      error);
+  if (!ok) {
     out->clear();
-    return false;
   }
-  if (!header_seen) {
-    *error = context + ": missing header row";
-    return false;
-  }
-  return true;
+  return ok;
 }
 
 }  // namespace
@@ -156,18 +138,19 @@ bool WriteTraceCsvFile(const std::vector<TrainingJob>& trace, const std::string&
   return out.good();
 }
 
-bool ReadTraceCsv(std::istream& in, std::vector<TrainingJob>* out, std::string* error) {
-  return ReadTrace(in, "trace CSV", out, error);
+bool ReadTraceCsv(std::istream& in, std::vector<TrainingJob>* out, std::string* error,
+                  const TraceJobCheck& check) {
+  return ReadTrace(in, "trace CSV", check, out, error);
 }
 
 bool ReadTraceCsvFile(const std::string& path, std::vector<TrainingJob>* out,
-                      std::string* error) {
+                      std::string* error, const TraceJobCheck& check) {
   std::ifstream in(path);
   if (!in.is_open()) {
     *error = "cannot open trace file " + path;
     return false;
   }
-  return ReadTrace(in, "trace CSV " + path, out, error);
+  return ReadTrace(in, "trace CSV " + path, check, out, error);
 }
 
 std::vector<TrainingJob> ReadTraceCsv(std::istream& in) {

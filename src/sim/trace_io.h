@@ -13,6 +13,7 @@
 #ifndef SRC_SIM_TRACE_IO_H_
 #define SRC_SIM_TRACE_IO_H_
 
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -26,15 +27,20 @@ namespace crius {
 void WriteTraceCsv(const std::vector<TrainingJob>& trace, std::ostream& out);
 bool WriteTraceCsvFile(const std::vector<TrainingJob>& trace, const std::string& path);
 
+// A caller's own test of each parsed job: false rejects the job's row, with
+// *error saying why (e.g. a job no GPU type of the cluster can run).
+using TraceJobCheck = std::function<bool(const TrainingJob&, std::string*)>;
+
 // Parses a trace CSV into *out. The header must be exactly the one
-// WriteTraceCsv writes. On malformed input returns false, empties *out and
-// sets *error to a
-// message naming the line and the field, e.g. "trace CSV line 7: bad deadline
-// 'abc'"; the file form names the file too ("trace CSV jobs.csv line 7:
-// ...") and reports a file it cannot open.
-bool ReadTraceCsv(std::istream& in, std::vector<TrainingJob>* out, std::string* error);
+// WriteTraceCsv writes. On malformed input, or a job `check` (if given)
+// rejects, returns false, empties *out and sets *error to a message naming
+// the line and the field, e.g. "trace CSV line 7: bad deadline 'abc'"; the
+// file form names the file too ("trace CSV jobs.csv line 7: ...") and
+// reports a file it cannot open.
+bool ReadTraceCsv(std::istream& in, std::vector<TrainingJob>* out, std::string* error,
+                  const TraceJobCheck& check = nullptr);
 bool ReadTraceCsvFile(const std::string& path, std::vector<TrainingJob>* out,
-                      std::string* error);
+                      std::string* error, const TraceJobCheck& check = nullptr);
 
 // The same, aborting with that message (tests and in-process round trips).
 std::vector<TrainingJob> ReadTraceCsv(std::istream& in);

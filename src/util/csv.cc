@@ -4,6 +4,7 @@
 #include <exception>
 #include <istream>
 #include <ostream>
+#include <string>
 
 #include "src/util/check.h"
 
@@ -123,6 +124,40 @@ int64_t ParseInt(const std::string& s, const char* what, int line_no, const char
   std::string error;
   CRIUS_CHECK_MSG(ToInt(s, what, &v, &error), context << " line " << line_no << ": " << error);
   return v;
+}
+
+bool ReadRows(std::istream& in, const std::string& context, const std::string& header,
+              const std::function<bool(const std::vector<std::string>&, std::string*)>& row,
+              std::string* error) {
+  std::string line;
+  int line_no = 0;
+  bool header_seen = false;
+  while (std::getline(in, line)) {
+    ++line_no;
+    if (!line.empty() && line.back() == '\r') {
+      line.pop_back();
+    }
+    if (line.empty()) {
+      continue;
+    }
+    std::string what;
+    if (!header_seen) {
+      header_seen = true;
+      if (line == header) {
+        continue;
+      }
+      what = "bad header '" + line + "' (want '" + header + "')";
+    } else if (row(SplitLine(line), &what)) {
+      continue;
+    }
+    *error = context + " line " + std::to_string(line_no) + ": " + what;
+    return false;
+  }
+  if (!header_seen) {
+    *error = context + ": missing header row";
+    return false;
+  }
+  return true;
 }
 
 Reader::Reader(std::istream& in, std::string context, std::string header_prefix)

@@ -11,12 +11,14 @@
 //
 // The Parse* helpers and Reader abort with a "<context> line N: ..."
 // diagnostic via CRIUS_CHECK; the To* helpers return the same message as a
-// status, for readers that report bad input instead (the trace CSV).
+// status, for readers that report bad input instead (the trace and failure
+// CSVs, through ReadRows).
 
 #ifndef SRC_UTIL_CSV_H_
 #define SRC_UTIL_CSV_H_
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -47,6 +49,16 @@ int64_t ParseInt(const std::string& s, const char* what, int line_no, const char
 // e.g. "bad deadline 'abc'", "empty iterations" or "non-integer id".
 bool ToDouble(const std::string& s, const char* what, double* out, std::string* error);
 bool ToInt(const std::string& s, const char* what, int64_t* out, std::string* error);
+
+// Reads a CSV whose first non-blank line must be exactly `header`, calling
+// row(fields, &what) on each later non-blank line ('\r' line ends accepted).
+// Stops at the first row for which it returns false. Returns false with
+// *error set to "<context> line N: <what>" for that row or a bad header, or
+// "<context>: missing header row" for an input without one. The status-form
+// readers (trace and failure CSVs) use this.
+bool ReadRows(std::istream& in, const std::string& context, const std::string& header,
+              const std::function<bool(const std::vector<std::string>&, std::string*)>& row,
+              std::string* error);
 
 // Line-oriented CSV reader: skips blank lines, tracks line numbers, and
 // validates the header row (the first non-blank line must start with

@@ -14,7 +14,10 @@
 //     search moves, rollbacks and placements, and a persistent index synced
 //     by diff across rounds of outside churn picks what a fresh one does, and
 //   * StrandingScore with a Cell given back and one taken equals the score of
-//     the free map with both applied.
+//     the free map with both applied, and
+//   * FailedChain, the per-pass failed-chain memo, decides only searches that
+//     a reference loop over BestMove fails, and the searches it does not
+//     decide make the reference's moves.
 // Every case is reproducible from (seed, iteration), printed on failure.
 
 #include <gtest/gtest.h>
@@ -944,6 +947,207 @@ TEST(StrandingScoreTest, GiveAndTakeMatchTheUpdatedMap) {
     Take(take, after);
     EXPECT_EQ(StrandingScore(free, &give, &take), StrandingScore(after)) << "iter " << iter;
   }
+}
+
+// --- Failed-chain memo ----------------------------------------------------------
+
+// One placement pass's state for the failed-chain memo: placed victims, a
+// queue of up to 8 unplaced jobs, a mostly exhausted free map, and the class
+// index over the victims. `cells` is filled before `vjobs` points into it.
+struct ChainPass {
+  std::vector<JobCells> cells;
+  std::vector<JobPlacement> placements;
+  std::vector<VirtualJob> vjobs;
+  std::vector<std::vector<bool>> deadline_ok;  // [job][choice]
+  std::vector<size_t> queue;                   // the queued jobs, in placement order
+  FreeMap free{};
+  MoveClassIndex index;
+};
+
+void RandomChainPass(Rng& rng, bool deadline_filtered, ChainPass* pass) {
+  const auto victims = static_cast<size_t>(rng.UniformInt(3, 12));
+  const auto queued = static_cast<size_t>(rng.UniformInt(1, 8));
+  const size_t njobs = victims + queued;
+  pass->cells.reserve(njobs);
+  for (size_t j = 0; j < njobs; ++j) {
+    pass->cells.push_back(RandomJobCells(rng, Pruning::kNone));
+  }
+  pass->placements.resize(njobs);
+  for (size_t j = 0; j < njobs; ++j) {
+    const JobCells& jc = pass->cells[j];
+    VirtualJob vj;
+    vj.cells = &jc;
+    vj.placement = &pass->placements[j];
+    vj.fit = &jc.fit;
+    if (j < victims && !jc.choices.empty()) {
+      PlaceRandomly(rng, jc, &vj.cell, &vj.score);
+    } else if (j >= victims) {
+      pass->queue.push_back(j);
+    }
+    pass->vjobs.push_back(vj);
+    pass->deadline_ok.push_back(RandomDeadlines(rng, jc, deadline_filtered));
+  }
+  for (int& f : pass->free) {
+    f = rng.Uniform() < 0.5 ? 0 : static_cast<int>(rng.UniformInt(0, 16));
+  }
+}
+
+// A scaling search's outcome: whether the chain decided it, whether it
+// placed the job, and the moves it made as (victim, choice).
+struct ChainSearch {
+  bool memo_hit = false;
+  bool placed = false;
+  std::vector<std::pair<size_t, int>> moves;
+};
+
+// One scaling search for vjobs[qi], in the loop CriusScheduler::ScheduleOnce
+// runs. Without a chain it is the reference: every step runs BestMove, and
+// the moves are rolled back whatever the outcome. With one, the chain may
+// decide the search; otherwise the search replays the steps MustFail allows,
+// records at the chain's end, and a placement is kept (and clears the chain)
+// while a failure rolls back.
+template <typename MeetsDeadline>
+ChainSearch RunChainSearch(ChainPass& pass, size_t qi, int depth,
+                           const MeetsDeadline& meets_deadline, FailedChain* chain,
+                           int64_t* evaluated) {
+  VirtualJob& vj = pass.vjobs[qi];
+  auto mine_after = [&](const FreeMap& f) -> const CellChoice* {
+    const int i = vj.fit->FirstFit(vj.cells->choices, f);
+    return i < 0 ? nullptr : &vj.cells->choices[static_cast<size_t>(i)];
+  };
+  const int top = vj.fit->first();
+  const double potential =
+      top < 0 ? 0.0 : std::max(0.0, vj.cells->choices[static_cast<size_t>(top)].score);
+  ChainSearch out;
+  size_t replayable = 0;
+  if (chain != nullptr &&
+      chain->MustFail(depth, potential, [&](const FreeMap& f) { return mine_after(f) == nullptr; },
+                      &replayable)) {
+    out.memo_hit = true;
+    return out;
+  }
+  struct Saved {
+    size_t vi;
+    CellChoice held;
+    MoveClassIndex::Victim erased;
+  };
+  std::vector<Saved> saved;
+  FreeMap trial = pass.free;
+  FreeMap envelope{};
+  double cumulative_delta = 0.0;
+  const CellChoice* mine = nullptr;
+  for (int d = 0; d < depth && !out.placed; ++d) {
+    const auto step = static_cast<size_t>(d);
+    ScalingMove move;
+    if (step < replayable) {
+      move = chain->pick(step);
+    } else {
+      const bool extends = chain != nullptr && chain->Extends(step);
+      move = pass.index.BestMove(trial, cumulative_delta, potential, mine_after, evaluated,
+                                 extends ? &envelope : nullptr);
+      if (extends) {
+        chain->Record(step, move, cumulative_delta, envelope);
+      }
+    }
+    if (move.choice < 0 || (move.enables && cumulative_delta + move.delta <= 0.0)) {
+      break;
+    }
+    out.moves.emplace_back(move.victim, move.choice);
+    const CellChoice& alt = pass.vjobs[move.victim].cells->choices[static_cast<size_t>(move.choice)];
+    const CellChoice held{*pass.vjobs[move.victim].cell, pass.vjobs[move.victim].score};
+    Give(held.cell, trial);
+    Take(alt.cell, trial);
+    cumulative_delta += alt.score - held.score;
+    saved.push_back(Saved{move.victim, held,
+                          Reassign(pass.vjobs, move.victim, alt.cell, alt.score, meets_deadline,
+                                   &pass.index)});
+    mine = mine_after(trial);
+    out.placed = mine != nullptr && cumulative_delta + mine->score > 0.0;
+  }
+  if (out.placed && chain != nullptr) {
+    vj.cell = mine->cell;
+    vj.score = mine->score;
+    Take(mine->cell, trial);
+    pass.index.Insert(vj, qi, meets_deadline);
+    pass.free = trial;
+    chain->Clear();
+  } else {
+    for (auto it = saved.rbegin(); it != saved.rend(); ++it) {
+      RollBack(pass.vjobs, it->vi, it->held.cell, it->held.score, it->erased, &pass.index);
+    }
+  }
+  return out;
+}
+
+// Random passes at depths 1 to 5: every queued job either takes a free fit
+// (which clears the chain) or is searched twice from the same state, once by
+// the reference and once through the chain. A search the chain decides must
+// fail the reference; any other must make the reference's moves and outcome,
+// with no more classes evaluated. Each iteration draws from its own stream,
+// so a failure reproduces from (seed, iteration).
+void CheckFailedChain(bool deadline_filtered) {
+  constexpr int kChainIterations = 3000;
+  int searches = 0;
+  int failed = 0;
+  int hits = 0;
+  int replayed = 0;  // searches the chain did not decide but shortened
+  for (int iter = 0; iter < kChainIterations; ++iter) {
+    const uint64_t seed = kSeed + static_cast<uint64_t>(iter);
+    Rng rng(seed, "failed_chain");
+    const int depth = static_cast<int>(rng.UniformInt(1, 5));
+    ChainPass pass;
+    RandomChainPass(rng, deadline_filtered, &pass);
+    const auto meets_deadline = DeadlinesOf(pass.vjobs, pass.deadline_ok);
+    pass.index.Sync(pass.vjobs, meets_deadline, NeverReindex);
+    FailedChain chain;
+    for (size_t qi : pass.queue) {
+      VirtualJob& vj = pass.vjobs[qi];
+      const std::string where = "seed " + std::to_string(seed) + " iteration " +
+                                std::to_string(iter) + " depth " + std::to_string(depth) +
+                                " job " + std::to_string(qi);
+      const int fit = vj.fit->FirstFit(vj.cells->choices, pass.free);
+      if (fit >= 0) {
+        const CellChoice& c = vj.cells->choices[static_cast<size_t>(fit)];
+        vj.cell = c.cell;
+        vj.score = c.score;
+        Take(c.cell, pass.free);
+        pass.index.Insert(vj, qi, meets_deadline);
+        chain.Clear();
+        continue;
+      }
+      int64_t reference_evaluated = 0;
+      int64_t chain_evaluated = 0;
+      const ChainSearch want =
+          RunChainSearch(pass, qi, depth, meets_deadline, nullptr, &reference_evaluated);
+      const bool chain_empty = chain.Extends(0);
+      const ChainSearch got =
+          RunChainSearch(pass, qi, depth, meets_deadline, &chain, &chain_evaluated);
+      ++searches;
+      failed += want.placed ? 0 : 1;
+      if (got.memo_hit) {
+        ++hits;
+        ASSERT_FALSE(want.placed) << where << ": the chain decided a search that places";
+        continue;
+      }
+      ASSERT_EQ(got.placed, want.placed) << where;
+      ASSERT_EQ(got.moves, want.moves) << where;
+      ASSERT_LE(chain_evaluated, reference_evaluated) << where;
+      replayed += !chain_empty && chain_evaluated < reference_evaluated ? 1 : 0;
+    }
+  }
+  std::printf("searches %d, failed %d, decided by the chain %d, shortened %d\n", searches,
+              failed, hits, replayed);
+  // The memo must decide many failures, and both outcomes must stay common.
+  EXPECT_GT(hits, failed / 8);
+  EXPECT_GT(failed, searches / 4);
+  EXPECT_GT(searches - failed, searches / 20);
+  EXPECT_GT(replayed, 0);
+}
+
+TEST(CriusFailedChainTest, DecidedSearchesFailTheReference) { CheckFailedChain(false); }
+
+TEST(CriusFailedChainTest, DecidedSearchesFailTheReferenceWithDeadlineFilteredAlternatives) {
+  CheckFailedChain(true);
 }
 
 }  // namespace

@@ -52,6 +52,7 @@ struct Variant {
   const char* scheduler;
   bool deadline_aware;            // also gives half the trace a deadline
   const char* objective_weights;  // empty = default
+  int search_depth;               // CriusConfig::search_depth
   uint64_t jobs_hash;             // golden FNV-1a of the jobs CSV
   uint64_t events_hash;           // golden FNV-1a of the events CSV
 };
@@ -60,14 +61,18 @@ void PrintTo(const Variant& v, std::ostream* os) { *os << v.label; }
 
 // Recorded from the linear-scan scheduler.
 constexpr Variant kVariants[] = {
-    {"crius", "crius", false, "", 0x0ae91316f77a6910ull, 0xc5fcb1760199de6dull},
-    {"crius_na", "crius-na", false, "", 0x44f436751ecba71dull, 0xab452c9e56489766ull},
-    {"crius_nh", "crius-nh", false, "", 0x23b682c79081da57ull, 0x139dd9d10870bd30ull},
-    {"crius_fair", "crius-fair", false, "", 0xcf0c0ed9e33530a0ull, 0x1b451fa68de7fd04ull},
-    {"crius_solver", "crius-solver", false, "", 0xd6bf2030748b14caull, 0x8d8fdf0df209fad7ull},
-    {"crius_ddl", "crius", true, "", 0x02bb75d984954753ull, 0x624f78dea04d02e4ull},
-    {"crius_weights", "crius", false, "1,0.2,0.5,0.3", 0x70732c8ec56cc15dull,
+    {"crius", "crius", false, "", 3, 0x0ae91316f77a6910ull, 0xc5fcb1760199de6dull},
+    {"crius_na", "crius-na", false, "", 3, 0x44f436751ecba71dull, 0xab452c9e56489766ull},
+    {"crius_nh", "crius-nh", false, "", 3, 0x23b682c79081da57ull, 0x139dd9d10870bd30ull},
+    {"crius_fair", "crius-fair", false, "", 3, 0xcf0c0ed9e33530a0ull, 0x1b451fa68de7fd04ull},
+    {"crius_solver", "crius-solver", false, "", 3, 0xd6bf2030748b14caull, 0x8d8fdf0df209fad7ull},
+    {"crius_ddl", "crius", true, "", 3, 0x02bb75d984954753ull, 0x624f78dea04d02e4ull},
+    {"crius_weights", "crius", false, "1,0.2,0.5,0.3", 3, 0x70732c8ec56cc15dull,
      0xe09d92360130994eull},
+    // Recorded from the class-indexed search before failed searches were
+    // memoized, whose replay length is the search depth.
+    {"crius_depth1", "crius", false, "", 1, 0xbe37f6d76738e181ull, 0xad4f36e7646dcb69ull},
+    {"crius_depth5", "crius", false, "", 5, 0x644c6e0c593e35c8ull, 0xddd1c0b264dc49bfull},
 };
 
 struct RunResult {
@@ -76,6 +81,7 @@ struct RunResult {
   int64_t searches_placed = 0;
   int64_t searches_failed = 0;
   int64_t moves_evaluated = 0;
+  int64_t search_memo_hits = 0;
   int64_t class_index_inserts = 0;
   int64_t memo_lookups = 0;
   int64_t rankings_computed = 0;
@@ -138,6 +144,7 @@ RunResult RunVariant(const Variant& variant, bool fresh = false,
 
   SchedulerOptions options;
   options.deadline_aware = variant.deadline_aware;
+  options.search_depth = variant.search_depth;
   if (variant.objective_weights[0] != '\0') {
     const std::optional<CriusObjective> objective =
         CriusObjective::Parse(variant.objective_weights);
@@ -159,6 +166,7 @@ RunResult RunVariant(const Variant& variant, bool fresh = false,
   const int64_t placed0 = CounterNow("sched.searches", {{"outcome", "placed"}});
   const int64_t failed0 = CounterNow("sched.searches", {{"outcome", "failed"}});
   const int64_t moves0 = CounterNow("sched.search_moves_evaluated");
+  const int64_t memo_hits0 = CounterNow("sched.search_memo_hits");
   const int64_t inserts0 = CounterNow("sched.class_index_inserts");
   const int64_t lookups0 = CounterNow("sched.memo_lookups");
   const int64_t rankings0 = CounterNow("sched.rankings_computed");
@@ -178,6 +186,7 @@ RunResult RunVariant(const Variant& variant, bool fresh = false,
   run.searches_placed = CounterNow("sched.searches", {{"outcome", "placed"}}) - placed0;
   run.searches_failed = CounterNow("sched.searches", {{"outcome", "failed"}}) - failed0;
   run.moves_evaluated = CounterNow("sched.search_moves_evaluated") - moves0;
+  run.search_memo_hits = CounterNow("sched.search_memo_hits") - memo_hits0;
   run.class_index_inserts = CounterNow("sched.class_index_inserts") - inserts0;
   run.memo_lookups = CounterNow("sched.memo_lookups") - lookups0;
   run.rankings_computed = CounterNow("sched.rankings_computed") - rankings0;
@@ -231,6 +240,7 @@ struct WorkCounts {
   int64_t class_index_inserts;
   int64_t memo_lookups;
   int64_t rankings_computed;
+  int64_t search_memo_hits;
 };
 
 void PrintTo(const WorkCounts& w, std::ostream* os) { *os << w.label; }
@@ -244,10 +254,12 @@ void PrintTo(const WorkCounts& w, std::ostream* os) { *os << w.label; }
 // rankings_computed, cells_considered and batch_hits were recorded with the
 // ranking store, which ranks each job shape once for both admission's
 // profiling delay and the memo warm-up; cells_considered counts per computed
-// ranking.
+// ranking. moves_evaluated, class_index_inserts and search_memo_hits were
+// recorded with the failed-chain memo, which decides a search that must fail
+// like an earlier one of its pass without running or applying its moves.
 constexpr WorkCounts kWorkCounts[] = {
-    {"crius", 38278, 458, 406, 11376, 3184, 215336, 8564, 2812, 2739, 2391, 304},
-    {"crius_solver", 265969, 957, 3660, 11376, 3184, 208435, 8564, 2812, 12745, 2392, 304},
+    {"crius", 29488, 458, 406, 11376, 3184, 215336, 8564, 2812, 2409, 2391, 304, 110},
+    {"crius_solver", 124950, 957, 3660, 11376, 3184, 208435, 8564, 2812, 7330, 2392, 304, 1805},
 };
 
 class CriusWorkCountTest : public ::testing::TestWithParam<WorkCounts> {
@@ -266,10 +278,12 @@ TEST_P(CriusWorkCountTest, WorkCountsMatchExactly) {
   ASSERT_NE(variant, nullptr) << want.label;
   const RunResult run = RunVariant(*variant);
   std::printf("actual: {\"%s\", %" PRId64 ", %" PRId64 ", %" PRId64 ", %" PRId64 ", %" PRId64
-              ", %" PRId64 ", %" PRId64 ", %" PRId64 ", %" PRId64 ", %" PRId64 ", %" PRId64 "}\n",
+              ", %" PRId64 ", %" PRId64 ", %" PRId64 ", %" PRId64 ", %" PRId64 ", %" PRId64
+              ", %" PRId64 "}\n",
               want.label, run.moves_evaluated, run.searches_placed, run.searches_failed,
               run.cells_considered, run.sched_invocations, run.assignments, run.batch_hits,
-              run.batch_misses, run.class_index_inserts, run.memo_lookups, run.rankings_computed);
+              run.batch_misses, run.class_index_inserts, run.memo_lookups, run.rankings_computed,
+              run.search_memo_hits);
   EXPECT_EQ(run.moves_evaluated, want.moves_evaluated) << "sched.search_moves_evaluated";
   EXPECT_EQ(run.searches_placed, want.searches_placed) << "sched.searches{outcome=placed}";
   EXPECT_EQ(run.searches_failed, want.searches_failed) << "sched.searches{outcome=failed}";
@@ -281,6 +295,7 @@ TEST_P(CriusWorkCountTest, WorkCountsMatchExactly) {
   EXPECT_EQ(run.class_index_inserts, want.class_index_inserts) << "sched.class_index_inserts";
   EXPECT_EQ(run.memo_lookups, want.memo_lookups) << "sched.memo_lookups";
   EXPECT_EQ(run.rankings_computed, want.rankings_computed) << "sched.rankings_computed";
+  EXPECT_EQ(run.search_memo_hits, want.search_memo_hits) << "sched.search_memo_hits";
   EXPECT_EQ(run.parallel_sections, 0) << "threadpool.parallel_sections";
 }
 
@@ -335,6 +350,7 @@ TEST_P(CriusMemoVsFreshTest, MemoMatchesFreshThroughFailures) {
   EXPECT_EQ(memo.searches_placed, fresh.searches_placed);
   EXPECT_EQ(memo.searches_failed, fresh.searches_failed);
   EXPECT_EQ(memo.moves_evaluated, fresh.moves_evaluated);
+  EXPECT_EQ(memo.search_memo_hits, fresh.search_memo_hits);
   EXPECT_EQ(memo.parallel_sections, 0) << "threadpool.parallel_sections";
   EXPECT_EQ(fresh.parallel_sections, 0) << "threadpool.parallel_sections";
 

@@ -167,6 +167,33 @@ TEST(TraceIoTest, StatusFormAcceptsWholeRows) {
   EXPECT_EQ(trace[0].deadline, 50.5);
 }
 
+// A caller's job check rejects a well-formed row on the row's line; jobs it
+// accepts load as usual.
+TEST(TraceIoTest, JobCheckRejectsOnTheRowsLine) {
+  const std::string csv = std::string(kHeader) +
+                          "0,BERT,1.3,128,100,0,4,A100,\n"
+                          "\n"
+                          "1,BERT,1.3,128,100,5,8,A100,\n";
+  auto at_most_four = [](const TrainingJob& job, std::string* why) {
+    if (job.requested_gpus <= 4) {
+      return true;
+    }
+    *why = "job " + std::to_string(job.id) + " wants " + std::to_string(job.requested_gpus);
+    return false;
+  };
+  std::stringstream ss(csv);
+  std::vector<TrainingJob> trace;
+  std::string error;
+  EXPECT_FALSE(ReadTraceCsv(ss, &trace, &error, at_most_four));
+  EXPECT_EQ(error, "trace CSV line 4: job 1 wants 8");
+  EXPECT_TRUE(trace.empty());
+  std::stringstream again(csv);
+  ASSERT_TRUE(ReadTraceCsv(again, &trace, &error, [](const TrainingJob&, std::string*) {
+    return true;
+  })) << error;
+  EXPECT_EQ(trace.size(), 2u);
+}
+
 TEST(TraceIoTest, FileStatusFormNamesTheFile) {
   const std::string path = ::testing::TempDir() + "/crius_trace_io_bad.csv";
   {

@@ -180,8 +180,19 @@ int Run(int argc, const char* const* argv) {
 
   std::vector<TrainingJob> trace;
   if (!trace_file.empty()) {
+    // The admission test SimEngine::TryAddJob applies: a job with no feasible
+    // plan on any GPU type of the cluster would abort the run.
+    const std::string spec = ClusterSpecString(cluster);
+    auto runnable = [&](const TrainingJob& job, std::string* why) {
+      if (ReferenceThroughput(oracle, cluster, job) > 0.0) {
+        return true;
+      }
+      *why = "job " + std::to_string(job.id) + " is infeasible on every GPU type of cluster '" +
+             cluster_spec + "' (" + spec + ")";
+      return false;
+    };
     std::string error;
-    if (!ReadTraceCsvFile(trace_file, &trace, &error)) {
+    if (!ReadTraceCsvFile(trace_file, &trace, &error, runnable)) {
       std::fprintf(stderr, "crius_sim: %s\n", error.c_str());
       return 1;
     }
@@ -252,7 +263,11 @@ int Run(int argc, const char* const* argv) {
   const bool faults_requested =
       !failure_trace.empty() || mtbf_hours > 0.0 || gpu_mtbf_hours > 0.0 || straggler_rate > 0.0;
   if (!failure_trace.empty()) {
-    sim_config.failures = ReadFailureTraceCsvFile(failure_trace);
+    std::string error;
+    if (!ReadFailureTraceCsvFile(failure_trace, &sim_config.failures, &error)) {
+      std::fprintf(stderr, "crius_sim: %s\n", error.c_str());
+      return 1;
+    }
     std::printf("Loaded %zu failure events from %s\n", sim_config.failures.size(),
                 failure_trace.c_str());
   } else if (faults_requested) {
